@@ -17,6 +17,7 @@ from .vertices import (
     VertexLabel,
     VertexMatrix,
     enumerate_vertices,
+    first_vertex,
     quadratic_form,
     quadratic_via_vertex,
     vertex_graph,

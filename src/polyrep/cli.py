@@ -18,7 +18,7 @@ import numpy as np
 from . import collapse as collapse_mod
 from . import dynamics, gamefile, reduction, stability
 from .games import PolymatrixGame, formal_equilibria, interior_equilibria, random_prism_state
-from .vertices import enumerate_vertices, vertex_graph, vertex_matrix
+from .vertices import enumerate_vertices, first_vertex, vertex_graph, vertex_matrix
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -283,7 +283,7 @@ def cmd_simulate(args) -> int:
     eq = interior_equilibria(game)
     scaling = stability.find_scaling(game, tol=args.tol)
     vstar = stability.stable_vertices(game, tol=args.tol)
-    monitor_vertex = vstar[0] if vstar else enumerate_vertices(game.gtype)[0]
+    monitor_vertex = vstar[0] if vstar else first_vertex(game.gtype)
     positive = np.min(traj.states) > 0
     if "h" in wanted:
         if eq.exists and scaling is not None and positive:

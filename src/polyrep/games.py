@@ -14,6 +14,7 @@ objects are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +54,7 @@ class GameType:
     def p(self) -> int:
         return len(self.sizes)
 
-    @property
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
         """Start index of each group."""
         out, acc = [], 0
@@ -77,10 +78,18 @@ class GameType:
         return range(off, off + self.sizes[a])
 
     def indicator(self) -> np.ndarray:
-        """(p, n) 0/1 matrix whose row a selects the strategies of group a."""
+        """(p, n) 0/1 matrix whose row a selects the strategies of group a.
+
+        Built once per type and shared, hence read-only.
+        """
+        return self._indicator
+
+    @functools.cached_property
+    def _indicator(self) -> np.ndarray:
         m = np.zeros((self.p, self.n))
         for a in range(self.p):
             m[a, self.group_indices(a)] = 1.0
+        m.setflags(write=False)
         return m
 
     def __str__(self):
@@ -121,13 +130,17 @@ class DiagonalScaling:
             raise ValueError(f"scaling entries must be positive, got {self.values}")
         object.__setattr__(self, "values", vals)
 
-    def expand(self, gtype: GameType) -> np.ndarray:
-        """Length-n diagonal, one entry per strategy."""
+    def group_values(self, gtype: GameType) -> np.ndarray:
+        """Length-p array, one entry per group of the type."""
         if len(self.values) != gtype.p:
             raise ValueError(
                 f"scaling has {len(self.values)} entries, type {gtype} has {gtype.p} groups"
             )
-        return np.repeat(np.array(self.values), gtype.sizes)
+        return np.array(self.values)
+
+    def expand(self, gtype: GameType) -> np.ndarray:
+        """Length-n diagonal, one entry per strategy."""
+        return np.repeat(self.group_values(gtype), gtype.sizes)
 
     def inverse(self) -> "DiagonalScaling":
         return DiagonalScaling(tuple(1.0 / v for v in self.values))

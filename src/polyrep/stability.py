@@ -28,7 +28,8 @@ from .vertices import (
     VertexLabel,
     enumerate_vertices,
     expand_vertex_vector,
-    scaled_game,
+    first_vertex,
+    vertex_blocks,
     vertex_matrix,
 )
 
@@ -72,6 +73,42 @@ def _entry_scale(m: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
 
 
+class _VertexForm:
+    """Sym(A_v D_v) at one vertex as a function of the group diagonal.
+
+    The vertex blocks are gathered once; each evaluation scales their
+    columns by the diagonal on the index set and sums them in
+    vertex_matrix's order.  A partner lies in its index's group, so both
+    carry the same diagonal entry and the result equals
+    _sym(vertex_matrix(scaled_game(game, d), v).entries) bit for bit.
+    """
+
+    def __init__(self, game: PolymatrixGame, v: VertexLabel):
+        gt = game.gtype
+        self.vertex = v
+        idx, blocks = vertex_blocks(game, v)
+        self.groups = np.repeat(np.arange(gt.p), gt.sizes)[list(idx)]
+        self.blocks = np.stack(blocks)
+
+    @property
+    def dim(self) -> int:
+        return len(self.groups)
+
+    def sym(self, d: np.ndarray) -> np.ndarray:
+        """The symmetrized scaled vertex matrix for group values d."""
+        p, q, r, s = self.blocks * d[self.groups]
+        return _sym(p + q - r - s)
+
+    def eigvals(self, d: np.ndarray) -> np.ndarray:
+        """Eigenvalues of the form at d, ascending."""
+        return np.linalg.eigvalsh(self.sym(d))
+
+
+def _top(eigs: np.ndarray) -> float:
+    """Largest eigenvalue; 0 for the zero-dimensional form."""
+    return float(eigs[-1]) if eigs.size else 0.0
+
+
 def check_with_scaling(
     game: PolymatrixGame, d: DiagonalScaling, tol: float = SEMIDEF_TOL
 ) -> Classification:
@@ -84,28 +121,18 @@ def check_with_scaling(
     """
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
-    v0 = enumerate_vertices(game.gtype)[0]
-    vm = vertex_matrix(scaled_game(game, d), v0)
-    if vm.dim == 0:
+    form = _VertexForm(game, first_vertex(game.gtype))
+    values = d.group_values(game.gtype)
+    if form.dim == 0:
         return Classification(CONSERVATIVE, scaling=d, eigenvalues=np.zeros(0))
-    s = _sym(vm.entries)
-    eigs, vecs = np.linalg.eigh(s)
+    eigs, vecs = np.linalg.eigh(form.sym(values))
     cut = tol * _spectral_scale(eigs)
     if float(np.max(np.abs(eigs))) <= cut:
         return Classification(CONSERVATIVE, scaling=d, eigenvalues=eigs)
     if float(eigs[-1]) <= cut:
         return Classification(DISSIPATIVE, scaling=d, eigenvalues=eigs)
-    witness = expand_vertex_vector(game.gtype, v0, vecs[:, -1])
+    witness = expand_vertex_vector(game.gtype, form.vertex, vecs[:, -1])
     return Classification(INDEFINITE, witness=witness, eigenvalues=eigs)
-
-
-def _lambda_max(game: PolymatrixGame, v0: VertexLabel, d: DiagonalScaling) -> tuple[float, float]:
-    """(largest eigenvalue, spectral scale) of Sym(A_v D_v)."""
-    vm = vertex_matrix(scaled_game(game, d), v0)
-    if vm.dim == 0:
-        return 0.0, 1.0
-    eigs = np.linalg.eigvalsh(_sym(vm.entries))
-    return float(eigs[-1]), _spectral_scale(eigs)
 
 
 def find_scaling(
@@ -120,24 +147,29 @@ def find_scaling(
     over log-parameterized diagonals (first group pinned to 1), with a
     derivative-free simplex descent from several deterministic starts.
     The objective is a pointwise max of functions linear in the diagonal,
-    hence convex in it, so descent suffices at this scale.  Returns the
-    first certified diagonal in start order, or None when every start
-    fails; None means "no certificate found", not "not dissipative".
+    hence convex in it, so descent suffices at this scale.  It is
+    evaluated from the first vertex's blocks, gathered once per game;
+    each value is bit for bit the one the scaled game's vertex matrix
+    gives.  Returns the first certified diagonal in start order, or None
+    when every start fails; None means "no certificate found", not "not
+    dissipative".
     """
     p = game.gtype.p
-    v0 = enumerate_vertices(game.gtype)[0]
+    form = _VertexForm(game, first_vertex(game.gtype))
 
     def certify(values: np.ndarray) -> DiagonalScaling | None:
         d = DiagonalScaling(tuple(values))
-        lam, scale = _lambda_max(game, v0, d)
-        return d if lam <= tol * scale else None
+        eigs = form.eigvals(values)
+        return d if _top(eigs) <= tol * _spectral_scale(eigs) else None
 
     if p == 1:
         return certify(np.ones(1))
 
     def objective(theta: np.ndarray) -> float:
-        d = DiagonalScaling((1.0, *np.exp(theta)))
-        return _lambda_max(game, v0, d)[0]
+        values = np.concatenate(([1.0], np.exp(theta)))
+        if (values <= 0).any():  # exp(theta) underflowed: reject as DiagonalScaling does
+            raise ValueError(f"scaling entries must be positive, got {tuple(values)}")
+        return _top(form.eigvals(values))
 
     rng = np.random.default_rng(seed)
     thetas = [np.zeros(p - 1)] + [rng.uniform(-3.0, 3.0, p - 1) for _ in range(starts - 1)]

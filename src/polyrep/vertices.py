@@ -124,6 +124,11 @@ def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
     ]
 
 
+def first_vertex(gtype: GameType) -> VertexLabel:
+    """The first vertex in enumeration order: each group's first strategy."""
+    return VertexLabel(gtype.offsets)
+
+
 def coefficient(game: PolymatrixGame, i: int, j: int, k: int, ell: int) -> float:
     """The quadratic-form coefficient for the pairs (i,j), (k,l).
 
@@ -134,20 +139,27 @@ def coefficient(game: PolymatrixGame, i: int, j: int, k: int, ell: int) -> float
     return float(a[i, k] + a[j, ell] - a[i, ell] - a[j, k])
 
 
-def vertex_matrix(game: PolymatrixGame, v: VertexLabel) -> VertexMatrix:
-    """Coefficient matrix of the game at a vertex."""
-    v.validate(game.gtype)
+def vertex_blocks(
+    game: PolymatrixGame, v: VertexLabel
+) -> tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The index set and the payoff blocks whose signed sum is A_v.
+
+    With i, k over the index set and j, l their partners, the blocks are
+    [a_ik], [a_jl], [a_il], [a_jk]; A_v is the first plus the second
+    minus the third minus the fourth, summed in that order.
+    """
     idx = v.support(game.gtype)
     a = game.payoff
     ii = np.array(idx, dtype=int)
     jj = np.array([v.partner(game.gtype, i) for i in idx], dtype=int)
-    ent = (
-        a[np.ix_(ii, ii)]
-        + a[np.ix_(jj, jj)]
-        - a[np.ix_(ii, jj)]
-        - a[np.ix_(jj, ii)]
-    )
-    return VertexMatrix(v, idx, ent)
+    return idx, (a[np.ix_(ii, ii)], a[np.ix_(jj, jj)], a[np.ix_(ii, jj)], a[np.ix_(jj, ii)])
+
+
+def vertex_matrix(game: PolymatrixGame, v: VertexLabel) -> VertexMatrix:
+    """Coefficient matrix of the game at a vertex."""
+    v.validate(game.gtype)
+    idx, (ik, jl, il, jk) = vertex_blocks(game, v)
+    return VertexMatrix(v, idx, ik + jl - il - jk)
 
 
 def quadratic_form(game: PolymatrixGame, w: np.ndarray) -> float:

@@ -248,6 +248,28 @@ class TestBlockAccess:
         npt.assert_array_equal(example_game.block(1, 0), example_game.payoff[3:, :3])
 
 
+class TestGameTypeCache:
+    def test_indicator_shared_and_read_only(self):
+        gt = GameType((3, 2))
+        ind = gt.indicator()
+        assert ind is gt.indicator()
+        assert not ind.flags.writeable
+        with pytest.raises(ValueError):
+            ind[0, 0] = 2.0
+
+    def test_cached_values(self):
+        gt = GameType((3, 1, 2))
+        assert gt.offsets == (0, 3, 4)
+        npt.assert_array_equal(
+            gt.indicator(), [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
+        )
+
+    def test_equality_ignores_cache(self):
+        a, b = GameType((2, 2)), GameType((2, 2))
+        a.indicator()
+        assert a == b and hash(a) == hash(b)
+
+
 class TestDiagonalScaling:
     def test_positive_required(self):
         with pytest.raises(ValueError):
@@ -256,3 +278,9 @@ class TestDiagonalScaling:
     def test_expansion_constant_per_group(self):
         d = DiagonalScaling((2.0, 5.0))
         npt.assert_array_equal(d.expand(GameType((3, 2))), [2, 2, 2, 5, 5])
+
+    def test_group_count_checked(self):
+        d = DiagonalScaling((2.0, 5.0))
+        npt.assert_array_equal(d.group_values(GameType((3, 2))), [2, 5])
+        with pytest.raises(ValueError):
+            d.group_values(GameType((2, 2, 1)))

@@ -18,12 +18,14 @@ from polyrep.stability import (
     stable_vertices,
     stably_dissipative,
 )
-from polyrep.vertices import enumerate_vertices, vertex_matrix
+from polyrep.stability import _sym, _VertexForm
+from polyrep.vertices import enumerate_vertices, first_vertex, scaled_game, vertex_matrix
 
 from conftest import (
     EXAMPLE_VERTEX_TABLE,
     make_dissipative_game,
     make_stable_matrix,
+    random_game,
     random_type_scaling,
 )
 
@@ -66,6 +68,50 @@ class TestCheckWithScaling:
         game, _, d = make_dissipative_game(GameType((2, 2)), rng, conservative=True)
         assert check_with_scaling(game, d).kind == CONSERVATIVE
 
+    def test_scaling_length_checked(self, example_game):
+        with pytest.raises(ValueError):
+            check_with_scaling(example_game, DiagonalScaling((1.0, 1.0, 1.0)))
+
+
+class TestVertexForm:
+    """The certificate objective, built once per game, against the scaled game."""
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 2), (3, 2, 1), (2,) * 4, (1, 1), (4,)])
+    def test_bitwise_equal_to_scaled_vertex_matrix(self, sizes):
+        gt = GameType(sizes)
+        rng = np.random.default_rng(len(sizes) * 100 + sum(sizes))
+        v0 = first_vertex(gt)
+        games = [random_game(gt, rng, integer=True), make_dissipative_game(gt, rng)[0]]
+        for game in games:
+            form = _VertexForm(game, v0)
+            scalings = [random_type_scaling(gt, rng) for _ in range(5)]
+            scalings.append(DiagonalScaling(tuple(np.exp(rng.uniform(-30.0, 30.0, gt.p)))))
+            for d in scalings:
+                expected = _sym(vertex_matrix(scaled_game(game, d), v0).entries)
+                got = form.sym(np.array(d.values))
+                assert np.array_equal(got, expected)
+
+    def test_zero_dimensional_vertex(self):
+        game = PolymatrixGame(GameType((1, 1)), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        form = _VertexForm(game, first_vertex(game.gtype))
+        assert form.dim == 0
+        assert form.eigvals(np.array([1.0, 2.0])).size == 0
+        assert find_scaling(game).values == (1.0, 1.0)
+
+
+# find_scaling results on make_dissipative_game(GameType(sizes),
+# default_rng(seed)), recorded with the search evaluating the scaled
+# game's vertex matrix directly; the precomputed objective must retrace
+# the same descent exactly.
+PINNED_SCALINGS = [
+    ((3, 3), 1, (1.0, 3.593122503624089)),
+    ((3, 3), 5, (1.0, 8.311633047670558)),
+    ((2, 2, 2), 2, (1.0, 0.7068217259697972, 3.838546303396272)),
+    ((2, 2, 2), 6, (1.0, 0.6182816264721677, 0.13136511706251347)),
+    ((2,) * 4, 4, (1.0, 6.015929076425002, 3.3936067297398775, 6.027214708319475)),
+    ((2,) * 4, 6, (1.0, 1.3376573485128915, 1.1187898714374305, 0.17851740205212616)),
+]
+
 
 class TestFindScaling:
     def test_example(self, example_game):
@@ -92,6 +138,22 @@ class TestFindScaling:
     def test_indefinite_game_gives_none(self):
         game = PolymatrixGame(GameType((2,)), np.eye(2))
         assert find_scaling(game) is None
+
+    @pytest.mark.parametrize("sizes,seed,values", PINNED_SCALINGS)
+    def test_pinned_certificates(self, sizes, seed, values):
+        game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
+        assert find_scaling(game).values == values
+
+    def test_pinned_miss(self):
+        game = random_game(GameType((2, 2)), np.random.default_rng(1), integer=True)
+        assert find_scaling(game) is None
+
+    @pytest.mark.xfail(strict=True, raises=ValueError, reason="defect B: exp(theta) underflows to 0")
+    def test_underflowing_search_does_not_raise(self):
+        game = PolymatrixGame(
+            GameType((2,) * 8), np.random.default_rng(0).integers(-5, 6, (16, 16))
+        )
+        find_scaling(game)
 
 
 class TestSkewDecomposition:

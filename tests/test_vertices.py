@@ -8,6 +8,7 @@ from polyrep.vertices import (
     diag_property_check,
     enumerate_vertices,
     expand_vertex_vector,
+    first_vertex,
     numerical_rank,
     quadratic_form,
     quadratic_via_vertex,
@@ -34,6 +35,11 @@ class TestEnumeration:
 
     def test_product_count(self):
         assert len(enumerate_vertices(GameType((2, 2, 2)))) == 8
+
+    @pytest.mark.parametrize("sizes", [(1,), (3, 2), (1, 1), (2, 3, 1), (3,) * 4])
+    def test_first_vertex_is_first_enumerated(self, sizes):
+        gt = GameType(sizes)
+        assert first_vertex(gt) == enumerate_vertices(gt)[0]
 
     def test_support_and_partner(self):
         gt = GameType((3, 2))
