@@ -61,22 +61,19 @@ def _label(v) -> list[int]:
 
 
 def _classification_exit(game: PolymatrixGame, tol: float) -> tuple[int, dict]:
-    """Shared verdict logic: kind, certificate, stable vertices, exit code."""
+    """Shared verdict logic: kind, certificate, stable vertices, exit code.
+
+    Like stability.admissible, a game without a formal equilibrium is
+    rejected before any certificate is looked for.
+    """
+    vstar = [_label(v) for v in stability.stable_vertices(game, tol=tol)]
+    if not formal_equilibria(game).exists:
+        return EXIT_NOT_DISSIPATIVE, {"kind": stability.NO_FORMAL_EQUILIBRIUM, "scaling": None, "vstar": vstar}
     found = stability.find_scaling(game, tol=tol)
-    vstar = stability.stable_vertices(game, tol=tol)
     if found is None:
-        kind = (
-            stability.NO_FORMAL_EQUILIBRIUM
-            if not formal_equilibria(game).exists
-            else "no_certificate_found"
-        )
-        return EXIT_NOT_DISSIPATIVE, {"kind": kind, "scaling": None, "vstar": [_label(v) for v in vstar]}
+        return EXIT_NOT_DISSIPATIVE, {"kind": "no_certificate_found", "scaling": None, "vstar": vstar}
     verdict = stability.check_with_scaling(game, found, tol=tol)
-    info = {
-        "kind": verdict.kind,
-        "scaling": list(found.values),
-        "vstar": [_label(v) for v in vstar],
-    }
+    info = {"kind": verdict.kind, "scaling": list(found.values), "vstar": vstar}
     code = EXIT_OK if vstar else EXIT_NOT_ADMISSIBLE
     return code, info
 

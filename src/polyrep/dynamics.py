@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import DiagonalScaling, GameType, PolymatrixGame, vector_field
+from .games import DiagonalScaling, GameType, PolymatrixGame, _nullspace, vector_field
 from .vertices import VertexLabel, vertex_matrix
 
 # Log-based monitors are meaningless this close to the boundary.
@@ -46,13 +46,20 @@ class Trajectory:
 
 def _rk4_paths(
     game: PolymatrixGame, x0: np.ndarray, steps: int, dt: float
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Integrate a batch (m, n) of starts; returns (m, steps+1, n) states."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate a batch (m, n) of starts; returns (m, steps+1, n) states.
+
+    Also returns the drift and, per run, the number of samples it kept: a
+    run stops before its first non-finite state and the others go on
+    without it; steps + 1 when it never had one.
+    """
     gt = game.gtype
     ind = gt.indicator()
     x = np.array(x0, dtype=float)
     out = np.empty((x.shape[0], steps + 1, gt.n))
     drift = np.zeros((x.shape[0], steps + 1))
+    kept = np.full(x.shape[0], steps + 1)
+    rows = slice(None)  # the runs still going: all of them until one aborts
     out[:, 0] = x
     for k in range(1, steps + 1):
         k1 = vector_field(game, x)
@@ -62,30 +69,37 @@ def _rk4_paths(
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         np.clip(x, 0.0, None, out=x)
         sums = x @ ind.T  # (m, p)
-        drift[:, k] = np.max(np.abs(sums - 1.0), axis=1)
+        drift[rows, k] = np.max(np.abs(sums - 1.0), axis=1)
         x = x / (sums @ ind)
         if not np.all(np.isfinite(x)):
-            return out[:, :k], drift[:, :k], False  # drop the bad step
-        out[:, k] = x
-    return out, drift, True
+            finite = np.all(np.isfinite(x), axis=1)
+            live = np.arange(len(kept))[rows]
+            kept[live[~finite]] = k  # drop the bad step
+            rows, x = live[finite], x[finite]
+            if not rows.size:
+                break
+        out[rows, k] = x
+    return out, drift, kept
+
+
+def _trajectory(states: np.ndarray, drift: np.ndarray, kept: int, dt: float) -> Trajectory:
+    return Trajectory(dt * np.arange(kept), states[:kept], drift[:kept], bool(kept == len(states)))
 
 
 def integrate(game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01) -> Trajectory:
     """Integrate the replicator flow from one start for duration T."""
     steps = int(round(T / dt))
-    states, drift, ok = _rk4_paths(game, np.asarray(x0, dtype=float)[None, :], steps, dt)
-    times = dt * np.arange(states.shape[1])
-    return Trajectory(times, states[0], drift[0], ok)
+    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float)[None, :], steps, dt)
+    return _trajectory(states[0], drift[0], kept[0], dt)
 
 
 def integrate_batch(
     game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01
 ) -> list[Trajectory]:
-    """Integrate several starts at once (rows of x0)."""
+    """Integrate several starts at once (rows of x0); each run aborts on its own."""
     steps = int(round(T / dt))
-    states, drift, ok = _rk4_paths(game, np.asarray(x0, dtype=float), steps, dt)
-    times = dt * np.arange(states.shape[1])
-    return [Trajectory(times, states[i], drift[i], ok) for i in range(states.shape[0])]
+    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float), steps, dt)
+    return [_trajectory(states[i], drift[i], kept[i], dt) for i in range(len(kept))]
 
 
 def lyapunov_h(
@@ -143,12 +157,8 @@ def first_integrals(game: PolymatrixGame, v: VertexLabel) -> list[FirstIntegral]
     vm = vertex_matrix(game, v)
     if vm.dim == 0:
         return []
-    m = vm.entries.T
-    _, s, vt = np.linalg.svd(m)
-    cutoff = 1e-10 * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
     out = []
-    for b in vt[rank:]:
+    for b in _nullspace(vm.entries.T):
         coeff = np.zeros(game.gtype.n)
         for bi, i in zip(b, vm.index_set):
             coeff[i] += bi

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .games import (
     DiagonalScaling,
     PolymatrixGame,
+    _nullspace,
     formal_equilibria,
 )
 from .vertices import (
@@ -152,7 +151,9 @@ def find_scaling(
     each value is bit for bit the one the scaled game's vertex matrix
     gives.  Returns the first certified diagonal in start order, or None
     when every start fails; None means "no certificate found", not "not
-    dissipative".
+    dissipative".  The seeded starts and scipy.optimize are loaded only
+    when a start needs them, so games the identity scaling certifies
+    never import numpy.random or scipy.
     """
     p = game.gtype.p
     form = _VertexForm(game, first_vertex(game.gtype))
@@ -171,12 +172,18 @@ def find_scaling(
             raise ValueError(f"scaling entries must be positive, got {tuple(values)}")
         return _top(form.eigvals(values))
 
-    rng = np.random.default_rng(seed)
-    thetas = [np.zeros(p - 1)] + [rng.uniform(-3.0, 3.0, p - 1) for _ in range(starts - 1)]
-    for theta in thetas:
+    def thetas():
+        yield np.zeros(p - 1)
+        rng = np.random.default_rng(seed)  # numpy.random loads lazily: not for the identity start
+        for _ in range(starts - 1):
+            yield rng.uniform(-3.0, 3.0, p - 1)
+
+    for theta in thetas():
         got = certify(np.concatenate(([1.0], np.exp(theta))))
         if got is not None:
             return got
+        import scipy.optimize
+
         res = scipy.optimize.minimize(
             objective,
             theta,
@@ -197,7 +204,7 @@ def _tangent_orthobasis(game: PolymatrixGame) -> np.ndarray:
         for a in range(gt.p)
     ]
     normal = np.column_stack(cols)
-    tangent = scipy.linalg.null_space(normal.T)
+    tangent = _nullspace(normal.T).T
     return np.hstack([normal, tangent])
 
 
@@ -405,13 +412,15 @@ def admissible(
     return (ok and bool(vstar)), vstar
 
 
-def _nullspace_cols(m: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    if m.size == 0:
-        return np.eye(m.shape[1] if m.ndim == 2 else 0)
-    u, s, vt = np.linalg.svd(m)
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
+def _largest_angle(q1: np.ndarray, k2: np.ndarray) -> float:
+    """Largest principal angle between span(q1) and span(k2), equal dimensions.
+
+    q1 has orthonormal columns; k2 is orthonormalized here.  The sine of
+    the angle is the norm of the part of k2's span that q1 misses.
+    """
+    q2, _ = np.linalg.qr(k2)
+    sine = np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2)
+    return float(np.arcsin(min(sine, 1.0)))
 
 
 def kernel_duality(m: np.ndarray, d: np.ndarray, tol: float = 1e-8) -> bool:
@@ -422,11 +431,10 @@ def kernel_duality(m: np.ndarray, d: np.ndarray, tol: float = 1e-8) -> bool:
     """
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
-    k1 = _nullspace_cols(m)
-    k2 = d[:, None] * _nullspace_cols(m.T) if m.size else _nullspace_cols(m.T)
+    k1 = _nullspace(m).T
+    k2 = d[:, None] * _nullspace(m.T).T
     if k1.shape[1] != k2.shape[1]:
         return False
     if k1.shape[1] == 0:
         return True
-    angles = scipy.linalg.subspace_angles(k1, k2)
-    return float(np.max(angles)) <= tol
+    return _largest_angle(k1, k2) <= tol

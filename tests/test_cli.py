@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import polyrep
 from polyrep.cli import (
     EXIT_IO,
     EXIT_NOT_ADMISSIBLE,
@@ -13,6 +18,7 @@ from polyrep.cli import (
 )
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
+from polyrep.stability import admissible
 
 from conftest import EXAMPLE_REDUCED
 
@@ -71,6 +77,32 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == EXIT_IO
         assert "line 2" in err
+
+
+class TestNoFormalEquilibrium:
+    """Strategy 0 always earns 1 more than strategy 1: no formal equilibrium."""
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "tilted.txt"
+        path.write_text("type: 2\n1 1\n0 0\n")
+        return str(path)
+
+    def test_check_agrees_with_library(self, capsys, path):
+        code, out, _ = run(capsys, "check", path, "--format", "json")
+        data = json.loads(out)
+        assert code == EXIT_NOT_DISSIPATIVE
+        assert data["kind"] == "no_formal_equilibrium"
+        assert data["scaling"] is None
+        assert data["admissible"] is False
+        assert data["admissible"] == admissible(parse_game(path))[0]
+
+    @pytest.mark.parametrize("command", ["reduce", "collapse"])
+    def test_rules_refused(self, capsys, path, command):
+        code, out, err = run(capsys, command, path)
+        assert code == EXIT_NOT_DISSIPATIVE
+        assert out == ""
+        assert "not admissible" in err
 
 
 class TestVertices:
@@ -234,3 +266,38 @@ class TestEnvironmentSeed:
         first = a.read_text().splitlines()[1]
         second = b.read_text().splitlines()[1]
         assert first != second  # different seeds, different starts
+
+
+class TestColdImports:
+    """The subcommands on the bundled example never need scipy.
+
+    Nor numpy.random, which numpy loads lazily, until simulate draws its
+    random start.
+    """
+
+    SCRIPT = """
+import contextlib, io, json, sys
+from polyrep.cli import main
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main([*argv, "--format", "json"])
+def loaded(prefix):
+    return sorted(m for m in sys.modules if m.startswith(prefix))
+path = sys.argv[1]
+codes = [run(sub, path) for sub in ("check", "vertices", "reduce", "collapse", "equilibrium")]
+random = loaded("numpy.random")
+codes.append(run("simulate", "--game", path, "--T", "1"))
+print(json.dumps({"codes": codes, "random": random, "scipy": loaded("scipy")}))
+"""
+
+    def test_no_scipy_loaded(self, example_path):
+        src = str(Path(polyrep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, example_path],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["codes"] == [EXIT_OK] * 6
+        assert got["random"] == []
+        assert got["scipy"] == []

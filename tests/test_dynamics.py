@@ -267,6 +267,27 @@ class TestNonFiniteAbort:
         assert not traj.ok
         assert len(traj.times) < 101
 
+    def test_bad_start_spares_the_batch(self, example_game, example_q):
+        # the last start's second group sums to 0, so its first step is 0/0
+        rng = np.random.default_rng(62)
+        moving = random_prism_state(example_game.gtype, rng)
+        starts = np.array([example_q, moving, [0.2, 0.3, 0.5, 0.0, 0.0]])
+        fixed, free, bad = integrate_batch(example_game, starts, T=1.0, dt=0.01)
+        for start, traj in ((example_q, fixed), (moving, free)):
+            assert traj.ok
+            assert traj.states.shape == (101, 5) and len(traj.renorm_drift) == 101
+            single = integrate(example_game, start, T=1.0, dt=0.01)
+            npt.assert_allclose(traj.states, single.states, atol=1e-12)
+        assert not bad.ok
+        assert bad.states.shape == (1, 5) and len(bad.times) == len(bad.renorm_drift) == 1
+        npt.assert_array_equal(bad.states[0], starts[2])
+
+    def test_every_start_bad(self, example_game):
+        starts = np.array([[0.2, 0.3, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 0.5]])
+        for traj in integrate_batch(example_game, starts, T=1.0, dt=0.01):
+            assert traj.ok is False
+            assert traj.states.shape == (1, 5)
+
 
 class TestReductionSoundnessProbe:
     """Empirical soundness of the inference rules against the flow.

@@ -18,7 +18,7 @@ from polyrep.stability import (
     stable_vertices,
     stably_dissipative,
 )
-from polyrep.stability import _sym, _VertexForm
+from polyrep.stability import _largest_angle, _sym, _VertexForm
 from polyrep.vertices import enumerate_vertices, first_vertex, scaled_game, vertex_matrix
 
 from conftest import (
@@ -391,6 +391,25 @@ class TestKernelDuality:
             d = rng.uniform(0.2, 3.0, k + 1)
             scaled = m / d  # scaled @ diag(d) = m, so d certifies dissipativity
             assert kernel_duality(scaled, d)
+
+
+    @pytest.mark.parametrize("target", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5, np.pi / 2 - 1e-2, np.pi / 2 - 1e-3])
+    def test_largest_angle_matches_scipy(self, target):
+        from scipy.linalg import subspace_angles
+
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            n = int(rng.integers(3, 8))
+            k = int(rng.integers(1, n))
+            frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            # span(q1) and span(b) share k - 1 directions; the last pair meets at target
+            q1 = frame[:, :k]
+            b = frame[:, :k].copy()
+            b[:, -1] = np.cos(target) * frame[:, k - 1] + np.sin(target) * frame[:, k]
+            b = b @ (rng.uniform(-2, 2, (k, k)) + 3 * np.eye(k))  # same span, columns neither unit nor orthogonal
+            expected = float(np.max(subspace_angles(q1, b)))
+            assert expected == pytest.approx(target, abs=1e-6)
+            assert _largest_angle(q1, b) == pytest.approx(expected, rel=1e-9, abs=1e-14)
 
 
 class TestStableVerticesHelper:
