@@ -17,7 +17,7 @@ import numpy as np
 
 from . import collapse as collapse_mod
 from . import dynamics, gamefile, reduction, stability
-from .games import PolymatrixGame, formal_equilibria, interior_equilibria, random_prism_state
+from .games import PolymatrixGame, interior_equilibria, random_prism_state
 from .vertices import enumerate_vertices, first_vertex, vertex_graph, vertex_matrix
 
 EXIT_OK = 0
@@ -60,50 +60,41 @@ def _label(v) -> list[int]:
     return list(v.chosen)
 
 
-def _classification_exit(game: PolymatrixGame, tol: float) -> tuple[int, dict]:
-    """Shared verdict logic: kind, certificate, stable vertices, exit code.
-
-    Like stability.admissible, a game without a formal equilibrium is
-    rejected before any certificate is looked for.
-    """
-    vstar = [_label(v) for v in stability.stable_vertices(game, tol=tol)]
-    if not formal_equilibria(game).exists:
-        return EXIT_NOT_DISSIPATIVE, {"kind": stability.NO_FORMAL_EQUILIBRIUM, "scaling": None, "vstar": vstar}
-    found = stability.find_scaling(game, tol=tol)
-    if found is None:
-        return EXIT_NOT_DISSIPATIVE, {"kind": "no_certificate_found", "scaling": None, "vstar": vstar}
-    verdict = stability.check_with_scaling(game, found, tol=tol)
-    info = {"kind": verdict.kind, "scaling": list(found.values), "vstar": vstar}
-    code = EXIT_OK if vstar else EXIT_NOT_ADMISSIBLE
-    return code, info
+def _verdict_code(an: stability.Analysis) -> int:
+    """Exit code of the admissibility verdict."""
+    if an.scaling is None:
+        return EXIT_NOT_DISSIPATIVE
+    return EXIT_OK if an.vstar else EXIT_NOT_ADMISSIBLE
 
 
 def cmd_check(args) -> int:
-    game = _load_game(args.game)
-    code, info = _classification_exit(game, args.tol)
-    reports = {}
-    for v in enumerate_vertices(game.gtype):
-        rep = stability.stably_dissipative(vertex_matrix(game, v).entries, tol=args.tol)
-        reports[str(v)] = {
+    an = stability.analyse(_load_game(args.game), args.tol)
+    code = _verdict_code(an)
+    scaling = None if an.scaling is None else list(an.scaling.values)
+    vstar = [_label(v) for v in an.vstar]
+    reports = {
+        str(v): {
             "stable": rep.stable,
             "cycle_ok": rep.cycle_ok,
             "skew_ok": rep.skew_ok,
             "failures": list(rep.failures),
             "scaling": None if rep.scaling is None else [float(x) for x in rep.scaling],
         }
+        for v, rep in an.reports.items()
+    }
     admissible_flag = code == EXIT_OK
     payload = {
-        "kind": info["kind"],
+        "kind": an.kind,
         "admissible": admissible_flag,
-        "scaling": info["scaling"],
-        "vstar": info["vstar"],
+        "scaling": scaling,
+        "vstar": vstar,
         "vertex_reports": reports,
     }
     lines = [
-        f"kind: {info['kind']}",
+        f"kind: {an.kind}",
         f"admissible: {admissible_flag}",
-        f"scaling: {info['scaling']}",
-        "stable vertices: " + (", ".join(str(tuple(v)) for v in info["vstar"]) or "none"),
+        f"scaling: {scaling}",
+        "stable vertices: " + (", ".join(str(tuple(v)) for v in vstar) or "none"),
     ]
     for name, rep in reports.items():
         status = "stable" if rep["stable"] else "unstable: " + "; ".join(rep["failures"])
@@ -135,7 +126,7 @@ def cmd_vertices(args) -> int:
 
 def cmd_reduce(args) -> int:
     game = _load_game(args.game)
-    code, info = _classification_exit(game, args.tol)
+    code = _verdict_code(stability.analyse(game, args.tol))
     if code != EXIT_OK:
         print("error: game is not admissible; the reduction rules do not apply", file=sys.stderr)
         return code
@@ -169,7 +160,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_collapse(args) -> int:
     game = _load_game(args.game)
-    code, info = _classification_exit(game, args.tol)
+    code = _verdict_code(stability.analyse(game, args.tol))
     if code != EXIT_OK:
         print("error: game is not admissible; nothing to collapse", file=sys.stderr)
         return code
@@ -277,16 +268,14 @@ def cmd_simulate(args) -> int:
     wanted = [m.strip() for m in args.monitors.split(",") if m.strip()]
     names: list[str] = []
     columns: list[np.ndarray] = []
-    eq = interior_equilibria(game)
-    scaling = stability.find_scaling(game, tol=args.tol)
-    vstar = stability.stable_vertices(game, tol=args.tol)
-    monitor_vertex = vstar[0] if vstar else first_vertex(game.gtype)
+    an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
     positive = np.min(traj.states) > 0
+    if "gb" in wanted or "ratios" in wanted:
+        monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
     if "h" in wanted:
-        if eq.exists and scaling is not None and positive:
-            w = eq.particular / scaling.expand(game.gtype)
+        if positive and an.scaling is not None:
             names.append("h")
-            columns.append(-np.log(traj.states) @ w)
+            columns.append(dynamics.lyapunov_h(game, an.equilibria.particular, an.scaling, traj.states))
         else:
             print("note: h monitor skipped (needs equilibrium, certificate, interior orbit)", file=sys.stderr)
     if "gb" in wanted:

@@ -29,9 +29,10 @@ from .games import (
 from .stability import (
     CONSERVATIVE,
     SEMIDEF_TOL,
+    _zero_diag_tol,
     admissible,
+    analyse,
     check_with_scaling,
-    find_scaling,
 )
 from .vertices import VertexLabel, scaled_game, vertex_matrix
 
@@ -52,9 +53,6 @@ class ReductionMap:
     def map_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x[..., list(self.kept)] * np.array(self.scale)
-
-    def push_velocity(self, f: np.ndarray) -> np.ndarray:
-        return self.map_state(f)
 
     @staticmethod
     def identity(n: int) -> "ReductionMap":
@@ -306,9 +304,7 @@ def hamiltonian_collapse(
     if float(np.max(np.abs(vector_field(game, qf)))) > 1e-8:
         raise ValueError("q is not an equilibrium of the game")
     if d is None:
-        d = find_scaling(game, tol=tol)
-        if d is None:
-            raise ValueError("no dissipativity certificate found")
+        d = analyse(game, tol).scaling  # admissible, so the search found one
 
     vertex = min(vstar, key=lambda v: v.chosen)
     chosen = list(vertex.chosen)  # tracked as original-game indices
@@ -318,12 +314,8 @@ def hamiltonian_collapse(
         local_chosen = tuple(cur.kept.index(c) for c in chosen)
         v_now = VertexLabel(local_chosen)
         vm = vertex_matrix(cur.game, v_now)
-        scale = max(1.0, float(np.max(np.abs(vm.entries))) if vm.entries.size else 0.0)
-        removable = [
-            i
-            for a, i in enumerate(vm.index_set)
-            if vm.entries[a, a] < -tol * scale
-        ]
+        zd = _zero_diag_tol(vm.entries, tol)
+        removable = [i for a, i in enumerate(vm.index_set) if vm.entries[a, a] < -zd]
         if not removable:
             break
         before_vm = vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v_now)

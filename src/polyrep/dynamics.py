@@ -61,24 +61,26 @@ def _rk4_paths(
     kept = np.full(x.shape[0], steps + 1)
     rows = slice(None)  # the runs still going: all of them until one aborts
     out[:, 0] = x
-    for k in range(1, steps + 1):
-        k1 = vector_field(game, x)
-        k2 = vector_field(game, x + 0.5 * dt * k1)
-        k3 = vector_field(game, x + 0.5 * dt * k2)
-        k4 = vector_field(game, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        np.clip(x, 0.0, None, out=x)
-        sums = x @ ind.T  # (m, p)
-        drift[rows, k] = np.max(np.abs(sums - 1.0), axis=1)
-        x = x / (sums @ ind)
-        if not np.all(np.isfinite(x)):
-            finite = np.all(np.isfinite(x), axis=1)
-            live = np.arange(len(kept))[rows]
-            kept[live[~finite]] = k  # drop the bad step
-            rows, x = live[finite], x[finite]
-            if not rows.size:
-                break
-        out[rows, k] = x
+    # a run that goes non-finite is reported through kept, not as a warning
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for k in range(1, steps + 1):
+            k1 = vector_field(game, x)
+            k2 = vector_field(game, x + 0.5 * dt * k1)
+            k3 = vector_field(game, x + 0.5 * dt * k2)
+            k4 = vector_field(game, x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            np.clip(x, 0.0, None, out=x)
+            sums = x @ ind.T  # (m, p)
+            drift[rows, k] = np.max(np.abs(sums - 1.0), axis=1)
+            x = x / (sums @ ind)
+            if not np.all(np.isfinite(x)):
+                finite = np.all(np.isfinite(x), axis=1)
+                live = np.arange(len(kept))[rows]
+                kept[live[~finite]] = k  # drop the bad step
+                rows, x = live[finite], x[finite]
+                if not rows.size:
+                    break
+            out[rows, k] = x
     return out, drift, kept
 
 

@@ -142,9 +142,6 @@ class DiagonalScaling:
         """Length-n diagonal, one entry per strategy."""
         return np.repeat(self.group_values(gtype), gtype.sizes)
 
-    def inverse(self) -> "DiagonalScaling":
-        return DiagonalScaling(tuple(1.0 / v for v in self.values))
-
     @staticmethod
     def identity(gtype: GameType) -> "DiagonalScaling":
         return DiagonalScaling((1.0,) * gtype.p)

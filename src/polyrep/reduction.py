@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import DiagonalScaling, PolymatrixGame
-from .stability import SEMIDEF_TOL, admissible
-from .vertices import StrategyGraph, VertexLabel, enumerate_vertices, vertex_graph, vertex_matrix
+from .stability import SEMIDEF_TOL, Analysis, admissible, analyse
+from .vertices import VertexLabel
 
 
 class Color(enum.Enum):
@@ -58,19 +58,9 @@ class InformationSet:
     links: frozenset[tuple[int, int]]
     trace: tuple[TraceStep, ...]
 
-    def color_of(self, i: int) -> Color:
-        return self.colors[i]
-
     def colored(self, i: int) -> bool:
         """Black or plus."""
         return self.colors[i] is not Color.WHITE
-
-    def with_color(self, i: int, c: Color, step: TraceStep) -> "InformationSet":
-        if (self.colors[i], c) not in _UPGRADES:
-            raise ValueError(f"illegal transition {self.colors[i]} -> {c} at strategy {i}")
-        colors = list(self.colors)
-        colors[i] = c
-        return InformationSet(tuple(colors), self.links, self.trace + (step,))
 
     def with_colors(self, updates: dict[int, Color], step: TraceStep) -> "InformationSet":
         colors = list(self.colors)
@@ -106,37 +96,6 @@ class AttractorStatement:
     zero_velocity: tuple[int, ...]
 
 
-class _RuleContext:
-    """Per-game caches the rules scan: graphs and diagonals at every vertex."""
-
-    def __init__(
-        self,
-        game: PolymatrixGame,
-        vstar: list[VertexLabel],
-        all_vertices: list[VertexLabel] | None = None,
-        tol: float = SEMIDEF_TOL,
-    ):
-        self.game = game
-        self.gtype = game.gtype
-        self.all_vertices = list(all_vertices) if all_vertices else enumerate_vertices(game.gtype)
-        self.vstar = list(vstar)
-        self.graphs: dict[VertexLabel, StrategyGraph] = {}
-        self.diag: dict[VertexLabel, dict[int, float]] = {}
-        self.zero_tol: dict[VertexLabel, float] = {}
-        for v in self.all_vertices:
-            vm = vertex_matrix(game, v)
-            self.graphs[v] = vertex_graph(vm)
-            self.diag[v] = {i: float(vm.entries[a, a]) for a, i in enumerate(vm.index_set)}
-            scale = max(1.0, float(np.max(np.abs(vm.entries))) if vm.entries.size else 0.0)
-            self.zero_tol[v] = tol * scale
-
-    def negative_diag(self, v: VertexLabel, i: int) -> bool:
-        return self.diag[v][i] < -self.zero_tol[v]
-
-    def zero_diag(self, v: VertexLabel, i: int) -> bool:
-        return abs(self.diag[v][i]) <= self.zero_tol[v]
-
-
 def initialize(
     game: PolymatrixGame,
     vstar: list[VertexLabel],
@@ -145,11 +104,11 @@ def initialize(
     """Rule 1: black every strategy with a negative diagonal at a stable vertex."""
     if not vstar:
         raise ValueError("initialization needs at least one stably dissipative vertex")
-    ctx = _RuleContext(game, vstar, tol=tol)
+    signs = analyse(game, tol).diagonal_signs
     colored: set[int] = set()
     witnesses: list[VertexLabel] = []
     for v in vstar:
-        hit = [i for i in v.support(game.gtype) if ctx.negative_diag(v, i)]
+        hit = [i for i in v.support(game.gtype) if signs[v, i] < 0]
         if hit:
             witnesses.append(v)
             colored.update(hit)
@@ -172,9 +131,9 @@ def initialize(
 # reproduces the worked reduction of the bundled example game.
 
 
-def _instances_rule2(state: InformationSet, ctx: _RuleContext):
-    for v in reversed(ctx.vstar):
-        g = ctx.graphs[v]
+def _instances_rule2(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+    for v in reversed(vstar):
+        g = an.graphs[v]
         targets: set[int] = set()
         for i in g.vertices:
             if not state.colored(i):
@@ -184,12 +143,12 @@ def _instances_rule2(state: InformationSet, ctx: _RuleContext):
                 targets.add(non_black[0])
         for j in sorted(targets, reverse=True):
             step = TraceStep(2, (v,), (j,))
-            yield step, lambda s, j=j, step=step: s.with_color(j, Color.BLACK, step)
+            yield step, lambda s, j=j, step=step: s.with_colors({j: Color.BLACK}, step)
 
 
-def _instances_rule3(state: InformationSet, ctx: _RuleContext):
-    for v in reversed(ctx.vstar):
-        g = ctx.graphs[v]
+def _instances_rule3(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+    for v in reversed(vstar):
+        g = an.graphs[v]
         targets: set[int] = set()
         for i in g.vertices:
             if not state.colored(i):
@@ -199,22 +158,21 @@ def _instances_rule3(state: InformationSet, ctx: _RuleContext):
                 targets.add(white[0])
         for j in sorted(targets, reverse=True):
             step = TraceStep(3, (v,), (j,))
-            yield step, lambda s, j=j, step=step: s.with_color(j, Color.PLUS, step)
+            yield step, lambda s, j=j, step=step: s.with_colors({j: Color.PLUS}, step)
 
 
-def _instances_rule4(state: InformationSet, ctx: _RuleContext):
-    for v in reversed(ctx.all_vertices):
-        g = ctx.graphs[v]
+def _instances_rule4(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+    for v, g in reversed(an.graphs.items()):
         for j in sorted(g.vertices, reverse=True):
             if state.colors[j] is not Color.WHITE:
                 continue
-            if not ctx.zero_diag(v, j):
+            if an.diagonal_signs[v, j] != 0:
                 # a nonzero diagonal couples the ratio to the strategy's own
                 # unknown frequency; no inference is valid then
                 continue
             if not all(state.colored(k) for k in g.neighbors(j)):
                 continue
-            partner = v.partner(ctx.gtype, j)
+            partner = v.partner(an.game.gtype, j)
             pair = (min(j, partner), max(j, partner))
             if pair in state.links:
                 continue
@@ -222,17 +180,18 @@ def _instances_rule4(state: InformationSet, ctx: _RuleContext):
             yield step, lambda s, pair=pair, step=step: s.with_link(pair[0], pair[1], step)
 
 
-def _instances_rule5(state: InformationSet, ctx: _RuleContext):
+def _instances_rule5(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
     # a singleton group qualifies vacuously: its strategy sits at its
     # equilibrium value (both are one) for all time
-    for a in reversed(range(ctx.gtype.p)):
-        members = list(ctx.gtype.group_indices(a))
+    gt = an.game.gtype
+    for a in reversed(range(gt.p)):
+        members = list(gt.group_indices(a))
         non_black = [i for i in members if state.colors[i] is not Color.BLACK]
         if len(non_black) == 1:
             i = non_black[0]
             yield (
                 TraceStep(5, (), (i,)),
-                lambda s, i=i: s.with_color(i, Color.BLACK, TraceStep(5, (), (i,))),
+                lambda s, i=i: s.with_colors({i: Color.BLACK}, TraceStep(5, (), (i,))),
             )
             continue
         white = [i for i in members if state.colors[i] is Color.WHITE]
@@ -240,7 +199,7 @@ def _instances_rule5(state: InformationSet, ctx: _RuleContext):
             i = white[0]
             yield (
                 TraceStep(5, (), (i,)),
-                lambda s, i=i: s.with_color(i, Color.PLUS, TraceStep(5, (), (i,))),
+                lambda s, i=i: s.with_colors({i: Color.PLUS}, TraceStep(5, (), (i,))),
             )
 
 
@@ -260,9 +219,10 @@ def _link_connected(members: list[int], links: frozenset[tuple[int, int]]) -> bo
     return len(seen) == len(members)
 
 
-def _instances_rule6(state: InformationSet, ctx: _RuleContext):
-    for a in reversed(range(ctx.gtype.p)):
-        members = list(ctx.gtype.group_indices(a))
+def _instances_rule6(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+    gt = an.game.gtype
+    for a in reversed(range(gt.p)):
+        members = list(gt.group_indices(a))
         white = [i for i in members if state.colors[i] is Color.WHITE]
         if not white:
             continue
@@ -293,7 +253,6 @@ def apply_rule(
     rule: int,
     game: PolymatrixGame,
     vstar: list[VertexLabel],
-    all_vertices: list[VertexLabel] | None = None,
     tol: float = SEMIDEF_TOL,
 ) -> InformationSet | None:
     """Apply the first applicable instance of one rule, if any.
@@ -303,8 +262,7 @@ def apply_rule(
     """
     if rule not in _RULE_GENERATORS:
         raise ValueError(f"unknown rule {rule}")
-    ctx = _RuleContext(game, vstar, all_vertices, tol=tol)
-    for _, apply in _RULE_GENERATORS[rule](state, ctx):
+    for _, apply in _RULE_GENERATORS[rule](state, analyse(game, tol), vstar):
         return apply(state)
     return None
 
@@ -334,7 +292,7 @@ def run_to_fixpoint(
     if not ok:
         raise ValueError("reduction requires an admissible game")
     state = initialize(game, vstar, tol=tol)
-    ctx = _RuleContext(game, vstar, tol=tol)
+    an = analyse(game, tol)
     n = game.gtype.n
     budget = 2 * n + n * n + 1
     rounds = 0
@@ -342,7 +300,7 @@ def run_to_fixpoint(
         if rng is None:
             advanced = False
             for rule in RULE_PRIORITY:
-                for _, apply in _RULE_GENERATORS[rule](state, ctx):
+                for _, apply in _RULE_GENERATORS[rule](state, an, vstar):
                     state = apply(state)
                     advanced = True
                     break
@@ -353,7 +311,7 @@ def run_to_fixpoint(
         else:
             pool = []
             for rule in RULE_PRIORITY:
-                pool.extend(apply for _, apply in _RULE_GENERATORS[rule](state, ctx))
+                pool.extend(apply for _, apply in _RULE_GENERATORS[rule](state, an, vstar))
             if not pool:
                 break
             state = pool[rng.integers(len(pool))](state)

@@ -13,22 +13,29 @@ that; it is never a proof that no certificate exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .games import (
     DiagonalScaling,
+    EquilibriumSet,
     PolymatrixGame,
     _nullspace,
     formal_equilibria,
 )
 from .vertices import (
+    StrategyGraph,
     VertexLabel,
+    VertexMatrix,
     enumerate_vertices,
     expand_vertex_vector,
     first_vertex,
     vertex_blocks,
+    vertex_graph,
     vertex_matrix,
 )
 
@@ -39,6 +46,7 @@ CONSERVATIVE = "conservative"
 DISSIPATIVE = "dissipative"
 INDEFINITE = "indefinite"
 NO_FORMAL_EQUILIBRIUM = "no_formal_equilibrium"
+NO_CERTIFICATE = "no_certificate_found"
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +128,11 @@ def check_with_scaling(
     """
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
+    return _classify(game, d, tol)
+
+
+def _classify(game: PolymatrixGame, d: DiagonalScaling, tol: float) -> Classification:
+    """check_with_scaling for a game known to have a formal equilibrium."""
     form = _VertexForm(game, first_vertex(game.gtype))
     values = d.group_values(game.gtype)
     if form.dim == 0:
@@ -384,13 +397,83 @@ def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipa
     )
 
 
+@dataclass(frozen=True, eq=False)
+class Analysis:
+    """The admissibility decision for one game, and everything it reads.
+
+    Each field is computed on first use and then kept.  The decision
+    runs in order: a formal equilibrium, then a certificate (searched for
+    only when an equilibrium exists), then a stably dissipative vertex.
+    Games are immutable, so an analysis never goes stale.
+    """
+
+    game: PolymatrixGame
+    tol: float = SEMIDEF_TOL
+
+    @functools.cached_property
+    def matrices(self) -> Mapping[VertexLabel, VertexMatrix]:
+        """The coefficient matrix at every vertex, in enumeration order."""
+        return MappingProxyType({v: vertex_matrix(self.game, v) for v in enumerate_vertices(self.game.gtype)})
+
+    @functools.cached_property
+    def reports(self) -> Mapping[VertexLabel, StableDissipativityReport]:
+        return MappingProxyType({v: stably_dissipative(vm.entries, tol=self.tol) for v, vm in self.matrices.items()})
+
+    @functools.cached_property
+    def vstar(self) -> tuple[VertexLabel, ...]:
+        """The stably dissipative vertices, in enumeration order."""
+        return tuple(v for v, rep in self.reports.items() if rep.stable)
+
+    @functools.cached_property
+    def graphs(self) -> Mapping[VertexLabel, StrategyGraph]:
+        return MappingProxyType({v: vertex_graph(vm) for v, vm in self.matrices.items()})
+
+    @functools.cached_property
+    def diagonal_signs(self) -> Mapping[tuple[VertexLabel, int], int]:
+        """Sign of A_v's diagonal entry at (v, i), zero within stably_dissipative's tolerance."""
+        out = {}
+        for v, vm in self.matrices.items():
+            zd = _zero_diag_tol(vm.entries, self.tol)
+            for i, x in zip(vm.index_set, np.diag(vm.entries)):
+                out[v, i] = 0 if abs(x) <= zd else (1 if x > 0 else -1)
+        return MappingProxyType(out)
+
+    @functools.cached_property
+    def equilibria(self) -> EquilibriumSet:
+        return formal_equilibria(self.game)
+
+    @functools.cached_property
+    def scaling(self) -> DiagonalScaling | None:
+        """find_scaling's certificate; None without a formal equilibrium."""
+        return find_scaling(self.game, tol=self.tol) if self.equilibria.exists else None
+
+    @functools.cached_property
+    def kind(self) -> str:
+        if not self.equilibria.exists:
+            return NO_FORMAL_EQUILIBRIUM
+        if self.scaling is None:
+            return NO_CERTIFICATE
+        return _classify(self.game, self.scaling, self.tol).kind
+
+    @functools.cached_property
+    def admissible(self) -> bool:
+        return self.scaling is not None and bool(self.vstar)
+
+
+@functools.lru_cache(maxsize=1)
+def analyse(game: PolymatrixGame, tol: float, /) -> Analysis:
+    """The analysis of a game, shared with the next call for the same game.
+
+    One entry: the most recent (game, tol).  Games hash by identity and
+    cannot change, so the entry is never stale, and the lazy fields mean
+    it never holds two games' matrices at once.
+    """
+    return Analysis(game, tol)
+
+
 def stable_vertices(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> list[VertexLabel]:
     """Vertices whose coefficient matrix is stably dissipative."""
-    return [
-        v
-        for v in enumerate_vertices(game.gtype)
-        if stably_dissipative(vertex_matrix(game, v).entries, tol=tol).stable
-    ]
+    return list(analyse(game, tol).vstar)
 
 
 def admissible(
@@ -402,14 +485,13 @@ def admissible(
 
     Returns the verdict together with the full list of stable vertices.
     A caller-provided diagonal is tried as the dissipativity certificate
-    before falling back to the search.
+    instead of the search.
     """
-    vstar = stable_vertices(game, tol=tol)
-    if d is not None:
-        ok = check_with_scaling(game, d, tol=tol).kind in (CONSERVATIVE, DISSIPATIVE)
-    else:
-        ok = formal_equilibria(game).exists and find_scaling(game, tol=tol) is not None
-    return (ok and bool(vstar)), vstar
+    an = analyse(game, tol)
+    if d is None:
+        return an.admissible, list(an.vstar)
+    ok = check_with_scaling(game, d, tol=tol).kind in (CONSERVATIVE, DISSIPATIVE)
+    return (ok and bool(an.vstar)), list(an.vstar)
 
 
 def _largest_angle(q1: np.ndarray, k2: np.ndarray) -> float:

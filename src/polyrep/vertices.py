@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import (
-    RANK_RTOL,
     TANGENT_TOL,
     DiagonalScaling,
     GameType,
     PolymatrixGame,
+    _nullspace,
     in_tangent_space,
 )
 
@@ -53,11 +53,6 @@ class VertexLabel:
         """The chosen strategy of i's group."""
         return self.chosen[gtype.group_of(i)]
 
-    def point(self, gtype: GameType) -> np.ndarray:
-        v = np.zeros(gtype.n)
-        v[list(self.chosen)] = 1.0
-        return v
-
     def __str__(self):
         return "(" + ",".join(str(c) for c in self.chosen) + ")"
 
@@ -84,10 +79,6 @@ class VertexMatrix:
     def dim(self) -> int:
         return len(self.index_set)
 
-    def local(self, i: int) -> int:
-        """Position of global strategy i in the index set."""
-        return self.index_set.index(i)
-
 
 @dataclass(frozen=True)
 class StrategyGraph:
@@ -112,9 +103,6 @@ class StrategyGraph:
                 out.add(a)
         return tuple(sorted(out))
 
-    def has_edge(self, i: int, k: int) -> bool:
-        return tuple(sorted((i, k))) in self.edges
-
 
 def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
     """All prism vertices in lexicographic order of chosen strategies."""
@@ -127,16 +115,6 @@ def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
 def first_vertex(gtype: GameType) -> VertexLabel:
     """The first vertex in enumeration order: each group's first strategy."""
     return VertexLabel(gtype.offsets)
-
-
-def coefficient(game: PolymatrixGame, i: int, j: int, k: int, ell: int) -> float:
-    """The quadratic-form coefficient for the pairs (i,j), (k,l).
-
-    Requires i,j in one group and k,l in one group; does not depend on
-    the representative of the game's equivalence class.
-    """
-    a = game.payoff
-    return float(a[i, k] + a[j, ell] - a[i, ell] - a[j, k])
 
 
 def vertex_blocks(
@@ -240,8 +218,6 @@ def diag_property_check(
     return float(np.max(np.abs(lhs - rhs))) <= tol if lhs.size else True
 
 
-def numerical_rank(m: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > rtol * s[0]))
+def numerical_rank(m: np.ndarray) -> int:
+    """Column count minus nullity, the rank games._nullspace decides."""
+    return m.shape[1] - len(_nullspace(m))
