@@ -18,7 +18,7 @@ import numpy as np
 from . import collapse as collapse_mod
 from . import dynamics, gamefile, reduction, stability
 from .games import PolymatrixGame, interior_equilibria, random_prism_state
-from .vertices import enumerate_vertices, first_vertex, vertex_graph, vertex_matrix
+from .vertices import first_vertex
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -104,11 +104,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_vertices(args) -> int:
-    game = _load_game(args.game)
+    an = stability.analyse(_load_game(args.game), args.tol)
     payload, lines = {"vertices": []}, []
-    for v in enumerate_vertices(game.gtype):
-        vm = vertex_matrix(game, v)
-        graph = vertex_graph(vm)
+    for v, vm in an.matrices.items():
+        graph = an.graphs[v]
         entry = {
             "label": _label(v),
             "index_set": list(vm.index_set),
@@ -160,11 +159,12 @@ def cmd_reduce(args) -> int:
 
 def cmd_collapse(args) -> int:
     game = _load_game(args.game)
-    code = _verdict_code(stability.analyse(game, args.tol))
+    an = stability.analyse(game, args.tol)
+    code = _verdict_code(an)
     if code != EXIT_OK:
         print("error: game is not admissible; nothing to collapse", file=sys.stderr)
         return code
-    eq = interior_equilibria(game)
+    eq = an.equilibria.with_interior_point()
     if not eq.interior_flag:
         print("error: no interior equilibrium; the collapse is undefined", file=sys.stderr)
         return EXIT_NOT_DISSIPATIVE

@@ -29,12 +29,11 @@ from .games import (
 from .stability import (
     CONSERVATIVE,
     SEMIDEF_TOL,
-    _zero_diag_tol,
     admissible,
     analyse,
     check_with_scaling,
 )
-from .vertices import VertexLabel, scaled_game, vertex_matrix
+from .vertices import VertexLabel, scaled_game, vertex_graph, vertex_matrix
 
 
 @dataclass(frozen=True)
@@ -313,9 +312,8 @@ def hamiltonian_collapse(
     while True:
         local_chosen = tuple(cur.kept.index(c) for c in chosen)
         v_now = VertexLabel(local_chosen)
-        vm = vertex_matrix(cur.game, v_now)
-        zd = _zero_diag_tol(vm.entries, tol)
-        removable = [i for a, i in enumerate(vm.index_set) if vm.entries[a, a] < -zd]
+        signs = vertex_graph(vertex_matrix(cur.game, v_now), tol).diagonal_sign
+        removable = [i for i, sign in signs.items() if sign < 0]
         if not removable:
             break
         before_vm = vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v_now)

@@ -33,6 +33,10 @@ TANGENT_TOL = 1e-10
 # Relative singular-value cutoff for numerical rank / nullspace decisions.
 RANK_RTOL = 1e-10
 
+# Relative semidefiniteness tolerance: eigenvalue cuts scale with
+# max(1, |eigenvalue|), zero-entry cuts with max(1, |entry|).
+SEMIDEF_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GameType:
@@ -179,6 +183,15 @@ class EquilibriumSet:
             coef, *_ = np.linalg.lstsq(self.basis.T, d, rcond=None)
             d = d - self.basis.T @ coef
         return float(np.max(np.abs(d))) <= tol
+
+    def with_interior_point(self, margin: float = 1e-12) -> "EquilibriumSet":
+        """This set, with the interior-point search run on it."""
+        if not self.exists:
+            return self
+        point = _maximize_min_coordinate(self.particular, self.basis, margin)
+        return EquilibriumSet(
+            self.particular, self.basis, interior_flag=point is not None, interior_point=point
+        )
 
 
 def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) -> list[str]:
@@ -338,58 +351,30 @@ def formal_equilibria(game: PolymatrixGame) -> EquilibriumSet:
 def _maximize_min_coordinate(
     particular: np.ndarray, basis: np.ndarray, margin: float
 ) -> np.ndarray | None:
-    """Search q + span(basis) for a point with min coordinate > margin.
+    """The point of q + span(basis) with the largest min coordinate, if above margin.
 
-    The objective c -> min_i (q + B^T c)_i is concave, so a bounded
-    cyclic coordinate search is enough at desk scale; no LP needed.
+    Maximizing t subject to q + B^T c >= t is one linear program.
     """
     if np.min(particular) > margin:
         return particular
     if basis.shape[0] == 0:
         return None
-    coef = np.zeros(basis.shape[0])
-    best = particular.copy()
+    import scipy.optimize
 
-    def value(c):
-        return float(np.min(particular + basis.T @ c))
-
-    span = 2.0 * (1.0 + float(np.max(np.abs(particular))))
-    for _ in range(60):
-        improved = False
-        for k in range(len(coef)):
-            lo, hi = coef[k] - span, coef[k] + span
-            for _ in range(80):  # ternary search on the concave section
-                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                c1, c2 = coef.copy(), coef.copy()
-                c1[k], c2[k] = m1, m2
-                if value(c1) < value(c2):
-                    lo = m1
-                else:
-                    hi = m2
-            mid = 0.5 * (lo + hi)
-            trial = coef.copy()
-            trial[k] = mid
-            if value(trial) > value(coef) + 1e-15:
-                coef = trial
-                improved = True
-        best = particular + basis.T @ coef
-        if np.min(best) > margin:
-            return best
-        if not improved:
-            break
-        span *= 0.7
+    r = basis.shape[0]
+    res = scipy.optimize.linprog(
+        np.r_[np.zeros(r), -1.0],
+        A_ub=np.hstack([-basis.T, np.ones((basis.shape[1], 1))]),
+        b_ub=particular,
+        bounds=[(None, None)] * (r + 1),
+        method="highs",
+    )
+    if res.x is None:
+        return None
+    best = particular + basis.T @ res.x[:r]
     return best if np.min(best) > margin else None
 
 
 def interior_equilibria(game: PolymatrixGame, margin: float = 1e-12) -> EquilibriumSet:
     """Formal equilibria restricted to the strictly positive prism interior."""
-    eq = formal_equilibria(game)
-    if not eq.exists:
-        return eq
-    point = _maximize_min_coordinate(eq.particular, eq.basis, margin)
-    return EquilibriumSet(
-        eq.particular,
-        eq.basis,
-        interior_flag=point is not None,
-        interior_point=point,
-    )
+    return formal_equilibria(game).with_interior_point(margin)

@@ -104,11 +104,11 @@ def initialize(
     """Rule 1: black every strategy with a negative diagonal at a stable vertex."""
     if not vstar:
         raise ValueError("initialization needs at least one stably dissipative vertex")
-    signs = analyse(game, tol).diagonal_signs
+    graphs = analyse(game, tol).graphs
     colored: set[int] = set()
     witnesses: list[VertexLabel] = []
     for v in vstar:
-        hit = [i for i in v.support(game.gtype) if signs[v, i] < 0]
+        hit = [i for i, sign in graphs[v].diagonal_sign.items() if sign < 0]
         if hit:
             witnesses.append(v)
             colored.update(hit)
@@ -166,7 +166,7 @@ def _instances_rule4(state: InformationSet, an: Analysis, vstar: list[VertexLabe
         for j in sorted(g.vertices, reverse=True):
             if state.colors[j] is not Color.WHITE:
                 continue
-            if an.diagonal_signs[v, j] != 0:
+            if g.diagonal_sign[j] != 0:
                 # a nonzero diagonal couples the ratio to the strategy's own
                 # unknown frequency; no inference is valid then
                 continue

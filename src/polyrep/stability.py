@@ -21,6 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .games import (
+    SEMIDEF_TOL,
     DiagonalScaling,
     EquilibriumSet,
     PolymatrixGame,
@@ -37,10 +38,12 @@ from .vertices import (
     vertex_blocks,
     vertex_graph,
     vertex_matrix,
+    zero_entries,
 )
 
-# Relative semidefiniteness tolerance: thresholds scale with max(1, |Sym|).
-SEMIDEF_TOL = 1e-9
+# find_scaling's multistart: the identity, then seeded uniform starts.
+_STARTS = 16
+_SEED = 0
 
 CONSERVATIVE = "conservative"
 DISSIPATIVE = "dissipative"
@@ -74,10 +77,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 def _spectral_scale(eigs: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-
-
-def _entry_scale(m: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
 
 
 class _VertexForm:
@@ -147,12 +146,7 @@ def _classify(game: PolymatrixGame, d: DiagonalScaling, tol: float) -> Classific
     return Classification(INDEFINITE, witness=witness, eigenvalues=eigs)
 
 
-def find_scaling(
-    game: PolymatrixGame,
-    tol: float = SEMIDEF_TOL,
-    starts: int = 16,
-    seed: int = 0,
-) -> DiagonalScaling | None:
+def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScaling | None:
     """Search for a positive group-diagonal certificate of dissipativity.
 
     Minimizes the top eigenvalue of the symmetrized scaled vertex matrix
@@ -187,8 +181,8 @@ def find_scaling(
 
     def thetas():
         yield np.zeros(p - 1)
-        rng = np.random.default_rng(seed)  # numpy.random loads lazily: not for the identity start
-        for _ in range(starts - 1):
+        rng = np.random.default_rng(_SEED)  # numpy.random loads lazily: not for the identity start
+        for _ in range(_STARTS - 1):
             yield rng.uniform(-3.0, 3.0, p - 1)
 
     for theta in thetas():
@@ -246,8 +240,27 @@ def skew_decomposition(
     return a0, b - a0
 
 
-def _zero_diag_tol(m: np.ndarray, tol: float = SEMIDEF_TOL) -> float:
-    return tol * _entry_scale(m)
+def _forest_edges(adj: list[list[int]]) -> list[tuple[int, int]]:
+    """Tree edges (parent, child) of a spanning forest, in discovery order.
+
+    One depth-first walk from each component's smallest index.  The
+    graph is a forest exactly when every edge is a tree edge.
+    """
+    seen = [False] * len(adj)
+    tree = []
+    for root in range(len(adj)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            for j in adj[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    tree.append((i, j))
+                    stack.append(j)
+    return tree
 
 
 def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
@@ -257,29 +270,27 @@ def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
     unscaled sense: top eigenvalue of its symmetric part at most the
     relative tolerance.  Condition two asks for strict negative
     definiteness of the symmetric part restricted to the coordinates
-    with nonzero diagonal.
+    with nonzero diagonal.  Zero entries are those of zero_entries.
     """
     m = np.asarray(m, dtype=float)
+    return _almost_skew(m, np.diagonal(zero_entries(m, tol)), tol)
+
+
+def _almost_skew(m: np.ndarray, zero_diag: np.ndarray, tol: float) -> bool:
+    """almost_skew_symmetric with the zero diagonal entries given."""
     if m.size == 0:
         return True
     s = _sym(m)
     eigs = np.linalg.eigvalsh(s)
-    cut = tol * _spectral_scale(eigs)
-    if float(eigs[-1]) > cut:
+    if float(eigs[-1]) > tol * _spectral_scale(eigs):
         return False
-    zd = _zero_diag_tol(m, tol)
-    zero_diag = [i for i in range(m.shape[0]) if abs(m[i, i]) <= zd]
-    zero_set = set(zero_diag)
-    for i in range(m.shape[0]):
-        for j in range(i + 1, m.shape[0]):
-            if i in zero_set or j in zero_set:
-                if abs(m[i, j] + m[j, i]) > zd:
-                    return False
-    rest = [i for i in range(m.shape[0]) if i not in zero_set]
-    if not rest:
+    # the symmetric part vanishes off the diagonal on every zero-diagonal row
+    if not (zero_entries(s, tol) | np.eye(len(s), dtype=bool))[zero_diag].all():
+        return False
+    rest = np.flatnonzero(~zero_diag)
+    if not rest.size:
         return True
-    sub = s[np.ix_(rest, rest)]
-    sub_eigs = np.linalg.eigvalsh(sub)
+    sub_eigs = np.linalg.eigvalsh(s[np.ix_(rest, rest)])
     return float(sub_eigs[-1]) < -tol * _spectral_scale(sub_eigs)
 
 
@@ -296,65 +307,41 @@ def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndar
     k = m.shape[0] if m.ndim == 2 else 0
     if k == 0:
         return np.ones(0)
-    zd = _zero_diag_tol(m, tol)
-    zero_set = {i for i in range(k) if abs(m[i, i]) <= zd}
+    return _almost_skew_scaling(m, zero_entries(m, tol), tol)
 
+
+def _almost_skew_scaling(m: np.ndarray, zero: np.ndarray, tol: float) -> np.ndarray | None:
+    """find_almost_skew_scaling with the zero pattern of m given.
+
+    M diag(d) has the zero pattern of M for d > 0, so the candidate is
+    verified against M's zero diagonal.
+    """
+    k = len(m)
+    z, vals = zero.tolist(), m.tolist()
     ratios: dict[tuple[int, int], float] = {}
+    adj: list[list[int]] = [[] for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            if i not in zero_set and j not in zero_set:
+            if not (z[i][i] or z[j][j]) or (z[i][j] and z[j][i]):
                 continue
-            mij, mji = m[i, j], m[j, i]
-            zi, zj = abs(mij) <= zd, abs(mji) <= zd
-            if zi and zj:
-                continue
-            if zi != zj:
+            if z[i][j] != z[j][i]:
                 return None  # one-sided coupling forces d to zero
+            mij, mji = vals[i][j], vals[j][i]
             if mij * mji > 0:
                 return None  # same signs: m_ij d_j = -m_ji d_i unsolvable in d > 0
-            ratios[(i, j)] = -mji / mij  # d_j / d_i
+            ratios[i, j] = -mji / mij  # d_j / d_i
+            adj[i].append(j)
+            adj[j].append(i)
 
-    d = np.full(k, np.nan)
-    adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(k)}
-    for (i, j), r in ratios.items():
-        adj[i].append((j, r))
-        adj[j].append((i, 1.0 / r))
-    for root in range(k):
-        if not np.isnan(d[root]):
-            continue
-        d[root] = 1.0  # first index of each component pinned
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            for j, r in adj[i]:
-                if np.isnan(d[j]):
-                    d[j] = d[i] * r
-                    stack.append(j)
+    d = np.ones(k)  # each component's root pinned to 1
+    for i, j in _forest_edges(adj):
+        d[j] = d[i] * (ratios[i, j] if i < j else 1.0 / ratios[j, i])
     for (i, j), r in ratios.items():
         if abs(d[j] - d[i] * r) > 1e-9 * max(abs(d[j]), abs(d[i] * r)):
             return None
-    if not almost_skew_symmetric(m * d, tol=tol):
+    if not _almost_skew(m * d, np.diagonal(zero), tol):
         return None
     return d
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i: int, j: int) -> bool:
-        """Join the two sets; False when they were already joined."""
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[max(ri, rj)] = min(ri, rj)
-        return True
 
 
 def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipativityReport:
@@ -363,27 +350,24 @@ def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipa
     Two independently checkable conditions: after deleting every strong
     link (edge whose two endpoint diagonals are negative) the zero-pattern
     graph must be acyclic, and some positive diagonal rescaling must make
-    the matrix almost skew-symmetric.
+    the matrix almost skew-symmetric.  Both read the zero pattern of
+    zero_entries, the one vertex_graph draws.
     """
     m = np.asarray(m, dtype=float)
-    k = m.shape[0] if m.ndim == 2 else 0
-    zd = _zero_diag_tol(m, tol)
+    zero = zero_entries(m, tol)
+    z = zero.tolist()
+    k = len(z)
+    damped = [x < 0 and not z[i][i] for i, x in enumerate(np.diagonal(m).tolist())]
+    adj = [
+        [j for j in range(k) if j != i and not (z[i][j] and z[j][i]) and not (damped[i] and damped[j])]
+        for i in range(k)
+    ]
     failures = []
-
-    uf = _UnionFind(k)
-    cycle_ok = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(m[i, j]) <= zd and abs(m[j, i]) <= zd:
-                continue
-            if m[i, i] < -zd and m[j, j] < -zd:
-                continue  # strong link, deleted
-            if not uf.union(i, j):
-                cycle_ok = False
+    cycle_ok = 2 * len(_forest_edges(adj)) == sum(map(len, adj))
     if not cycle_ok:
         failures.append("a cycle without a strong link remains")
 
-    scaling = find_almost_skew_scaling(m, tol=tol)
+    scaling = _almost_skew_scaling(m, zero, tol)
     skew_ok = scaling is not None
     if not skew_ok:
         failures.append("no positive diagonal makes the matrix almost skew-symmetric")
@@ -426,17 +410,8 @@ class Analysis:
 
     @functools.cached_property
     def graphs(self) -> Mapping[VertexLabel, StrategyGraph]:
-        return MappingProxyType({v: vertex_graph(vm) for v, vm in self.matrices.items()})
-
-    @functools.cached_property
-    def diagonal_signs(self) -> Mapping[tuple[VertexLabel, int], int]:
-        """Sign of A_v's diagonal entry at (v, i), zero within stably_dissipative's tolerance."""
-        out = {}
-        for v, vm in self.matrices.items():
-            zd = _zero_diag_tol(vm.entries, self.tol)
-            for i, x in zip(vm.index_set, np.diag(vm.entries)):
-                out[v, i] = 0 if abs(x) <= zd else (1 if x > 0 else -1)
-        return MappingProxyType(out)
+        """The zero-pattern graph at every vertex, by the zero rule the reports use."""
+        return MappingProxyType({v: vertex_graph(vm, self.tol) for v, vm in self.matrices.items()})
 
     @functools.cached_property
     def equilibria(self) -> EquilibriumSet:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import (
+    SEMIDEF_TOL,
     TANGENT_TOL,
     DiagonalScaling,
     GameType,
@@ -85,8 +86,8 @@ class StrategyGraph:
     """Zero-pattern graph of a vertex matrix.
 
     An edge joins two distinct strategies when either of the two
-    coefficients between them is nonzero; loops are kept as the sign of
-    the diagonal entry.
+    coefficients between them is nonzero by zero_entries; loops are kept
+    as the sign of the diagonal entry, zero by the same rule.
     """
 
     vertices: tuple[int, ...]
@@ -177,23 +178,36 @@ def expand_vertex_vector(
     return w
 
 
-def vertex_graph(vm: VertexMatrix, tol: float = 0.0) -> StrategyGraph:
+def zero_entries(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray:
+    """Which entries of a square matrix count as zero: |x| <= tol * max(1, max|m|).
+
+    The one zero rule of the package: the vertex graphs, the stable
+    dissipativity test, the inference rules and the collapse all read
+    the zero pattern from here.  Integer matrices with entries below
+    1 / tol keep exactly their zero entries.
+    """
+    m = np.asarray(m, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
+    return np.abs(m) <= tol * scale
+
+
+def vertex_graph(vm: VertexMatrix, tol: float = SEMIDEF_TOL) -> StrategyGraph:
     """Graph on the index set read off the zero pattern of the matrix.
 
-    Exact zero tests by default, which is the right notion for the
-    integer matrices this pipeline works with; pass a tolerance to
-    suppress numerical dust in float inputs.
+    An entry is zero by zero_entries, so the graph is the one the
+    stability test sees.
     """
     idx = vm.index_set
-    e = vm.entries
-    edges = set()
-    for a in range(vm.dim):
-        for b in range(a + 1, vm.dim):
-            if abs(e[a, b]) > tol or abs(e[b, a]) > tol:
-                edges.add((idx[a], idx[b]))
-    diag = {
-        idx[a]: (0 if abs(e[a, a]) <= tol else (1 if e[a, a] > 0 else -1))
+    zero = zero_entries(vm.entries, tol).tolist()
+    edges = {
+        (idx[a], idx[b])
         for a in range(vm.dim)
+        for b in range(a + 1, vm.dim)
+        if not (zero[a][b] and zero[b][a])
+    }
+    diag = {
+        i: 0 if zero[a][a] else (1 if x > 0 else -1)
+        for a, (i, x) in enumerate(zip(idx, vm.entries.diagonal().tolist()))
     }
     return StrategyGraph(idx, frozenset(edges), diag)
 

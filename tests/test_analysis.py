@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import polyrep
-from polyrep import stability
+from polyrep import games, stability
 from polyrep.cli import main
 from polyrep.dynamics import integrate_batch
 from polyrep.gamefile import parse_game, write_game
@@ -64,6 +64,14 @@ class TestOnePassPerCommand:
         assert len(searches) == 1
         assert len(reports) == len(enumerate_vertices(GameType((3, 2))))
 
+    def test_collapse_solves_for_the_equilibria_once(self, capsys, monkeypatch, example_path):
+        solved = _counting(monkeypatch, "formal_equilibria")
+        monkeypatch.setattr(games, "formal_equilibria", stability.formal_equilibria)
+        assert main(["collapse", example_path, "--format", "json"]) == 0
+        capsys.readouterr()
+        # once for the game, once for the conservative core it collapses to
+        assert [g.gtype for g, in solved] == [GameType((3, 2)), GameType((2, 2))]
+
 
 class TestAnalysis:
     def test_memo_keeps_the_last_game(self, example_game):
@@ -100,13 +108,12 @@ class TestAnalysis:
 
     def test_diagonal_signs_use_the_stability_tolerance(self):
         # a diagonal entry of 1e-12 is zero to stably_dissipative at tol 1e-9,
-        # though the exact-zero vertex graph sees it as negative
+        # and the vertex graph reads the same zero rule
         a = np.zeros((2, 2))
         a[0, 0] = -1e-12
         an = stability.Analysis(PolymatrixGame(GameType((2,)), a))
         v = enumerate_vertices(GameType((2,)))[1]
-        assert an.diagonal_signs[v, 0] == 0
-        assert an.graphs[v].diagonal_sign == {0: -1}
+        assert an.graphs[v].diagonal_sign == {0: 0}
 
 
 class TestSimulateMonitors:

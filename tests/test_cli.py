@@ -20,7 +20,7 @@ from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.stability import admissible
 
-from conftest import EXAMPLE_REDUCED
+from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED
 
 
 @pytest.fixture()
@@ -120,6 +120,23 @@ class TestVertices:
         assert first["matrix"] == [[0, 27, 0], [-27, -9, 18], [0, -18, 0]]
         assert first["edges"] == [[1, 2], [2, 4]]
 
+    def test_tol_sets_the_zero_rule(self, capsys, dusted_path):
+        _, out, _ = run(capsys, "vertices", dusted_path, "--format", "json")
+        assert json.loads(out)["vertices"][0]["edges"] == [[1, 2], [2, 4]]
+        _, out, _ = run(capsys, "vertices", dusted_path, "--format", "json", "--tol", "0")
+        assert json.loads(out)["vertices"][0]["edges"] == [[1, 2], [1, 4], [2, 4]]
+
+
+@pytest.fixture()
+def dusted_path(tmp_path):
+    # the example with 1e-13 added to payoff (0, 3): the certificate and the
+    # stable vertices are unchanged, and so must be the graphs the rules walk
+    a = EXAMPLE_PAYOFF.copy()
+    a[0, 3] += 1e-13
+    path = tmp_path / "dusted.txt"
+    write_game(PolymatrixGame(GameType((3, 2)), a), path)
+    return str(path)
+
 
 class TestReduce:
     def test_trace_table(self, capsys, example_path):
@@ -134,6 +151,14 @@ class TestReduce:
         assert [row["rule"] for row in data["trace"]] == [1, 4, 6, 3]
         assert data["colors"] == {"0": "plus", "1": "plus", "2": "black", "3": "plus", "4": "plus"}
         assert data["links"] == [[3, 4]]
+
+    def test_dust_keeps_the_example_reduction(self, capsys, example_path, dusted_path):
+        _, out, _ = run(capsys, "check", dusted_path, "--format", "json")
+        assert json.loads(out)["vstar"] == [[0, 3], [0, 4], [1, 3], [1, 4]]
+        code, out, _ = run(capsys, "reduce", dusted_path, "--format", "json")
+        _, expected, _ = run(capsys, "reduce", example_path, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out) == json.loads(expected)
 
     def test_non_admissible_rejected(self, capsys, tmp_path):
         game = PolymatrixGame(

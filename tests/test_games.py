@@ -17,6 +17,7 @@ from polyrep.games import (
     vector_field,
     zero_row_representative,
 )
+from polyrep.games import _maximize_min_coordinate
 
 from conftest import random_equal_rows, random_game
 
@@ -227,6 +228,15 @@ class TestEquilibria:
         assert eq.exists and eq.dimension == 0
         npt.assert_allclose(eq.particular, [4 / 3, -2 / 3, 1 / 3], atol=1e-9)
         assert not eq.interior_flag
+
+    def test_max_min_coordinate_is_a_linear_program(self):
+        # the min coordinate is concave and nonsmooth in c, where a
+        # coordinate search stalls; the optimum here is q2 = 2
+        point = _maximize_min_coordinate(
+            np.array([-0.5, -0.5, 2.0]), np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, 0.0]]), 1e-12
+        )
+        assert point is not None
+        assert np.min(point) == pytest.approx(2.0)
 
     def test_basis_members_are_formal(self, example_game):
         eq = formal_equilibria(example_game)

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrep.games import DiagonalScaling, GameType, PolymatrixGame, random_tangent_vector
 from polyrep.stability import (
@@ -19,7 +21,15 @@ from polyrep.stability import (
     stably_dissipative,
 )
 from polyrep.stability import _largest_angle, _sym, _VertexForm
-from polyrep.vertices import enumerate_vertices, first_vertex, scaled_game, vertex_matrix
+from polyrep.vertices import (
+    VertexLabel,
+    VertexMatrix,
+    enumerate_vertices,
+    first_vertex,
+    scaled_game,
+    vertex_graph,
+    vertex_matrix,
+)
 
 from conftest import (
     EXAMPLE_VERTEX_TABLE,
@@ -273,6 +283,58 @@ class TestStablyDissipative:
         for _ in range(25):
             k = int(rng.integers(1, 6))
             assert stably_dissipative(make_stable_matrix(k, rng)).stable
+
+
+
+def _dusted(seed):
+    """A small seeded float matrix, and the same matrix with 1e-12 dust on its zeros."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+    if rng.random() < 0.5:
+        clean = make_stable_matrix(k, rng) * rng.uniform(0.1, 10.0, k)
+    else:
+        clean = rng.normal(size=(k, k)) * (rng.random((k, k)) < 0.4)
+    return clean, clean + rng.uniform(-1e-12, 1e-12, (k, k)) * (clean == 0)
+
+
+def _is_forest(k, edges):
+    parent = list(range(k))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        ra, rb = root(a), root(b)
+        if ra == rb:
+            return False
+        parent[ra] = rb
+    return True
+
+
+class TestOneZeroRule:
+    """The vertex graph is the zero pattern the stability test decides on."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_graph_matches_the_stability_decision(self, seed):
+        clean, m = _dusted(seed)
+        k = len(m)
+        g = vertex_graph(VertexMatrix(VertexLabel(()), tuple(range(k)), m))
+        assert g.diagonal_sign == {i: int(np.sign(clean[i, i])) for i in range(k)}
+        assert g.edges == {(a, b) for a in range(k) for b in range(a + 1, k) if clean[a, b] or clean[b, a]}
+        rep = stably_dissipative(m)
+        weak = [(a, b) for a, b in g.edges if not g.diagonal_sign[a] == g.diagonal_sign[b] == -1]
+        assert rep.cycle_ok == _is_forest(k, weak)
+        if rep.skew_ok:
+            s = _sym(m * rep.scaling)
+            for i, sign in g.diagonal_sign.items():
+                if sign == 0:
+                    off = np.delete(s[i], i)
+                    assert np.all(np.abs(off) <= 1e-9 * max(1.0, float(np.max(np.abs(m * rep.scaling)))))
+                else:
+                    assert sign == -1  # the damped block is negative definite
 
 
 class TestScalingTransport:
