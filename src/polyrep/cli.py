@@ -1,7 +1,8 @@
 """Command-line entry point wiring ingestion, analysis, and simulation.
 
-Exit codes: 0 success (admissible where that is the question), 1 file or
-parse errors, 2 dissipative but not admissible, 3 neither, 4 internal
+Exit codes: 0 success (admissible where that is the question), 1 usage,
+file or parse errors, 2 dissipative but not admissible, 3 proved not
+dissipative, no certificate found or no formal equilibrium, 4 internal
 certificate failure (a bug, not a property of the input).
 """
 
@@ -347,10 +348,21 @@ def cmd_lv2rep(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0.0 <= tol < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _add_common(sub, game_positional=True):
     if game_positional:
         sub.add_argument("game", help="game file (see README for the format)")
-    sub.add_argument("--tol", type=float, default=stability.SEMIDEF_TOL,
+    sub.add_argument("--tol", type=_tolerance, default=stability.SEMIDEF_TOL,
                      help="semidefiniteness tolerance (relative)")
     sub.add_argument("--seed", type=int, default=_default_seed(),
                      help="RNG seed (POLYREP_SEED overrides the default)")
@@ -406,7 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, a verdict code here
+        return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import DiagonalScaling, GameType, PolymatrixGame, _nullspace, vector_field
-from .vertices import VertexLabel, vertex_matrix
+from .vertices import VertexLabel, expand_vertex_vector, vertex_matrix
 
 # Log-based monitors are meaningless this close to the boundary.
 LOG_FLOOR = 1e-300
@@ -159,14 +159,7 @@ def first_integrals(game: PolymatrixGame, v: VertexLabel) -> list[FirstIntegral]
     vm = vertex_matrix(game, v)
     if vm.dim == 0:
         return []
-    out = []
-    for b in _nullspace(vm.entries.T):
-        coeff = np.zeros(game.gtype.n)
-        for bi, i in zip(b, vm.index_set):
-            coeff[i] += bi
-            coeff[v.partner(game.gtype, i)] -= bi
-        out.append(FirstIntegral(v, b.copy(), coeff))
-    return out
+    return [FirstIntegral(v, b.copy(), expand_vertex_vector(game.gtype, v, b)) for b in _nullspace(vm.entries.T)]
 
 
 def ratio_bounds(

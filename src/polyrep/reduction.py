@@ -131,34 +131,28 @@ def initialize(
 # reproduces the worked reduction of the bundled example game.
 
 
-def _instances_rule2(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
-    for v in reversed(vstar):
-        g = an.graphs[v]
-        targets: set[int] = set()
-        for i in g.vertices:
-            if not state.colored(i):
-                continue
-            non_black = [k for k in g.neighbors(i) if state.colors[k] is not Color.BLACK]
-            if len(non_black) == 1:
-                targets.add(non_black[0])
-        for j in sorted(targets, reverse=True):
-            step = TraceStep(2, (v,), (j,))
-            yield step, lambda s, j=j, step=step: s.with_colors({j: Color.BLACK}, step)
+def _instances_exceptional(rule: int, counted: frozenset[Color], target: Color):
+    """Rules 2 and 3: a colored strategy with exactly one neighbor of a counted color.
 
+    Rule 2 counts the non-black neighbors and blacks the one found; rule 3
+    counts the white ones and makes it plus.
+    """
 
-def _instances_rule3(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
-    for v in reversed(vstar):
-        g = an.graphs[v]
-        targets: set[int] = set()
-        for i in g.vertices:
-            if not state.colored(i):
-                continue
-            white = [k for k in g.neighbors(i) if state.colors[k] is Color.WHITE]
-            if len(white) == 1:
-                targets.add(white[0])
-        for j in sorted(targets, reverse=True):
-            step = TraceStep(3, (v,), (j,))
-            yield step, lambda s, j=j, step=step: s.with_colors({j: Color.PLUS}, step)
+    def instances(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+        for v in reversed(vstar):
+            g = an.graphs[v]
+            targets: set[int] = set()
+            for i in g.vertices:
+                if not state.colored(i):
+                    continue
+                hits = [k for k in g.adjacency[i] if state.colors[k] in counted]
+                if len(hits) == 1:
+                    targets.add(hits[0])
+            for j in sorted(targets, reverse=True):
+                step = TraceStep(rule, (v,), (j,))
+                yield step, lambda s, j=j, step=step: s.with_colors({j: target}, step)
+
+    return instances
 
 
 def _instances_rule4(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
@@ -170,7 +164,7 @@ def _instances_rule4(state: InformationSet, an: Analysis, vstar: list[VertexLabe
                 # a nonzero diagonal couples the ratio to the strategy's own
                 # unknown frequency; no inference is valid then
                 continue
-            if not all(state.colored(k) for k in g.neighbors(j)):
+            if not all(state.colored(k) for k in g.adjacency[j]):
                 continue
             partner = v.partner(an.game.gtype, j)
             pair = (min(j, partner), max(j, partner))
@@ -237,8 +231,8 @@ def _instances_rule6(state: InformationSet, an: Analysis, vstar: list[VertexLabe
 
 
 _RULE_GENERATORS = {
-    2: _instances_rule2,
-    3: _instances_rule3,
+    2: _instances_exceptional(2, frozenset({Color.WHITE, Color.PLUS}), Color.BLACK),
+    3: _instances_exceptional(3, frozenset({Color.WHITE}), Color.PLUS),
     4: _instances_rule4,
     5: _instances_rule5,
     6: _instances_rule6,

@@ -7,13 +7,15 @@ preserving perturbations is decided by the checkable characterization:
 every cycle of the coefficient graph must contain a strong link, and some
 positive diagonal rescaling must make the matrix almost skew-symmetric.
 
-Absence of a certificate found by the search here is reported as exactly
-that; it is never a proof that no certificate exists.
+The certificate search (facial reduction, then Kelley cuts solved as
+linear programs) ends in a certificate, in a checked one-vector proof
+that none exists, or in neither: "no certificate found".
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -41,15 +43,15 @@ from .vertices import (
     zero_entries,
 )
 
-# find_scaling's multistart: the identity, then seeded uniform starts.
-_STARTS = 16
-_SEED = 0
-
 CONSERVATIVE = "conservative"
 DISSIPATIVE = "dissipative"
 INDEFINITE = "indefinite"
 NO_FORMAL_EQUILIBRIUM = "no_formal_equilibrium"
 NO_CERTIFICATE = "no_certificate_found"
+NOT_DISSIPATIVE = "not_dissipative"
+
+# Kelley cutting planes the certificate search makes before it gives up.
+_CUTS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +112,6 @@ class _VertexForm:
         return np.linalg.eigvalsh(self.sym(d))
 
 
-def _top(eigs: np.ndarray) -> float:
-    """Largest eigenvalue; 0 for the zero-dimensional form."""
-    return float(eigs[-1]) if eigs.size else 0.0
-
-
 def check_with_scaling(
     game: PolymatrixGame, d: DiagonalScaling, tol: float = SEMIDEF_TOL
 ) -> Classification:
@@ -147,59 +144,91 @@ def _classify(game: PolymatrixGame, d: DiagonalScaling, tol: float) -> Classific
 
 
 def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScaling | None:
-    """Search for a positive group-diagonal certificate of dissipativity.
+    """The positive group-diagonal certificate _search finds, first group at 1, or None."""
+    got = _search(game, tol)
+    return got if isinstance(got, DiagonalScaling) else None
 
-    Minimizes the top eigenvalue of the symmetrized scaled vertex matrix
-    over log-parameterized diagonals (first group pinned to 1), with a
-    derivative-free simplex descent from several deterministic starts.
-    The objective is a pointwise max of functions linear in the diagonal,
-    hence convex in it, so descent suffices at this scale.  It is
-    evaluated from the first vertex's blocks, gathered once per game;
-    each value is bit for bit the one the scaled game's vertex matrix
-    gives.  Returns the first certified diagonal in start order, or None
-    when every start fails; None means "no certificate found", not "not
-    dissipative".  The seeded starts and scipy.optimize are loaded only
-    when a start needs them, so games the identity scaling certifies
-    never import numpy.random or scipy.
+
+@functools.lru_cache(maxsize=1)
+def _search(game: PolymatrixGame, tol: float, /) -> DiagonalScaling | np.ndarray | None:
+    """A certificate d > 0 of S(d) = sum_g d_g S_g <= 0, a proof that none exists, or None.
+
+    S_g is the part of Sym(A_v D_v) at the first vertex that d_g scales.
+    A proof is a unit u with every u'S_g u exactly 0 or above tol * |S_g|,
+    one at least above, so u'S(d)u > 0 for all d > 0.  Tried in order:
+    the identity and its top eigenvector; the same-group directions u
+    (e_i, e_i - e_j), where u'S(d)u = d_g u'A_v u, so a positive value
+    proves and a zero one forces S(d)u = 0, whose nullspace is the face
+    of all certificates; on that face, with the forced kernel projected
+    out, Kelley cuts u'S(d)u from top eigenvectors, each LP minimizing
+    the largest cut and -d_g over sum d = 1 (a negative optimum is
+    strictly positive), until an LP bound exceeds tol or _CUTS cuts.
+    The last search is remembered, as analyse is, for Analysis.kind.
     """
     p = game.gtype.p
     form = _VertexForm(game, first_vertex(game.gtype))
 
-    def certify(values: np.ndarray) -> DiagonalScaling | None:
-        d = DiagonalScaling(tuple(values))
+    def certify(d: np.ndarray) -> DiagonalScaling | None:
+        values = d / d[0] if d[0] > 0 else d
+        if not (values > 0).all():
+            return None
         eigs = form.eigvals(values)
-        return d if _top(eigs) <= tol * _spectral_scale(eigs) else None
+        return DiagonalScaling(tuple(values)) if eigs.max(initial=0.0) <= tol * _spectral_scale(eigs) else None
 
-    if p == 1:
-        return certify(np.ones(1))
+    def proves(u: np.ndarray) -> bool:
+        vals = np.einsum("i,gij,j->g", u, parts, u)
+        above = vals > tol * norms
+        return bool(above.any() and (above | (vals == 0)).all())
 
-    def objective(theta: np.ndarray) -> float:
-        values = np.concatenate(([1.0], np.exp(theta)))
-        if (values <= 0).any():  # exp(theta) underflowed: reject as DiagonalScaling does
-            raise ValueError(f"scaling entries must be positive, got {tuple(values)}")
-        return _top(form.eigvals(values))
+    got = certify(np.ones(p))
+    if got is not None:
+        return got  # scipy is never imported for games the identity certifies
+    # Loaded here, not at the first cut, so memory does not hinge on which games need an LP.
+    import scipy.optimize
 
-    def thetas():
-        yield np.zeros(p - 1)
-        rng = np.random.default_rng(_SEED)  # numpy.random loads lazily: not for the identity start
-        for _ in range(_STARTS - 1):
-            yield rng.uniform(-3.0, 3.0, p - 1)
+    parts = np.stack([form.sym(e) for e in np.eye(p)])
+    norms = np.array([np.linalg.norm(s, 2) for s in parts])
+    u = np.linalg.eigh(form.sym(np.ones(p)))[1][:, -1]
+    if proves(u):
+        return u
 
-    for theta in thetas():
-        got = certify(np.concatenate(([1.0], np.exp(theta))))
+    basis, kernel = np.eye(form.dim), []
+    for g in range(p):
+        for i, j in itertools.combinations_with_replacement(np.flatnonzero(form.groups == g), 2):
+            u = basis[i] if i == j else (basis[i] - basis[j]) / np.sqrt(2.0)
+            if proves(u):
+                return u
+            if abs(u @ parts[g] @ u) <= tol * norms[g]:
+                kernel.append(u)
+    face, rest = np.eye(p), basis
+    if kernel:
+        forced = np.einsum("gij,mj->mig", parts, np.array(kernel)).reshape(-1, p)
+        if np.abs(forced).max() > tol * norms.max():  # rounding noise alone forces nothing
+            face = _nullspace(forced)
+        rest = _nullspace(np.array(kernel))
+
+    compressed = rest @ parts @ rest.T / norms.max()
+    d, bound, cuts = face.T @ (face @ np.ones(p)), -np.inf, []
+    for _ in range(_CUTS):
+        got = certify(d)
         if got is not None:
             return got
-        import scipy.optimize
-
-        res = scipy.optimize.minimize(
-            objective,
-            theta,
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600 * (p - 1)},
+        eigs, vecs = np.linalg.eigh(np.tensordot(d, compressed, 1))
+        if eigs.size and proves(rest.T @ vecs[:, -1]):
+            return rest.T @ vecs[:, -1]
+        if max(eigs.max(initial=0.0), -d.min()) <= bound + tol:
+            return None  # Kelley has converged, to an optimum that certifies nothing
+        if eigs.size:
+            cuts.append(np.einsum("i,gij,j->g", vecs[:, -1], compressed, vecs[:, -1]) @ face.T)
+        r = len(face)
+        res = scipy.optimize.linprog(
+            np.r_[np.zeros(r), 1.0], A_ub=np.c_[np.vstack(cuts + [-face.T]), -np.ones(len(cuts) + p)],
+            b_ub=np.zeros(len(cuts) + p), A_eq=np.r_[face.sum(axis=1), 0.0][None, :], b_eq=[1.0],
+            bounds=(None, None), method="highs",
         )
-        got = certify(np.concatenate(([1.0], np.exp(res.x))))
-        if got is not None:
-            return got
+        if res.x is None or res.fun > tol:
+            return None
+        d, bound = face.T @ res.x[:r], res.fun
     return None
 
 
@@ -427,7 +456,7 @@ class Analysis:
         if not self.equilibria.exists:
             return NO_FORMAL_EQUILIBRIUM
         if self.scaling is None:
-            return NO_CERTIFICATE
+            return NOT_DISSIPATIVE if isinstance(_search(self.game, self.tol), np.ndarray) else NO_CERTIFICATE
         return _classify(self.game, self.scaling, self.tol).kind
 
     @functools.cached_property

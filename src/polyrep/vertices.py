@@ -13,6 +13,7 @@ throughout the reduction machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -94,15 +95,18 @@ class StrategyGraph:
     edges: frozenset[tuple[int, int]]
     diagonal_sign: dict[int, int] = field(hash=False)
 
+    @functools.cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each strategy's neighbors, ascending; built once per graph."""
+        out: dict[int, set[int]] = {i: set() for i in self.vertices}
+        for a, b in self.edges:
+            out.setdefault(a, set()).add(b)
+            out.setdefault(b, set()).add(a)
+        return {i: tuple(sorted(ns)) for i, ns in out.items()}
+
     def neighbors(self, i: int) -> tuple[int, ...]:
         """Adjacent strategies, excluding i itself (loops are not neighbors)."""
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return tuple(sorted(out))
+        return self.adjacency.get(i, ())
 
 
 def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:

@@ -19,8 +19,9 @@ from polyrep.cli import (
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.stability import admissible
+from polyrep.vertices import first_vertex, vertex_matrix
 
-from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED
+from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, random_game
 
 
 @pytest.fixture()
@@ -66,6 +67,16 @@ class TestCheck:
         code, _, _ = run(capsys, "check", str(path))
         assert code in (EXIT_NOT_ADMISSIBLE, EXIT_NOT_DISSIPATIVE)
 
+    def test_positive_same_group_direction_is_not_dissipative(self, capsys, tmp_path):
+        game = random_game(GameType((2, 2)), np.random.default_rng(1), integer=True)
+        # a positive diagonal entry e_i'A_v e_i > 0: no positive scaling helps
+        assert vertex_matrix(game, first_vertex(game.gtype)).entries.diagonal().max() > 0
+        path = tmp_path / "g.txt"
+        write_game(game, path)
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == EXIT_NOT_DISSIPATIVE
+        assert "kind: not_dissipative" in out.splitlines()
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/game.txt")
         assert code == EXIT_IO
@@ -77,6 +88,25 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(path))
         assert code == EXIT_IO
         assert "line 2" in err
+
+
+class TestUsageErrors:
+    """Exit codes 2 to 4 are verdicts, so a malformed command line exits 1."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--format", "xml"], ["--tol", "abc"], ["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"]],
+    )
+    def test_exits_1_without_traceback(self, capsys, example_path, extra):
+        code, out, err = run(capsys, "check", example_path, *extra)
+        assert code == EXIT_IO
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "check", "--help")
+        assert code == EXIT_OK
+        assert out.startswith("usage:")
 
 
 class TestNoFormalEquilibrium:

@@ -10,6 +10,9 @@ from polyrep.stability import (
     DISSIPATIVE,
     INDEFINITE,
     NO_FORMAL_EQUILIBRIUM,
+    NOT_DISSIPATIVE,
+    SEMIDEF_TOL,
+    Analysis,
     admissible,
     almost_skew_symmetric,
     check_with_scaling,
@@ -20,7 +23,7 @@ from polyrep.stability import (
     stable_vertices,
     stably_dissipative,
 )
-from polyrep.stability import _largest_angle, _sym, _VertexForm
+from polyrep.stability import _largest_angle, _search, _sym, _VertexForm
 from polyrep.vertices import (
     VertexLabel,
     VertexMatrix,
@@ -109,10 +112,9 @@ class TestVertexForm:
         assert find_scaling(game).values == (1.0, 1.0)
 
 
-# find_scaling results on make_dissipative_game(GameType(sizes),
-# default_rng(seed)), recorded with the search evaluating the scaled
-# game's vertex matrix directly; the precomputed objective must retrace
-# the same descent exactly.
+# Certificates that an earlier multistart Nelder-Mead search found on
+# make_dissipative_game(GameType(sizes), default_rng(seed)).  The convex
+# search must certify the same games, by whatever certificate it finds.
 PINNED_SCALINGS = [
     ((3, 3), 1, (1.0, 3.593122503624089)),
     ((3, 3), 5, (1.0, 8.311633047670558)),
@@ -152,18 +154,51 @@ class TestFindScaling:
     @pytest.mark.parametrize("sizes,seed,values", PINNED_SCALINGS)
     def test_pinned_certificates(self, sizes, seed, values):
         game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
-        assert find_scaling(game).values == values
+        assert check_with_scaling(game, DiagonalScaling(values)).kind in (CONSERVATIVE, DISSIPATIVE)
+        d = find_scaling(game)
+        assert d.values[0] == 1.0
+        assert check_with_scaling(game, d).kind in (CONSERVATIVE, DISSIPATIVE)
 
     def test_pinned_miss(self):
         game = random_game(GameType((2, 2)), np.random.default_rng(1), integer=True)
         assert find_scaling(game) is None
+        assert Analysis(game).kind == NOT_DISSIPATIVE
 
-    @pytest.mark.xfail(strict=True, raises=ValueError, reason="defect B: exp(theta) underflows to 0")
     def test_underflowing_search_does_not_raise(self):
+        # the multistart raised here once exp(theta) underflowed to 0
         game = PolymatrixGame(
             GameType((2,) * 8), np.random.default_rng(0).integers(-5, 6, (16, 16))
         )
-        find_scaling(game)
+        assert find_scaling(game) is None
+        assert Analysis(game).kind == NOT_DISSIPATIVE
+
+    @pytest.mark.parametrize("sizes", [(2,) * 8, (2,) * 6, (3,) * 4, (3, 3, 3), (3, 3), (2, 2, 2), (4, 3)])
+    def test_constructed_games_are_certified(self, sizes):
+        # certificates whose feasible set has no interior included: every
+        # undamped same-group direction is in the kernel of the hidden scaling
+        for seed in range(1000, 1005):
+            game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
+            assert Analysis(game).kind in (CONSERVATIVE, DISSIPATIVE), seed
+            d = find_scaling(game)
+            assert d.values[0] == 1.0
+            assert check_with_scaling(game, d).kind in (CONSERVATIVE, DISSIPATIVE)
+
+    @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 6])
+    def test_proofs_hold_for_every_scaling(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
+        v0 = first_vertex(GameType(sizes))
+        proved = 0
+        for _ in range(10):
+            game = random_game(GameType(sizes), rng, integer=rng.random() < 0.5)
+            if Analysis(game).kind != NOT_DISSIPATIVE:
+                continue
+            proved += 1
+            u = _search(game, SEMIDEF_TOL)
+            assert u.shape == (vertex_matrix(game, v0).dim,) and np.isclose(u @ u, 1.0)
+            for _ in range(20):
+                d = DiagonalScaling(tuple(np.exp(rng.uniform(-20.0, 20.0, len(sizes)))))
+                assert u @ _sym(vertex_matrix(scaled_game(game, d), v0).entries) @ u > 0
+        assert proved >= 5
 
 
 class TestSkewDecomposition:
