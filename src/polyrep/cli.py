@@ -18,7 +18,7 @@ import numpy as np
 
 from . import collapse as collapse_mod
 from . import dynamics, gamefile, reduction, stability
-from .games import PolymatrixGame, interior_equilibria, random_prism_state
+from .games import PolymatrixGame, check_prism_state, interior_equilibria, random_prism_state
 from .vertices import first_vertex
 
 EXIT_OK = 0
@@ -264,6 +264,10 @@ def cmd_simulate(args) -> int:
     except ValueError:
         print("error: cannot parse --x0", file=sys.stderr)
         return EXIT_IO
+    problems = check_prism_state(game.gtype, x0)
+    if problems:
+        print("error: --x0 is not a prism state: " + "; ".join(problems), file=sys.stderr)
+        return EXIT_IO
     traj = dynamics.integrate(game, x0, args.T, args.dt)
 
     wanted = [m.strip() for m in args.monitors.split(",") if m.strip()]
@@ -348,21 +352,34 @@ def cmd_lv2rep(args) -> int:
     return EXIT_OK
 
 
-def _tolerance(text: str) -> float:
-    """A --tol value: a finite number >= 0."""
+def _number(text: str) -> float:
+    """The float a command-line value spells, NaN when it spells none."""
     try:
-        tol = float(text)
+        return float(text)
     except ValueError:
-        tol = float("nan")
-    if not 0.0 <= tol < float("inf"):
+        return float("nan")
+
+
+def _nonnegative(text: str) -> float:
+    """A --tol or --T value: a finite number >= 0."""
+    x = _number(text)
+    if not 0.0 <= x < float("inf"):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
-    return tol
+    return x
+
+
+def _positive(text: str) -> float:
+    """A --dt value: a finite number > 0."""
+    x = _number(text)
+    if not 0.0 < x < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return x
 
 
 def _add_common(sub, game_positional=True):
     if game_positional:
         sub.add_argument("game", help="game file (see README for the format)")
-    sub.add_argument("--tol", type=_tolerance, default=stability.SEMIDEF_TOL,
+    sub.add_argument("--tol", type=_nonnegative, default=stability.SEMIDEF_TOL,
                      help="semidefiniteness tolerance (relative)")
     sub.add_argument("--seed", type=int, default=_default_seed(),
                      help="RNG seed (POLYREP_SEED overrides the default)")
@@ -401,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, game_positional=False)
     p.add_argument("--game", required=True, help="game file (see README for the format)")
     p.add_argument("--x0", default="random", help="start: comma list or random[:SEED]")
-    p.add_argument("--T", type=float, default=100.0)
-    p.add_argument("--dt", type=float, default=0.01)
+    p.add_argument("--T", type=_nonnegative, default=100.0, help="duration, a finite number >= 0")
+    p.add_argument("--dt", type=_positive, default=0.01, help="step, a finite number > 0")
     p.add_argument("--monitors", default="h,gb,ratios")
     p.add_argument("--csv", metavar="FILE", help="write t, states, monitors as CSV")
     p.set_defaults(func=cmd_simulate)
@@ -425,7 +442,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_IO
+        if isinstance(exc.code, int):
+            return exc.code
+        if exc.code is not None:
+            print(exc.code, file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ semidefinite) on the tangent space.  Stability against zero-pattern
 preserving perturbations is decided by the checkable characterization:
 every cycle of the coefficient graph must contain a strong link, and some
 positive diagonal rescaling must make the matrix almost skew-symmetric.
+That test runs on a stack of vertex matrices at once; stably_dissipative
+and its helpers on one matrix are the stack of one.
 
 The certificate search (facial reduction, then Kelley cuts solved as
 linear programs) ends in a certificate, in a checked one-vector proof
@@ -34,12 +36,13 @@ from .vertices import (
     StrategyGraph,
     VertexLabel,
     VertexMatrix,
-    enumerate_vertices,
+    _fill,
+    _index_sets,
+    blocks,
     expand_vertex_vector,
     first_vertex,
-    vertex_blocks,
-    vertex_graph,
-    vertex_matrix,
+    vertex_graphs,
+    vertex_tensor,
     zero_entries,
 )
 
@@ -74,29 +77,33 @@ class StableDissipativityReport:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    """The symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _spectral_scale(eigs: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
+def _spectral_scale(eigs: np.ndarray) -> np.ndarray:
+    """max(1, max|eigenvalue|), per row of a stack; a NaN counts as nothing."""
+    return np.fmax(1.0, np.abs(eigs).max(axis=-1, initial=0.0))
 
 
 class _VertexForm:
     """Sym(A_v D_v) at one vertex as a function of the group diagonal.
 
-    The vertex blocks are gathered once; each evaluation scales their
-    columns by the diagonal on the index set and sums them in
-    vertex_matrix's order.  A partner lies in its index's group, so both
-    carry the same diagonal entry and the result equals
-    _sym(vertex_matrix(scaled_game(game, d), v).entries) bit for bit.
+    The index set and partners are built once; each evaluation scales
+    the payoff's columns by the diagonal and sums the vertex blocks as
+    vertex_matrix does.  A partner lies in its index's group, so both
+    carry the same diagonal entry, A_v D_v = (A D)_v, and the result
+    equals _sym(vertex_matrix(scaled_game(game, d), v).entries) bit for
+    bit.
     """
 
     def __init__(self, game: PolymatrixGame, v: VertexLabel):
         gt = game.gtype
         self.vertex = v
-        idx, blocks = vertex_blocks(game, v)
-        self.groups = np.repeat(np.arange(gt.p), gt.sizes)[list(idx)]
-        self.blocks = np.stack(blocks)
+        self.payoff = game.payoff
+        self.strategy_groups = np.repeat(np.arange(gt.p), gt.sizes)
+        self.ii, self.jj = _index_sets(gt, np.array([v.chosen], dtype=np.intp))
+        self.groups = self.strategy_groups[self.ii[0]]
 
     @property
     def dim(self) -> int:
@@ -104,8 +111,9 @@ class _VertexForm:
 
     def sym(self, d: np.ndarray) -> np.ndarray:
         """The symmetrized scaled vertex matrix for group values d."""
-        p, q, r, s = self.blocks * d[self.groups]
-        return _sym(p + q - r - s)
+        out = np.empty((1, self.dim, self.dim))
+        _fill(self.payoff * d[self.strategy_groups], self.ii, self.jj, out)
+        return _sym(out[0])
 
     def eigvals(self, d: np.ndarray) -> np.ndarray:
         """Eigenvalues of the form at d, ascending."""
@@ -269,27 +277,51 @@ def skew_decomposition(
     return a0, b - a0
 
 
-def _forest_edges(adj: list[list[int]]) -> list[tuple[int, int]]:
-    """Tree edges (parent, child) of a spanning forest, in discovery order.
+def _propagate(k: int, pairs: list[tuple[int, int, float]]) -> list[float]:
+    """Ratios d_j / d_i of pairs i < j spread along a spanning forest, roots at 1.
 
-    One depth-first walk from each component's smallest index.  The
-    graph is a forest exactly when every edge is a tree edge.
+    One depth-first walk from each component's smallest index, reading
+    neighbors in ascending order; a tree edge taken from j back to i
+    uses the reciprocal ratio.
     """
-    seen = [False] * len(adj)
-    tree = []
-    for root in range(len(adj)):
+    adj: list[list[tuple[int, float, bool]]] = [[] for _ in range(k)]
+    for i, j, r in pairs:
+        adj[i].append((j, r, True))
+        adj[j].append((i, r, False))
+    d, seen = [1.0] * k, [False] * k
+    for root in range(k):
         if seen[root]:
             continue
         seen[root] = True
         stack = [root]
         while stack:
             i = stack.pop()
-            for j in adj[i]:
+            for j, r, ahead in adj[i]:
                 if not seen[j]:
                     seen[j] = True
-                    tree.append((i, j))
+                    d[j] = d[i] * (r if ahead else 1.0 / r)
                     stack.append(j)
-    return tree
+    return d
+
+
+def _forests(adj: np.ndarray) -> np.ndarray:
+    """Which graphs of a stack (V, k, k) of symmetric loopless adjacencies are forests.
+
+    A graph is a forest exactly when its edges number k minus its
+    components.  Components come from reachability by repeated squaring,
+    counted by their smallest members; the counts are exact.
+    """
+    k = adj.shape[-1]
+    edges = adj.sum(axis=(1, 2)) // 2
+    # no edge is a forest, k or more edges never are; only the rest need components
+    todo = np.flatnonzero((edges > 0) & (edges < k))
+    out = edges == 0
+    reach = (adj[todo] | np.eye(k, dtype=bool)).astype(float)
+    for _ in range((k - 1).bit_length()):
+        reach = (reach @ reach > 0).astype(float)
+    components = (~np.tril(reach > 0, -1).any(axis=2)).sum(axis=1)
+    out[todo] = edges[todo] == k - components
+    return out
 
 
 def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
@@ -301,26 +333,29 @@ def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
     definiteness of the symmetric part restricted to the coordinates
     with nonzero diagonal.  Zero entries are those of zero_entries.
     """
-    m = np.asarray(m, dtype=float)
-    return _almost_skew(m, np.diagonal(zero_entries(m, tol)), tol)
+    t = np.asarray(m, dtype=float)[None]
+    return bool(_almost_skew(t, np.diagonal(zero_entries(t, tol), axis1=1, axis2=2), tol)[0])
 
 
-def _almost_skew(m: np.ndarray, zero_diag: np.ndarray, tol: float) -> bool:
-    """almost_skew_symmetric with the zero diagonal entries given."""
-    if m.size == 0:
-        return True
-    s = _sym(m)
+def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray:
+    """almost_skew_symmetric of each matrix of a stack, its zero diagonal entries given."""
+    ok = np.ones(len(t), dtype=bool)
+    if t.shape[-1] == 0:
+        return ok
+    s = _sym(t)
     eigs = np.linalg.eigvalsh(s)
-    if float(eigs[-1]) > tol * _spectral_scale(eigs):
-        return False
+    ok &= ~(eigs[:, -1] > tol * _spectral_scale(eigs))
     # the symmetric part vanishes off the diagonal on every zero-diagonal row
-    if not (zero_entries(s, tol) | np.eye(len(s), dtype=bool))[zero_diag].all():
-        return False
-    rest = np.flatnonzero(~zero_diag)
-    if not rest.size:
-        return True
-    sub_eigs = np.linalg.eigvalsh(s[np.ix_(rest, rest)])
-    return float(sub_eigs[-1]) < -tol * _spectral_scale(sub_eigs)
+    ok &= (zero_entries(s, tol) | np.eye(t.shape[-1], dtype=bool) | ~zero_diag[:, :, None]).all(axis=(1, 2))
+    # strictly negative definite on the rest, one stacked eigenproblem per size
+    rest = ~zero_diag
+    size = rest.sum(axis=1)
+    for r in sorted(set(size[ok].tolist()) - {0}):
+        which = np.flatnonzero(ok & (size == r))
+        idx = np.nonzero(rest[which])[1].reshape(len(which), r)
+        sub_eigs = np.linalg.eigvalsh(s[which[:, None, None], idx[:, :, None], idx[:, None, :]])
+        ok[which] = sub_eigs[:, -1] < -tol * _spectral_scale(sub_eigs)
+    return ok
 
 
 def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray | None:
@@ -332,45 +367,47 @@ def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndar
     consistency, components free of constraints keep d = 1, and the
     candidate is verified in full (including the definiteness clause).
     """
-    m = np.asarray(m, dtype=float)
-    k = m.shape[0] if m.ndim == 2 else 0
-    if k == 0:
-        return np.ones(0)
-    return _almost_skew_scaling(m, zero_entries(m, tol), tol)
+    t = np.asarray(m, dtype=float)[None]
+    return _almost_skew_scalings(t, zero_entries(t, tol), tol)[0]
 
 
-def _almost_skew_scaling(m: np.ndarray, zero: np.ndarray, tol: float) -> np.ndarray | None:
-    """find_almost_skew_scaling with the zero pattern of m given.
+def _almost_skew_scalings(t: np.ndarray, zero: np.ndarray, tol: float) -> list[np.ndarray | None]:
+    """find_almost_skew_scaling of each matrix of a stack, its zero pattern given.
 
-    M diag(d) has the zero pattern of M for d > 0, so the candidate is
-    verified against M's zero diagonal.
+    The one-sided and same-sign checks read the constraint pairs of the
+    whole stack at once; the ratio walk runs per matrix on Python
+    floats, the arithmetic of numpy's float64 scalars.  M diag(d) has
+    the zero pattern of M for d > 0, so each candidate is verified
+    against M's zero diagonal.
     """
-    k = len(m)
-    z, vals = zero.tolist(), m.tolist()
-    ratios: dict[tuple[int, int], float] = {}
-    adj: list[list[int]] = [[] for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not (z[i][i] or z[j][j]) or (z[i][j] and z[j][i]):
-                continue
-            if z[i][j] != z[j][i]:
-                return None  # one-sided coupling forces d to zero
-            mij, mji = vals[i][j], vals[j][i]
-            if mij * mji > 0:
-                return None  # same signs: m_ij d_j = -m_ji d_i unsolvable in d > 0
-            ratios[i, j] = -mji / mij  # d_j / d_i
-            adj[i].append(j)
-            adj[j].append(i)
+    count, k = t.shape[:2]
+    zero_diag = np.diagonal(zero, axis1=1, axis2=2)
+    # the constraint pairs: coupled, and touching a zero diagonal
+    constrained = np.triu((zero_diag[:, :, None] | zero_diag[:, None, :]) & ~(zero & zero.transpose(0, 2, 1)), 1)
+    which, i, j = np.nonzero(constrained)
+    m_ij, m_ji = t[which, i, j], t[which, j, i]
+    # a one-sided coupling forces d to zero; with equal signs m_ij d_j = -m_ji d_i has no d > 0
+    ok = np.ones(count, dtype=bool)
+    ok[which[(zero[which, i, j] != zero[which, j, i]) | (m_ij * m_ji > 0)]] = False
+    keep = ok[which]
+    which, i, j = which[keep], i[keep], j[keep]
+    with np.errstate(over="ignore"):  # inf, silently, as Python's float division gives
+        ratio = -m_ji[keep] / m_ij[keep]  # d_j / d_i
 
-    d = np.ones(k)  # each component's root pinned to 1
-    for i, j in _forest_edges(adj):
-        d[j] = d[i] * (ratios[i, j] if i < j else 1.0 / ratios[j, i])
-    for (i, j), r in ratios.items():
-        if abs(d[j] - d[i] * r) > 1e-9 * max(abs(d[j]), abs(d[i] * r)):
-            return None
-    if not _almost_skew(m * d, np.diagonal(zero), tol):
-        return None
-    return d
+    d = np.ones((count, k))  # each component's root pinned to 1
+    cuts = np.cumsum(np.bincount(which, minlength=count)).tolist()
+    pairs = list(zip(i.tolist(), j.tolist(), ratio.tolist()))
+    for v, (start, stop) in enumerate(zip([0] + cuts, cuts)):
+        if stop > start:
+            d[v] = _propagate(k, pairs[start:stop])
+    # the constraints off the forest must agree with it
+    d_i, d_j = d[which, i], d[which, j]
+    off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
+    ok[which[off]] = False
+
+    cand = np.flatnonzero(ok)
+    ok[cand] = _almost_skew(t[cand] * d[cand][:, None, :], zero_diag[cand], tol)
+    return [row if good else None for row, good in zip(d, ok)]
 
 
 def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipativityReport:
@@ -380,34 +417,46 @@ def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipa
     link (edge whose two endpoint diagonals are negative) the zero-pattern
     graph must be acyclic, and some positive diagonal rescaling must make
     the matrix almost skew-symmetric.  Both read the zero pattern of
-    zero_entries, the one vertex_graph draws.
+    zero_entries, the one vertex_graph draws.  The stack of one of
+    stably_dissipative_stack.
     """
-    m = np.asarray(m, dtype=float)
-    zero = zero_entries(m, tol)
-    z = zero.tolist()
-    k = len(z)
-    damped = [x < 0 and not z[i][i] for i, x in enumerate(np.diagonal(m).tolist())]
-    adj = [
-        [j for j in range(k) if j != i and not (z[i][j] and z[j][i]) and not (damped[i] and damped[j])]
-        for i in range(k)
-    ]
-    failures = []
-    cycle_ok = 2 * len(_forest_edges(adj)) == sum(map(len, adj))
-    if not cycle_ok:
-        failures.append("a cycle without a strong link remains")
+    t = np.asarray(m, dtype=float)[None]
+    return stably_dissipative_stack(t, zero_entries(t, tol), tol)[0]
 
-    scaling = _almost_skew_scaling(m, zero, tol)
-    skew_ok = scaling is not None
-    if not skew_ok:
-        failures.append("no positive diagonal makes the matrix almost skew-symmetric")
 
-    return StableDissipativityReport(
-        stable=cycle_ok and skew_ok,
-        scaling=scaling,
-        cycle_ok=cycle_ok,
-        skew_ok=skew_ok,
-        failures=tuple(failures),
-    )
+def stably_dissipative_stack(
+    t: np.ndarray, zero: np.ndarray, tol: float = SEMIDEF_TOL
+) -> list[StableDissipativityReport]:
+    """stably_dissipative of each matrix of a stack (V, k, k), given its zero_entries.
+
+    Evaluated in blocks of BLOCK matrices, so the transients do not grow
+    with V.
+    """
+    reports = []
+    for b in blocks(len(t)):
+        block, z = t[b], zero[b]
+        k = block.shape[-1]
+        zero_diag = np.diagonal(z, axis1=1, axis2=2)
+        damped = (np.diagonal(block, axis1=1, axis2=2) < 0) & ~zero_diag
+        adj = ~(z & z.transpose(0, 2, 1)) & ~(damped[:, :, None] & damped[:, None, :])
+        adj[:, np.arange(k), np.arange(k)] = False
+        forest = _forests(adj).tolist()
+        for cycle_ok, scaling in zip(forest, _almost_skew_scalings(block, z, tol)):
+            failures = []
+            if not cycle_ok:
+                failures.append("a cycle without a strong link remains")
+            if scaling is None:
+                failures.append("no positive diagonal makes the matrix almost skew-symmetric")
+            reports.append(
+                StableDissipativityReport(
+                    stable=cycle_ok and scaling is not None,
+                    scaling=scaling,
+                    cycle_ok=cycle_ok,
+                    skew_ok=scaling is not None,
+                    failures=tuple(failures),
+                )
+            )
+    return reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,20 +466,40 @@ class Analysis:
     Each field is computed on first use and then kept.  The decision
     runs in order: a formal equilibrium, then a certificate (searched for
     only when an equilibrium exists), then a stably dissipative vertex.
-    Games are immutable, so an analysis never goes stale.
+    Games are immutable, so an analysis never goes stale.  The vertex
+    fields read one vertex_tensor and one zero pattern.  A tolerance
+    that is not a finite number >= 0 raises ValueError.
     """
 
     game: PolymatrixGame
     tol: float = SEMIDEF_TOL
 
+    def __post_init__(self):
+        # a negative tolerance makes every zero nonzero, an infinite one every entry zero
+        if not 0.0 <= self.tol < float("inf"):
+            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tol!r}")
+
+    @functools.cached_property
+    def _tensor(self) -> tuple[list[VertexLabel], np.ndarray, np.ndarray]:
+        """vertex_tensor: the labels, index sets and stacked vertex matrices."""
+        return vertex_tensor(self.game)
+
+    @functools.cached_property
+    def _zero(self) -> np.ndarray:
+        """The zero pattern of every vertex matrix, shared by reports and graphs."""
+        t = self._tensor[2]
+        return np.concatenate([zero_entries(t[b], self.tol) for b in blocks(len(t))])
+
     @functools.cached_property
     def matrices(self) -> Mapping[VertexLabel, VertexMatrix]:
         """The coefficient matrix at every vertex, in enumeration order."""
-        return MappingProxyType({v: vertex_matrix(self.game, v) for v in enumerate_vertices(self.game.gtype)})
+        labels, ii, t = self._tensor
+        return MappingProxyType({v: VertexMatrix(v, tuple(idx), m) for v, idx, m in zip(labels, ii.tolist(), t)})
 
     @functools.cached_property
     def reports(self) -> Mapping[VertexLabel, StableDissipativityReport]:
-        return MappingProxyType({v: stably_dissipative(vm.entries, tol=self.tol) for v, vm in self.matrices.items()})
+        labels, _, t = self._tensor
+        return MappingProxyType(dict(zip(labels, stably_dissipative_stack(t, self._zero, self.tol))))
 
     @functools.cached_property
     def vstar(self) -> tuple[VertexLabel, ...]:
@@ -440,7 +509,8 @@ class Analysis:
     @functools.cached_property
     def graphs(self) -> Mapping[VertexLabel, StrategyGraph]:
         """The zero-pattern graph at every vertex, by the zero rule the reports use."""
-        return MappingProxyType({v: vertex_graph(vm, self.tol) for v, vm in self.matrices.items()})
+        labels, ii, t = self._tensor
+        return MappingProxyType(dict(zip(labels, vertex_graphs(ii, t, self._zero))))
 
     @functools.cached_property
     def equilibria(self) -> EquilibriumSet:

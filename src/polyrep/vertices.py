@@ -8,7 +8,9 @@ strategies i, k (with chosen partners j, l in their groups) is
 
 That matrix represents the payoff quadratic form on the tangent space in
 the vertex basis {e_i - e_j}, and its zero pattern defines a graph used
-throughout the reduction machinery.
+throughout the reduction machinery.  vertex_tensor builds every vertex's
+matrix as one (V, k, k) stack, k = n - p; vertex_matrix is its stack of
+one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ from .games import (
     _nullspace,
     in_tangent_space,
 )
+
+# Vertices per block of the stacked vertex layer: the gathers and the
+# stability test's transients grow with the block, not with V.
+BLOCK = 256
+
+
+def blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most BLOCK vertices covering range(count)."""
+    return [slice(s, s + BLOCK) for s in range(0, count, BLOCK)]
 
 
 @dataclass(frozen=True)
@@ -122,27 +133,60 @@ def first_vertex(gtype: GameType) -> VertexLabel:
     return VertexLabel(gtype.offsets)
 
 
-def vertex_blocks(
-    game: PolymatrixGame, v: VertexLabel
-) -> tuple[tuple[int, ...], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """The index set and the payoff blocks whose signed sum is A_v.
+def _index_sets(gtype: GameType, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index sets and their partners, both (V, n - p), of the vertices chosen (V, p).
 
-    With i, k over the index set and j, l their partners, the blocks are
-    [a_ik], [a_jl], [a_il], [a_jk]; A_v is the first plus the second
-    minus the third minus the fourth, summed in that order.
+    Row v of the first is vertex v's non-chosen strategies, ascending;
+    the second holds the chosen strategy of each one's group.
     """
-    idx = v.support(game.gtype)
-    a = game.payoff
-    ii = np.array(idx, dtype=int)
-    jj = np.array([v.partner(game.gtype, i) for i in idx], dtype=int)
-    return idx, (a[np.ix_(ii, ii)], a[np.ix_(jj, jj)], a[np.ix_(ii, jj)], a[np.ix_(jj, ii)])
+    keep = np.ones((len(chosen), gtype.n), dtype=bool)
+    keep[np.arange(len(chosen))[:, None], chosen] = False
+    ii = np.nonzero(keep)[1].reshape(len(chosen), gtype.n - gtype.p)
+    jj = np.take_along_axis(chosen, np.repeat(np.arange(gtype.p), gtype.sizes)[ii], axis=1)
+    return ii, jj
+
+
+def _fill(a: np.ndarray, ii: np.ndarray, jj: np.ndarray, out: np.ndarray) -> None:
+    """Write A_v for stacked index sets and partners into out, (V, k, k).
+
+    With i, k over the index set and j, l their partners, A_v is
+    [a_ik] + [a_jl] - [a_il] - [a_jk], summed in that order; one block
+    is gathered at a time and added in place.
+    """
+    rows_i, cols_i, rows_j, cols_j = ii[:, :, None], ii[:, None, :], jj[:, :, None], jj[:, None, :]
+    out[...] = a[rows_i, cols_i]
+    out += a[rows_j, cols_j]
+    out -= a[rows_i, cols_j]
+    out -= a[rows_j, cols_i]
+
+
+def vertex_tensor(game: PolymatrixGame) -> tuple[list[VertexLabel], np.ndarray, np.ndarray]:
+    """Every vertex's coefficient matrix at once, in enumeration order.
+
+    Returns the labels, the index sets II (V, k) and the read-only
+    (V, k, k) tensor whose slice v is vertex_matrix(game, v).entries bit
+    for bit.  Built in blocks of BLOCK vertices, so the gathers stay
+    small whatever V is.
+    """
+    gt = game.gtype
+    labels = enumerate_vertices(gt)
+    chosen = np.array([v.chosen for v in labels], dtype=np.intp).reshape(len(labels), gt.p)
+    ii, jj = _index_sets(gt, chosen)
+    k = gt.n - gt.p
+    t = np.empty((len(labels), k, k))
+    for b in blocks(len(labels)):
+        _fill(game.payoff, ii[b], jj[b], t[b])
+    t.setflags(write=False)
+    return labels, ii, t
 
 
 def vertex_matrix(game: PolymatrixGame, v: VertexLabel) -> VertexMatrix:
-    """Coefficient matrix of the game at a vertex."""
+    """Coefficient matrix of the game at a vertex: vertex_tensor's stack of one."""
     v.validate(game.gtype)
-    idx, (ik, jl, il, jk) = vertex_blocks(game, v)
-    return VertexMatrix(v, idx, ik + jl - il - jk)
+    ii, jj = _index_sets(game.gtype, np.array([v.chosen], dtype=np.intp))
+    out = np.empty((1, ii.shape[1], ii.shape[1]))
+    _fill(game.payoff, ii, jj, out)
+    return VertexMatrix(v, tuple(ii[0].tolist()), out[0])
 
 
 def quadratic_form(game: PolymatrixGame, w: np.ndarray) -> float:
@@ -188,32 +232,45 @@ def zero_entries(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray:
     The one zero rule of the package: the vertex graphs, the stable
     dissipativity test, the inference rules and the collapse all read
     the zero pattern from here.  Integer matrices with entries below
-    1 / tol keep exactly their zero entries.
+    1 / tol keep exactly their zero entries.  On a stack (V, k, k) each
+    matrix has its own scale.
     """
-    m = np.asarray(m, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(m)))) if m.size else 1.0
-    return np.abs(m) <= tol * scale
+    mag = np.abs(np.asarray(m, dtype=float))
+    # fmax, as max(1.0, nan) is 1.0: a NaN entry does not unscale the rest
+    scale = np.fmax(1.0, mag.max(axis=(-2, -1), initial=0.0, keepdims=True))
+    return mag <= tol * scale
+
+
+def vertex_graphs(ii: np.ndarray, t: np.ndarray, zero: np.ndarray) -> list[StrategyGraph]:
+    """The graph of each slice of a vertex stack, given its zero pattern.
+
+    ii are the index sets (V, k), t the matrices (V, k, k) and zero
+    their zero_entries; an edge is a pair either of whose two
+    coefficients is nonzero.  Read in blocks of BLOCK vertices.
+    """
+    graphs = []
+    for b in blocks(len(ii)):
+        idx, z = ii[b], zero[b]
+        which, r, c = np.nonzero(np.triu(~(z & z.transpose(0, 2, 1)), 1))
+        ends = np.stack([idx[which, r], idx[which, c]], axis=1).tolist()
+        cuts = np.cumsum(np.bincount(which, minlength=len(idx))).tolist()
+        diag = np.diagonal(t[b], axis1=1, axis2=2)
+        signs = np.where(np.diagonal(z, axis1=1, axis2=2), 0, np.where(diag > 0, 1, -1)).tolist()
+        start = 0
+        for row, sign, stop in zip(idx.tolist(), signs, cuts):
+            graphs.append(StrategyGraph(tuple(row), frozenset(map(tuple, ends[start:stop])), dict(zip(row, sign))))
+            start = stop
+    return graphs
 
 
 def vertex_graph(vm: VertexMatrix, tol: float = SEMIDEF_TOL) -> StrategyGraph:
     """Graph on the index set read off the zero pattern of the matrix.
 
     An entry is zero by zero_entries, so the graph is the one the
-    stability test sees.
+    stability test sees.  The stack of one of vertex_graphs.
     """
-    idx = vm.index_set
-    zero = zero_entries(vm.entries, tol).tolist()
-    edges = {
-        (idx[a], idx[b])
-        for a in range(vm.dim)
-        for b in range(a + 1, vm.dim)
-        if not (zero[a][b] and zero[b][a])
-    }
-    diag = {
-        i: 0 if zero[a][a] else (1 if x > 0 else -1)
-        for a, (i, x) in enumerate(zip(idx, vm.entries.diagonal().tolist()))
-    }
-    return StrategyGraph(idx, frozenset(edges), diag)
+    t = vm.entries[None]
+    return vertex_graphs(np.array([vm.index_set], dtype=np.intp).reshape(1, vm.dim), t, zero_entries(t, tol))[0]
 
 
 def scaled_game(game: PolymatrixGame, d: DiagonalScaling) -> PolymatrixGame:

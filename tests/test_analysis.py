@@ -58,11 +58,14 @@ class TestOnePassPerCommand:
     @pytest.mark.parametrize("command", ["check", "reduce", "collapse"])
     def test_example(self, capsys, monkeypatch, example_path, command):
         searches = _counting(monkeypatch, "find_scaling")
-        reports = _counting(monkeypatch, "stably_dissipative")
+        singles = _counting(monkeypatch, "stably_dissipative")
+        stacks = _counting(monkeypatch, "stably_dissipative_stack")
         assert main([command, example_path, "--format", "json"]) == 0
         capsys.readouterr()
         assert len(searches) == 1
-        assert len(reports) == len(enumerate_vertices(GameType((3, 2))))
+        # one stack evaluation over every vertex, no per-vertex test
+        assert singles == []
+        assert [len(t) for t, *_ in stacks] == [len(enumerate_vertices(GameType((3, 2))))]
 
     def test_collapse_solves_for_the_equilibria_once(self, capsys, monkeypatch, example_path):
         solved = _counting(monkeypatch, "formal_equilibria")
@@ -105,6 +108,18 @@ class TestAnalysis:
                 assert stability.admissible(game) == (an.admissible, list(an.vstar))
                 ok, _ = stability.admissible(game, d)
                 assert ok == bool(an.vstar)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("inf"), float("nan")])
+    def test_rejects_a_tolerance_that_is_not_finite_and_nonnegative(self, example_game, tol):
+        # -1 used to prove the admissible example not_dissipative, inf to call it conservative
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            stability.Analysis(example_game, tol)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            stability.analyse(example_game, tol)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            stability.admissible(example_game, tol=tol)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            stability.stable_vertices(example_game, tol=tol)
 
     def test_diagonal_signs_use_the_stability_tolerance(self):
         # a diagonal entry of 1e-12 is zero to stably_dissipative at tol 1e-9,

@@ -269,6 +269,20 @@ class TestSimulate:
     def test_wrong_length_start(self, capsys, example_path):
         code, _, err = run(capsys, "simulate", "--game", example_path, "--x0", "0.5,0.5")
         assert code == EXIT_IO
+        assert "x0 needs 5 coordinates" in err
+
+    def test_start_off_the_prism(self, capsys, example_path):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "0.5,0.5,0,2,-1")
+        assert code == EXIT_IO
+        assert out == ""
+        assert "negative coordinate -1.0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"]])
+    def test_bad_duration_or_step_exits_1(self, capsys, example_path, extra):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random:1", *extra)
+        assert code == EXIT_IO
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err
 
 
 class TestLv2Rep:

@@ -1,0 +1,143 @@
+"""The stacked vertex layer against the per-vertex reference, bit for bit.
+
+Analysis builds every vertex matrix, zero pattern, graph and stable
+dissipativity report as one stack; vertex_matrix, vertex_graph and
+stably_dissipative are the stack of one.  Each must equal the loop
+version in reference_vertex_layer in every bit, scalings included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_vertex_layer as ref
+from polyrep import stability
+from polyrep.games import SEMIDEF_TOL, GameType, PolymatrixGame
+from polyrep.stability import Analysis, almost_skew_symmetric, find_almost_skew_scaling, stably_dissipative
+from polyrep.vertices import BLOCK, vertex_graph, vertex_graphs, vertex_matrix, vertex_tensor, zero_entries
+
+from conftest import EXAMPLE_PAYOFF, make_dissipative_game
+
+KINDS = ("zero", "sparse", "skew", "scaled_skew", "float", "dust", "dissipative")
+
+
+def _payoff(sizes: tuple[int, ...], kind: str, seed: int) -> np.ndarray:
+    """A seeded payoff of one kind; one_sided, same_sign and cycle need two or three groups of size >= 2."""
+    gt = GameType(sizes)
+    n, rng = gt.n, np.random.default_rng(seed)
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind in ("one_sided", "same_sign"):
+        # at the first vertex, strategies i and k (each group's second) have zero
+        # diagonals and are coupled by A_v[i, k] = 1 and A_v[k, i] = 0 or 2
+        i, k = gt.offsets[0] + 1, gt.offsets[1] + 1
+        a = np.zeros((n, n))
+        a[i, k] = 1.0
+        a[k, i] = 2.0 if kind == "same_sign" else 0.0
+        return a
+    if kind == "cycle":
+        # at the first vertex, three zero-diagonal strategies whose ratios d_j / d_i
+        # (1, 1 and 1 + 1e-6) disagree around their triangle
+        idx = [off + 1 for off in gt.offsets[:3]]
+        a = np.zeros((n, n))
+        a[np.ix_(idx, idx)] = [[0, 1, 1], [-1, 0, 1], [-1, -1 - 1e-6, 0]]
+        return a
+    if kind == "sparse":
+        return rng.integers(-2, 3, (n, n)) * (rng.random((n, n)) < 0.3).astype(float)
+    if kind == "float":
+        return rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.5)
+    if kind == "dissipative":
+        return make_dissipative_game(gt, rng)[0].payoff
+    s = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.4)
+    core = (s - s.T - np.diag(rng.integers(0, 3, n) * (rng.random(n) < 0.5))).astype(float)
+    if kind == "scaled_skew":
+        return core / np.repeat(rng.integers(1, 5, gt.p), gt.sizes)
+    if kind == "dust":
+        return core + rng.uniform(-1e-12, 1e-12, (n, n))
+    return core
+
+
+def _report_key(rep):
+    scaling = None if rep.scaling is None else (rep.scaling.dtype, rep.scaling.shape, rep.scaling.tobytes())
+    return rep.stable, rep.cycle_ok, rep.skew_ok, rep.failures, scaling
+
+
+def _graph_key(g):
+    return g.vertices, g.edges, list(g.diagonal_sign.items())
+
+
+@settings(max_examples=200, deadline=5000, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
+    kind=st.sampled_from(KINDS),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([SEMIDEF_TOL, 0.0, 1e-3, 0.5]),
+)
+@example(sizes=(1,), kind="sparse", seed=0, tol=SEMIDEF_TOL)  # k = 0, V = 1
+@example(sizes=(1, 1, 1), kind="float", seed=1, tol=SEMIDEF_TOL)
+@example(sizes=(2, 3), kind="zero", seed=0, tol=SEMIDEF_TOL)
+@example(sizes=(2, 2), kind="one_sided", seed=0, tol=SEMIDEF_TOL)
+@example(sizes=(3, 2, 1), kind="same_sign", seed=0, tol=SEMIDEF_TOL)
+@example(sizes=(2, 2, 2), kind="cycle", seed=0, tol=1e-3)
+def test_stack_matches_the_per_vertex_reference(sizes, kind, seed, tol):
+    game = PolymatrixGame(GameType(sizes), _payoff(sizes, kind, seed))
+    an = Analysis(game, tol)
+    assert list(an.matrices) == list(an.reports) == list(an.graphs)
+    for v, vm in an.matrices.items():
+        idx, m = ref.vertex_matrix(game, v)
+        assert vm.index_set == idx and vm.entries.tobytes() == m.tobytes()
+        one = vertex_matrix(game, v)
+        assert one.index_set == idx and one.entries.tobytes() == m.tobytes()
+
+        expected = _report_key(ref.stably_dissipative(m, tol))
+        assert _report_key(an.reports[v]) == expected
+        assert _report_key(stably_dissipative(m, tol)) == expected
+
+        graph = _graph_key(ref.vertex_graph(idx, m, tol))
+        assert _graph_key(an.graphs[v]) == graph
+        assert _graph_key(vertex_graph(vm, tol)) == graph
+
+        zero = ref.zero_entries(m, tol)
+        scaling = ref._almost_skew_scaling(m, zero, tol)
+        got = find_almost_skew_scaling(m, tol)
+        assert (got is None) == (scaling is None)
+        assert got is None or got.tobytes() == scaling.tobytes()
+        assert almost_skew_symmetric(m, tol) == ref._almost_skew(m, np.diagonal(zero), tol)
+
+
+@pytest.mark.parametrize(
+    "sizes, kind, tol",
+    [((2, 2), "one_sided", SEMIDEF_TOL), ((3, 2, 1), "same_sign", SEMIDEF_TOL), ((2, 2, 2), "cycle", 1e-3)],
+)
+def test_examples_reach_the_constraint_checks(sizes, kind, tol):
+    # the first vertex has no scaling, and d = 1 fails the verification only
+    # where the constraint check is not the one to reject it
+    game = PolymatrixGame(GameType(sizes), _payoff(sizes, kind, 0))
+    an = Analysis(game, tol)
+    v = next(iter(an.reports))
+    assert not an.reports[v].skew_ok
+    m = an.matrices[v].entries
+    assert ref._almost_skew(m, np.diagonal(ref.zero_entries(m, tol)), tol) == (kind == "cycle")
+
+
+def test_singletons_have_one_empty_vertex():
+    labels, ii, t = vertex_tensor(PolymatrixGame(GameType((1, 1, 1)), np.ones((3, 3))))
+    assert len(labels) == 1 and ii.shape == (1, 0) and t.shape == (1, 0, 0)
+    rep = stably_dissipative(t[0])
+    assert rep.stable and rep.scaling.shape == (0,)
+
+
+def test_blocks_span_more_than_one_block():
+    # four copies of the worked example: V = 6^4 = 1296 vertices in six blocks, 256 of them stable
+    game = PolymatrixGame(GameType((3, 2) * 4), np.kron(np.eye(4), EXAMPLE_PAYOFF))
+    labels, ii, t = vertex_tensor(game)
+    assert len(labels) > 5 * BLOCK
+    reports = stability.stably_dissipative_stack(t, zero_entries(t, SEMIDEF_TOL), SEMIDEF_TOL)
+    graphs = vertex_graphs(ii, t, zero_entries(t, SEMIDEF_TOL))
+    for v, rep, graph, m in zip(labels, reports, graphs, t):
+        idx, expected = ref.vertex_matrix(game, v)
+        assert m.tobytes() == expected.tobytes()
+        assert _report_key(rep) == _report_key(ref.stably_dissipative(expected))
+        assert _graph_key(graph) == _graph_key(ref.vertex_graph(idx, expected))
+    assert sum(rep.stable for rep in reports) == 4**4
