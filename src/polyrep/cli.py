@@ -268,7 +268,11 @@ def cmd_simulate(args) -> int:
     if problems:
         print("error: --x0 is not a prism state: " + "; ".join(problems), file=sys.stderr)
         return EXIT_IO
-    traj = dynamics.integrate(game, x0, args.T, args.dt)
+    try:
+        traj = dynamics.integrate(game, x0, args.T, args.dt)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
     wanted = [m.strip() for m in args.monitors.split(",") if m.strip()]
     names: list[str] = []

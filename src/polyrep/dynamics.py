@@ -23,6 +23,9 @@ from .vertices import VertexLabel, expand_vertex_vector, vertex_matrix
 # Log-based monitors are meaningless this close to the boundary.
 LOG_FLOOR = 1e-300
 
+# Most RK4 steps one integration takes: every step keeps a state row per start.
+MAX_STEPS = 10**7
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -88,10 +91,17 @@ def _trajectory(states: np.ndarray, drift: np.ndarray, kept: int, dt: float) -> 
     return Trajectory(dt * np.arange(kept), states[:kept], drift[:kept], bool(kept == len(states)))
 
 
+def step_count(T: float, dt: float) -> int:
+    """The RK4 steps for duration T, round(T / dt); ValueError unless finite and at most MAX_STEPS."""
+    steps = T / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"T / dt = {steps:g} steps is not a finite count of at most {MAX_STEPS:g}")
+    return int(round(steps))
+
+
 def integrate(game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01) -> Trajectory:
     """Integrate the replicator flow from one start for duration T."""
-    steps = int(round(T / dt))
-    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float)[None, :], steps, dt)
+    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float)[None, :], step_count(T, dt), dt)
     return _trajectory(states[0], drift[0], kept[0], dt)
 
 
@@ -99,8 +109,7 @@ def integrate_batch(
     game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01
 ) -> list[Trajectory]:
     """Integrate several starts at once (rows of x0); each run aborts on its own."""
-    steps = int(round(T / dt))
-    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float), steps, dt)
+    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float), step_count(T, dt), dt)
     return [_trajectory(states[i], drift[i], kept[i], dt) for i in range(len(kept))]
 
 

@@ -11,16 +11,22 @@ Colors are global: a conclusion drawn at one vertex graph immediately
 holds at every other graph containing the same strategy.  Color changes
 are monotone (white -> black, white -> plus, plus -> black), so the
 fixpoint is reached in at most 2n + n^2 applications.
+
+The rules read the vertex graphs as the analysis's arrays
+(Analysis.pattern): edges (V, k, k) and diagonal signs (V, k), whose
+positions are the vertex index sets.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import DiagonalScaling, PolymatrixGame
+from .games import DiagonalScaling, GameType, PolymatrixGame
 from .stability import SEMIDEF_TOL, Analysis, admissible, analyse
 from .vertices import VertexLabel
 
@@ -96,6 +102,12 @@ class AttractorStatement:
     zero_velocity: tuple[int, ...]
 
 
+def _rows(gtype: GameType, vstar: list[VertexLabel]) -> np.ndarray:
+    """The rows of the vertex stack holding vstar's labels: enumeration is the product's C order."""
+    chosen = np.array([v.chosen for v in vstar], dtype=np.intp).reshape(len(vstar), gtype.p)
+    return np.ravel_multi_index(tuple((chosen - gtype.offsets).T), gtype.sizes)
+
+
 def initialize(
     game: PolymatrixGame,
     vstar: list[VertexLabel],
@@ -104,20 +116,13 @@ def initialize(
     """Rule 1: black every strategy with a negative diagonal at a stable vertex."""
     if not vstar:
         raise ValueError("initialization needs at least one stably dissipative vertex")
-    graphs = analyse(game, tol).graphs
-    colored: set[int] = set()
-    witnesses: list[VertexLabel] = []
-    for v in vstar:
-        hit = [i for i, sign in graphs[v].diagonal_sign.items() if sign < 0]
-        if hit:
-            witnesses.append(v)
-            colored.update(hit)
-    colors = tuple(
-        Color.BLACK if i in colored else Color.WHITE for i in range(game.gtype.n)
-    )
-    trace = ()
-    if colored:
-        trace = (TraceStep(1, tuple(sorted(witnesses, key=lambda v: v.chosen)), tuple(sorted(colored))),)
+    an = analyse(game, tol)
+    rows = _rows(game.gtype, vstar)
+    negative = an.pattern[1][rows] < 0
+    colored = sorted(set(an.tensor[1][rows][negative].tolist()))
+    witnesses = sorted((v for v, hit in zip(vstar, negative.any(axis=1)) if hit), key=lambda v: v.chosen)
+    colors = tuple(Color.BLACK if i in colored else Color.WHITE for i in range(game.gtype.n))
+    trace = (TraceStep(1, tuple(witnesses), tuple(colored)),) if colored else ()
     return InformationSet(colors, frozenset(), trace)
 
 
@@ -129,110 +134,84 @@ def initialize(
 # descending index order, and the driver tries rules in the order
 # 2, 3, 5, 6, 4, link registration last.  This deterministic order
 # reproduces the worked reduction of the bundled example game.
+#
+# An instance is plain data: its trace step, and the color it gives the
+# step's strategies, or None for a link.  Each round the colors become
+# one code vector; a strategy is colored when its code is positive.
+_CODE = {Color.WHITE: 0, Color.PLUS: 1, Color.BLACK: 2}
 
 
-def _instances_exceptional(rule: int, counted: frozenset[Color], target: Color):
-    """Rules 2 and 3: a colored strategy with exactly one neighbor of a counted color.
+def _scan(mask: np.ndarray, rows: np.ndarray, ii: np.ndarray):
+    """(row, strategy) of each set entry of mask (m, k) over rows, strategies descending."""
+    s, pos = np.nonzero(mask[:, ::-1])
+    return zip(rows[s].tolist(), ii[rows[s], mask.shape[1] - 1 - pos].tolist())
+
+
+def _instances_exceptional(
+    rule: int, target: Color, state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray
+):
+    """Rules 2 and 3: a colored strategy with exactly one neighbor coded below the target's code.
 
     Rule 2 counts the non-black neighbors and blacks the one found; rule 3
-    counts the white ones and makes it plus.
+    counts the white ones and makes it plus.  One masked neighbor count
+    over the stable vertices' rows finds every such neighbor.
     """
-
-    def instances(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
-        for v in reversed(vstar):
-            g = an.graphs[v]
-            targets: set[int] = set()
-            for i in g.vertices:
-                if not state.colored(i):
-                    continue
-                hits = [k for k in g.adjacency[i] if state.colors[k] in counted]
-                if len(hits) == 1:
-                    targets.add(hits[0])
-            for j in sorted(targets, reverse=True):
-                step = TraceStep(rule, (v,), (j,))
-                yield step, lambda s, j=j, step=step: s.with_colors({j: target}, step)
-
-    return instances
+    labels, ii, _ = an.tensor
+    local = codes[ii[stable]]
+    hits = an.pattern[0][stable] & (local < _CODE[target])[:, None, :]
+    exceptional = (hits.sum(axis=2) == 1) & (local > 0)
+    for r, j in _scan((hits & exceptional[:, :, None]).any(axis=1), stable, ii):
+        yield TraceStep(rule, (labels[r],), (j,)), target
 
 
-def _instances_rule4(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
-    for v, g in reversed(an.graphs.items()):
-        for j in sorted(g.vertices, reverse=True):
-            if state.colors[j] is not Color.WHITE:
-                continue
-            if g.diagonal_sign[j] != 0:
-                # a nonzero diagonal couples the ratio to the strategy's own
-                # unknown frequency; no inference is valid then
-                continue
-            if not all(state.colored(k) for k in g.adjacency[j]):
-                continue
-            partner = v.partner(an.game.gtype, j)
-            pair = (min(j, partner), max(j, partner))
-            if pair in state.links:
-                continue
-            step = TraceStep(4, (v,), pair)
-            yield step, lambda s, pair=pair, step=step: s.with_link(pair[0], pair[1], step)
+def _instances_rule4(state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray):
+    labels, ii, _ = an.tensor
+    edges, signs = an.pattern
+    white = codes[ii] == 0
+    # a nonzero diagonal couples the ratio to the strategy's own unknown
+    # frequency; no inference is valid then
+    resolved = white & (signs == 0) & ~(edges & white[:, None, :]).any(axis=2)
+    for r, j in _scan(resolved[::-1], np.arange(len(ii))[::-1], ii):
+        partner = labels[r].partner(an.game.gtype, j)
+        pair = (min(j, partner), max(j, partner))
+        if pair not in state.links:
+            yield TraceStep(4, (labels[r],), pair), None
 
 
-def _instances_rule5(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+def _instances_rule5(state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray):
     # a singleton group qualifies vacuously: its strategy sits at its
     # equilibrium value (both are one) for all time
     gt = an.game.gtype
     for a in reversed(range(gt.p)):
-        members = list(gt.group_indices(a))
-        non_black = [i for i in members if state.colors[i] is not Color.BLACK]
-        if len(non_black) == 1:
-            i = non_black[0]
-            yield (
-                TraceStep(5, (), (i,)),
-                lambda s, i=i: s.with_colors({i: Color.BLACK}, TraceStep(5, (), (i,))),
-            )
-            continue
-        white = [i for i in members if state.colors[i] is Color.WHITE]
-        if len(white) == 1:
-            i = white[0]
-            yield (
-                TraceStep(5, (), (i,)),
-                lambda s, i=i: s.with_colors({i: Color.PLUS}, TraceStep(5, (), (i,))),
-            )
+        members = np.array(gt.group_indices(a))
+        for color in (Color.BLACK, Color.PLUS):  # the lone non-black strategy, else the lone white one
+            lone = members[codes[members] < _CODE[color]]
+            if len(lone) == 1:
+                yield TraceStep(5, (), (int(lone[0]),)), color
+                break
 
 
 def _link_connected(members: list[int], links: frozenset[tuple[int, int]]) -> bool:
-    if not members:
-        return False
-    seen = {members[0]}
-    frontier = [members[0]]
-    member_set = set(members)
-    while frontier:
-        i = frontier.pop()
-        for a, b in links:
-            for x, y in ((a, b), (b, a)):
-                if x == i and y in member_set and y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
+    """Whether the links join the members, at least one, into one component."""
+    seen, grown = {members[0]}, True
+    while grown:
+        reach = {y for a, b in links for x, y in ((a, b), (b, a)) if x in seen and y in members}
+        grown, seen = not reach <= seen, seen | reach
     return len(seen) == len(members)
 
 
-def _instances_rule6(state: InformationSet, an: Analysis, vstar: list[VertexLabel]):
+def _instances_rule6(state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray):
     gt = an.game.gtype
     for a in reversed(range(gt.p)):
         members = list(gt.group_indices(a))
         white = [i for i in members if state.colors[i] is Color.WHITE]
-        if not white:
-            continue
-        if _link_connected(white, state.links):
-            step = TraceStep(6, (), tuple(sorted(white)))
-            yield (
-                step,
-                lambda s, white=tuple(white), step=step: s.with_colors(
-                    {i: Color.PLUS for i in white}, step
-                ),
-            )
+        if white and _link_connected(white, state.links):
+            yield TraceStep(6, (), tuple(sorted(white))), Color.PLUS
 
 
 _RULE_GENERATORS = {
-    2: _instances_exceptional(2, frozenset({Color.WHITE, Color.PLUS}), Color.BLACK),
-    3: _instances_exceptional(3, frozenset({Color.WHITE}), Color.PLUS),
+    2: functools.partial(_instances_exceptional, 2, Color.BLACK),
+    3: functools.partial(_instances_exceptional, 3, Color.PLUS),
     4: _instances_rule4,
     5: _instances_rule5,
     6: _instances_rule6,
@@ -240,6 +219,19 @@ _RULE_GENERATORS = {
 
 # Color-strengthening rules run before link registration; see module note.
 RULE_PRIORITY = (2, 3, 5, 6, 4)
+
+
+def _instances(state: InformationSet, an: Analysis, stable: np.ndarray, rules: tuple[int, ...] = RULE_PRIORITY):
+    """Every applicable instance of the rules, lazily, in scan order; stable is the scan order of vstar's rows."""
+    codes = np.array([_CODE[c] for c in state.colors], dtype=np.int8)
+    return itertools.chain.from_iterable(_RULE_GENERATORS[rule](state, codes, an, stable) for rule in rules)
+
+
+def _apply(state: InformationSet, step: TraceStep, color: Color | None) -> InformationSet:
+    """Give the step's strategies the color, or link its pair when the color is None."""
+    if color is None:
+        return state.with_link(*step.strategies, step)
+    return state.with_colors(dict.fromkeys(step.strategies, color), step)
 
 
 def apply_rule(
@@ -256,9 +248,8 @@ def apply_rule(
     """
     if rule not in _RULE_GENERATORS:
         raise ValueError(f"unknown rule {rule}")
-    for _, apply in _RULE_GENERATORS[rule](state, analyse(game, tol), vstar):
-        return apply(state)
-    return None
+    pick = next(_instances(state, analyse(game, tol), _rows(game.gtype, vstar)[::-1], (rule,)), None)
+    return None if pick is None else _apply(state, *pick)
 
 
 def _verdict(state: InformationSet) -> str:
@@ -287,32 +278,20 @@ def run_to_fixpoint(
         raise ValueError("reduction requires an admissible game")
     state = initialize(game, vstar, tol=tol)
     an = analyse(game, tol)
+    stable = _rows(game.gtype, vstar)[::-1]
     n = game.gtype.n
-    budget = 2 * n + n * n + 1
-    rounds = 0
-    for _ in range(budget):
+    for rounds in itertools.count():
+        instances = _instances(state, an, stable)
         if rng is None:
-            advanced = False
-            for rule in RULE_PRIORITY:
-                for _, apply in _RULE_GENERATORS[rule](state, an, vstar):
-                    state = apply(state)
-                    advanced = True
-                    break
-                if advanced:
-                    break
-            if not advanced:
-                break
+            pick = next(instances, None)
         else:
-            pool = []
-            for rule in RULE_PRIORITY:
-                pool.extend(apply for _, apply in _RULE_GENERATORS[rule](state, an, vstar))
-            if not pool:
-                break
-            state = pool[rng.integers(len(pool))](state)
-        rounds += 1
-    else:
-        raise RuntimeError("rule applications exceeded the monotonicity budget")
-    return ReducedInformationSet(state, rounds, _verdict(state))
+            pool = list(instances)
+            pick = pool[rng.integers(len(pool))] if pool else None
+        if pick is None:
+            return ReducedInformationSet(state, rounds, _verdict(state))
+        if rounds == 2 * n + n * n:
+            raise RuntimeError("rule applications exceeded the monotonicity budget")
+        state = _apply(state, *pick)
 
 
 def collapse_trace(trace: tuple[TraceStep, ...]) -> list[TraceStep]:

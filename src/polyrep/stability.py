@@ -41,6 +41,7 @@ from .vertices import (
     blocks,
     expand_vertex_vector,
     first_vertex,
+    graph_pattern,
     vertex_graphs,
     vertex_tensor,
     zero_entries,
@@ -480,25 +481,30 @@ class Analysis:
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.tol!r}")
 
     @functools.cached_property
-    def _tensor(self) -> tuple[list[VertexLabel], np.ndarray, np.ndarray]:
+    def tensor(self) -> tuple[list[VertexLabel], np.ndarray, np.ndarray]:
         """vertex_tensor: the labels, index sets and stacked vertex matrices."""
         return vertex_tensor(self.game)
 
     @functools.cached_property
     def _zero(self) -> np.ndarray:
-        """The zero pattern of every vertex matrix, shared by reports and graphs."""
-        t = self._tensor[2]
+        """The zero pattern of every vertex matrix, shared by reports, pattern and graphs."""
+        t = self.tensor[2]
         return np.concatenate([zero_entries(t[b], self.tol) for b in blocks(len(t))])
+
+    @functools.cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """graph_pattern of every vertex: edges (V, k, k) and diagonal signs (V, k), the rules' graphs."""
+        return graph_pattern(self.tensor[2], self._zero)
 
     @functools.cached_property
     def matrices(self) -> Mapping[VertexLabel, VertexMatrix]:
         """The coefficient matrix at every vertex, in enumeration order."""
-        labels, ii, t = self._tensor
+        labels, ii, t = self.tensor
         return MappingProxyType({v: VertexMatrix(v, tuple(idx), m) for v, idx, m in zip(labels, ii.tolist(), t)})
 
     @functools.cached_property
     def reports(self) -> Mapping[VertexLabel, StableDissipativityReport]:
-        labels, _, t = self._tensor
+        labels, _, t = self.tensor
         return MappingProxyType(dict(zip(labels, stably_dissipative_stack(t, self._zero, self.tol))))
 
     @functools.cached_property
@@ -508,8 +514,8 @@ class Analysis:
 
     @functools.cached_property
     def graphs(self) -> Mapping[VertexLabel, StrategyGraph]:
-        """The zero-pattern graph at every vertex, by the zero rule the reports use."""
-        labels, ii, t = self._tensor
+        """The zero-pattern graph at every vertex as objects, for display; the rules read pattern."""
+        labels, ii, t = self.tensor
         return MappingProxyType(dict(zip(labels, vertex_graphs(ii, t, self._zero))))
 
     @functools.cached_property

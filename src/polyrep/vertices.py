@@ -7,15 +7,14 @@ strategies i, k (with chosen partners j, l in their groups) is
     a_ik + a_jl - a_il - a_jk.
 
 That matrix represents the payoff quadratic form on the tangent space in
-the vertex basis {e_i - e_j}, and its zero pattern defines a graph used
-throughout the reduction machinery.  vertex_tensor builds every vertex's
+the vertex basis {e_i - e_j}.  vertex_tensor builds every vertex's
 matrix as one (V, k, k) stack, k = n - p; vertex_matrix is its stack of
-one.
+one.  graph_pattern reads the stack's zero-pattern graphs as edge and
+sign arrays, the inference rules' input; vertex_graphs makes objects.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -106,18 +105,9 @@ class StrategyGraph:
     edges: frozenset[tuple[int, int]]
     diagonal_sign: dict[int, int] = field(hash=False)
 
-    @functools.cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        """Each strategy's neighbors, ascending; built once per graph."""
-        out: dict[int, set[int]] = {i: set() for i in self.vertices}
-        for a, b in self.edges:
-            out.setdefault(a, set()).add(b)
-            out.setdefault(b, set()).add(a)
-        return {i: tuple(sorted(ns)) for i, ns in out.items()}
-
     def neighbors(self, i: int) -> tuple[int, ...]:
-        """Adjacent strategies, excluding i itself (loops are not neighbors)."""
-        return self.adjacency.get(i, ())
+        """Adjacent strategies, ascending, excluding i itself (loops are not neighbors)."""
+        return tuple(sorted({b for a, b in self.edges if a == i} | {a for a, b in self.edges if b == i}))
 
 
 def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
@@ -241,23 +231,34 @@ def zero_entries(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray:
     return mag <= tol * scale
 
 
+def graph_pattern(t: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (V, k, k) and diagonal signs (V, k) of a vertex stack t, given its zero pattern.
+
+    An edge joins two distinct positions either of whose coefficients is
+    nonzero; a zero diagonal entry has sign 0, any other -1 or 1.
+    """
+    k = t.shape[-1]
+    edges = ~(zero & zero.transpose(0, 2, 1)) & ~np.eye(k, dtype=bool)
+    diag = np.diagonal(t, axis1=1, axis2=2)
+    signs = np.where(np.diagonal(zero, axis1=1, axis2=2), 0, np.where(diag > 0, 1, -1))
+    return edges, signs
+
+
 def vertex_graphs(ii: np.ndarray, t: np.ndarray, zero: np.ndarray) -> list[StrategyGraph]:
-    """The graph of each slice of a vertex stack, given its zero pattern.
+    """The StrategyGraph of each slice of a vertex stack, from graph_pattern.
 
     ii are the index sets (V, k), t the matrices (V, k, k) and zero
-    their zero_entries; an edge is a pair either of whose two
-    coefficients is nonzero.  Read in blocks of BLOCK vertices.
+    their zero_entries.  Read in blocks of BLOCK vertices.
     """
     graphs = []
     for b in blocks(len(ii)):
-        idx, z = ii[b], zero[b]
-        which, r, c = np.nonzero(np.triu(~(z & z.transpose(0, 2, 1)), 1))
+        idx = ii[b]
+        edges, signs = graph_pattern(t[b], zero[b])
+        which, r, c = np.nonzero(np.triu(edges))
         ends = np.stack([idx[which, r], idx[which, c]], axis=1).tolist()
         cuts = np.cumsum(np.bincount(which, minlength=len(idx))).tolist()
-        diag = np.diagonal(t[b], axis1=1, axis2=2)
-        signs = np.where(np.diagonal(z, axis1=1, axis2=2), 0, np.where(diag > 0, 1, -1)).tolist()
         start = 0
-        for row, sign, stop in zip(idx.tolist(), signs, cuts):
+        for row, sign, stop in zip(idx.tolist(), signs.tolist(), cuts):
             graphs.append(StrategyGraph(tuple(row), frozenset(map(tuple, ends[start:stop])), dict(zip(row, sign))))
             start = stop
     return graphs

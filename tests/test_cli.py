@@ -284,6 +284,13 @@ class TestSimulate:
         assert out == ""
         assert "usage:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("extra", [["--T", "1e300"], ["--T", "1", "--dt", "1e-320"]])
+    def test_step_count_beyond_the_ceiling_exits_1(self, capsys, example_path, extra):
+        code, out, err = run(capsys, "simulate", "--game", example_path, *extra, "--format", "json")
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("error: T / dt = ") and "steps is not a finite count" in err
+
 
 class TestLv2Rep:
     def test_predator_prey(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from polyrep.dynamics import (
+    MAX_STEPS,
     LVSystem,
     attractor_probe,
     first_integrals,
@@ -15,6 +16,7 @@ from polyrep.dynamics import (
     lyapunov_h,
     quotient_rule_check,
     ratio_bounds,
+    step_count,
 )
 from polyrep.games import (
     DiagonalScaling,
@@ -65,6 +67,18 @@ class TestIntegrate:
             # is to rounding, not bitwise
             single = integrate(example_game, starts[k], T=1.0, dt=0.01)
             npt.assert_allclose(batch[k].states, single.states, atol=1e-12)
+
+    def test_step_count_rounds_the_ratio(self):
+        assert step_count(1.0, 0.01) == 100
+        assert step_count(0.0, 0.01) == 0
+        assert step_count(MAX_STEPS * 0.5, 0.5) == MAX_STEPS
+
+    @pytest.mark.parametrize("T, dt", [(1e300, 0.01), (1.0, 1e-320), (MAX_STEPS + 1.0, 1.0), (float("nan"), 0.01)])
+    def test_step_count_beyond_the_ceiling_raises(self, T, dt, example_game):
+        with pytest.raises(ValueError, match="steps is not a finite count"):
+            step_count(T, dt)
+        with pytest.raises(ValueError):
+            integrate_batch(example_game, np.full((1, 5), 0.4), T, dt)
 
     def test_rps_cycles_conserve_h(self):
         q = np.full(3, 1 / 3)
