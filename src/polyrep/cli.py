@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -41,9 +42,23 @@ def _fmt_matrix(m: np.ndarray) -> list[str]:
     return ["  ".join(c.rjust(width) for c in row) for row in cells]
 
 
+def _finite_or_null(value):
+    """The payload with every non-finite float replaced by None: JSON has no NaN or Infinity."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        out = json.dumps(payload, sort_keys=True, indent=2)
+        try:
+            out = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:  # a NaN or an infinity; most payloads have none, so walk only then
+            out = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False)
     else:
         out = "\n".join(text_lines)
     print(out)
@@ -316,6 +331,7 @@ def cmd_simulate(args) -> int:
         "ok": traj.ok,
         "final_state": [float(v) for v in traj.final],
         "max_renorm_drift": float(np.max(traj.renorm_drift)),
+        "min_coordinate": float(np.min(traj.states)),
         "monitors": {
             name: {"first": float(col[0]), "last": float(col[-1])}
             for name, col in zip(names, columns)
@@ -325,6 +341,7 @@ def cmd_simulate(args) -> int:
         f"integrated {summary['steps']} steps, ok={traj.ok}",
         f"final state: {traj.final}",
         f"max renormalization drift: {summary['max_renorm_drift']:.3e}",
+        f"min coordinate: {summary['min_coordinate']:.3e}",
     ]
     for name, col in zip(names, columns):
         lines.append(f"monitor {name}: first {col[0]:.9g} last {col[-1]:.9g}")

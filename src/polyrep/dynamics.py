@@ -47,43 +47,83 @@ class Trajectory:
         return self.states[-1]
 
 
+def _half_increment(y, half_at, same, ay, avg, g):
+    """g = (dt/2) f(y) for half_at = (dt/2) A^T, in five calls into the buffers ay, avg, g.
+
+    The rule of vector_field, payoffs less group averages through
+    GameType.same_group, with the payoff scaled beforehand.
+    """
+    np.dot(y, half_at, out=ay)
+    np.multiply(y, ay, out=g)
+    np.dot(g, same, out=avg)
+    np.subtract(ay, avg, out=ay)
+    np.multiply(y, ay, out=g)
+
+
+# x_{k+1} = x + (G1 + 2 G2 + 2 G3 + G4) / 3 for the (dt/2)-scaled increments
+_RK4_WEIGHTS = np.array([1.0, 1 / 3, 2 / 3, 2 / 3, 1 / 3])
+
+
 def _rk4_paths(
     game: PolymatrixGame, x0: np.ndarray, steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate a batch (m, n) of starts; returns (m, steps+1, n) states.
 
-    Also returns the drift and, per run, the number of samples it kept: a
-    run stops before its first non-finite state and the others go on
-    without it; steps + 1 when it never had one.
+    Also returns the drift and, per run, the number of samples it kept:
+    the samples before its first non-finite state, steps + 1 when it
+    never had one, and at least 1, since the start is always sample 0.
+
+    Classical RK4 on the increments G = (dt/2) f: a stage is five calls
+    into buffers allocated once per call, and x, G1..G4 share one
+    (5, m, n) buffer, so the step is one weighted sum over it.  After it
+    each group is clipped at zero and renormalized.  The loop makes no
+    finiteness check: a non-finite state holds a NaN after the
+    renormalization (0/0 or inf/inf), the next payoff product carries
+    it to every coordinate of the row, and it stays there.  So each run
+    aborts on its own, and `kept` is read off the stored samples of the
+    runs whose last state is not finite.  A batch in which every run
+    aborts therefore still runs all its steps.
+
+    Batches and single starts agree to rounding, not bitwise: the BLAS
+    products sum in an order that depends on the batch shape.
     """
     gt = game.gtype
-    ind = gt.indicator()
-    x = np.array(x0, dtype=float)
-    out = np.empty((x.shape[0], steps + 1, gt.n))
-    drift = np.zeros((x.shape[0], steps + 1))
-    kept = np.full(x.shape[0], steps + 1)
-    rows = slice(None)  # the runs still going: all of them until one aborts
+    ind, same = gt.indicator(), gt.same_group()
+    half_at = 0.5 * dt * game.payoff.T
+    m = x0.shape[0]
+    out = np.empty((m, steps + 1, gt.n))
+    drift = np.zeros((m, steps + 1))
+    stack = np.empty((5, m, gt.n))
+    x, g1, g2, g3, g4 = stack
+    y, ay, avg = np.empty((3, m, gt.n))
+    stages, y_flat = stack.reshape(5, -1), y.reshape(-1)
+    sums, dev = np.empty((2, m, gt.p))
+    x[:] = x0
     out[:, 0] = x
     # a run that goes non-finite is reported through kept, not as a warning
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for k in range(1, steps + 1):
-            k1 = vector_field(game, x)
-            k2 = vector_field(game, x + 0.5 * dt * k1)
-            k3 = vector_field(game, x + 0.5 * dt * k2)
-            k4 = vector_field(game, x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            np.clip(x, 0.0, None, out=x)
-            sums = x @ ind.T  # (m, p)
-            drift[rows, k] = np.max(np.abs(sums - 1.0), axis=1)
-            x = x / (sums @ ind)
-            if not np.all(np.isfinite(x)):
-                finite = np.all(np.isfinite(x), axis=1)
-                live = np.arange(len(kept))[rows]
-                kept[live[~finite]] = k  # drop the bad step
-                rows, x = live[finite], x[finite]
-                if not rows.size:
-                    break
-            out[rows, k] = x
+            _half_increment(x, half_at, same, ay, avg, g1)
+            np.add(x, g1, out=y)
+            _half_increment(y, half_at, same, ay, avg, g2)
+            np.add(x, g2, out=y)
+            _half_increment(y, half_at, same, ay, avg, g3)
+            np.add(g3, g3, out=y)
+            np.add(x, y, out=y)
+            _half_increment(y, half_at, same, ay, avg, g4)
+            np.dot(_RK4_WEIGHTS, stages, out=y_flat)
+            np.maximum(y, 0.0, out=y)
+            np.dot(y, ind.T, out=sums)
+            np.subtract(sums, 1.0, out=dev)
+            np.abs(dev, out=dev)
+            np.maximum.reduce(dev, axis=1, out=drift[:, k])
+            np.dot(sums, ind, out=ay)
+            np.divide(y, ay, out=x)
+            out[:, k] = x
+    kept = np.full(m, steps + 1)
+    if steps:
+        for i in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+            kept[i] = 1 + np.argmin(np.isfinite(out[i, 1:]).all(axis=1))
     return out, drift, kept
 
 

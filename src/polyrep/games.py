@@ -96,6 +96,21 @@ class GameType:
         m.setflags(write=False)
         return m
 
+    def same_group(self) -> np.ndarray:
+        """(n, n) 0/1 matrix ind^T ind: entry (i, j) is 1 when i and j share a group.
+
+        Right-multiplying a batch of per-strategy values by it puts each
+        group's sum on every strategy of the group.  Built once per type
+        and shared, hence read-only.
+        """
+        return self._same_group
+
+    @functools.cached_property
+    def _same_group(self) -> np.ndarray:
+        m = self._indicator.T @ self._indicator
+        m.setflags(write=False)
+        return m
+
     def __str__(self):
         return "(" + ",".join(str(s) for s in self.sizes) + ")"
 
@@ -195,11 +210,15 @@ class EquilibriumSet:
 
 
 def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) -> list[str]:
-    """Violations of the prism-state invariants (empty list when valid)."""
+    """Violations of the prism-state invariants (empty list when valid).
+
+    Every non-finite coordinate is one: NaN fails no comparison, so the
+    sign and sum checks alone would let it through.
+    """
     x = np.asarray(x, dtype=float)
-    problems = []
     if x.shape != (gtype.n,):
         return [f"state has shape {x.shape}, expected ({gtype.n},)"]
+    problems = [f"coordinate {i} is {x[i]}" for i in np.flatnonzero(~np.isfinite(x))]
     if np.min(x) < -tol:
         problems.append(f"negative coordinate {np.min(x)}")
     for a in range(gtype.p):
@@ -302,9 +321,8 @@ def vector_field(game: PolymatrixGame, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     ax = x @ game.payoff.T
-    ind = game.gtype.indicator()
-    group_avg = (x * ax) @ ind.T  # (..., p): average payoff per group
-    return x * (ax - group_avg @ ind)
+    # (x * ax) @ same_group: each strategy's group-average payoff
+    return x * (ax - (x * ax) @ game.gtype.same_group())
 
 
 def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:

@@ -277,6 +277,37 @@ class TestSimulate:
         assert out == ""
         assert "negative coordinate -1.0" in err and "Traceback" not in err
 
+    def test_nan_start_exits_1(self, capsys, example_path):
+        code, out, err = run(
+            capsys, "simulate", "--game", example_path, "--x0", "nan,0.5,0.5,0.5,0.5", "--format", "json"
+        )
+        assert code == EXIT_IO
+        assert out == ""
+        assert "coordinate 0 is nan" in err and "Traceback" not in err
+
+    def test_face_start_writes_strict_json(self, capsys, example_path):
+        # x0 = 0 on the face, so the ratio monitor r1_0 = x1 / x0 is infinite
+        code, out, _ = run(
+            capsys, "simulate", "--game", example_path, "--x0", "0,0.5,0.5,0.5,0.5", "--T", "0.05",
+            "--format", "json",
+        )
+        assert code == EXIT_OK
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads(out, parse_constant=reject)
+        assert data["monitors"]["r1_0"] == {"first": None, "last": None}
+        assert data["min_coordinate"] == 0.0
+
+    def test_min_coordinate_reported(self, capsys, example_path):
+        x0 = "0.2,0.3,0.5,0.4,0.6"
+        code, out, _ = run(capsys, "simulate", "--game", example_path, "--x0", x0, "--T=0.5", "--format", "json")
+        data = json.loads(out)
+        assert 0.0 < data["min_coordinate"] <= min(data["final_state"] + [0.2])
+        code, out, _ = run(capsys, "simulate", "--game", example_path, "--x0", x0, "--T=0.5")
+        assert f"min coordinate: {data['min_coordinate']:.3e}" in out
+
     @pytest.mark.parametrize("extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"]])
     def test_bad_duration_or_step_exits_1(self, capsys, example_path, extra):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random:1", *extra)

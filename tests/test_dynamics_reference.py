@@ -1,0 +1,119 @@
+"""The buffered RK4 kernel against the whole-vector reference loop.
+
+dynamics._rk4_paths writes (dt/2)-scaled increments into preallocated
+buffers and finds aborted runs after the loop; reference_dynamics keeps
+the loop it replaced.  On every batch both must keep the same samples
+per run, and the states and drifts must agree to 1e-12.
+
+The payoffs stay within |a_ij| <= 5, so dt * |A| <= 0.5 even at
+dt = 0.1: inside RK4's stability region.  Far outside it (dt * |A| near
+3) the discrete map amplifies rounding exponentially, and even the
+reference's batch and single-start runs of one start part by O(1).
+"""
+
+from unittest import mock
+
+import numpy as np
+import numpy.testing as npt
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_dynamics as ref
+from polyrep import dynamics
+from polyrep.games import GameType, PolymatrixGame, random_prism_state, vector_field
+
+PAYOFF_BOUND = 5
+BAD_ROWS = ("none", "zero_group", "nan_payoff")
+
+
+def _start(gt: GameType, rng: np.random.Generator, face: bool) -> np.ndarray:
+    """An interior start, or one with zeros in every group but a kept coordinate."""
+    x = random_prism_state(gt, rng)
+    if face:
+        for a in range(gt.p):
+            idx = np.array(gt.group_indices(a))
+            zeros = idx[rng.random(len(idx)) < 0.5]
+            if len(zeros) < len(idx):
+                x[zeros] = 0.0
+                x[idx] /= np.sum(x[idx])
+    return x
+
+
+def _batch(sizes, integer, faces, bad, seed):
+    rng = np.random.default_rng(seed)
+    gt = GameType(sizes)
+    if integer:
+        payoff = rng.integers(-PAYOFF_BOUND, PAYOFF_BOUND + 1, (gt.n, gt.n)).astype(float)
+    else:
+        payoff = rng.uniform(-PAYOFF_BOUND, PAYOFF_BOUND, (gt.n, gt.n))
+    starts = [_start(gt, rng, face) for face in faces]
+    if bad == "zero_group":
+        row, group = _start(gt, rng, False), gt.group_indices(int(rng.integers(gt.p)))
+        row[group.start : group.stop] = 0.0  # its first step divides 0 by 0
+        starts.insert(int(rng.integers(len(starts) + 1)), row)
+    elif bad == "nan_payoff":
+        payoff[tuple(rng.integers(gt.n, size=2))] = np.nan
+    return PolymatrixGame(gt, payoff), np.array(starts)
+
+
+def _checked_increment(game, dt, seen):
+    """_half_increment, asserting each increment is (dt/2) vector_field to rounding."""
+    half_increment = dynamics._half_increment
+
+    def check(y, half_at, same, ay, avg, g):
+        half_increment(y, half_at, same, ay, avg, g)
+        npt.assert_allclose(g, 0.5 * dt * vector_field(game, y), rtol=0, atol=1e-13 * dt * PAYOFF_BOUND)
+        seen.append(1)
+
+    return check
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+    integer=st.booleans(),
+    faces=st.lists(st.booleans(), min_size=1, max_size=3),
+    bad=st.sampled_from(BAD_ROWS),
+    dt=st.sampled_from([0.001, 0.01, 0.1]),
+    steps=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=(3, 2), integer=True, faces=[False, True], bad="zero_group", dt=0.01, steps=100, seed=0)
+@example(sizes=(2,), integer=False, faces=[False], bad="nan_payoff", dt=0.1, steps=3, seed=0)
+@example(sizes=(1,), integer=True, faces=[True], bad="none", dt=0.1, steps=1, seed=0)
+@example(sizes=(2, 2), integer=True, faces=[False], bad="zero_group", dt=0.01, steps=0, seed=0)
+def test_kernel_matches_the_reference(sizes, integer, faces, bad, dt, steps, seed):
+    game, x0 = _batch(sizes, integer, faces, bad, seed)
+    seen = []
+    with mock.patch.object(dynamics, "_half_increment", _checked_increment(game, dt, seen)):
+        states, drift, kept = dynamics._rk4_paths(game, x0, steps, dt)
+    assert len(seen) == 4 * steps
+    ref_states, ref_drift, ref_kept = ref.rk4_paths(game, x0, steps, dt)
+    npt.assert_array_equal(kept, ref_kept)
+    for i, k in enumerate(kept):
+        got = dynamics._trajectory(states[i], drift[i], k, dt)
+        want = dynamics._trajectory(ref_states[i], ref_drift[i], k, dt)
+        assert got.ok is want.ok
+        npt.assert_array_equal(got.states[0], x0[i])
+        npt.assert_allclose(got.states, want.states, rtol=0, atol=1e-12)
+        npt.assert_allclose(got.renorm_drift, want.renorm_drift, rtol=0, atol=1e-12)
+        assert np.all(got.renorm_drift >= 0.0)
+        assert np.all(got.states[:, x0[i] == 0.0] == 0.0)
+    if bad == "zero_group":
+        assert min(kept) == 1
+    if bad == "nan_payoff":
+        npt.assert_array_equal(kept, 1)  # a NaN payoff reaches every row in the first step
+
+
+def test_clipped_steps_match_the_reference():
+    # dt * |A| = 10, far outside the stability region: the steps overshoot
+    # the boundary and the clip fires, which the draws above never reach
+    c = 100.0
+    game = PolymatrixGame(GameType((2, 2)), c * np.array([[0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0], [1, 0, 0, 0]]))
+    x0 = np.array([[0.9, 0.1, 0.2, 0.8], [0.5, 0.5, 0.5, 0.5], [0.99, 0.01, 0.3, 0.7]])
+    states, drift, kept = dynamics._rk4_paths(game, x0, 5, 0.1)
+    ref_states, ref_drift, ref_kept = ref.rk4_paths(game, x0, 5, 0.1)
+    npt.assert_array_equal(kept, ref_kept)
+    npt.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
+    npt.assert_allclose(drift, ref_drift, rtol=1e-12)
+    assert np.max(drift) > 1.0 and np.any(states[:, 1:] == 0.0)

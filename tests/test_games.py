@@ -48,6 +48,11 @@ class TestValidation:
         assert check_prism_state(gt, np.array([0.5, 0.5, 0.5, 0.5, 0.5]))
         assert check_prism_state(gt, np.array([1.2, -0.1, -0.1, 0.5, 0.5]))
 
+    def test_prism_state_check_reports_non_finite_coordinates(self, example_game):
+        # NaN fails every comparison, so the sign and sum checks alone miss it
+        problems = check_prism_state(example_game.gtype, np.array([np.nan, 0.5, 0.5, 0.5, np.inf]))
+        assert problems[:2] == ["coordinate 0 is nan", "coordinate 4 is inf"]
+
 
 class TestEquivalence:
     def test_reduced_example_is_trivial(self):
@@ -266,6 +271,16 @@ class TestGameTypeCache:
         assert not ind.flags.writeable
         with pytest.raises(ValueError):
             ind[0, 0] = 2.0
+
+    def test_same_group_shared_and_read_only(self):
+        gt = GameType((3, 2))
+        same = gt.same_group()
+        assert same is gt.same_group()
+        assert not same.flags.writeable
+        with pytest.raises(ValueError):
+            same[0, 0] = 2.0
+        npt.assert_array_equal(same, gt.indicator().T @ gt.indicator())
+        npt.assert_array_equal(same[3], [0, 0, 0, 1, 1])
 
     def test_cached_values(self):
         gt = GameType((3, 1, 2))
