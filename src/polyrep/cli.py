@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -30,10 +31,12 @@ EXIT_CERTIFICATE = 4
 
 
 def _default_seed() -> int:
+    """The seed when --seed gives none: POLYREP_SEED, read when a command needs it, else 0."""
+    text = os.environ.get("POLYREP_SEED", "0")
     try:
-        return int(os.environ.get("POLYREP_SEED", "0"))
+        return int(text)
     except ValueError:
-        return 0
+        raise SystemExit(f"error: POLYREP_SEED must be an integer, got {text!r}") from None
 
 
 def _fmt_matrix(m: np.ndarray) -> list[str]:
@@ -260,10 +263,12 @@ def cmd_equilibrium(args) -> int:
     return EXIT_OK
 
 
-def _parse_x0(spec: str, game: PolymatrixGame, seed: int) -> np.ndarray:
+def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
     if spec.startswith("random"):
         if ":" in spec:
             seed = int(spec.split(":", 1)[1])
+        elif seed is None:
+            seed = _default_seed()
         rng = np.random.default_rng(seed)
         return random_prism_state(game.gtype, rng, min_coord=0.02)
     vals = [float(tok) for tok in spec.replace(",", " ").split()]
@@ -288,6 +293,11 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    # past dt max|a_ij| = 1 the step nears RK4's stability bound and the final state drifts
+    step_scale = float(args.dt * np.max(np.abs(game.payoff)))
+    if step_scale > 1:
+        print(f"note: step_scale dt*max|a_ij| = {step_scale:.3g} exceeds 1; "
+              "the final state is not to be trusted, take a smaller --dt", file=sys.stderr)
 
     wanted = [m.strip() for m in args.monitors.split(",") if m.strip()]
     names: list[str] = []
@@ -332,6 +342,7 @@ def cmd_simulate(args) -> int:
         "final_state": [float(v) for v in traj.final],
         "max_renorm_drift": float(np.max(traj.renorm_drift)),
         "min_coordinate": float(np.min(traj.states)),
+        "step_scale": step_scale,
         "monitors": {
             name: {"first": float(col[0]), "last": float(col[-1])}
             for name, col in zip(names, columns)
@@ -342,6 +353,7 @@ def cmd_simulate(args) -> int:
         f"final state: {traj.final}",
         f"max renormalization drift: {summary['max_renorm_drift']:.3e}",
         f"min coordinate: {summary['min_coordinate']:.3e}",
+        f"step scale dt*max|a_ij|: {step_scale:.3g}",
     ]
     for name, col in zip(names, columns):
         lines.append(f"monitor {name}: first {col[0]:.9g} last {col[-1]:.9g}")
@@ -402,8 +414,8 @@ def _add_common(sub, game_positional=True):
         sub.add_argument("game", help="game file (see README for the format)")
     sub.add_argument("--tol", type=_nonnegative, default=stability.SEMIDEF_TOL,
                      help="semidefiniteness tolerance (relative)")
-    sub.add_argument("--seed", type=int, default=_default_seed(),
-                     help="RNG seed (POLYREP_SEED overrides the default)")
+    sub.add_argument("--seed", type=int, default=None,
+                     help="RNG seed (default: POLYREP_SEED, else 0)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -455,9 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on first use: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, a verdict code here
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:

@@ -387,13 +387,14 @@ def _almost_skew_scalings(t: np.ndarray, zero: np.ndarray, tol: float) -> list[n
     constrained = np.triu((zero_diag[:, :, None] | zero_diag[:, None, :]) & ~(zero & zero.transpose(0, 2, 1)), 1)
     which, i, j = np.nonzero(constrained)
     m_ij, m_ji = t[which, i, j], t[which, j, i]
-    # a one-sided coupling forces d to zero; with equal signs m_ij d_j = -m_ji d_i has no d > 0
+    with np.errstate(all="ignore"):  # 0, inf or nan where the check below rejects the pair
+        ratio = -m_ji / m_ij  # d_j / d_i
+    # a one-sided coupling forces d to zero; m_ij d_j = -m_ji d_i has no d > 0 when the ratio
+    # is not positive (equal signs), nor any d a float can hold when it under- or overflows
     ok = np.ones(count, dtype=bool)
-    ok[which[(zero[which, i, j] != zero[which, j, i]) | (m_ij * m_ji > 0)]] = False
+    ok[which[(zero[which, i, j] != zero[which, j, i]) | ~((ratio > 0) & (ratio < np.inf))]] = False
     keep = ok[which]
-    which, i, j = which[keep], i[keep], j[keep]
-    with np.errstate(over="ignore"):  # inf, silently, as Python's float division gives
-        ratio = -m_ji[keep] / m_ij[keep]  # d_j / d_i
+    which, i, j, ratio = which[keep], i[keep], j[keep], ratio[keep]
 
     d = np.ones((count, k))  # each component's root pinned to 1
     cuts = np.cumsum(np.bincount(which, minlength=count)).tolist()
@@ -403,11 +404,15 @@ def _almost_skew_scalings(t: np.ndarray, zero: np.ndarray, tol: float) -> list[n
             d[v] = _propagate(k, pairs[start:stop])
     # the constraints off the forest must agree with it
     d_i, d_j = d[which, i], d[which, j]
-    off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: rejected below
+        off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
+        scaled = t * d[:, None, :]
     ok[which[off]] = False
+    # ratios in range can still multiply out of it along the forest, in d or in M diag(d)
+    ok &= (d > 0).all(axis=1) & np.isfinite(scaled).all(axis=(1, 2))
 
     cand = np.flatnonzero(ok)
-    ok[cand] = _almost_skew(t[cand] * d[cand][:, None, :], zero_diag[cand], tol)
+    ok[cand] = _almost_skew(scaled[cand], zero_diag[cand], tol)
     return [row if good else None for row, good in zip(d, ok)]
 
 

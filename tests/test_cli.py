@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 import polyrep
+from polyrep import cli
 from polyrep.cli import (
     EXIT_IO,
     EXIT_NOT_ADMISSIBLE,
@@ -76,6 +77,25 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == EXIT_NOT_DISSIPATIVE
         assert "kind: not_dissipative" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "0 0 0 1\n0 0 0 1e200\n0 -1 -1e-200 0",  # a pair ratio 1e-200 / 1e200 underflows to 0
+            "0 0 1e-100 0\n0 -1e100 0 1e-100\n0 0 -1e100 0",  # two ratios 1e200 make d_3 = 1e400
+        ],
+        ids=["ratio", "product"],
+    )
+    def test_scaling_beyond_float_range_has_a_verdict(self, capsys, tmp_path, rows):
+        # vertex (0)'s matrix is the payoff without its zero first row and column
+        path = tmp_path / "g.txt"
+        path.write_text(f"type: 4\n0 0 0 0\n{rows}\n")
+        code, out, err = run(capsys, "check", str(path), "--tol", "0", "--format", "json")
+        assert err == ""
+        data = json.loads(out)
+        assert (code, data["kind"]) == (EXIT_NOT_DISSIPATIVE, "not_dissipative")
+        report = data["vertex_reports"]["(0)"]
+        assert report["skew_ok"] is False and report["scaling"] is None
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/game.txt")
@@ -308,6 +328,20 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--game", example_path, "--x0", x0, "--T=0.5")
         assert f"min coordinate: {data['min_coordinate']:.3e}" in out
 
+    def test_step_scale_reported(self, capsys, example_path, example_game):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--T=0.5", "--format", "json")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["step_scale"] == 0.01 * np.max(np.abs(example_game.payoff))
+        code, out, _ = run(capsys, "simulate", "--game", example_path, "--T=0.5")
+        assert "step scale dt*max|a_ij|: 0.11" in out.splitlines()
+
+    def test_step_scale_above_1_notes_on_stderr(self, capsys, example_path):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--T=0.5", "--dt=0.1", "--format", "json")
+        data = json.loads(out)
+        assert code == EXIT_OK and data["ok"] is True
+        assert data["step_scale"] == pytest.approx(1.1)
+        assert err.startswith("note: step_scale dt*max|a_ij| = 1.1 exceeds 1")
+
     @pytest.mark.parametrize("extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"]])
     def test_bad_duration_or_step_exits_1(self, capsys, example_path, extra):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random:1", *extra)
@@ -373,6 +407,82 @@ class TestEnvironmentSeed:
         first = a.read_text().splitlines()[1]
         second = b.read_text().splitlines()[1]
         assert first != second  # different seeds, different starts
+
+
+class TestMalformedEnvironmentSeed:
+    """A POLYREP_SEED that is no integer fails the command that reads it, and only that one."""
+
+    def test_random_start_exits_1(self, capsys, monkeypatch, example_path):
+        monkeypatch.setenv("POLYREP_SEED", "abc")
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random", "--T=0.1")
+        assert code == EXIT_IO
+        assert out == ""
+        assert err == "error: POLYREP_SEED must be an integer, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "{path}"),
+            ("simulate", "--game", "{path}", "--x0", "random:3", "--T=0.1"),
+            ("simulate", "--game", "{path}", "--seed", "4", "--T=0.1"),
+        ],
+    )
+    def test_ignored_where_not_read(self, capsys, monkeypatch, example_path, argv):
+        monkeypatch.setenv("POLYREP_SEED", "abc")
+        code, _, err = run(capsys, *(a.format(path=example_path) for a in argv))
+        assert code == EXIT_OK
+        assert "POLYREP_SEED" not in err
+
+
+class TestSharedParser:
+    """main parses with one parser per process, and no call leaves a trace in the next."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once(self, capsys, monkeypatch, example_path):
+        real, built = cli.build_parser, []
+
+        def spy():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        for argv in (["check", example_path], ["equilibrium", example_path], ["check", "--bogus"]):
+            run(capsys, *argv)
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_seed_does_not_persist(self, capsys, monkeypatch, tmp_path, example_path):
+        monkeypatch.setenv("POLYREP_SEED", "11")
+        starts = {}
+        for name, extra in (("five", ["--seed", "5"]), ("env", []), ("eleven", ["--seed", "11"])):
+            path = tmp_path / f"{name}.csv"
+            run(capsys, "simulate", "--game", example_path, "--T=0.1", "--csv", str(path), *extra)
+            starts[name] = path.read_text().splitlines()[1]
+        assert starts["env"] == starts["eleven"] != starts["five"]
+
+    def test_format_does_not_persist(self, capsys, example_path):
+        _, out, _ = run(capsys, "check", example_path, "--format", "json")
+        assert out.startswith("{")
+        _, out, _ = run(capsys, "check", example_path)
+        assert out.startswith("kind: ")
+
+    def test_usage_error_leaves_no_trace(self, capsys, example_path):
+        src = str(Path(polyrep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "polyrep.cli", "check", example_path, "--format", "json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert fresh.returncode == EXIT_OK
+        assert run(capsys, "check", example_path, "--tol", "abc")[0] == EXIT_IO
+        assert run(capsys, "check", example_path, "--format", "json") == (EXIT_OK, fresh.stdout, fresh.stderr)
 
 
 class TestColdImports:

@@ -282,6 +282,27 @@ class TestAlmostSkewScaling:
         # d2/d1 = 1, d3/d2 = 1, but d3/d1 = 1/2
         assert find_almost_skew_scaling(m) is None
 
+    def test_same_sign_pair_with_underflowing_product_infeasible(self):
+        # m_12 m_21 = 1e-400 rounds to 0, yet the signs agree: d = (1, -1) is no scaling
+        m = np.array([[0.0, 1e-200], [1e-200, 0.0]])
+        assert find_almost_skew_scaling(m, tol=0.0) is None
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            # one pair's ratio d_3 / d_2 is 1e-400 or 1e400
+            [[0.0, 0.0, 1.0], [0.0, 0.0, 1e200], [-1.0, -1e-200, 0.0]],
+            [[0.0, 0.0, 1.0], [0.0, 0.0, 1e-200], [-1.0, -1e200, 0.0]],
+            # two ratios 1e200 or 1e-200 in a row: d = (1, 1e200, 1e400) or (1, 1e-200, 1e-400)
+            [[0.0, 1e-100, 0.0], [-1e100, 0.0, 1e-100], [0.0, -1e100, 0.0]],
+            [[0.0, 1e100, 0.0], [-1e-100, 0.0, 1e100], [0.0, -1e-100, 0.0]],
+        ],
+        ids=["ratio underflows", "ratio overflows", "product overflows", "product underflows"],
+    )
+    def test_scaling_beyond_float_range_infeasible(self, m):
+        # no d > 0 that a float can hold meets these constraints
+        assert find_almost_skew_scaling(np.array(m), tol=0.0) is None
+
 
 class TestStablyDissipative:
     def test_example_table(self, example_game):
