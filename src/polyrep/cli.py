@@ -70,7 +70,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _load_game(path: str) -> PolymatrixGame:
     try:
         return gamefile.parse_game(path)
-    except (OSError, gamefile.GameFileError) as exc:
+    except gamefile.GameFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO) from None
 
@@ -362,13 +362,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_lv2rep(args) -> int:
-    try:
+    try:  # a GameFileError is a ValueError
         a = gamefile.parse_matrix(args.A)
-    except (OSError, gamefile.GameFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    r = np.array([float(tok) for tok in args.r.replace(",", " ").split()])
-    try:
+        r = np.array([float(tok) for tok in args.r.replace(",", " ").split()])
         lv = dynamics.LVSystem(a, r)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -480,6 +476,9 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
         return args.func(args)
+    except OSError as exc:  # a file that cannot be read or written, whichever command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except SystemExit as exc:
         if isinstance(exc.code, int):
             return exc.code

@@ -33,7 +33,7 @@ from .stability import (
     analyse,
     check_with_scaling,
 )
-from .vertices import VertexLabel, scaled_game, vertex_graph, vertex_matrix
+from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_graph, vertex_matrix
 
 
 @dataclass(frozen=True)
@@ -309,30 +309,32 @@ def hamiltonian_collapse(
     chosen = list(vertex.chosen)  # tracked as original-game indices
     cur = _Cursor(game, q, d)
 
+    def current() -> tuple[VertexLabel, VertexMatrix]:
+        """The vertex in the current game's indices, and its scaled vertex matrix."""
+        v = VertexLabel(tuple(cur.kept.index(c) for c in chosen))
+        return v, vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v)
+
+    v_now, scaled_vm = current()
     while True:
-        local_chosen = tuple(cur.kept.index(c) for c in chosen)
-        v_now = VertexLabel(local_chosen)
         signs = vertex_graph(vertex_matrix(cur.game, v_now), tol).diagonal_sign
         removable = [i for i, sign in signs.items() if sign < 0]
         if not removable:
             break
-        before_vm = vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v_now)
         ell = min(removable)
-        ell_pos = before_vm.index_set.index(ell)
+        ell_pos = scaled_vm.index_set.index(ell)
         alpha = cur.remove(ell)
         if cur.steps[-1].cleanup_group is not None:
             del chosen[alpha]
 
         # certificate transport: the scaled vertex matrix of the reduced game
-        # is the old one with the removed row and column deleted
-        local_chosen = tuple(cur.kept.index(c) for c in chosen)
-        after_vm = vertex_matrix(
-            scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), VertexLabel(local_chosen)
-        )
-        expect = np.delete(np.delete(before_vm.entries, ell_pos, 0), ell_pos, 1)
+        # is the old one with the removed row and column deleted; it is the
+        # next round's matrix
+        v_now, after_vm = current()
+        expect = np.delete(np.delete(scaled_vm.entries, ell_pos, 0), ell_pos, 1)
         err = float(np.max(np.abs(after_vm.entries - expect))) if expect.size else 0.0
         if err > 1e-9 * max(1.0, float(np.max(np.abs(expect))) if expect.size else 0.0):
             raise RuntimeError("certificate transport failed; reduction is inconsistent")
+        scaled_vm = after_vm
 
     certificate = DiagonalScaling(tuple(cur.d))
     verdict = check_with_scaling(cur.game, certificate, tol=tol)
@@ -341,12 +343,11 @@ def hamiltonian_collapse(
             f"collapsed game classifies as {verdict.kind}, not conservative; "
             "this contradicts the reduction guarantee"
         )
-    local_chosen = tuple(cur.kept.index(c) for c in chosen)
     return CollapseResult(
         steps=tuple(cur.steps),
         final_game=cur.game,
         final_equilibrium=cur.q_floats(),
         certificate=certificate,
         identification=cur.map(),
-        vertex=VertexLabel(local_chosen),
+        vertex=v_now,
     )

@@ -308,6 +308,8 @@ class LVSystem:
         r = np.asarray(self.r, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or r.shape != (a.shape[0],):
             raise ValueError(f"inconsistent dimensions: A {a.shape}, r {r.shape}")
+        if not (np.isfinite(a).all() and np.isfinite(r).all()):
+            raise ValueError("A and r must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r", r)
 

@@ -11,7 +11,11 @@ and its helpers on one matrix are the stack of one.
 
 The certificate search (facial reduction, then Kelley cuts solved as
 linear programs) ends in a certificate, in a checked one-vector proof
-that none exists, or in neither: "no certificate found".
+that none exists, or in neither: "no certificate found".  It returns one
+record, which Analysis keeps; the kind of a certificate is read from the
+eigenvalues it was accepted on.  One rule, _form_kind, turns the
+eigenvalues of Sym(A_v D_v) into conservative, dissipative or
+indefinite, for the search and for check_with_scaling alike.
 """
 
 from __future__ import annotations
@@ -69,6 +73,21 @@ class Classification:
 
 
 @dataclass(frozen=True, eq=False)
+class CertificateSearch:
+    """Outcome of the certificate search: kind plus certificate or proof.
+
+    The kind is conservative or dissipative with a scaling, not
+    dissipative with a proof vector at the first vertex, or no
+    certificate found; an analysis without a formal equilibrium holds
+    the record of kind no_formal_equilibrium and runs no search.
+    """
+
+    kind: str
+    scaling: DiagonalScaling | None = None
+    proof: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class StableDissipativityReport:
     stable: bool
     scaling: np.ndarray | None
@@ -85,6 +104,19 @@ def _sym(m: np.ndarray) -> np.ndarray:
 def _spectral_scale(eigs: np.ndarray) -> np.ndarray:
     """max(1, max|eigenvalue|), per row of a stack; a NaN counts as nothing."""
     return np.fmax(1.0, np.abs(eigs).max(axis=-1, initial=0.0))
+
+
+def _form_kind(eigs: np.ndarray, tol: float) -> str:
+    """The sign of a symmetric form from its eigenvalues, against tol * _spectral_scale.
+
+    Conservative when every eigenvalue is within the cut of 0,
+    dissipative when none is above it, indefinite otherwise.  No
+    eigenvalue at all (a vertex of dimension 0) is conservative.
+    """
+    cut = tol * _spectral_scale(eigs)
+    if np.abs(eigs).max(initial=0.0) <= cut:
+        return CONSERVATIVE
+    return DISSIPATIVE if eigs.max(initial=0.0) <= cut else INDEFINITE
 
 
 class _VertexForm:
@@ -128,39 +160,29 @@ def check_with_scaling(
 
     The sign of the scaled quadratic form on the tangent space equals the
     sign of Sym(A_v D_v) at any single vertex, so one symmetric
-    eigenvalue problem decides.  An indefinite verdict carries a tangent
+    eigenvalue problem decides, by _form_kind, the rule the search
+    accepts a certificate by.  An indefinite verdict carries a tangent
     witness vector with positive form value.
     """
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
-    return _classify(game, d, tol)
-
-
-def _classify(game: PolymatrixGame, d: DiagonalScaling, tol: float) -> Classification:
-    """check_with_scaling for a game known to have a formal equilibrium."""
     form = _VertexForm(game, first_vertex(game.gtype))
     values = d.group_values(game.gtype)
-    if form.dim == 0:
-        return Classification(CONSERVATIVE, scaling=d, eigenvalues=np.zeros(0))
-    eigs, vecs = np.linalg.eigh(form.sym(values))
-    cut = tol * _spectral_scale(eigs)
-    if float(np.max(np.abs(eigs))) <= cut:
-        return Classification(CONSERVATIVE, scaling=d, eigenvalues=eigs)
-    if float(eigs[-1]) <= cut:
-        return Classification(DISSIPATIVE, scaling=d, eigenvalues=eigs)
-    witness = expand_vertex_vector(game.gtype, form.vertex, vecs[:, -1])
-    return Classification(INDEFINITE, witness=witness, eigenvalues=eigs)
+    eigs = form.eigvals(values)
+    kind = _form_kind(eigs, tol)
+    if kind != INDEFINITE:
+        return Classification(kind, scaling=d, eigenvalues=eigs)
+    top = np.linalg.eigh(form.sym(values))[1][:, -1]
+    return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, form.vertex, top), eigenvalues=eigs)
 
 
 def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScaling | None:
     """The positive group-diagonal certificate _search finds, first group at 1, or None."""
-    got = _search(game, tol)
-    return got if isinstance(got, DiagonalScaling) else None
+    return _search(game, tol).scaling
 
 
-@functools.lru_cache(maxsize=1)
-def _search(game: PolymatrixGame, tol: float, /) -> DiagonalScaling | np.ndarray | None:
-    """A certificate d > 0 of S(d) = sum_g d_g S_g <= 0, a proof that none exists, or None.
+def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
+    """A certificate d > 0 of S(d) = sum_g d_g S_g <= 0, a proof that none exists, or neither.
 
     S_g is the part of Sym(A_v D_v) at the first vertex that d_g scales.
     A proof is a unit u with every u'S_g u exactly 0 or above tol * |S_g|,
@@ -172,17 +194,19 @@ def _search(game: PolymatrixGame, tol: float, /) -> DiagonalScaling | np.ndarray
     out, Kelley cuts u'S(d)u from top eigenvectors, each LP minimizing
     the largest cut and -d_g over sum d = 1 (a negative optimum is
     strictly positive), until an LP bound exceeds tol or _CUTS cuts.
-    The last search is remembered, as analyse is, for Analysis.kind.
+    A d is accepted when _form_kind of its eigenvalues is not indefinite,
+    and that verdict is the record's kind.
     """
     p = game.gtype.p
     form = _VertexForm(game, first_vertex(game.gtype))
+    nothing = CertificateSearch(NO_CERTIFICATE)
 
-    def certify(d: np.ndarray) -> DiagonalScaling | None:
+    def certify(d: np.ndarray) -> CertificateSearch | None:
         values = d / d[0] if d[0] > 0 else d
         if not (values > 0).all():
             return None
-        eigs = form.eigvals(values)
-        return DiagonalScaling(tuple(values)) if eigs.max(initial=0.0) <= tol * _spectral_scale(eigs) else None
+        kind = _form_kind(form.eigvals(values), tol)
+        return None if kind == INDEFINITE else CertificateSearch(kind, scaling=DiagonalScaling(tuple(values)))
 
     def proves(u: np.ndarray) -> bool:
         vals = np.einsum("i,gij,j->g", u, parts, u)
@@ -199,14 +223,14 @@ def _search(game: PolymatrixGame, tol: float, /) -> DiagonalScaling | np.ndarray
     norms = np.array([np.linalg.norm(s, 2) for s in parts])
     u = np.linalg.eigh(form.sym(np.ones(p)))[1][:, -1]
     if proves(u):
-        return u
+        return CertificateSearch(NOT_DISSIPATIVE, proof=u)
 
     basis, kernel = np.eye(form.dim), []
     for g in range(p):
         for i, j in itertools.combinations_with_replacement(np.flatnonzero(form.groups == g), 2):
             u = basis[i] if i == j else (basis[i] - basis[j]) / np.sqrt(2.0)
             if proves(u):
-                return u
+                return CertificateSearch(NOT_DISSIPATIVE, proof=u)
             if abs(u @ parts[g] @ u) <= tol * norms[g]:
                 kernel.append(u)
     face, rest = np.eye(p), basis
@@ -224,9 +248,9 @@ def _search(game: PolymatrixGame, tol: float, /) -> DiagonalScaling | np.ndarray
             return got
         eigs, vecs = np.linalg.eigh(np.tensordot(d, compressed, 1))
         if eigs.size and proves(rest.T @ vecs[:, -1]):
-            return rest.T @ vecs[:, -1]
+            return CertificateSearch(NOT_DISSIPATIVE, proof=rest.T @ vecs[:, -1])
         if max(eigs.max(initial=0.0), -d.min()) <= bound + tol:
-            return None  # Kelley has converged, to an optimum that certifies nothing
+            return nothing  # Kelley has converged, to an optimum that certifies nothing
         if eigs.size:
             cuts.append(np.einsum("i,gij,j->g", vecs[:, -1], compressed, vecs[:, -1]) @ face.T)
         r = len(face)
@@ -236,9 +260,9 @@ def _search(game: PolymatrixGame, tol: float, /) -> DiagonalScaling | np.ndarray
             bounds=(None, None), method="highs",
         )
         if res.x is None or res.fun > tol:
-            return None
+            return nothing
         d, bound = face.T @ res.x[:r], res.fun
-    return None
+    return nothing
 
 
 def _tangent_orthobasis(game: PolymatrixGame) -> np.ndarray:
@@ -528,17 +552,20 @@ class Analysis:
         return formal_equilibria(self.game)
 
     @functools.cached_property
-    def scaling(self) -> DiagonalScaling | None:
-        """find_scaling's certificate; None without a formal equilibrium."""
-        return find_scaling(self.game, tol=self.tol) if self.equilibria.exists else None
-
-    @functools.cached_property
-    def kind(self) -> str:
+    def search(self) -> CertificateSearch:
+        """The certificate search's record, searched only when a formal equilibrium exists."""
         if not self.equilibria.exists:
-            return NO_FORMAL_EQUILIBRIUM
-        if self.scaling is None:
-            return NOT_DISSIPATIVE if isinstance(_search(self.game, self.tol), np.ndarray) else NO_CERTIFICATE
-        return _classify(self.game, self.scaling, self.tol).kind
+            return CertificateSearch(NO_FORMAL_EQUILIBRIUM)
+        return _search(self.game, self.tol)
+
+    @property
+    def scaling(self) -> DiagonalScaling | None:
+        """The search's certificate, or None."""
+        return self.search.scaling
+
+    @property
+    def kind(self) -> str:
+        return self.search.kind
 
     @functools.cached_property
     def admissible(self) -> bool:

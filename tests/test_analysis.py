@@ -57,7 +57,7 @@ class TestGoldenOutput:
 class TestOnePassPerCommand:
     @pytest.mark.parametrize("command", ["check", "reduce", "collapse"])
     def test_example(self, capsys, monkeypatch, example_path, command):
-        searches = _counting(monkeypatch, "find_scaling")
+        searches = _counting(monkeypatch, "_search")
         singles = _counting(monkeypatch, "stably_dissipative")
         stacks = _counting(monkeypatch, "stably_dissipative_stack")
         assert main([command, example_path, "--format", "json"]) == 0
@@ -76,6 +76,22 @@ class TestOnePassPerCommand:
         assert [g.gtype for g, in solved] == [GameType((3, 2)), GameType((2, 2))]
 
 
+class TestOneCertificateVerdict:
+    """The analysis's kind is the verdict the search accepted its certificate by."""
+
+    @pytest.mark.parametrize("sizes,seed", [((2, 2, 2), 30), ((3, 3), 56)])
+    def test_certificate_at_tol_0_is_not_indefinite(self, capsys, tmp_path, sizes, seed):
+        # (2,2,2) seed 30: rounding put the top eigenvalue at -4.4e-16 for the search, +5.6e-17 for a second eigh
+        game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
+        an = stability.Analysis(game, 0.0)
+        assert an.kind in (stability.CONSERVATIVE, stability.DISSIPATIVE)
+        assert stability.check_with_scaling(game, an.scaling, 0.0).kind == an.kind
+        path = tmp_path / "game.txt"
+        write_game(game, path)
+        assert main(["check", str(path), "--tol", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == stability.DISSIPATIVE
+
+
 class TestAnalysis:
     def test_memo_keeps_the_last_game(self, example_game):
         first = stability.analyse(example_game, stability.SEMIDEF_TOL)
@@ -85,7 +101,7 @@ class TestAnalysis:
         assert stability.analyse.cache_info().currsize == 1
 
     def test_fields_are_lazy(self, example_game, monkeypatch):
-        searches = _counting(monkeypatch, "find_scaling")
+        searches = _counting(monkeypatch, "_search")
         an = stability.Analysis(example_game)
         assert [v.chosen for v in an.vstar] == [(0, 3), (0, 4), (1, 3), (1, 4)]
         assert searches == []
@@ -93,7 +109,7 @@ class TestAnalysis:
         assert len(searches) == 1
 
     def test_no_formal_equilibrium_skips_the_search(self, monkeypatch):
-        searches = _counting(monkeypatch, "find_scaling")
+        searches = _counting(monkeypatch, "_search")
         an = stability.Analysis(PolymatrixGame(GameType((2,)), np.array([[1.0, 1.0], [0.0, 0.0]])))
         assert an.kind == stability.NO_FORMAL_EQUILIBRIUM
         assert an.scaling is None and not an.admissible

@@ -377,6 +377,38 @@ class TestLv2Rep:
         assert game.gtype == GameType((3,))
         npt.assert_array_equal(game.payoff, [[0, -1, 1], [1, 0, -1], [0, 0, 0]])
 
+    @pytest.mark.parametrize(
+        "matrix,rates",
+        [("0 -1\n1 0\n", "1,abc"), ("0 -1\n1 0\n", "1,nan"), ("0 -1\n1 0\n", "1,inf"),
+         ("0 nan\n1 0\n", "1,-1"), ("0 -inf\n1 0\n", "1,-1")],
+        ids=["r-not-a-number", "r-nan", "r-inf", "A-nan", "A-inf"],
+    )
+    def test_bad_entry_is_an_input_error(self, capsys, tmp_path, matrix, rates):
+        a_path = tmp_path / "a.txt"
+        a_path.write_text(matrix)
+        code, out, err = run(capsys, "lv2rep", "--A", str(a_path), "--r", rates, "--emit-game", str(tmp_path / "g.txt"))
+        assert code == EXIT_IO
+        assert out == "" and err.startswith("error: ")
+        assert not (tmp_path / "g.txt").exists()
+
+
+class TestUnwritableOutput:
+    """An output file in a missing directory is an input error, whichever command writes it."""
+
+    @pytest.mark.parametrize("command", ["collapse", "lv2rep", "simulate"])
+    def test_missing_directory(self, capsys, tmp_path, example_path, command):
+        target = str(tmp_path / "missing" / "out.txt")
+        a_path = tmp_path / "a.txt"
+        a_path.write_text("0 -1\n1 0\n")
+        argv = {
+            "collapse": ["collapse", example_path, "--emit-game", target],
+            "lv2rep": ["lv2rep", "--A", str(a_path), "--r", "1,-1", "--emit-game", target],
+            "simulate": ["simulate", "--game", example_path, "--T=0.1", "--csv", target],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_IO
+        assert err.startswith("error: ") and "No such file or directory" in err
+
 
 class TestDeterminism:
     def test_json_outputs_byte_identical(self, capsys, example_path):

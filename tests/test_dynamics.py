@@ -246,6 +246,13 @@ class TestLotkaVolterra:
             game.payoff, [[0, -1, 1], [1, 0, -1], [0, 0, 0]]
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LVSystem(np.array([[0.0, bad], [1.0, 0.0]]), np.ones(2))
+        with pytest.raises(ValueError, match="finite"):
+            LVSystem(np.zeros((2, 2)), np.array([1.0, bad]))
+
     def test_pushforward_identity(self):
         rng = np.random.default_rng(69)
         lv = LVSystem(np.array([[0.0, -1.0], [1.0, 0.0]]), np.array([1.0, -1.0]))

@@ -23,7 +23,7 @@ from polyrep.stability import (
     stable_vertices,
     stably_dissipative,
 )
-from polyrep.stability import _largest_angle, _search, _sym, _VertexForm
+from polyrep.stability import _largest_angle, _sym, _VertexForm
 from polyrep.vertices import (
     VertexLabel,
     VertexMatrix,
@@ -183,6 +183,16 @@ class TestFindScaling:
             assert d.values[0] == 1.0
             assert check_with_scaling(game, d).kind in (CONSERVATIVE, DISSIPATIVE)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.sampled_from([(2, 2, 2), (3, 3), (2,) * 4]), seed=st.integers(0, 2**32 - 1))
+    def test_every_certificate_passes_the_check(self, sizes, seed):
+        # the search and check_with_scaling read the form's sign by one rule,
+        # so at tol 0 rounding cannot split them
+        game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
+        for tol in (0.0, SEMIDEF_TOL):
+            d = find_scaling(game, tol)
+            assert d is None or check_with_scaling(game, d, tol).kind in (CONSERVATIVE, DISSIPATIVE)
+
     @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 6])
     def test_proofs_hold_for_every_scaling(self, sizes):
         rng = np.random.default_rng(len(sizes) * 10 + sizes[0])
@@ -190,10 +200,11 @@ class TestFindScaling:
         proved = 0
         for _ in range(10):
             game = random_game(GameType(sizes), rng, integer=rng.random() < 0.5)
-            if Analysis(game).kind != NOT_DISSIPATIVE:
+            an = Analysis(game)
+            if an.kind != NOT_DISSIPATIVE:
                 continue
             proved += 1
-            u = _search(game, SEMIDEF_TOL)
+            u = an.search.proof
             assert u.shape == (vertex_matrix(game, v0).dim,) and np.isclose(u @ u, 1.0)
             for _ in range(20):
                 d = DiagonalScaling(tuple(np.exp(rng.uniform(-20.0, 20.0, len(sizes)))))
