@@ -53,6 +53,12 @@ class TestGoldenOutput:
         assert code == 0
         assert capsys.readouterr().out == (GOLDEN / f"example_{command}.json").read_text()
 
+    def test_example_sum_check(self, capsys):
+        # two scaled copies of the example: 36 vertices sharing a few zero patterns
+        code = main(["check", str(FIXTURES / "example_sum2.txt"), "--format", "json"])
+        assert code == 0
+        assert capsys.readouterr().out == (GOLDEN / "sum2_check.json").read_text()
+
 
 class TestOnePassPerCommand:
     @pytest.mark.parametrize("command", ["check", "reduce", "collapse"])
