@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .games import DiagonalScaling, GameType, PolymatrixGame, _nullspace, vector_field
+from .games import MAX_PAYOFF, DiagonalScaling, GameType, PolymatrixGame, _nullspace, vector_field
 from .vertices import VertexLabel, expand_vertex_vector, vertex_matrix
 
 # Log-based monitors are meaningless this close to the boundary.
@@ -308,8 +308,9 @@ class LVSystem:
         r = np.asarray(self.r, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or r.shape != (a.shape[0],):
             raise ValueError(f"inconsistent dimensions: A {a.shape}, r {r.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(r).all()):
-            raise ValueError("A and r must be finite")
+        # the compactified game holds A and r as they are, so they share its range
+        if not ((np.abs(a) <= MAX_PAYOFF).all() and (np.abs(r) <= MAX_PAYOFF).all()):
+            raise ValueError(f"A and r must be finite and at most {MAX_PAYOFF:g} in magnitude")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r", r)
 

@@ -92,12 +92,16 @@ def parse_game(path: str | Path) -> PolymatrixGame:
 
 def _format_number(x: float) -> str:
     x = float(x)
-    if x == int(x) and abs(x) < 1e15:
+    if abs(x) < 1e15 and x == int(x):  # False for NaN and the infinities, which int() refuses
         return str(int(x))
     return repr(x)  # shortest round-tripping decimal
 
 
 def emit_game(game: PolymatrixGame) -> str:
+    """The game file text of a game; ValueError for a game the parser would refuse."""
+    problems = validate_game(game)
+    if problems:
+        raise ValueError("; ".join(problems))
     lines = ["type: " + " ".join(str(s) for s in game.gtype.sizes)]
     for row in game.payoff:
         lines.append(" ".join(_format_number(v) for v in row))
@@ -105,6 +109,7 @@ def emit_game(game: PolymatrixGame) -> str:
 
 
 def write_game(game: PolymatrixGame, path: str | Path) -> None:
+    """Write the game file; a game emit_game refuses leaves the path untouched."""
     Path(path).write_text(emit_game(game))
 
 

@@ -33,6 +33,11 @@ TANGENT_TOL = 1e-10
 # Relative singular-value cutoff for numerical rank / nullspace decisions.
 RANK_RTOL = 1e-10
 
+# Largest payoff magnitude a game may hold.  The analysis adds up to eight
+# entries (the symmetric part of a vertex matrix) and subtracts rows; from
+# entries up to this bound those stay far inside the float range.
+MAX_PAYOFF = 1e300
+
 # Relative semidefiniteness tolerance: eigenvalue cuts scale with
 # max(1, |eigenvalue|), zero-entry cuts with max(1, |entry|).
 SEMIDEF_TOL = 1e-9
@@ -262,7 +267,11 @@ def random_tangent_vector(gtype: GameType, rng: np.random.Generator) -> np.ndarr
 
 
 def validate_game(game: PolymatrixGame) -> list[str]:
-    """Consistency violations of a game's dimensions (empty when valid)."""
+    """Consistency violations of a game's dimensions and entries (empty when valid).
+
+    Every entry must be finite and at most MAX_PAYOFF in magnitude; the
+    first that is not is named by its row and column.
+    """
     problems = []
     n = game.gtype.n
     if game.payoff.ndim != 2:
@@ -271,8 +280,13 @@ def validate_game(game: PolymatrixGame) -> list[str]:
         problems.append(
             f"payoff has shape {game.payoff.shape}, type {game.gtype} needs ({n},{n})"
         )
-    elif not np.all(np.isfinite(game.payoff)):
-        problems.append("payoff contains non-finite entries")
+    else:
+        bad = np.argwhere(~(np.abs(game.payoff) <= MAX_PAYOFF))  # NaN included
+        if len(bad):
+            r, c = bad[0].tolist()
+            x = float(game.payoff[r, c])
+            limit = "is not finite" if not np.isfinite(x) else f"exceeds {MAX_PAYOFF:g} in magnitude"
+            problems.append(f"payoff entry ({r}, {c}) = {x!r} {limit}")
     return problems
 
 

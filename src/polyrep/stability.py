@@ -6,8 +6,12 @@ semidefinite) on the tangent space.  Stability against zero-pattern
 preserving perturbations is decided by the checkable characterization:
 every cycle of the coefficient graph must contain a strong link, and some
 positive diagonal rescaling must make the matrix almost skew-symmetric.
-That test runs on a stack of vertex matrices at once; stably_dissipative
-and its helpers on one matrix are the stack of one.
+That test runs on a stack of vertex matrices at once.  The cycle
+condition and which ratios of the diagonal the constraints tie read only
+a matrix's zero pattern and damped diagonal, so they run once per
+distinct pattern; the ratios, the scalings they spread to and the
+definiteness checks run as array operations over the stack.
+stably_dissipative and its helpers on one matrix are the stack of one.
 
 The certificate search (facial reduction, then Kelley cuts solved as
 linear programs) ends in a certificate, in a checked one-vector proof
@@ -302,31 +306,67 @@ def skew_decomposition(
     return a0, b - a0
 
 
-def _propagate(k: int, pairs: list[tuple[int, int, float]]) -> list[float]:
-    """Ratios d_j / d_i of pairs i < j spread along a spanning forest, roots at 1.
+_CYCLE_FAILURE = "a cycle without a strong link remains"
+_SKEW_FAILURE = "no positive diagonal makes the matrix almost skew-symmetric"
+# A report's failures, by (cycle_ok, skew_ok).
+_FAILURES = {
+    (True, True): (),
+    (True, False): (_SKEW_FAILURE,),
+    (False, True): (_CYCLE_FAILURE,),
+    (False, False): (_CYCLE_FAILURE, _SKEW_FAILURE),
+}
+
+
+def _walk(k: int, i: list[int], j: list[int]) -> list[tuple[int, int, int, int, bool]]:
+    """The steps of a spanning-forest walk over the pairs (i, j), i < j, of one zero pattern.
 
     One depth-first walk from each component's smallest index, reading
-    neighbors in ascending order; a tree edge taken from j back to i
-    uses the reciprocal ratio.
+    neighbours in pair order.  Each step is (depth, parent, child, pair,
+    forward): d[child] = d[parent] * r, with r the pair's ratio d_j / d_i
+    when forward and 1 / r when the step runs from j back to i.  Roots
+    are at depth 0 and keep d = 1.
     """
-    adj: list[list[tuple[int, float, bool]]] = [[] for _ in range(k)]
-    for i, j, r in pairs:
-        adj[i].append((j, r, True))
-        adj[j].append((i, r, False))
-    d, seen = [1.0] * k, [False] * k
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(k)]
+    for q, (a, b) in enumerate(zip(i, j)):
+        adj[a].append((b, q, True))
+        adj[b].append((a, q, False))
+    depth, steps = [-1] * k, []
     for root in range(k):
-        if seen[root]:
+        if depth[root] >= 0:
             continue
-        seen[root] = True
+        depth[root] = 0
         stack = [root]
         while stack:
-            i = stack.pop()
-            for j, r, ahead in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    d[j] = d[i] * (r if ahead else 1.0 / r)
-                    stack.append(j)
-    return d
+            a = stack.pop()
+            for b, q, ahead in adj[a]:
+                if depth[b] < 0:
+                    depth[b] = depth[a] + 1
+                    steps.append((depth[b], a, b, q, ahead))
+                    stack.append(b)
+    return steps
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner and position of each entry of range(c) for c in counts, laid end to end."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+
+
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct row of a (V, b) byte array, and the group of every row.
+
+    The rows are compared as 64-bit words, one more than b bytes need,
+    so that even b = 0 leaves a word to sort by.
+    """
+    count, b = keys.shape
+    words = np.zeros((count, b // 8 + 1), dtype=np.uint64)
+    words.view(np.uint8)[:, :b] = keys
+    order = np.lexsort(words.T)
+    new = np.ones(count, dtype=bool)
+    new[1:] = (words[order[1:]] != words[order[:-1]]).any(axis=1)
+    group = np.empty(count, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return order[new], group
 
 
 def _forests(adj: np.ndarray) -> np.ndarray:
@@ -391,53 +431,95 @@ def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndar
     forest of the constraint graph, non-tree constraints are checked for
     consistency, components free of constraints keep d = 1, and the
     candidate is verified in full (including the definiteness clause).
+    The stack of one of _decide.
     """
     t = np.asarray(m, dtype=float)[None]
-    return _almost_skew_scalings(t, zero_entries(t, tol), tol)[0]
+    _, skew_ok, d = _decide(t, zero_entries(t, tol), tol)
+    return d[0] if skew_ok[0] else None
 
 
-def _almost_skew_scalings(t: np.ndarray, zero: np.ndarray, tol: float) -> list[np.ndarray | None]:
-    """find_almost_skew_scaling of each matrix of a stack, its zero pattern given.
+def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both conditions of stable dissipativity on a stack (V, k, k), its zero pattern given.
 
-    The one-sided and same-sign checks read the constraint pairs of the
-    whole stack at once; the ratio walk runs per matrix on Python
-    floats, the arithmetic of numpy's float64 scalars.  M diag(d) has
-    the zero pattern of M for d > 0, so each candidate is verified
-    against M's zero diagonal.
+    Returns cycle_ok and skew_ok, each (V,), and the candidate scaling d,
+    (V, k), which is the scaling wherever skew_ok holds.  The rows are
+    grouped by their zero pattern and damped set (nonzero negative
+    diagonal).  The cycle test, the constraint pairs, the one-sided
+    rejection and the order of the ratio walk read only those, so they
+    run once per group, on its first row.  The values are read once per
+    stack: the ratios d_j / d_i = -m_ji / m_ij and their range check,
+    the walk's steps applied depth by depth to every row of every group,
+    the check of the constraints off the forest, and the verification
+    of M diag(d) against M's zero diagonal (M diag(d) has the zero
+    pattern of M for d > 0), BLOCK candidates at a time; an M diag(d)
+    whose entries or symmetric part leave the float range fails it.
+    Each step multiplies as the walk on one matrix would, so every d is
+    the same float it would be there.
     """
     count, k = t.shape[:2]
     zero_diag = np.diagonal(zero, axis1=1, axis2=2)
+    damped = (np.diagonal(t, axis1=1, axis2=2) < 0) & ~zero_diag
+    first, group = _groups(np.packbits(np.concatenate([zero.reshape(count, k * k), damped], axis=1), axis=1))
+
+    # once per group: its first row stands for all of it
+    z, zd, strong = zero[first], zero_diag[first], damped[first]
+    coupled = ~(z & z.transpose(0, 2, 1))
+    adj = coupled & ~(strong[:, :, None] & strong[:, None, :])
+    adj[:, np.arange(k), np.arange(k)] = False
+    cycle_ok = _forests(adj)[group]
     # the constraint pairs: coupled, and touching a zero diagonal
-    constrained = np.triu((zero_diag[:, :, None] | zero_diag[:, None, :]) & ~(zero & zero.transpose(0, 2, 1)), 1)
-    which, i, j = np.nonzero(constrained)
-    m_ij, m_ji = t[which, i, j], t[which, j, i]
+    pg, pi, pj = np.nonzero(np.triu((zd[:, :, None] | zd[:, None, :]) & coupled, 1))
+    # a one-sided coupling forces d to zero
+    one_sided = np.zeros(len(first), dtype=bool)
+    one_sided[pg[z[pg, pi, pj] != z[pg, pj, pi]]] = True
+    npairs = np.bincount(pg, minlength=len(first))
+    pair_start = np.cumsum(npairs) - npairs
+    walks = [_walk(k, pi[at : at + n].tolist(), pj[at : at + n].tolist()) for at, n in zip(pair_start, npairs)]
+    nsteps = np.array([len(w) for w in walks], dtype=np.intp)
+    step_start = np.cumsum(nsteps) - nsteps
+    steps = np.array([step for w in walks for step in w], dtype=np.intp).reshape(-1, 5)
+
+    # once per stack: every row's pairs, in row order, then its group's pair order
+    row, q = _ragged(npairs[group])
+    row_start = np.cumsum(npairs[group]) - npairs[group]
+    at = pair_start[group[row]] + q
+    i, j = pi[at], pj[at]
     with np.errstate(all="ignore"):  # 0, inf or nan where the check below rejects the pair
-        ratio = -m_ji / m_ij  # d_j / d_i
-    # a one-sided coupling forces d to zero; m_ij d_j = -m_ji d_i has no d > 0 when the ratio
-    # is not positive (equal signs), nor any d a float can hold when it under- or overflows
-    ok = np.ones(count, dtype=bool)
-    ok[which[(zero[which, i, j] != zero[which, j, i]) | ~((ratio > 0) & (ratio < np.inf))]] = False
-    keep = ok[which]
-    which, i, j, ratio = which[keep], i[keep], j[keep], ratio[keep]
+        ratio = -t[row, j, i] / t[row, i, j]  # d_j / d_i
+    # m_ij d_j = -m_ji d_i has no d > 0 when the ratio is not positive (equal signs),
+    # nor any d a float can hold when it under- or overflows
+    skew_ok = ~one_sided[group]
+    skew_ok[row[~((ratio > 0) & (ratio < np.inf))]] = False
 
+    # every row's walk steps, shallowest first, so that each parent is set before its children
+    srow, sq = _ragged(nsteps[group])
+    depth, parent, child, pair, forward = steps[step_start[group[srow]] + sq].T
+    order = np.argsort(depth, kind="stable")
+    srow, depth, parent, child = srow[order], depth[order], parent[order], child[order]
+    r = ratio[row_start[srow] + pair[order]]
+    levels = np.searchsorted(depth, np.arange(1, k + 1)).tolist()
     d = np.ones((count, k))  # each component's root pinned to 1
-    cuts = np.cumsum(np.bincount(which, minlength=count)).tolist()
-    pairs = list(zip(i.tolist(), j.tolist(), ratio.tolist()))
-    for v, (start, stop) in enumerate(zip([0] + cuts, cuts)):
-        if stop > start:
-            d[v] = _propagate(k, pairs[start:stop])
-    # the constraints off the forest must agree with it
-    d_i, d_j = d[which, i], d[which, j]
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: rejected below
+    with np.errstate(all="ignore"):  # rejected rows may divide by 0 or overflow; their d is not kept
+        factor = np.where(forward[order] == 1, r, 1.0 / r)
+        for lo, hi in zip(levels, levels[1:]):
+            d[srow[lo:hi], child[lo:hi]] = d[srow[lo:hi], parent[lo:hi]] * factor[lo:hi]
+        # the constraints off the forest must agree with it
+        d_i, d_j = d[row, i], d[row, j]
         off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
-        scaled = t * d[:, None, :]
-    ok[which[off]] = False
-    # ratios in range can still multiply out of it along the forest, in d or in M diag(d)
-    ok &= (d > 0).all(axis=1) & np.isfinite(scaled).all(axis=(1, 2))
+    skew_ok[row[off]] = False
+    skew_ok &= (d > 0).all(axis=1)
 
-    cand = np.flatnonzero(ok)
-    ok[cand] = _almost_skew(scaled[cand], zero_diag[cand], tol)
-    return [row if good else None for row, good in zip(d, ok)]
+    cand = np.flatnonzero(skew_ok)
+    for b in blocks(len(cand)):
+        c = cand[b]
+        # ratios in range can still multiply out of the float range along the forest, in d,
+        # in M diag(d) or in its symmetric part, which has no eigenvalues then
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = t[c] * d[c, None, :]
+            finite = np.isfinite(scaled + np.swapaxes(scaled, 1, 2)).all(axis=(1, 2))
+        skew_ok[c] = finite
+        skew_ok[c[finite]] = _almost_skew(scaled[finite], zero_diag[c[finite]], tol)
+    return cycle_ok, skew_ok, d
 
 
 def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipativityReport:
@@ -459,34 +541,15 @@ def stably_dissipative_stack(
 ) -> list[StableDissipativityReport]:
     """stably_dissipative of each matrix of a stack (V, k, k), given its zero_entries.
 
-    Evaluated in blocks of BLOCK matrices, so the transients do not grow
-    with V.
+    _decide does the pattern work once per distinct zero pattern and
+    damped set, and the value work as array operations over the stack;
+    only the reports are built one vertex at a time.
     """
-    reports = []
-    for b in blocks(len(t)):
-        block, z = t[b], zero[b]
-        k = block.shape[-1]
-        zero_diag = np.diagonal(z, axis1=1, axis2=2)
-        damped = (np.diagonal(block, axis1=1, axis2=2) < 0) & ~zero_diag
-        adj = ~(z & z.transpose(0, 2, 1)) & ~(damped[:, :, None] & damped[:, None, :])
-        adj[:, np.arange(k), np.arange(k)] = False
-        forest = _forests(adj).tolist()
-        for cycle_ok, scaling in zip(forest, _almost_skew_scalings(block, z, tol)):
-            failures = []
-            if not cycle_ok:
-                failures.append("a cycle without a strong link remains")
-            if scaling is None:
-                failures.append("no positive diagonal makes the matrix almost skew-symmetric")
-            reports.append(
-                StableDissipativityReport(
-                    stable=cycle_ok and scaling is not None,
-                    scaling=scaling,
-                    cycle_ok=cycle_ok,
-                    skew_ok=scaling is not None,
-                    failures=tuple(failures),
-                )
-            )
-    return reports
+    cycle_ok, skew_ok, d = _decide(t, zero, tol)
+    return [
+        StableDissipativityReport(cycle and skew, scaling if skew else None, cycle, skew, _FAILURES[cycle, skew])
+        for cycle, skew, scaling in zip(cycle_ok.tolist(), skew_ok.tolist(), d)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

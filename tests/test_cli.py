@@ -110,6 +110,29 @@ class TestCheck:
         assert "line 2" in err
 
 
+# Finite entries whose row differences and vertex sums overflow to infinity.
+BEYOND_RANGE = "type: 2 2\n0 0 1e308 -1e308\n0 0 -1e308 1e308\n1e308 -1e308 0 0\n0 0 0 0\n"
+ANALYSES = [["check"], ["reduce"], ["collapse"], ["equilibrium"], ["vertices"], ["simulate", "--game"]]
+
+
+class TestPayoffRange:
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    def test_beyond_the_range_is_an_input_error(self, capsys, tmp_path, command):
+        path = tmp_path / "g.txt"
+        path.write_text(BEYOND_RANGE)
+        code, out, err = run(capsys, *command, str(path))
+        assert code == EXIT_IO and out == ""
+        assert err == "error: payoff entry (0, 2) = 1e+308 exceeds 1e+300 in magnitude\n"
+
+    @pytest.mark.parametrize("command", ANALYSES, ids=lambda c: c[0])
+    def test_at_the_bound_gets_a_verdict(self, capsys, tmp_path, command):
+        # the same game at 1e300: the analysis stays finite, and every command ends in a verdict
+        path = tmp_path / "g.txt"
+        path.write_text(BEYOND_RANGE.replace("1e308", "1e300"))
+        code, _, err = run(capsys, *command, str(path), "--format", "json")
+        assert code in range(5) and "payoff entry" not in err
+
+
 class TestUsageErrors:
     """Exit codes 2 to 4 are verdicts, so a malformed command line exits 1."""
 
@@ -380,8 +403,8 @@ class TestLv2Rep:
     @pytest.mark.parametrize(
         "matrix,rates",
         [("0 -1\n1 0\n", "1,abc"), ("0 -1\n1 0\n", "1,nan"), ("0 -1\n1 0\n", "1,inf"),
-         ("0 nan\n1 0\n", "1,-1"), ("0 -inf\n1 0\n", "1,-1")],
-        ids=["r-not-a-number", "r-nan", "r-inf", "A-nan", "A-inf"],
+         ("0 nan\n1 0\n", "1,-1"), ("0 -inf\n1 0\n", "1,-1"), ("0 1e305\n-1 0\n", "1,-1")],
+        ids=["r-not-a-number", "r-nan", "r-inf", "A-nan", "A-inf", "A-beyond-range"],
     )
     def test_bad_entry_is_an_input_error(self, capsys, tmp_path, matrix, rates):
         a_path = tmp_path / "a.txt"

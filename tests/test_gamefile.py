@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,7 +12,7 @@ from polyrep.gamefile import (
     parse_matrix,
     write_game,
 )
-from polyrep.games import GameType
+from polyrep.games import GameType, PolymatrixGame
 
 from conftest import EXAMPLE_PAYOFF, random_game
 
@@ -72,6 +74,24 @@ class TestRoundTrip:
         path = tmp_path / "game.txt"
         write_game(example_game, path)
         npt.assert_array_equal(parse_game(path).payoff, example_game.payoff)
+
+
+class TestPayoffRange:
+    def test_parser_names_the_entry_beyond_the_range(self):
+        with pytest.raises(GameFileError, match=r"payoff entry \(1, 0\) = -2e\+300 exceeds 1e\+300"):
+            parse_game_text("type: 2\n0 1e300\n-2e300 0\n")
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, 2e300])
+    def test_emit_refuses_what_the_parser_refuses(self, tmp_path, x):
+        payoff = np.zeros((2, 2))
+        payoff[1, 0] = x
+        game = PolymatrixGame(GameType((2,)), payoff)
+        with pytest.raises(ValueError, match=re.escape(f"payoff entry (1, 0) = {x!r}")):
+            emit_game(game)
+        path = tmp_path / "g.txt"
+        with pytest.raises(ValueError):
+            write_game(game, path)
+        assert not path.exists()
 
 
 class TestMatrixFile:

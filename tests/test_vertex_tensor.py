@@ -19,7 +19,16 @@ from polyrep.vertices import BLOCK, vertex_graph, vertex_graphs, vertex_matrix, 
 
 from conftest import EXAMPLE_PAYOFF, make_dissipative_game
 
-KINDS = ("zero", "sparse", "skew", "scaled_skew", "float", "dust", "dissipative")
+KINDS = ("zero", "sparse", "skew", "scaled_skew", "float", "dust", "dissipative", "sum")
+
+# Distinct non-dyadic factors: copies scaled by them share zero patterns, not values.
+FACTORS = (1.0, 3 / 7, 11 / 5, 5 / 3)
+
+
+def _core(n: int, rng: np.random.Generator) -> np.ndarray:
+    """A seeded integer skew core minus a sparse nonnegative diagonal."""
+    s = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.4)
+    return (s - s.T - np.diag(rng.integers(0, 3, n) * (rng.random(n) < 0.5))).astype(float)
 
 
 def _payoff(sizes: tuple[int, ...], kind: str, seed: int) -> np.ndarray:
@@ -49,8 +58,17 @@ def _payoff(sizes: tuple[int, ...], kind: str, seed: int) -> np.ndarray:
         return rng.uniform(-3, 3, (n, n)) * (rng.random((n, n)) < 0.5)
     if kind == "dissipative":
         return make_dissipative_game(gt, rng)[0].payoff
-    s = rng.integers(-3, 4, (n, n)) * (rng.random((n, n)) < 0.4)
-    core = (s - s.T - np.diag(rng.integers(0, 3, n) * (rng.random(n) < 0.5))).astype(float)
+    if kind == "sum":
+        # the direct sum of one core per group size, each group's copy scaled by its own
+        # factor and its columns by powers of another: the vertex matrices repeat zero
+        # patterns with other values and other ratios
+        cores = {size: _core(size, rng) for size in sorted(set(sizes))}
+        a = np.zeros((n, n))
+        for g, (off, size) in enumerate(zip(gt.offsets, sizes)):
+            columns = FACTORS[(g + 1) % len(FACTORS)] ** np.arange(size)
+            a[off : off + size, off : off + size] = FACTORS[g % len(FACTORS)] * cores[size] * columns
+        return a
+    core = _core(n, rng)
     if kind == "scaled_skew":
         return core / np.repeat(rng.integers(1, 5, gt.p), gt.sizes)
     if kind == "dust":
@@ -80,6 +98,7 @@ def _graph_key(g):
 @example(sizes=(2, 2), kind="one_sided", seed=0, tol=SEMIDEF_TOL)
 @example(sizes=(3, 2, 1), kind="same_sign", seed=0, tol=SEMIDEF_TOL)
 @example(sizes=(2, 2, 2), kind="cycle", seed=0, tol=1e-3)
+@example(sizes=(3, 3, 3, 3), kind="sum", seed=1, tol=SEMIDEF_TOL)
 def test_stack_matches_the_per_vertex_reference(sizes, kind, seed, tol):
     game = PolymatrixGame(GameType(sizes), _payoff(sizes, kind, seed))
     an = Analysis(game, tol)
@@ -141,3 +160,84 @@ def test_blocks_span_more_than_one_block():
         assert _report_key(rep) == _report_key(ref.stably_dissipative(expected))
         assert _graph_key(graph) == _graph_key(ref.vertex_graph(idx, expected))
     assert sum(rep.stable for rep in reports) == 4**4
+
+
+def _assert_matches_the_reference(t, tol):
+    reports = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
+    for m, rep in zip(t, reports):
+        assert _report_key(rep) == _report_key(ref.stably_dissipative(m, tol))
+    return reports
+
+
+def _shared_patterns(t, tol):
+    """The number of distinct (zero pattern, damped set) keys of a stack."""
+    zero = zero_entries(t, tol)
+    damped = (np.diagonal(t, axis1=1, axis2=2) < 0) & ~np.diagonal(zero, axis1=1, axis2=2)
+    return len({(z.tobytes(), d.tobytes()) for z, d in zip(zero, damped)})
+
+
+def test_scaled_copies_match_the_reference():
+    # three copies of the example scaled by distinct non-dyadic factors, their columns by
+    # non-dyadic group factors: 216 vertices in 8 zero patterns, each holding other values
+    payoff = np.zeros((15, 15))
+    for c, f in enumerate(FACTORS[:3]):
+        payoff[5 * c : 5 * c + 5, 5 * c : 5 * c + 5] = f * EXAMPLE_PAYOFF
+    columns = np.repeat([1.0, 5 / 3, 2 / 9, 7 / 11, 13 / 3, 3 / 5], (3, 2) * 3)
+    _, _, t = vertex_tensor(PolymatrixGame(GameType((3, 2) * 3), payoff * columns))
+    assert _shared_patterns(t, SEMIDEF_TOL) == 8
+    reports = _assert_matches_the_reference(t, SEMIDEF_TOL)
+    assert sum(rep.stable for rep in reports) == 4**3
+    assert len({rep.scaling.tobytes() for rep in reports if rep.scaling is not None}) > 1
+
+
+def _hub(a, b, c, e):
+    """Strategies 0 and 2 with zero diagonals, coupled to a damped strategy 1 by a, b and c, e."""
+    return [[0.0, a, 0.0], [b, -1.0, c], [0.0, e, 0.0]]
+
+
+def test_one_pattern_with_passing_and_failing_ratios():
+    # one zero pattern and damped set; the ratios -b/a and -e/c decide each row
+    t = np.array(
+        [
+            _hub(1, -1, 2, -2),  # ratios 1 and 1
+            _hub(3 / 7, -11 / 5, 1 / 3, -5 / 9),  # non-dyadic ratios, d = (1, 77/15, ...)
+            _hub(1, 1, 2, -2),  # equal signs: no d > 0
+            _hub(1e200, -1e-200, 1, -1),  # the ratio 1e-400 underflows to 0
+            _hub(3, -7, -1, 2),
+            _hub(-4, 2, 2, -3),
+        ]
+    )
+    assert _shared_patterns(t, 0.0) == 1
+    reports = _assert_matches_the_reference(t, 0.0)
+    assert [rep.stable for rep in reports] == [True, True, False, False, True, True]
+    assert len({rep.scaling.tobytes() for rep in reports if rep.stable}) == 4
+
+
+@pytest.mark.parametrize("tol", [SEMIDEF_TOL, 1e-3])
+def test_non_finite_rows_leave_their_group_alone(tol):
+    # finite rows of one pattern, and copies of them holding an inf, a -inf or a NaN; the
+    # per-vertex reference is undefined on the non-finite rows (it divides by 0 or hands
+    # LAPACK a NaN), so those are checked against the stack of one, and no d > 0 holds them
+    finite = np.array([_hub(1, -1, 2, -2), _hub(3 / 7, -11 / 5, 1 / 3, -5 / 9), _hub(3, -7, -1, 2)])
+    broken = []
+    for x in (np.inf, -np.inf, np.nan):
+        for at in ((0, 1), (1, 1), (2, 0)):
+            m = finite[len(broken) % len(finite)].copy()
+            m[at] = x
+            broken.append(m)
+    t = np.concatenate([finite, np.array(broken), finite[::-1]])
+    reports = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
+    for m, rep in zip(t, reports):
+        if np.isfinite(m).all():
+            assert _report_key(rep) == _report_key(ref.stably_dissipative(m, tol))
+        else:
+            assert not rep.skew_ok and rep.scaling is None
+            assert _report_key(rep) == _report_key(stably_dissipative(m, tol))
+
+
+def test_symmetric_part_past_the_float_range_is_not_almost_skew():
+    # finite entries whose symmetric part overflows: no eigenvalues to check, so no scaling
+    m = np.array([[-1e308, 1e308], [1e308, -1e308]])
+    rep = stably_dissipative(m)
+    assert (rep.cycle_ok, rep.skew_ok, rep.scaling) == (True, False, None)
+    assert find_almost_skew_scaling(m) is None
