@@ -317,20 +317,21 @@ _FAILURES = {
 }
 
 
-def _walk(k: int, i: list[int], j: list[int]) -> list[tuple[int, int, int, int, bool]]:
-    """The steps of a spanning-forest walk over the pairs (i, j), i < j, of one zero pattern.
+def _walk(k: int, i: list[int], j: list[int]) -> list[tuple[int, int, int, bool]]:
+    """The spanning-forest walk over the pairs (i, j), i < j, of one zero pattern, as the step each pair is.
 
     One depth-first walk from each component's smallest index, reading
-    neighbours in pair order.  Each step is (depth, parent, child, pair,
-    forward): d[child] = d[parent] * r, with r the pair's ratio d_j / d_i
-    when forward and 1 / r when the step runs from j back to i.  Roots
-    are at depth 0 and keep d = 1.
+    neighbours in pair order.  A pair the walk takes is the step (depth,
+    parent, child, forward): d[child] = d[parent] * r, with r the pair's
+    ratio d_j / d_i when forward and 1 / r when the step runs from j back
+    to i.  Roots are at depth 0 and keep d = 1; a pair off the forest is
+    (0, 0, 0, False).
     """
     adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(k)]
     for q, (a, b) in enumerate(zip(i, j)):
         adj[a].append((b, q, True))
         adj[b].append((a, q, False))
-    depth, steps = [-1] * k, []
+    depth, steps = [-1] * k, [(0, 0, 0, False)] * len(i)
     for root in range(k):
         if depth[root] >= 0:
             continue
@@ -341,7 +342,7 @@ def _walk(k: int, i: list[int], j: list[int]) -> list[tuple[int, int, int, int, 
             for b, q, ahead in adj[a]:
                 if depth[b] < 0:
                     depth[b] = depth[a] + 1
-                    steps.append((depth[b], a, b, q, ahead))
+                    steps[q] = (depth[b], a, b, ahead)
                     stack.append(b)
     return steps
 
@@ -349,13 +350,13 @@ def _walk(k: int, i: list[int], j: list[int]) -> list[tuple[int, int, int, int, 
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner and position of each entry of range(c) for c in counts, laid end to end."""
     owner = np.repeat(np.arange(len(counts)), counts)
-    return owner, np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    return owner, np.arange(len(owner)) - (counts.cumsum() - counts)[owner]
 
 
 def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct row of a (V, b) byte array, and the group of every row.
 
-    The rows are compared as 64-bit words, one more than b bytes need,
+    The rows are compared as b // 8 + 1 words of 64 bits, zero-padded,
     so that even b = 0 leaves a word to sort by.
     """
     count, b = keys.shape
@@ -377,14 +378,15 @@ def _forests(adj: np.ndarray) -> np.ndarray:
     counted by their smallest members; the counts are exact.
     """
     k = adj.shape[-1]
+    idx = np.arange(k)
     edges = adj.sum(axis=(1, 2)) // 2
     # no edge is a forest, k or more edges never are; only the rest need components
     todo = np.flatnonzero((edges > 0) & (edges < k))
     out = edges == 0
-    reach = (adj[todo] | np.eye(k, dtype=bool)).astype(float)
+    reach = (adj[todo] | (idx[:, None] == idx)).astype(float)
     for _ in range((k - 1).bit_length()):
         reach = (reach @ reach > 0).astype(float)
-    components = (~np.tril(reach > 0, -1).any(axis=2)).sum(axis=1)
+    components = (~((reach > 0) & (idx[:, None] > idx)).any(axis=2)).sum(axis=1)
     out[todo] = edges[todo] == k - components
     return out
 
@@ -457,6 +459,7 @@ def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np
     the same float it would be there.
     """
     count, k = t.shape[:2]
+    idx = np.arange(k)
     zero_diag = np.diagonal(zero, axis1=1, axis2=2)
     damped = (np.diagonal(t, axis1=1, axis2=2) < 0) & ~zero_diag
     first, group = _groups(np.packbits(np.concatenate([zero.reshape(count, k * k), damped], axis=1), axis=1))
@@ -464,43 +467,33 @@ def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np
     # once per group: its first row stands for all of it
     z, zd, strong = zero[first], zero_diag[first], damped[first]
     coupled = ~(z & z.transpose(0, 2, 1))
-    adj = coupled & ~(strong[:, :, None] & strong[:, None, :])
-    adj[:, np.arange(k), np.arange(k)] = False
+    adj = coupled & ~(strong[:, :, None] & strong[:, None, :]) & (idx[:, None] != idx)
     cycle_ok = _forests(adj)[group]
-    # the constraint pairs: coupled, and touching a zero diagonal
-    pg, pi, pj = np.nonzero(np.triu((zd[:, :, None] | zd[:, None, :]) & coupled, 1))
-    # a one-sided coupling forces d to zero
-    one_sided = np.zeros(len(first), dtype=bool)
-    one_sided[pg[z[pg, pi, pj] != z[pg, pj, pi]]] = True
+    # the constraint pairs: coupled, and touching a zero diagonal; a one-sided one forces d to zero
+    pg, pi, pj = np.nonzero((zd[:, :, None] | zd[:, None, :]) & coupled & (idx[:, None] < idx))
+    one_sided = z[pg, pi, pj] != z[pg, pj, pi]
     npairs = np.bincount(pg, minlength=len(first))
-    pair_start = np.cumsum(npairs) - npairs
-    walks = [_walk(k, pi[at : at + n].tolist(), pj[at : at + n].tolist()) for at, n in zip(pair_start, npairs)]
-    nsteps = np.array([len(w) for w in walks], dtype=np.intp)
-    step_start = np.cumsum(nsteps) - nsteps
-    steps = np.array([step for w in walks for step in w], dtype=np.intp).reshape(-1, 5)
+    pair_start = npairs.cumsum() - npairs
+    ii, jj = pi.tolist(), pj.tolist()
+    walks = [_walk(k, ii[at : at + n], jj[at : at + n]) for at, n in zip(pair_start.tolist(), npairs.tolist()) if n]
+    step = np.array([s for w in walks for s in w], dtype=np.intp).reshape(-1, 4)
 
     # once per stack: every row's pairs, in row order, then its group's pair order
     row, q = _ragged(npairs[group])
-    row_start = np.cumsum(npairs[group]) - npairs[group]
     at = pair_start[group[row]] + q
     i, j = pi[at], pj[at]
-    with np.errstate(all="ignore"):  # 0, inf or nan where the check below rejects the pair
-        ratio = -t[row, j, i] / t[row, i, j]  # d_j / d_i
-    # m_ij d_j = -m_ji d_i has no d > 0 when the ratio is not positive (equal signs),
-    # nor any d a float can hold when it under- or overflows
-    skew_ok = ~one_sided[group]
-    skew_ok[row[~((ratio > 0) & (ratio < np.inf))]] = False
-
-    # every row's walk steps, shallowest first, so that each parent is set before its children
-    srow, sq = _ragged(nsteps[group])
-    depth, parent, child, pair, forward = steps[step_start[group[srow]] + sq].T
-    order = np.argsort(depth, kind="stable")
-    srow, depth, parent, child = srow[order], depth[order], parent[order], child[order]
-    r = ratio[row_start[srow] + pair[order]]
-    levels = np.searchsorted(depth, np.arange(1, k + 1)).tolist()
     d = np.ones((count, k))  # each component's root pinned to 1
-    with np.errstate(all="ignore"):  # rejected rows may divide by 0 or overflow; their d is not kept
-        factor = np.where(forward[order] == 1, r, 1.0 / r)
+    with np.errstate(all="ignore"):  # 0, inf or nan only in rows rejected here, whose d is not kept
+        ratio = -t[row, j, i] / t[row, i, j]  # d_j / d_i
+        # m_ij d_j = -m_ji d_i has no d > 0 when the coupling is one-sided or the ratio is not
+        # positive (equal signs), nor any d a float can hold when it under- or overflows
+        skew_ok = np.ones(count, dtype=bool)
+        skew_ok[row[one_sided[at] | ~((ratio > 0) & (ratio < np.inf))]] = False
+        # the walk's steps in every row, shallowest first, so that each parent is set before its children
+        order = np.argsort(step[at, 0], kind="stable")
+        depth, parent, child, forward = step[at[order]].T
+        srow, factor = row[order], np.where(forward == 1, ratio[order], 1.0 / ratio[order])
+        levels = np.searchsorted(depth, np.arange(1, k + 1)).tolist()
         for lo, hi in zip(levels, levels[1:]):
             d[srow[lo:hi], child[lo:hi]] = d[srow[lo:hi], parent[lo:hi]] * factor[lo:hi]
         # the constraints off the forest must agree with it
