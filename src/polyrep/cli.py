@@ -3,7 +3,8 @@
 Exit codes: 0 success (admissible where that is the question), 1 usage,
 file or parse errors, 2 dissipative but not admissible, 3 proved not
 dissipative, no certificate found or no formal equilibrium, 4 internal
-certificate failure (a bug, not a property of the input).
+failure: a certificate or collapse check that an admissible game should
+pass failed (a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def cmd_collapse(args) -> int:
     exact = collapse_mod.rationalize_equilibrium(game, q)
     try:
         result = collapse_mod.hamiltonian_collapse(game, exact if exact is not None else q, tol=args.tol)
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:  # admissible with an interior q: a refusal now is internal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
     from .games import games_equivalent

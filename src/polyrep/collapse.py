@@ -7,8 +7,10 @@ unit sums).  Iterating over the negative-diagonal strategies of a stable
 vertex drives every diagonal to zero, at which point the game is
 conservative: the limit dynamics are Hamiltonian.
 
-Payoff arithmetic here runs through exact rationals, so integer games
-with rational equilibria reduce to exactly-integer matrices.
+Every reduced payoff entry is its exact value rounded once to a float:
+one IEEE addition or subtraction where q does not enter, exact rationals
+where it does.  So integer games with rational equilibria reduce to
+exactly-integer matrices.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .stability import (
     analyse,
     check_with_scaling,
 )
-from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_graph, vertex_matrix
+from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix, vertex_rows
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,6 @@ class ReductionMap:
     def map_state(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x[..., list(self.kept)] * np.array(self.scale)
-
-    @staticmethod
-    def identity(n: int) -> "ReductionMap":
-        return ReductionMap(tuple(range(n)), (1.0,) * n)
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,11 @@ def _to_fractions(values) -> list[Fraction]:
     return out
 
 
-def _payoff_fractions(game: PolymatrixGame) -> list[list[Fraction]]:
-    n = game.n
-    flat = _to_fractions(game.payoff)
-    return [flat[i * n : (i + 1) * n] for i in range(n)]
+def _finite(out: np.ndarray) -> np.ndarray:
+    """out, unless an entry left the float range, which float(Fraction) would have refused too."""
+    if not np.isfinite(out).all():
+        raise OverflowError("a reduced payoff entry is not a finite float")
+    return out
 
 
 def rationalize_equilibrium(
@@ -103,7 +102,9 @@ def rationalize_equilibrium(
     returned when it satisfies the defining equations in exact
     arithmetic, so this can never silently distort an equilibrium.
     """
-    a = _payoff_fractions(game)
+    n = game.n
+    flat = _to_fractions(game.payoff)
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
     cand = [Fraction(float(x)).limit_denominator(max_denominator) for x in np.asarray(q)]
     gt = game.gtype
     for grp in range(gt.p):
@@ -129,31 +130,28 @@ def q_ell_reduction(game: PolymatrixGame, q, ell: int) -> PolymatrixGame:
     ell's group, and (a_ij - a_lj)(1 - q_l) + (a_il - a_ll) q_l when j is
     a surviving member of it.  ``q`` may carry Fractions for an exact
     reduction; q_l must be strictly between 0 and 1 and ell's group must
-    have at least two strategies.
+    have at least two strategies.  Each entry is the exact value rounded
+    once: an IEEE subtraction outside the group, where it is that already
+    (+ 0.0 makes its sign of zero the rational's), Fractions inside it.
     """
     gt = game.gtype
     alpha = gt.group_of(ell)
     if gt.sizes[alpha] < 2:
         raise ValueError(f"group {alpha} has a single strategy; nothing to remove")
-    qf = _to_fractions(q)
-    q_ell = qf[ell]
+    q_ell = _to_fractions(q)[ell]
     if not 0 < q_ell < 1:
         raise ValueError(f"q[{ell}] = {float(q_ell)} is not strictly inside (0, 1)")
-    a = _payoff_fractions(game)
-    keep = [i for i in range(gt.n) if i != ell]
-    in_alpha = set(gt.group_indices(alpha))
+    keep = np.delete(np.arange(gt.n), ell)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = game.payoff[np.ix_(keep, keep)] - game.payoff[ell, keep] + 0.0
+    a = game.payoff.tolist()
     one_minus = 1 - q_ell
-    rows = []
-    for i in keep:
-        row = []
-        for j in keep:
-            base = a[i][j] - a[ell][j]
-            if j in in_alpha:
-                row.append(base * one_minus + (a[i][ell] - a[ell][ell]) * q_ell)
-            else:
-                row.append(base)
-        rows.append([float(x) for x in row])
-    return PolymatrixGame(_reduced_type(gt, alpha), np.array(rows))
+    mates = [j for j in gt.group_indices(alpha) if j != ell]
+    for r, i in enumerate(keep.tolist()):
+        pull = (Fraction(a[i][ell]) - Fraction(a[ell][ell])) * q_ell
+        for j in mates:
+            out[r, j - (j > ell)] = float((Fraction(a[i][j]) - Fraction(a[ell][j])) * one_minus + pull)
+    return PolymatrixGame(_reduced_type(gt, alpha), _finite(out))
 
 
 def reduce_equilibrium(gtype: GameType, q, ell: int) -> list[Fraction]:
@@ -175,7 +173,8 @@ def cardinal2_cleanup(game: PolymatrixGame, q, alpha: int) -> PolymatrixGame:
     The survivor's frequency is identically one, so its column acts as a
     constant payoff offset; the offset is folded into the columns of the
     first remaining group (whose frequencies sum to one), which preserves
-    every payoff exactly, and the group is removed.
+    every payoff exactly, and the group is removed.  Each folded entry is
+    one IEEE addition, the exact sum rounded once.
     """
     gt = game.gtype
     if gt.sizes[alpha] != 1:
@@ -187,18 +186,13 @@ def cardinal2_cleanup(game: PolymatrixGame, q, alpha: int) -> PolymatrixGame:
         raise ValueError("cannot fold away the only group")
     pinned = gt.offsets[alpha]
     target = next(g for g in range(gt.p) if g != alpha)
-    target_cols = set(gt.group_indices(target))
-    a = _payoff_fractions(game)
-    keep = [i for i in range(gt.n) if i != pinned]
-    rows = []
-    for i in keep:
-        row = []
-        for j in keep:
-            v = a[i][j] + a[i][pinned] if j in target_cols else a[i][j]
-            row.append(float(v))
-        rows.append(row)
+    keep = np.delete(np.arange(gt.n), pinned)
+    cols = [j - (j > pinned) for j in gt.group_indices(target)]  # the target's columns after the drop
+    out = game.payoff[np.ix_(keep, keep)] + 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:, cols] += game.payoff[keep, pinned][:, None]
     sizes = tuple(s for g, s in enumerate(gt.sizes) if g != alpha)
-    return PolymatrixGame(GameType(sizes), np.array(rows))
+    return PolymatrixGame(GameType(sizes), _finite(out))
 
 
 class _Cursor:
@@ -287,12 +281,13 @@ def hamiltonian_collapse(
 ) -> CollapseResult:
     """Collapse an admissible game to its conservative core.
 
-    From the smallest stable vertex, repeatedly remove the lowest
-    strategy with a negative vertex diagonal, transporting the
-    dissipativity certificate (the removed group's entry picks up a
-    1/(1-q_l) factor) until every diagonal of the current vertex matrix
-    vanishes.  The final game must certify conservative; failure of that
-    check is a hard error, since the construction guarantees it.
+    At the smallest stable vertex, remove the strategies the analysis
+    found damped (negative diagonal, the set rule 1 blacks) one by one,
+    lowest first, transporting the dissipativity certificate (the
+    removed group's entry picks up a 1/(1-q_l) factor).  The final game
+    must certify conservative; failure of that check is a hard error,
+    since the construction guarantees it.  q must be an equilibrium up
+    to 1e-8 relative to the largest payoff.
     """
     ok, vstar = admissible(game, d, tol=tol)
     if not ok:
@@ -300,12 +295,15 @@ def hamiltonian_collapse(
     qf = np.array([float(x) for x in _to_fractions(q)])
     if check_prism_state(game.gtype, qf) or np.min(qf) <= 0:
         raise ValueError("q must be a strictly interior prism state")
-    if float(np.max(np.abs(vector_field(game, qf)))) > 1e-8:
+    if float(np.max(np.abs(vector_field(game, qf)))) > 1e-8 * max(1.0, float(np.max(np.abs(game.payoff)))):
         raise ValueError("q is not an equilibrium of the game")
+    an = analyse(game, tol)
     if d is None:
-        d = analyse(game, tol).scaling  # admissible, so the search found one
+        d = an.scaling  # admissible, so the search found one
 
-    vertex = min(vstar, key=lambda v: v.chosen)
+    vertex = vstar[0]  # the smallest: vstar is in enumeration order
+    row = vertex_rows(game.gtype, [vertex])[0]
+    damped = an.tensor[1][row][an.pattern[1][row] < 0].tolist()  # ascending, as index sets are
     chosen = list(vertex.chosen)  # tracked as original-game indices
     cur = _Cursor(game, q, d)
 
@@ -315,20 +313,15 @@ def hamiltonian_collapse(
         return v, vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v)
 
     v_now, scaled_vm = current()
-    while True:
-        signs = vertex_graph(vertex_matrix(cur.game, v_now), tol).diagonal_sign
-        removable = [i for i, sign in signs.items() if sign < 0]
-        if not removable:
-            break
-        ell = min(removable)
+    for strategy in damped:  # a fold drops a chosen strategy, never one of these
+        ell = cur.kept.index(strategy)
         ell_pos = scaled_vm.index_set.index(ell)
         alpha = cur.remove(ell)
         if cur.steps[-1].cleanup_group is not None:
             del chosen[alpha]
 
         # certificate transport: the scaled vertex matrix of the reduced game
-        # is the old one with the removed row and column deleted; it is the
-        # next round's matrix
+        # is the old one with the removed row and column deleted
         v_now, after_vm = current()
         expect = np.delete(np.delete(scaled_vm.entries, ell_pos, 0), ell_pos, 1)
         err = float(np.max(np.abs(after_vm.entries - expect))) if expect.size else 0.0

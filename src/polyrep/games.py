@@ -340,14 +340,20 @@ def vector_field(game: PolymatrixGame, x: np.ndarray) -> np.ndarray:
 
 
 def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
-    """Linear system M q = rhs defining formal equilibria."""
+    """Linear system M q = rhs defining formal equilibria.
+
+    The payoff-difference rows are divided by max(1, max|A|), so that the
+    unit group-sum rows keep their weight in the rank decision however
+    large the payoffs are.
+    """
     gt = game.gtype
+    scale = max(1.0, float(np.max(np.abs(game.payoff), initial=0.0)))
     rows, rhs = [], []
     for a in range(gt.p):
         idx = list(gt.group_indices(a))
         first = idx[0]
         for i in idx[1:]:
-            rows.append(game.payoff[i] - game.payoff[first])
+            rows.append((game.payoff[i] - game.payoff[first]) / scale)
             rhs.append(0.0)
         one = np.zeros(gt.n)
         one[idx] = 1.0
@@ -356,28 +362,34 @@ def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(rhs)
 
 
+def _svd(m: np.ndarray, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The full SVD of a nonempty m and its rank: the singular values above rtol times the largest."""
+    u, s, vt = np.linalg.svd(m)
+    return u, s, vt, int(np.sum(s > rtol * s[0]))
+
+
 def _nullspace(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     """Rows span the nullspace; rank decided by relative SVD threshold."""
     if m.size == 0:
         return np.eye(m.shape[1])
-    _, s, vt = np.linalg.svd(m)
-    cutoff = rtol * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > cutoff))
+    _, _, vt, rank = _svd(m, rtol)
     return vt[rank:]
 
 
 def formal_equilibria(game: PolymatrixGame) -> EquilibriumSet:
     """All q with equal payoffs within each group and unit group sums.
 
-    Solves the defining linear system by SVD least squares; an
+    One SVD of the defining linear system gives the least-squares point
+    and the direction basis, so its rank is decided once for both; an
     inconsistent system yields an empty set (flagged, not raised).
     """
     m, rhs = _equilibrium_system(game)
-    q, *_ = np.linalg.lstsq(m, rhs, rcond=RANK_RTOL)
+    u, s, vt, rank = _svd(m)
+    q = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     scale = max(1.0, float(np.linalg.norm(rhs)), float(np.abs(m).max()))
     if float(np.max(np.abs(m @ q - rhs))) > 1e-9 * scale:
         return EquilibriumSet(None, np.zeros((0, game.gtype.n)))
-    return EquilibriumSet(q, _nullspace(m))
+    return EquilibriumSet(q, vt[rank:])
 
 
 def _maximize_min_coordinate(

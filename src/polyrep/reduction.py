@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import DiagonalScaling, GameType, PolymatrixGame
+from .games import DiagonalScaling, PolymatrixGame
 from .stability import SEMIDEF_TOL, Analysis, admissible, analyse
-from .vertices import VertexLabel
+from .vertices import VertexLabel, vertex_rows
 
 
 class Color(enum.Enum):
@@ -102,12 +102,6 @@ class AttractorStatement:
     zero_velocity: tuple[int, ...]
 
 
-def _rows(gtype: GameType, vstar: list[VertexLabel]) -> np.ndarray:
-    """The rows of the vertex stack holding vstar's labels: enumeration is the product's C order."""
-    chosen = np.array([v.chosen for v in vstar], dtype=np.intp).reshape(len(vstar), gtype.p)
-    return np.ravel_multi_index(tuple((chosen - gtype.offsets).T), gtype.sizes)
-
-
 def initialize(
     game: PolymatrixGame,
     vstar: list[VertexLabel],
@@ -117,7 +111,7 @@ def initialize(
     if not vstar:
         raise ValueError("initialization needs at least one stably dissipative vertex")
     an = analyse(game, tol)
-    rows = _rows(game.gtype, vstar)
+    rows = vertex_rows(game.gtype, vstar)
     negative = an.pattern[1][rows] < 0
     colored = sorted(set(an.tensor[1][rows][negative].tolist()))
     witnesses = sorted((v for v, hit in zip(vstar, negative.any(axis=1)) if hit), key=lambda v: v.chosen)
@@ -248,7 +242,7 @@ def apply_rule(
     """
     if rule not in _RULE_GENERATORS:
         raise ValueError(f"unknown rule {rule}")
-    pick = next(_instances(state, analyse(game, tol), _rows(game.gtype, vstar)[::-1], (rule,)), None)
+    pick = next(_instances(state, analyse(game, tol), vertex_rows(game.gtype, vstar)[::-1], (rule,)), None)
     return None if pick is None else _apply(state, *pick)
 
 
@@ -278,7 +272,7 @@ def run_to_fixpoint(
         raise ValueError("reduction requires an admissible game")
     state = initialize(game, vstar, tol=tol)
     an = analyse(game, tol)
-    stable = _rows(game.gtype, vstar)[::-1]
+    stable = vertex_rows(game.gtype, vstar)[::-1]
     n = game.gtype.n
     for rounds in itertools.count():
         instances = _instances(state, an, stable)

@@ -46,6 +46,7 @@ from .vertices import (
     VertexMatrix,
     _fill,
     _index_sets,
+    _zero_cut,
     blocks,
     expand_vertex_vector,
     first_vertex,
@@ -412,8 +413,12 @@ def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray
     s = _sym(t)
     eigs = np.linalg.eigvalsh(s)
     ok &= ~(eigs[:, -1] > tol * _spectral_scale(eigs))
-    # the symmetric part vanishes off the diagonal on every zero-diagonal row
-    ok &= (zero_entries(s, tol) | np.eye(t.shape[-1], dtype=bool) | ~zero_diag[:, :, None]).all(axis=(1, 2))
+    # the symmetric part vanishes off the diagonal on every zero-diagonal row, by zero_entries
+    # of s, whose scale is the largest magnitude of all of s; only those rows are read
+    cut = _zero_cut(np.maximum(s.max(axis=(1, 2)), -s.min(axis=(1, 2))), tol)
+    which, row = np.nonzero(zero_diag)
+    zero_row = (np.abs(s[which, row]) <= cut[which, None]) | (np.arange(t.shape[-1]) == row[:, None])
+    ok[which[~zero_row.all(axis=1)]] = False
     # strictly negative definite on the rest, one stacked eigenproblem per size
     rest = ~zero_diag
     size = rest.sum(axis=1)

@@ -118,6 +118,12 @@ def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
     ]
 
 
+def vertex_rows(gtype: GameType, labels: list[VertexLabel]) -> np.ndarray:
+    """The rows of the vertex stack holding these labels: enumeration is the product's C order."""
+    chosen = np.array([v.chosen for v in labels], dtype=np.intp).reshape(len(labels), gtype.p)
+    return np.ravel_multi_index(tuple((chosen - gtype.offsets).T), gtype.sizes)
+
+
 def first_vertex(gtype: GameType) -> VertexLabel:
     """The first vertex in enumeration order: each group's first strategy."""
     return VertexLabel(gtype.offsets)
@@ -226,9 +232,15 @@ def zero_entries(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray:
     matrix has its own scale.
     """
     mag = np.abs(np.asarray(m, dtype=float))
+    return mag <= _zero_cut(mag.max(axis=(-2, -1), initial=0.0, keepdims=True), tol)
+
+
+def _zero_cut(top: np.ndarray, tol: float) -> np.ndarray:
+    """The largest magnitude zero_entries counts as zero, given each matrix's largest magnitude."""
+    if tol == 0:  # only exact zeros, beside an infinity too (0 * inf is NaN)
+        return np.zeros_like(top)
     # fmax, as max(1.0, nan) is 1.0: a NaN entry does not unscale the rest
-    scale = np.fmax(1.0, mag.max(axis=(-2, -1), initial=0.0, keepdims=True))
-    return mag <= tol * scale
+    return tol * np.fmax(1.0, top)
 
 
 def graph_pattern(t: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ import pytest
 import polyrep
 from polyrep import cli
 from polyrep.cli import (
+    EXIT_CERTIFICATE,
     EXIT_IO,
     EXIT_NOT_ADMISSIBLE,
     EXIT_NOT_DISSIPATIVE,
@@ -269,6 +270,25 @@ class TestCollapse:
         assert data["steps"][0]["removed"] == 2
         assert data["final_type"] == [2, 2]
         assert data["final_payoff"] == EXAMPLE_REDUCED.tolist()
+
+    def test_library_value_error_is_an_error_line(self, capsys, monkeypatch, example_path):
+        def refuse(*args, **kwargs):
+            raise ValueError("q is not an equilibrium of the game")
+
+        monkeypatch.setattr(cli.collapse_mod, "hamiltonian_collapse", refuse)
+        code, out, err = run(capsys, "collapse", example_path)
+        assert (code, out) == (EXIT_CERTIFICATE, "")
+        assert err == "error: q is not an equilibrium of the game\n"
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_large_payoff_scale(self, capsys, tmp_path, scale):
+        path = tmp_path / "scaled.txt"
+        write_game(PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF * scale), path)
+        code, out, err = run(capsys, "collapse", str(path), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        data = json.loads(out)
+        assert data["final_payoff"] == (EXAMPLE_REDUCED * scale).tolist()
+        assert data["certificate"] == [1.5, 1.0]
 
 
 class TestEquilibrium:

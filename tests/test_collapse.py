@@ -22,7 +22,7 @@ from polyrep.games import (
     vector_field,
     zero_row_representative,
 )
-from polyrep.stability import CONSERVATIVE, admissible, check_with_scaling
+from polyrep.stability import CONSERVATIVE, SEMIDEF_TOL, admissible, analyse, check_with_scaling
 from polyrep.vertices import enumerate_vertices, vertex_matrix, scaled_game
 
 from conftest import EXAMPLE_Q, EXAMPLE_REDUCED, make_admissible_game, random_game
@@ -155,6 +155,71 @@ class TestCardinal2Cleanup:
             cardinal2_cleanup(example_game, EXAMPLE_Q, 0)
 
 
+def _payoffs(gtype, rng):
+    """Float, integer and -0.0-bearing payoffs, the last with +0.0 beside them."""
+    n = gtype.n
+    signed_zeros = rng.choice([-0.0, 0.0, 1.0, -2.5], (n, n))
+    return [rng.uniform(-3, 3, (n, n)), rng.integers(-4, 5, (n, n)).astype(float), signed_zeros]
+
+
+def _exact(x) -> Fraction:
+    return Fraction(float(x))
+
+
+class TestEntriesAreTheRationalsRoundedOnce:
+    """Each entry is float() of its exact rational formula, the sign of zero included."""
+
+    @pytest.mark.parametrize("sizes", [(3, 2), (2, 2, 2), (4,), (1, 3, 2)])
+    def test_q_ell_reduction(self, sizes):
+        rng = np.random.default_rng([60, len(sizes), sizes[0]])
+        gt = GameType(sizes)
+        for a in _payoffs(gt, rng) * 3:
+            game = PolymatrixGame(gt, a)
+            floats = np.concatenate([rng.dirichlet(np.ones(s)) for s in sizes])
+            fractions = [Fraction(int(k), 12) for s in sizes for k in rng.multinomial(12 - s, np.ones(s) / s) + 1]
+            for q in (floats, fractions):
+                for ell in (i for i in range(gt.n) if gt.sizes[gt.group_of(i)] > 1):
+                    keep = [i for i in range(gt.n) if i != ell]
+                    mates = set(gt.group_indices(gt.group_of(ell)))
+                    ql = q[ell] if isinstance(q[ell], Fraction) else _exact(q[ell])
+                    want = np.array([
+                        [
+                            float((_exact(a[i, j]) - _exact(a[ell, j])) * (1 - ql)
+                                  + (_exact(a[i, ell]) - _exact(a[ell, ell])) * ql)
+                            if j in mates else float(_exact(a[i, j]) - _exact(a[ell, j]))
+                            for j in keep
+                        ]
+                        for i in keep
+                    ])
+                    assert q_ell_reduction(game, q, ell).payoff.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(2, 1), (1, 3, 2), (2, 2, 1)])
+    def test_cardinal2_cleanup(self, sizes):
+        rng = np.random.default_rng([61, len(sizes), sizes[0]])
+        gt = GameType(sizes)
+        alpha = sizes.index(1)
+        pinned = gt.offsets[alpha]
+        target = set(gt.group_indices(next(g for g in range(gt.p) if g != alpha)))
+        keep = [i for i in range(gt.n) if i != pinned]
+        for a in _payoffs(gt, rng) * 3:
+            want = np.array([
+                [float(_exact(a[i, j]) + _exact(a[i, pinned])) if j in target else float(_exact(a[i, j])) for j in keep]
+                for i in keep
+            ])
+            got = cardinal2_cleanup(PolymatrixGame(gt, a), None, alpha)
+            assert got.payoff.tobytes() == want.tobytes()
+
+    def test_an_entry_past_the_float_range_raises(self):
+        a = np.zeros((5, 5))
+        a[0, 3], a[2, 3] = 1.5e308, -1.5e308  # column 3 lies outside strategy 2's group
+        with pytest.raises(OverflowError):
+            q_ell_reduction(PolymatrixGame(GameType((3, 2)), a), EXAMPLE_Q, 2)
+        b = np.zeros((3, 3))
+        b[1, 1], b[1, 0] = 1.5e308, 1.5e308  # folds pinned column 0 into column 1
+        with pytest.raises(OverflowError):
+            cardinal2_cleanup(PolymatrixGame(GameType((1, 2)), b), None, 0)
+
+
 class TestReduceBySet:
     def test_example_single_strategy(self, example_game):
         reduced, ident = reduce_by_set(example_game, EXAMPLE_Q, {2})
@@ -277,6 +342,25 @@ class TestHamiltonianCollapse:
         reduced, ident = reduce_by_set(game, q, {1})
         assert reduced.gtype == GameType((2,))
         assert ident.kept == (2, 3)
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_equilibrium_residual_is_relative_to_the_payoff(self, example_game, scale):
+        # the float q's rounding leaves a residual of about scale * 1e-16, which is no defect
+        game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)
+        res = hamiltonian_collapse(game, EXAMPLE_Q)
+        npt.assert_array_equal(res.final_game.payoff, EXAMPLE_REDUCED * scale)
+        assert res.certificate.values == (1.5, 1.0)
+
+    def test_removes_the_damped_strategies_of_the_first_stable_vertex(self, example_game):
+        rng = np.random.default_rng(62)
+        games = [(example_game, EXAMPLE_Q)] + [
+            make_admissible_game(GameType(sizes), rng)[:2] for sizes in [(3, 2), (2, 2, 2), (3, 3), (4,)] for _ in range(3)
+        ]
+        for game, q in games:
+            res = hamiltonian_collapse(game, q)
+            an = analyse(game, SEMIDEF_TOL)
+            signs = an.graphs[an.vstar[0]].diagonal_sign
+            assert [s.removed_original for s in res.steps] == sorted(i for i, sign in signs.items() if sign < 0)
 
     def test_rejects_exterior_q(self, example_game):
         with pytest.raises(ValueError):

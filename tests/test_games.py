@@ -243,6 +243,13 @@ class TestEquilibria:
         assert point is not None
         assert np.min(point) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("scale", [1e9, 1e12, 1e299])
+    def test_large_payoff_scale_keeps_the_group_sums(self, example_game, example_q, scale):
+        # payoff rows of size 1e10 and more beside the unit group-sum rows: the sums must still bind
+        eq = formal_equilibria(PolymatrixGame(example_game.gtype, example_game.payoff * scale))
+        assert eq.exists and eq.dimension == 1
+        assert eq.contains(example_q)
+
     def test_basis_members_are_formal(self, example_game):
         eq = formal_equilibria(example_game)
         rng = np.random.default_rng(16)

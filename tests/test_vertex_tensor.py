@@ -213,7 +213,7 @@ def test_one_pattern_with_passing_and_failing_ratios():
     assert len({rep.scaling.tobytes() for rep in reports if rep.stable}) == 4
 
 
-@pytest.mark.parametrize("tol", [SEMIDEF_TOL, 1e-3])
+@pytest.mark.parametrize("tol", [0.0, SEMIDEF_TOL, 1e-3])
 def test_non_finite_rows_leave_their_group_alone(tol):
     # finite rows of one pattern, and copies of them holding an inf, a -inf or a NaN; the
     # per-vertex reference is undefined on the non-finite rows (it divides by 0 or hands
