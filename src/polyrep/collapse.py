@@ -286,8 +286,9 @@ def hamiltonian_collapse(
     lowest first, transporting the dissipativity certificate (the
     removed group's entry picks up a 1/(1-q_l) factor).  The final game
     must certify conservative; failure of that check is a hard error,
-    since the construction guarantees it.  q must be an equilibrium up
-    to 1e-8 relative to the largest payoff.
+    since the construction guarantees it.  Both checks are relative to
+    the largest entry of the given game's scaled vertex matrix.  q must
+    be an equilibrium up to 1e-8 relative to the largest payoff.
     """
     ok, vstar = admissible(game, d, tol=tol)
     if not ok:
@@ -313,6 +314,9 @@ def hamiltonian_collapse(
         return v, vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v)
 
     v_now, scaled_vm = current()
+    # the scale of the game as given: each reduction rounds at this scale,
+    # even where the block it leaves is exactly zero
+    scale = max(1.0, float(np.max(np.abs(scaled_vm.entries), initial=0.0)))
     for strategy in damped:  # a fold drops a chosen strategy, never one of these
         ell = cur.kept.index(strategy)
         ell_pos = scaled_vm.index_set.index(ell)
@@ -325,12 +329,14 @@ def hamiltonian_collapse(
         v_now, after_vm = current()
         expect = np.delete(np.delete(scaled_vm.entries, ell_pos, 0), ell_pos, 1)
         err = float(np.max(np.abs(after_vm.entries - expect))) if expect.size else 0.0
-        if err > 1e-9 * max(1.0, float(np.max(np.abs(expect))) if expect.size else 0.0):
+        if err > 1e-9 * scale:
             raise RuntimeError("certificate transport failed; reduction is inconsistent")
         scaled_vm = after_vm
 
     certificate = DiagonalScaling(tuple(cur.d))
-    verdict = check_with_scaling(cur.game, certificate, tol=tol)
+    # judged at that scale too: the payoff divided by a power of two near it
+    final = PolymatrixGame(cur.game.gtype, np.ldexp(cur.game.payoff, 1 - np.frexp(scale)[1]))
+    verdict = check_with_scaling(final, certificate, tol=tol)
     if verdict.kind != CONSERVATIVE:
         raise RuntimeError(
             f"collapsed game classifies as {verdict.kind}, not conservative; "

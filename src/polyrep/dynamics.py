@@ -63,26 +63,39 @@ def _half_increment(y, half_at, same, ay, avg, g):
 # x_{k+1} = x + (G1 + 2 G2 + 2 G3 + G4) / 3 for the (dt/2)-scaled increments
 _RK4_WEIGHTS = np.array([1.0, 1 / 3, 2 / 3, 2 / 3, 1 / 3])
 
+# Doubles in the buffer of group sums that the drift of one block of steps
+# is computed from when the block ends: 0.5 MB whatever the batch.
+_DRIFT_BLOCK = 2**16
+
 
 def _rk4_paths(
     game: PolymatrixGame, x0: np.ndarray, steps: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate a batch (m, n) of starts; returns (m, steps+1, n) states.
 
-    Also returns the drift and, per run, the number of samples it kept:
-    the samples before its first non-finite state, steps + 1 when it
-    never had one, and at least 1, since the start is always sample 0.
+    Also returns the (m, steps+1) drift and, per run, the number of
+    samples it kept: the samples before its first non-finite state,
+    steps + 1 when it never had one, and at least 1, since the start is
+    always sample 0.
 
     Classical RK4 on the increments G = (dt/2) f: a stage is five calls
     into buffers allocated once per call, and x, G1..G4 share one
     (5, m, n) buffer, so the step is one weighted sum over it.  After it
-    each group is clipped at zero and renormalized.  The loop makes no
-    finiteness check: a non-finite state holds a NaN after the
-    renormalization (0/0 or inf/inf), the next payoff product carries
-    it to every coordinate of the row, and it stays there.  So each run
-    aborts on its own, and `kept` is read off the stored samples of the
-    runs whose last state is not finite.  A batch in which every run
-    aborts therefore still runs all its steps.
+    each group is clipped at zero and renormalized.  The history is kept
+    time-major, in (steps+1, m, n) and (steps+1, m) buffers, so a step
+    writes one contiguous block; the returned arrays are their
+    transposed views.  A single start's states are therefore contiguous,
+    and a batch run's states are a strided view of the shared buffer.
+    Each step leaves its group sums in one row of a block buffer of
+    _DRIFT_BLOCK doubles, and the drift, the largest |sum - 1| of each
+    state, is computed for the whole block when it ends.
+
+    The loop makes no finiteness check: a non-finite state holds a NaN
+    after the renormalization (0/0 or inf/inf), the next payoff product
+    carries it to every coordinate of the row, and it stays there.  So
+    each run aborts on its own, and `kept` is read off the stored
+    samples of the runs whose last state is not finite.  A batch in
+    which every run aborts therefore still runs all its steps.
 
     Batches and single starts agree to rounding, not bitwise: the BLAS
     products sum in an order that depends on the batch shape.
@@ -91,44 +104,50 @@ def _rk4_paths(
     ind, same = gt.indicator(), gt.same_group()
     half_at = 0.5 * dt * game.payoff.T
     m = x0.shape[0]
-    out = np.empty((m, steps + 1, gt.n))
-    drift = np.zeros((m, steps + 1))
+    out = np.empty((steps + 1, m, gt.n))
+    drift = np.zeros((steps + 1, m))
     stack = np.empty((5, m, gt.n))
     x, g1, g2, g3, g4 = stack
     y, ay, avg = np.empty((3, m, gt.n))
     stages, y_flat = stack.reshape(5, -1), y.reshape(-1)
-    sums, dev = np.empty((2, m, gt.p))
+    block = np.empty((max(1, min(steps, _DRIFT_BLOCK // max(1, m * gt.p))), m, gt.p))
     x[:] = x0
-    out[:, 0] = x
+    out[0] = x
     # a run that goes non-finite is reported through kept, not as a warning
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        for k in range(1, steps + 1):
-            _half_increment(x, half_at, same, ay, avg, g1)
-            np.add(x, g1, out=y)
-            _half_increment(y, half_at, same, ay, avg, g2)
-            np.add(x, g2, out=y)
-            _half_increment(y, half_at, same, ay, avg, g3)
-            np.add(g3, g3, out=y)
-            np.add(x, y, out=y)
-            _half_increment(y, half_at, same, ay, avg, g4)
-            np.dot(_RK4_WEIGHTS, stages, out=y_flat)
-            np.maximum(y, 0.0, out=y)
-            np.dot(y, ind.T, out=sums)
-            np.subtract(sums, 1.0, out=dev)
-            np.abs(dev, out=dev)
-            np.maximum.reduce(dev, axis=1, out=drift[:, k])
-            np.dot(sums, ind, out=ay)
-            np.divide(y, ay, out=x)
-            out[:, k] = x
+        for first in range(1, steps + 1, len(block)):
+            sums_block = block[: steps + 1 - first]
+            for k, sums in enumerate(sums_block, first):
+                _half_increment(x, half_at, same, ay, avg, g1)
+                np.add(x, g1, out=y)
+                _half_increment(y, half_at, same, ay, avg, g2)
+                np.add(x, g2, out=y)
+                _half_increment(y, half_at, same, ay, avg, g3)
+                np.add(g3, g3, out=y)
+                np.add(x, y, out=y)
+                _half_increment(y, half_at, same, ay, avg, g4)
+                np.dot(_RK4_WEIGHTS, stages, out=y_flat)
+                np.maximum(y, 0.0, out=y)
+                np.dot(y, ind.T, out=sums)
+                np.dot(sums, ind, out=ay)
+                np.divide(y, ay, out=x)
+                out[k] = x
+            np.subtract(sums_block, 1.0, out=sums_block)
+            np.abs(sums_block, out=sums_block)
+            np.maximum.reduce(sums_block, axis=2, out=drift[first : first + len(sums_block)])
     kept = np.full(m, steps + 1)
     if steps:
         for i in np.flatnonzero(~np.isfinite(x).all(axis=1)):
-            kept[i] = 1 + np.argmin(np.isfinite(out[i, 1:]).all(axis=1))
-    return out, drift, kept
+            kept[i] = 1 + np.argmin(np.isfinite(out[1:, i]).all(axis=1))
+    return out.transpose(1, 0, 2), drift.T, kept
 
 
-def _trajectory(states: np.ndarray, drift: np.ndarray, kept: int, dt: float) -> Trajectory:
-    return Trajectory(dt * np.arange(kept), states[:kept], drift[:kept], bool(kept == len(states)))
+def _trajectory(
+    states: np.ndarray, drift: np.ndarray, kept: int, dt: float, times: np.ndarray | None = None
+) -> Trajectory:
+    """The first `kept` samples of one run; `times` is a grid of at least that many, else dt * arange(kept)."""
+    times = dt * np.arange(kept) if times is None else times[:kept]
+    return Trajectory(times, states[:kept], drift[:kept], bool(kept == len(states)))
 
 
 def step_count(T: float, dt: float) -> int:
@@ -148,9 +167,16 @@ def integrate(game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01) 
 def integrate_batch(
     game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01
 ) -> list[Trajectory]:
-    """Integrate several starts at once (rows of x0); each run aborts on its own."""
-    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float), step_count(T, dt), dt)
-    return [_trajectory(states[i], drift[i], kept[i], dt) for i in range(len(kept))]
+    """Integrate several starts at once (rows of x0); each run aborts on its own.
+
+    The runs' states are strided views of one (steps+1, m, n) buffer, and
+    their times are slices of one read-only grid.
+    """
+    steps = step_count(T, dt)
+    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float), steps, dt)
+    times = dt * np.arange(steps + 1)
+    times.flags.writeable = False
+    return [_trajectory(states[i], drift[i], kept[i], dt, times) for i in range(len(kept))]
 
 
 def lyapunov_h(

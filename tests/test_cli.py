@@ -290,6 +290,33 @@ class TestCollapse:
         assert data["final_payoff"] == (EXAMPLE_REDUCED * scale).tolist()
         assert data["certificate"] == [1.5, 1.0]
 
+    @pytest.mark.parametrize("scale", [1e30, 1e200])
+    def test_payoff_scale_past_exact_equilibria(self, capsys, tmp_path, scale):
+        # no exact q at these scales: the reduced game carries the float
+        # q's rounding, at the payoff's scale, where the kept block is zero
+        path = tmp_path / "scaled.txt"
+        write_game(PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF * scale), path)
+        code, out, err = run(capsys, "collapse", str(path), "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        npt.assert_allclose(json.loads(out)["certificate"], [1.5, 1.0], rtol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_corrupted_transport_is_refused(self, capsys, monkeypatch, tmp_path, scale):
+        reduce = cli.collapse_mod.q_ell_reduction
+
+        def corrupted(game, q, ell):
+            out = reduce(game, q, ell)
+            payoff = out.payoff.copy()
+            payoff[1, 2] *= 1 + 1e-6  # enters the kept block of the example's vertex (0, 2)
+            return PolymatrixGame(out.gtype, payoff)
+
+        monkeypatch.setattr(cli.collapse_mod, "q_ell_reduction", corrupted)
+        path = tmp_path / "scaled.txt"
+        write_game(PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF * scale), path)
+        code, out, err = run(capsys, "collapse", str(path))
+        assert (code, out) == (EXIT_CERTIFICATE, "")
+        assert err == "error: certificate transport failed; reduction is inconsistent\n"
+
 
 class TestEquilibrium:
     def test_example(self, capsys, example_path):

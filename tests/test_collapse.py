@@ -362,6 +362,25 @@ class TestHamiltonianCollapse:
             signs = an.graphs[an.vstar[0]].diagonal_sign
             assert [s.removed_original for s in res.steps] == sorted(i for i, sign in signs.items() if sign < 0)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_a_core_left_dissipative_is_refused(self, monkeypatch, example_game, scale):
+        # an analysis that sees no damped strategy removes nothing, so the
+        # final game is the dissipative input, at any payoff scale
+        from types import SimpleNamespace
+
+        from polyrep import collapse
+
+        def blind(game, tol):
+            an = analyse(game, tol)
+            edges, signs = an.pattern
+            return SimpleNamespace(scaling=an.scaling, tensor=an.tensor, pattern=(edges, np.zeros_like(signs)))
+
+        monkeypatch.setattr(collapse, "analyse", blind)
+        game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)
+        q = interior_equilibria(game).interior_point
+        with pytest.raises(RuntimeError, match="collapsed game classifies as dissipative, not conservative"):
+            hamiltonian_collapse(game, q)
+
     def test_rejects_exterior_q(self, example_game):
         with pytest.raises(ValueError):
             hamiltonian_collapse(example_game, [0.8, 0.1, 0.1, 0.5, 0.5])

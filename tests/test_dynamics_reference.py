@@ -1,9 +1,12 @@
-"""The buffered RK4 kernel against the whole-vector reference loop.
+"""The buffered RK4 kernel against the reference loops.
 
 dynamics._rk4_paths writes (dt/2)-scaled increments into preallocated
 buffers and finds aborted runs after the loop; reference_dynamics keeps
-the loop it replaced.  On every batch both must keep the same samples
-per run, and the states and drifts must agree to 1e-12.
+the whole-vector loop it replaced.  On every batch both must keep the
+same samples per run, and the states and drifts must agree to 1e-12.
+Against reference_dynamics.buffered_rk4_paths, the same arithmetic with
+a run-major history and the drift made every step, they must agree bit
+for bit, and so must a run restarted from one of its own states.
 
 The payoffs stay within |a_ij| <= 5, so dt * |A| <= 0.5 even at
 dt = 0.1: inside RK4's stability region.  Far outside it (dt * |A| near
@@ -15,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +121,47 @@ def test_clipped_steps_match_the_reference():
     npt.assert_allclose(states, ref_states, rtol=0, atol=1e-12)
     npt.assert_allclose(drift, ref_drift, rtol=1e-12)
     assert np.max(drift) > 1.0 and np.any(states[:, 1:] == 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+    integer=st.booleans(),
+    faces=st.lists(st.booleans(), min_size=1, max_size=3),
+    bad=st.sampled_from(BAD_ROWS),
+    dt=st.sampled_from([0.001, 0.01, 0.1]),
+    steps=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=(3, 2), integer=True, faces=[False, True], bad="zero_group", dt=0.01, steps=100, seed=0)
+@example(sizes=(2,), integer=False, faces=[False], bad="nan_payoff", dt=0.1, steps=3, seed=0)
+@example(sizes=(1,), integer=True, faces=[True], bad="none", dt=0.1, steps=1, seed=0)
+@example(sizes=(2, 2), integer=True, faces=[False], bad="zero_group", dt=0.01, steps=0, seed=0)
+def test_kernel_is_the_buffered_loop_bit_for_bit(sizes, integer, faces, bad, dt, steps, seed):
+    game, x0 = _batch(sizes, integer, faces, bad, seed)
+    states, drift, kept = dynamics._rk4_paths(game, x0, steps, dt)
+    ref_states, ref_drift, ref_kept = ref.buffered_rk4_paths(game, x0, steps, dt)
+    npt.assert_array_equal(kept, ref_kept)
+    npt.assert_array_equal(states, ref_states)
+    npt.assert_array_equal(drift, ref_drift)
+
+
+RESTART_SIZES = (2,) * 16  # 16 groups keep the block of a single start at 4096 steps
+
+
+@pytest.mark.parametrize("m, abort", [(1, False), (3, False), (3, True), (1000, True)])
+def test_restart_is_bit_for_bit(m, abort):
+    # RK4 has no memory: a steps run is an a-step run, then a b-step run
+    # from its last state, for splits on either side of a drift block's end
+    gt = GameType(RESTART_SIZES)
+    game, x0 = _batch(RESTART_SIZES, False, [False] * (m - abort), "zero_group" if abort else "none", m)
+    block = dynamics._DRIFT_BLOCK // (m * gt.p)
+    lengths = [0, 1, block - 1, block, block + 1]
+    for a, b in zip(lengths, lengths[2:] + lengths[:2]):
+        states, drift, kept = dynamics._rk4_paths(game, x0, a + b, 0.01)
+        head_states, head_drift, head_kept = dynamics._rk4_paths(game, x0, a, 0.01)
+        tail_states, tail_drift, tail_kept = dynamics._rk4_paths(game, head_states[:, a], b, 0.01)
+        npt.assert_array_equal(states, np.concatenate([head_states, tail_states[:, 1:]], axis=1))
+        npt.assert_array_equal(drift, np.concatenate([head_drift, tail_drift[:, 1:]], axis=1))
+        npt.assert_array_equal(kept, np.where(head_kept <= a, head_kept, a + tail_kept))
+        assert (kept.min() == 1) == (abort or a + b == 0)  # the zero-group row aborts at its first step
