@@ -1,10 +1,12 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.optimize import brentq
 
+from polyrep import collapse
 from polyrep.collapse import (
     cardinal2_cleanup,
     hamiltonian_collapse,
@@ -366,10 +368,6 @@ class TestHamiltonianCollapse:
     def test_a_core_left_dissipative_is_refused(self, monkeypatch, example_game, scale):
         # an analysis that sees no damped strategy removes nothing, so the
         # final game is the dissipative input, at any payoff scale
-        from types import SimpleNamespace
-
-        from polyrep import collapse
-
         def blind(game, tol):
             an = analyse(game, tol)
             edges, signs = an.pattern
