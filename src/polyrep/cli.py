@@ -80,6 +80,16 @@ def _label(v) -> list[int]:
     return list(v.chosen)
 
 
+def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
+    """The game's analysis, its vertex stack built: exit 1 past vertices.MAX_VERTICES."""
+    an = stability.analyse(game, tol)
+    try:
+        an.tensor
+    except ValueError as exc:  # the vertex ceiling, checked before any vertex is built
+        raise SystemExit(f"error: {exc}") from None
+    return an
+
+
 def _verdict_code(an: stability.Analysis) -> int:
     """Exit code of the admissibility verdict."""
     if an.scaling is None:
@@ -88,7 +98,7 @@ def _verdict_code(an: stability.Analysis) -> int:
 
 
 def cmd_check(args) -> int:
-    an = stability.analyse(_load_game(args.game), args.tol)
+    an = _analyse(_load_game(args.game), args.tol)
     code = _verdict_code(an)
     scaling = None if an.scaling is None else list(an.scaling.values)
     vstar = [_label(v) for v in an.vstar]
@@ -124,20 +134,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_vertices(args) -> int:
-    an = stability.analyse(_load_game(args.game), args.tol)
+    an = _analyse(_load_game(args.game), args.tol)
+    labels, ii, t = an.tensor
     payload, lines = {"vertices": []}, []
-    for v, vm in an.matrices.items():
-        graph = an.graphs[v]
+    for v, idx, m, edges in zip(labels, ii.tolist(), t, an.pattern[0]):
         entry = {
             "label": _label(v),
-            "index_set": list(vm.index_set),
-            "matrix": [[float(x) for x in row] for row in vm.entries],
-            "edges": sorted([list(e) for e in graph.edges]),
+            "index_set": idx,
+            "matrix": m.tolist(),
+            "edges": [[idx[a], idx[b]] for a, b in np.argwhere(np.triu(edges)).tolist()],
         }
         payload["vertices"].append(entry)
         lines.append(f"vertex {v}")
-        lines.append(f"  index set: {list(vm.index_set)}")
-        lines.extend("  " + row for row in _fmt_matrix(vm.entries))
+        lines.append(f"  index set: {idx}")
+        lines.extend("  " + row for row in _fmt_matrix(m))
         lines.append("  edges: " + (", ".join(str(tuple(e)) for e in entry["edges"]) or "none"))
     _emit(args, payload, lines)
     return EXIT_OK
@@ -145,7 +155,7 @@ def cmd_vertices(args) -> int:
 
 def cmd_reduce(args) -> int:
     game = _load_game(args.game)
-    code = _verdict_code(stability.analyse(game, args.tol))
+    code = _verdict_code(_analyse(game, args.tol))
     if code != EXIT_OK:
         print("error: game is not admissible; the reduction rules do not apply", file=sys.stderr)
         return code
@@ -179,7 +189,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_collapse(args) -> int:
     game = _load_game(args.game)
-    an = stability.analyse(game, args.tol)
+    an = _analyse(game, args.tol)
     code = _verdict_code(an)
     if code != EXIT_OK:
         print("error: game is not admissible; nothing to collapse", file=sys.stderr)
@@ -306,6 +316,7 @@ def cmd_simulate(args) -> int:
     an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
     positive = np.min(traj.states) > 0
     if "gb" in wanted or "ratios" in wanted:
+        an = _analyse(game, args.tol)
         monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
     if "h" in wanted:
         if positive and an.scaling is not None:

@@ -362,17 +362,17 @@ def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), np.array(rhs)
 
 
-def _svd(m: np.ndarray, rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """The full SVD of a nonempty m and its rank: the singular values above rtol times the largest."""
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The full SVD of a nonempty m and its rank: the singular values above RANK_RTOL times the largest."""
     u, s, vt = np.linalg.svd(m)
-    return u, s, vt, int(np.sum(s > rtol * s[0]))
+    return u, s, vt, int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def _nullspace(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Rows span the nullspace; rank decided by relative SVD threshold."""
+def _nullspace(m: np.ndarray) -> np.ndarray:
+    """Rows span the nullspace; rank decided by _svd's relative threshold."""
     if m.size == 0:
         return np.eye(m.shape[1])
-    _, _, vt, rank = _svd(m, rtol)
+    _, _, vt, rank = _svd(m)
     return vt[rank:]
 
 

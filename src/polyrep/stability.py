@@ -6,11 +6,13 @@ semidefinite) on the tangent space.  Stability against zero-pattern
 preserving perturbations is decided by the checkable characterization:
 every cycle of the coefficient graph must contain a strong link, and some
 positive diagonal rescaling must make the matrix almost skew-symmetric.
-That test runs on a stack of vertex matrices at once.  The cycle
-condition and which ratios of the diagonal the constraints tie read only
-a matrix's zero pattern and damped diagonal, so they run once per
-distinct pattern; the ratios, the scalings they spread to and the
-definiteness checks run as array operations over the stack.
+That test runs on a stack of vertex matrices at once, on the edges and
+diagonal signs of vertices.graph_pattern.  The cycle condition and
+which ratios of the diagonal the constraints tie read only a matrix's
+zero pattern and damped diagonal, so they run once per distinct
+pattern, both by one depth-first walk (_walk); the ratios, the scalings
+they spread to and the definiteness checks run as array operations over
+the stack.
 stably_dissipative and its helpers on one matrix are the stack of one.
 
 The certificate search (facial reduction, then Kelley cuts solved as
@@ -41,9 +43,7 @@ from .games import (
     formal_equilibria,
 )
 from .vertices import (
-    StrategyGraph,
     VertexLabel,
-    VertexMatrix,
     _fill,
     _index_sets,
     _zero_cut,
@@ -51,7 +51,6 @@ from .vertices import (
     expand_vertex_vector,
     first_vertex,
     graph_pattern,
-    vertex_graphs,
     vertex_tensor,
     zero_entries,
 )
@@ -182,8 +181,13 @@ def check_with_scaling(
 
 
 def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScaling | None:
-    """The positive group-diagonal certificate _search finds, first group at 1, or None."""
-    return _search(game, tol).scaling
+    """The analysis's certificate: a positive group diagonal, first group at 1, or None.
+
+    None also when the game has no formal equilibrium, as for
+    check_with_scaling and Analysis.  A tol that is not a finite number
+    >= 0 raises ValueError.
+    """
+    return analyse(game, tol).scaling
 
 
 def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
@@ -348,6 +352,18 @@ def _walk(k: int, i: list[int], j: list[int]) -> list[tuple[int, int, int, bool]
     return steps
 
 
+def _walks(k: int, groups: int, g: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """_walk of each group's pairs (i, j), the pairs sorted by group: the steps (len(i), 4), in pair order."""
+    counts = np.bincount(g, minlength=groups).tolist()
+    ii, jj, at = i.tolist(), j.tolist(), 0
+    steps = []
+    for n in counts:
+        if n:
+            steps += _walk(k, ii[at : at + n], jj[at : at + n])
+        at += n
+    return np.array(steps, dtype=np.intp).reshape(-1, 4)
+
+
 def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Owner and position of each entry of range(c) for c in counts, laid end to end."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -369,27 +385,6 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     group = np.empty(count, dtype=np.intp)
     group[order] = np.cumsum(new) - 1
     return order[new], group
-
-
-def _forests(adj: np.ndarray) -> np.ndarray:
-    """Which graphs of a stack (V, k, k) of symmetric loopless adjacencies are forests.
-
-    A graph is a forest exactly when its edges number k minus its
-    components.  Components come from reachability by repeated squaring,
-    counted by their smallest members; the counts are exact.
-    """
-    k = adj.shape[-1]
-    idx = np.arange(k)
-    edges = adj.sum(axis=(1, 2)) // 2
-    # no edge is a forest, k or more edges never are; only the rest need components
-    todo = np.flatnonzero((edges > 0) & (edges < k))
-    out = edges == 0
-    reach = (adj[todo] | (idx[:, None] == idx)).astype(float)
-    for _ in range((k - 1).bit_length()):
-        reach = (reach @ reach > 0).astype(float)
-    components = (~((reach > 0) & (idx[:, None] > idx)).any(axis=2)).sum(axis=1)
-    out[todo] = edges[todo] == k - components
-    return out
 
 
 def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
@@ -449,39 +444,42 @@ def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np
     """Both conditions of stable dissipativity on a stack (V, k, k), its zero pattern given.
 
     Returns cycle_ok and skew_ok, each (V,), and the candidate scaling d,
-    (V, k), which is the scaling wherever skew_ok holds.  The rows are
-    grouped by their zero pattern and damped set (nonzero negative
-    diagonal).  The cycle test, the constraint pairs, the one-sided
-    rejection and the order of the ratio walk read only those, so they
-    run once per group, on its first row.  The values are read once per
-    stack: the ratios d_j / d_i = -m_ji / m_ij and their range check,
-    the walk's steps applied depth by depth to every row of every group,
-    the check of the constraints off the forest, and the verification
-    of M diag(d) against M's zero diagonal (M diag(d) has the zero
-    pattern of M for d > 0), BLOCK candidates at a time; an M diag(d)
-    whose entries or symmetric part leave the float range fails it.
-    Each step multiplies as the walk on one matrix would, so every d is
-    the same float it would be there.
+    (V, k), which is the scaling wherever skew_ok holds.  The edges and
+    diagonal signs are graph_pattern's: sign 0 is a zero diagonal, -1 a
+    damped one.  The rows are grouped by their zero pattern and damped
+    set; the cycle test (the graph less its strong links is a forest
+    exactly when _walk takes every edge as a step, which it cannot on k
+    edges or more), the constraint pairs, the one-sided rejection and the
+    order of the ratio walk read only those, so they run once per group,
+    on its first row.  The values are read once per stack: the ratios
+    d_j / d_i = -m_ji / m_ij and their range check, the walk's steps applied
+    depth by depth to every row of every group, the check of the
+    constraints off the forest, and the verification of M diag(d) against
+    M's zero diagonal (M diag(d) has the zero pattern of M for d > 0),
+    BLOCK candidates at a time; an M diag(d) whose entries or symmetric
+    part leave the float range fails it.  Each step multiplies as the walk
+    on one matrix would, so every d is the same float it would be there.
     """
     count, k = t.shape[:2]
     idx = np.arange(k)
-    zero_diag = np.diagonal(zero, axis1=1, axis2=2)
-    damped = (np.diagonal(t, axis1=1, axis2=2) < 0) & ~zero_diag
+    edges, signs = graph_pattern(t, zero)
+    zero_diag, damped = signs == 0, signs < 0
     first, group = _groups(np.packbits(np.concatenate([zero.reshape(count, k * k), damped], axis=1), axis=1))
 
     # once per group: its first row stands for all of it
-    z, zd, strong = zero[first], zero_diag[first], damped[first]
-    coupled = ~(z & z.transpose(0, 2, 1))
-    adj = coupled & ~(strong[:, :, None] & strong[:, None, :]) & (idx[:, None] != idx)
-    cycle_ok = _forests(adj)[group]
+    z, e, zd, strong = zero[first], edges[first] & (idx[:, None] < idx), zero_diag[first], damped[first]
+    cg, ci, cj = np.nonzero(e & ~(strong[:, :, None] & strong[:, None, :]))
+    # a forest on k nodes has at most k - 1 edges; among those graphs, an edge the walk does not take closes a cycle
+    cycle_ok = np.bincount(cg, minlength=len(first)) <= max(k - 1, 0)
+    few = cycle_ok[cg]
+    cycle_ok[cg[few][_walks(k, len(first), cg[few], ci[few], cj[few])[:, 0] == 0]] = False
+    cycle_ok = cycle_ok[group]
     # the constraint pairs: coupled, and touching a zero diagonal; a one-sided one forces d to zero
-    pg, pi, pj = np.nonzero((zd[:, :, None] | zd[:, None, :]) & coupled & (idx[:, None] < idx))
+    pg, pi, pj = np.nonzero((zd[:, :, None] | zd[:, None, :]) & e)
     one_sided = z[pg, pi, pj] != z[pg, pj, pi]
+    step = _walks(k, len(first), pg, pi, pj)
     npairs = np.bincount(pg, minlength=len(first))
     pair_start = npairs.cumsum() - npairs
-    ii, jj = pi.tolist(), pj.tolist()
-    walks = [_walk(k, ii[at : at + n], jj[at : at + n]) for at, n in zip(pair_start.tolist(), npairs.tolist()) if n]
-    step = np.array([s for w in walks for s in w], dtype=np.intp).reshape(-1, 4)
 
     # once per stack: every row's pairs, in row order, then its group's pair order
     row, q = _ragged(npairs[group])
@@ -558,8 +556,11 @@ class Analysis:
     runs in order: a formal equilibrium, then a certificate (searched for
     only when an equilibrium exists), then a stably dissipative vertex.
     Games are immutable, so an analysis never goes stale.  The vertex
-    fields read one vertex_tensor and one zero pattern.  A tolerance
-    that is not a finite number >= 0 raises ValueError.
+    fields read one vertex_tensor and one zero pattern: tensor and
+    pattern hold every vertex's matrix and graph as arrays, and the
+    reports are decided on the same graph_pattern.  A tolerance that is
+    not a finite number >= 0 raises ValueError, and so does the first
+    vertex field of a game with more than vertices.MAX_VERTICES vertices.
     """
 
     game: PolymatrixGame
@@ -577,7 +578,7 @@ class Analysis:
 
     @functools.cached_property
     def _zero(self) -> np.ndarray:
-        """The zero pattern of every vertex matrix, shared by reports, pattern and graphs."""
+        """The zero pattern of every vertex matrix, shared by reports and pattern."""
         t = self.tensor[2]
         return np.concatenate([zero_entries(t[b], self.tol) for b in blocks(len(t))])
 
@@ -585,12 +586,6 @@ class Analysis:
     def pattern(self) -> tuple[np.ndarray, np.ndarray]:
         """graph_pattern of every vertex: edges (V, k, k) and diagonal signs (V, k), the rules' graphs."""
         return graph_pattern(self.tensor[2], self._zero)
-
-    @functools.cached_property
-    def matrices(self) -> Mapping[VertexLabel, VertexMatrix]:
-        """The coefficient matrix at every vertex, in enumeration order."""
-        labels, ii, t = self.tensor
-        return MappingProxyType({v: VertexMatrix(v, tuple(idx), m) for v, idx, m in zip(labels, ii.tolist(), t)})
 
     @functools.cached_property
     def reports(self) -> Mapping[VertexLabel, StableDissipativityReport]:
@@ -601,12 +596,6 @@ class Analysis:
     def vstar(self) -> tuple[VertexLabel, ...]:
         """The stably dissipative vertices, in enumeration order."""
         return tuple(v for v, rep in self.reports.items() if rep.stable)
-
-    @functools.cached_property
-    def graphs(self) -> Mapping[VertexLabel, StrategyGraph]:
-        """The zero-pattern graph at every vertex as objects, for display; the rules read pattern."""
-        labels, ii, t = self.tensor
-        return MappingProxyType(dict(zip(labels, vertex_graphs(ii, t, self._zero))))
 
     @functools.cached_property
     def equilibria(self) -> EquilibriumSet:

@@ -10,12 +10,15 @@ That matrix represents the payoff quadratic form on the tangent space in
 the vertex basis {e_i - e_j}.  vertex_tensor builds every vertex's
 matrix as one (V, k, k) stack, k = n - p; vertex_matrix is its stack of
 one.  graph_pattern reads the stack's zero-pattern graphs as edge and
-sign arrays, the inference rules' input; vertex_graphs makes objects.
+sign arrays, the one edge and sign rule: the stability test, the
+inference rules, the collapse and vertex_graph all read it.  A game
+with more than MAX_VERTICES vertices is refused before any is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,9 @@ from .games import (
 # Vertices per block of the stacked vertex layer: the gathers and the
 # stability test's transients grow with the block, not with V.
 BLOCK = 256
+# Most prism vertices V = prod(n_a) a game may have: the vertex layer keeps
+# about 10 KB per vertex, so V is refused before it can exhaust memory.
+MAX_VERTICES = 2**14
 
 
 def blocks(count: int) -> list[slice]:
@@ -111,7 +117,13 @@ class StrategyGraph:
 
 
 def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
-    """All prism vertices in lexicographic order of chosen strategies."""
+    """All prism vertices in lexicographic order of chosen strategies.
+
+    ValueError when there are more than MAX_VERTICES, before any is made.
+    """
+    count = math.prod(gtype.sizes)
+    if count > MAX_VERTICES:
+        raise ValueError(f"the game has {count} vertices, more than the {MAX_VERTICES} the vertex layer handles")
     return [
         VertexLabel(c)
         for c in itertools.product(*(gtype.group_indices(a) for a in range(gtype.p)))
@@ -246,44 +258,28 @@ def _zero_cut(top: np.ndarray, tol: float) -> np.ndarray:
 def graph_pattern(t: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edges (V, k, k) and diagonal signs (V, k) of a vertex stack t, given its zero pattern.
 
-    An edge joins two distinct positions either of whose coefficients is
-    nonzero; a zero diagonal entry has sign 0, any other -1 or 1.
+    The one edge and sign rule of the package.  An edge joins two
+    distinct positions either of whose coefficients is nonzero; a zero
+    diagonal entry has sign 0, a negative one -1 (damped), any other 1.
     """
     k = t.shape[-1]
     edges = ~(zero & zero.transpose(0, 2, 1)) & ~np.eye(k, dtype=bool)
     diag = np.diagonal(t, axis1=1, axis2=2)
-    signs = np.where(np.diagonal(zero, axis1=1, axis2=2), 0, np.where(diag > 0, 1, -1))
+    signs = np.where(np.diagonal(zero, axis1=1, axis2=2), 0, np.where(diag < 0, -1, 1))
     return edges, signs
-
-
-def vertex_graphs(ii: np.ndarray, t: np.ndarray, zero: np.ndarray) -> list[StrategyGraph]:
-    """The StrategyGraph of each slice of a vertex stack, from graph_pattern.
-
-    ii are the index sets (V, k), t the matrices (V, k, k) and zero
-    their zero_entries.  Read in blocks of BLOCK vertices.
-    """
-    graphs = []
-    for b in blocks(len(ii)):
-        idx = ii[b]
-        edges, signs = graph_pattern(t[b], zero[b])
-        which, r, c = np.nonzero(np.triu(edges))
-        ends = np.stack([idx[which, r], idx[which, c]], axis=1).tolist()
-        cuts = np.cumsum(np.bincount(which, minlength=len(idx))).tolist()
-        start = 0
-        for row, sign, stop in zip(idx.tolist(), signs.tolist(), cuts):
-            graphs.append(StrategyGraph(tuple(row), frozenset(map(tuple, ends[start:stop])), dict(zip(row, sign))))
-            start = stop
-    return graphs
 
 
 def vertex_graph(vm: VertexMatrix, tol: float = SEMIDEF_TOL) -> StrategyGraph:
     """Graph on the index set read off the zero pattern of the matrix.
 
     An entry is zero by zero_entries, so the graph is the one the
-    stability test sees.  The stack of one of vertex_graphs.
+    stability test sees: graph_pattern's stack of one, as an object.
     """
     t = vm.entries[None]
-    return vertex_graphs(np.array([vm.index_set], dtype=np.intp).reshape(1, vm.dim), t, zero_entries(t, tol))[0]
+    edges, signs = graph_pattern(t, zero_entries(t, tol))
+    idx = vm.index_set
+    ends = frozenset((idx[a], idx[b]) for a, b in np.argwhere(np.triu(edges[0])).tolist())
+    return StrategyGraph(idx, ends, dict(zip(idx, signs[0].tolist())))
 
 
 def scaled_game(game: PolymatrixGame, d: DiagonalScaling) -> PolymatrixGame:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import polyrep
+import reference_vertex_layer as ref_layer
 from polyrep import games, stability
 from polyrep.cli import main
 from polyrep.dynamics import integrate_batch
@@ -150,7 +151,9 @@ class TestAnalysis:
         a[0, 0] = -1e-12
         an = stability.Analysis(PolymatrixGame(GameType((2,)), a))
         v = enumerate_vertices(GameType((2,)))[1]
-        assert an.graphs[v].diagonal_sign == {0: 0}
+        idx, m = ref_layer.vertex_matrix(an.game, v)
+        assert ref_layer.vertex_graph(idx, m).diagonal_sign == {0: 0}
+        assert an.tensor[1][1].tolist() == list(idx) and an.pattern[1][1].tolist() == [0]
 
 
 class TestSimulateMonitors:

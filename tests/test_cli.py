@@ -21,7 +21,7 @@ from polyrep.cli import (
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.stability import admissible
-from polyrep.vertices import first_vertex, vertex_matrix
+from polyrep.vertices import MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
 
 from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, random_game
 
@@ -132,6 +132,52 @@ class TestPayoffRange:
         path.write_text(BEYOND_RANGE.replace("1e308", "1e300"))
         code, _, err = run(capsys, *command, str(path), "--format", "json")
         assert code in range(5) and "payoff entry" not in err
+
+
+class TestVertexCeiling:
+    """A game with more than vertices.MAX_VERTICES vertices is refused before any is built.
+
+    The commands run in a child process whose address space is capped at
+    1 GiB above what it holds after its imports, so a vertex layer built
+    past the ceiling ends there in a MemoryError instead of taking the
+    machine's memory.
+    """
+
+    SCRIPT = """
+import contextlib, io, json, resource, sys
+from polyrep.cli import main
+held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (held + 2**30, held + 2**30))
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+    def test_every_vertex_command_exits_1(self, tmp_path):
+        # 20 groups of two: 2**20 vertices, whose stack alone would take 3.4 GB
+        game = random_game(GameType((2,) * 20), np.random.default_rng(0), integer=True)
+        path = str(tmp_path / "g.txt")
+        write_game(game, path)
+        commands = [[c, path] for c in ("check", "vertices", "reduce", "collapse")]
+        commands += [["check", path, "--format", "json"], ["simulate", "--game", path, "--T", "0.01", "--monitors", "ratios"]]
+        src = str(Path(polyrep.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        refusal = f"error: the game has {2**20} vertices, more than the {MAX_VERTICES} the vertex layer handles\n"
+        assert json.loads(proc.stdout) == [[EXIT_IO, "", refusal]] * len(commands)
+
+    def test_the_ceiling_itself_is_enumerated(self):
+        assert len(enumerate_vertices(GameType((MAX_VERTICES,)))) == MAX_VERTICES
+        with pytest.raises(ValueError, match=f"{MAX_VERTICES + 1} vertices, more than the {MAX_VERTICES}"):
+            enumerate_vertices(GameType((MAX_VERTICES + 1,)))
 
 
 class TestUsageErrors:

@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from scipy.optimize import brentq
 
+import reference_vertex_layer as ref_layer
 from polyrep import collapse
 from polyrep.collapse import (
     cardinal2_cleanup,
@@ -361,7 +362,7 @@ class TestHamiltonianCollapse:
         for game, q in games:
             res = hamiltonian_collapse(game, q)
             an = analyse(game, SEMIDEF_TOL)
-            signs = an.graphs[an.vstar[0]].diagonal_sign
+            signs = ref_layer.vertex_graph(*ref_layer.vertex_matrix(game, an.vstar[0])).diagonal_sign
             assert [s.removed_original for s in res.steps] == sorted(i for i, sign in signs.items() if sign < 0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])

@@ -151,6 +151,19 @@ class TestFindScaling:
         game = PolymatrixGame(GameType((2,)), np.eye(2))
         assert find_scaling(game) is None
 
+    def test_no_formal_equilibrium_gives_none(self):
+        # strategy 0 always pays 1 more than strategy 1, so no state equalizes them;
+        # the form at the first vertex is 0, which the identity would certify
+        game = PolymatrixGame(GameType((2,)), np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert check_with_scaling(game, DiagonalScaling((1.0,))).kind == NO_FORMAL_EQUILIBRIUM
+        assert Analysis(game).scaling is None
+        assert find_scaling(game) is None
+
+    @pytest.mark.parametrize("tol", [-1e-9, float("inf"), float("nan")])
+    def test_rejects_a_tolerance_the_analysis_rejects(self, example_game, tol):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            find_scaling(example_game, tol)
+
     @pytest.mark.parametrize("sizes,seed,values", PINNED_SCALINGS)
     def test_pinned_certificates(self, sizes, seed, values):
         game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))

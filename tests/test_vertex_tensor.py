@@ -1,8 +1,9 @@
 """The stacked vertex layer against the per-vertex reference, bit for bit.
 
-Analysis builds every vertex matrix, zero pattern, graph and stable
-dissipativity report as one stack; vertex_matrix, vertex_graph and
-stably_dissipative are the stack of one.  Each must equal the loop
+Analysis builds every vertex matrix, zero pattern, graph (the edge and
+sign arrays of graph_pattern) and stable dissipativity report as one
+stack; vertex_matrix, vertex_graph and stably_dissipative are the stack
+of one.  Each must equal the loop
 version in reference_vertex_layer in every bit, scalings included.
 """
 
@@ -15,7 +16,7 @@ import reference_vertex_layer as ref
 from polyrep import stability
 from polyrep.games import SEMIDEF_TOL, GameType, PolymatrixGame
 from polyrep.stability import Analysis, almost_skew_symmetric, find_almost_skew_scaling, stably_dissipative
-from polyrep.vertices import BLOCK, vertex_graph, vertex_graphs, vertex_matrix, vertex_tensor, zero_entries
+from polyrep.vertices import BLOCK, graph_pattern, vertex_graph, vertex_matrix, vertex_tensor, zero_entries
 
 from conftest import EXAMPLE_PAYOFF, make_dissipative_game
 
@@ -85,6 +86,12 @@ def _graph_key(g):
     return g.vertices, g.edges, list(g.diagonal_sign.items())
 
 
+def _pattern_key(idx, edges, signs):
+    """_graph_key of one vertex's graph_pattern rows, on its index set idx."""
+    ends = frozenset((idx[a], idx[b]) for a, b in np.argwhere(np.triu(edges)).tolist())
+    return tuple(idx), ends, list(zip(idx, signs.tolist()))
+
+
 @settings(max_examples=200, deadline=5000, derandomize=True, database=None)
 @given(
     sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple),
@@ -102,10 +109,12 @@ def _graph_key(g):
 def test_stack_matches_the_per_vertex_reference(sizes, kind, seed, tol):
     game = PolymatrixGame(GameType(sizes), _payoff(sizes, kind, seed))
     an = Analysis(game, tol)
-    assert list(an.matrices) == list(an.reports) == list(an.graphs)
-    for v, vm in an.matrices.items():
+    labels, rows, t = an.tensor
+    edges, signs = an.pattern
+    assert list(an.reports) == labels
+    for v, row, entries, row_edges, row_signs in zip(labels, rows.tolist(), t, edges, signs):
         idx, m = ref.vertex_matrix(game, v)
-        assert vm.index_set == idx and vm.entries.tobytes() == m.tobytes()
+        assert tuple(row) == idx and entries.tobytes() == m.tobytes()
         one = vertex_matrix(game, v)
         assert one.index_set == idx and one.entries.tobytes() == m.tobytes()
 
@@ -114,8 +123,8 @@ def test_stack_matches_the_per_vertex_reference(sizes, kind, seed, tol):
         assert _report_key(stably_dissipative(m, tol)) == expected
 
         graph = _graph_key(ref.vertex_graph(idx, m, tol))
-        assert _graph_key(an.graphs[v]) == graph
-        assert _graph_key(vertex_graph(vm, tol)) == graph
+        assert _pattern_key(row, row_edges, row_signs) == graph
+        assert _graph_key(vertex_graph(one, tol)) == graph
 
         zero = ref.zero_entries(m, tol)
         scaling = ref._almost_skew_scaling(m, zero, tol)
@@ -136,7 +145,7 @@ def test_examples_reach_the_constraint_checks(sizes, kind, tol):
     an = Analysis(game, tol)
     v = next(iter(an.reports))
     assert not an.reports[v].skew_ok
-    m = an.matrices[v].entries
+    m = an.tensor[2][0]
     assert ref._almost_skew(m, np.diagonal(ref.zero_entries(m, tol)), tol) == (kind == "cycle")
 
 
@@ -153,12 +162,12 @@ def test_blocks_span_more_than_one_block():
     labels, ii, t = vertex_tensor(game)
     assert len(labels) > 5 * BLOCK
     reports = stability.stably_dissipative_stack(t, zero_entries(t, SEMIDEF_TOL), SEMIDEF_TOL)
-    graphs = vertex_graphs(ii, t, zero_entries(t, SEMIDEF_TOL))
-    for v, rep, graph, m in zip(labels, reports, graphs, t):
+    edges, signs = graph_pattern(t, zero_entries(t, SEMIDEF_TOL))
+    for v, rep, row, row_edges, row_signs, m in zip(labels, reports, ii.tolist(), edges, signs, t):
         idx, expected = ref.vertex_matrix(game, v)
         assert m.tobytes() == expected.tobytes()
         assert _report_key(rep) == _report_key(ref.stably_dissipative(expected))
-        assert _graph_key(graph) == _graph_key(ref.vertex_graph(idx, expected))
+        assert _pattern_key(row, row_edges, row_signs) == _graph_key(ref.vertex_graph(idx, expected))
     assert sum(rep.stable for rep in reports) == 4**4
 
 
