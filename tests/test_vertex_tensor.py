@@ -3,8 +3,8 @@
 Analysis builds every vertex matrix, zero pattern, graph (the edge and
 sign arrays of graph_pattern) and stable dissipativity report as one
 stack; vertex_matrix, vertex_graph and stably_dissipative are the stack
-of one.  Each must equal the loop
-version in reference_vertex_layer in every bit, scalings included.
+of one.  Each must equal the loop version in reference_vertex_layer in
+every bit, scalings included.
 """
 
 import numpy as np
@@ -16,7 +16,16 @@ import reference_vertex_layer as ref
 from polyrep import stability
 from polyrep.games import SEMIDEF_TOL, GameType, PolymatrixGame
 from polyrep.stability import Analysis, almost_skew_symmetric, find_almost_skew_scaling, stably_dissipative
-from polyrep.vertices import BLOCK, graph_pattern, vertex_graph, vertex_matrix, vertex_tensor, zero_entries
+from polyrep.vertices import (
+    BLOCK,
+    VertexLabel,
+    VertexMatrix,
+    graph_pattern,
+    vertex_graph,
+    vertex_matrix,
+    vertex_tensor,
+    zero_entries,
+)
 
 from conftest import EXAMPLE_PAYOFF, make_dissipative_game
 
@@ -242,6 +251,15 @@ def test_non_finite_rows_leave_their_group_alone(tol):
         else:
             assert not rep.skew_ok and rep.scaling is None
             assert _report_key(rep) == _report_key(stably_dissipative(m, tol))
+
+
+def test_a_nan_diagonal_is_not_damped():
+    # graph_pattern is the one sign rule, so its damped set (-1) is the stability test's:
+    # negative diagonals only, not a NaN one
+    t = np.array([[[np.nan, 1.0], [-1.0, -2.0]]])
+    zero = zero_entries(t, 0.0)
+    assert graph_pattern(t, zero)[1].tolist() == [[1, -1]]
+    assert vertex_graph(VertexMatrix(VertexLabel(()), (0, 1), t[0]), 0.0).diagonal_sign == {0: 1, 1: -1}
 
 
 def test_symmetric_part_past_the_float_range_is_not_almost_skew():
