@@ -81,11 +81,11 @@ def _label(v) -> list[int]:
 
 
 def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
-    """The game's analysis, its vertex stack built: exit 1 past vertices.MAX_VERTICES."""
+    """The game's analysis, its vertex stack built: exit 1 past vertices.MAX_VERTICES or MAX_ENTRIES."""
     an = stability.analyse(game, tol)
     try:
         an.tensor
-    except ValueError as exc:  # the vertex ceiling, checked before any vertex is built
+    except ValueError as exc:  # the vertex ceilings, checked before the stack is built
         raise SystemExit(f"error: {exc}") from None
     return an
 
@@ -137,7 +137,7 @@ def cmd_vertices(args) -> int:
     an = _analyse(_load_game(args.game), args.tol)
     labels, ii, t = an.tensor
     payload, lines = {"vertices": []}, []
-    for v, idx, m, edges in zip(labels, ii.tolist(), t, an.pattern[0]):
+    for v, idx, m, edges in zip(labels, ii.tolist(), np.ldexp(t, an.unit[1]), an.pattern[0]):  # in the game's unit
         entry = {
             "label": _label(v),
             "index_set": idx,

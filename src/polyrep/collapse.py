@@ -26,6 +26,7 @@ from .games import (
     GameType,
     PolymatrixGame,
     check_prism_state,
+    in_unit,
     vector_field,
 )
 from .stability import (
@@ -286,17 +287,21 @@ def hamiltonian_collapse(
     lowest first, transporting the dissipativity certificate (the
     removed group's entry picks up a 1/(1-q_l) factor).  The final game
     must certify conservative; failure of that check is a hard error,
-    since the construction guarantees it.  Both checks are relative to
-    the largest entry of the given game's scaled vertex matrix.  q must
-    be an equilibrium up to 1e-8 relative to the largest payoff.
+    since the construction guarantees it.  The chain runs on the game in
+    its unit (games.in_unit), as the analysis does: the transport check
+    is relative to the largest entry of its first scaled vertex matrix,
+    the final verdict is read there, and final_game is mapped back to the
+    game's unit.  q must be an equilibrium up to 1e-8 relative to the
+    largest payoff.
     """
     ok, vstar = admissible(game, d, tol=tol)
     if not ok:
         raise ValueError("hamiltonian collapse requires an admissible game")
+    unit, e = in_unit(game)
     qf = np.array([float(x) for x in _to_fractions(q)])
     if check_prism_state(game.gtype, qf) or np.min(qf) <= 0:
         raise ValueError("q must be a strictly interior prism state")
-    if float(np.max(np.abs(vector_field(game, qf)))) > 1e-8 * max(1.0, float(np.max(np.abs(game.payoff)))):
+    if float(np.max(np.abs(vector_field(unit, qf)))) > 1e-8 * float(np.max(np.abs(unit.payoff))):
         raise ValueError("q is not an equilibrium of the game")
     an = analyse(game, tol)
     if d is None:
@@ -306,7 +311,7 @@ def hamiltonian_collapse(
     row = vertex_rows(game.gtype, [vertex])[0]
     damped = an.tensor[1][row][an.pattern[1][row] < 0].tolist()  # ascending, as index sets are
     chosen = list(vertex.chosen)  # tracked as original-game indices
-    cur = _Cursor(game, q, d)
+    cur = _Cursor(unit, q, d)
 
     def current() -> tuple[VertexLabel, VertexMatrix]:
         """The vertex in the current game's indices, and its scaled vertex matrix."""
@@ -314,8 +319,7 @@ def hamiltonian_collapse(
         return v, vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v)
 
     v_now, scaled_vm = current()
-    # the scale of the game as given: each reduction rounds at this scale,
-    # even where the block it leaves is exactly zero
+    # each reduction rounds at this scale, even where the block it leaves is exactly zero
     scale = max(1.0, float(np.max(np.abs(scaled_vm.entries), initial=0.0)))
     for strategy in damped:  # a fold drops a chosen strategy, never one of these
         ell = cur.kept.index(strategy)
@@ -334,9 +338,7 @@ def hamiltonian_collapse(
         scaled_vm = after_vm
 
     certificate = DiagonalScaling(tuple(cur.d))
-    # judged at that scale too: the payoff divided by a power of two near it
-    final = PolymatrixGame(cur.game.gtype, np.ldexp(cur.game.payoff, 1 - np.frexp(scale)[1]))
-    verdict = check_with_scaling(final, certificate, tol=tol)
+    verdict = check_with_scaling(cur.game, certificate, tol=tol)
     if verdict.kind != CONSERVATIVE:
         raise RuntimeError(
             f"collapsed game classifies as {verdict.kind}, not conservative; "
@@ -344,7 +346,7 @@ def hamiltonian_collapse(
         )
     return CollapseResult(
         steps=tuple(cur.steps),
-        final_game=cur.game,
+        final_game=PolymatrixGame(cur.game.gtype, np.ldexp(cur.game.payoff, e)),
         final_equilibrium=cur.q_floats(),
         certificate=certificate,
         identification=cur.map(),

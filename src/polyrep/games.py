@@ -39,7 +39,9 @@ RANK_RTOL = 1e-10
 MAX_PAYOFF = 1e300
 
 # Relative semidefiniteness tolerance: eigenvalue cuts scale with
-# max(1, |eigenvalue|), zero-entry cuts with max(1, |entry|).
+# max(1, |eigenvalue|), zero-entry cuts with max(1, |entry|).  The analysis
+# applies it to the game in its unit (in_unit), where max|A| is in [1, 2),
+# so that its verdicts do not depend on the payoff's unit.
 SEMIDEF_TOL = 1e-9
 
 
@@ -266,6 +268,21 @@ def random_tangent_vector(gtype: GameType, rng: np.random.Generator) -> np.ndarr
     return w
 
 
+def in_unit(game: PolymatrixGame) -> tuple[PolymatrixGame, int]:
+    """The game with its payoff times 2**-e, e putting max|A| * 2**-e in [1, 2), and e.
+
+    The one place the payoff's unit is decided.  Scaling by 2**j is exact
+    until an entry goes subnormal, so what is read from the unit game holds
+    for the game times any power of two; np.ldexp(., e) maps back.  A zero,
+    in-range or non-finite payoff is returned as it is, with e = 0.
+    """
+    top = float(np.max(np.abs(game.payoff), initial=0.0))
+    e = int(np.frexp(top)[1]) - 1 if 0 < top < np.inf else 0
+    if e == 0:
+        return game, 0
+    return PolymatrixGame(game.gtype, np.ldexp(game.payoff, -e)), e
+
+
 def validate_game(game: PolymatrixGame) -> list[str]:
     """Consistency violations of a game's dimensions and entries (empty when valid).
 
@@ -342,12 +359,13 @@ def vector_field(game: PolymatrixGame, x: np.ndarray) -> np.ndarray:
 def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
     """Linear system M q = rhs defining formal equilibria.
 
-    The payoff-difference rows are divided by max(1, max|A|), so that the
-    unit group-sum rows keep their weight in the rank decision however
-    large the payoffs are.
+    The payoff-difference rows are divided by max|A| (by 1 for a zero
+    payoff), so that the unit group-sum rows keep their weight in the
+    rank decision whatever the payoff's unit, and the system is the same
+    for the game times any power of two.
     """
     gt = game.gtype
-    scale = max(1.0, float(np.max(np.abs(game.payoff), initial=0.0)))
+    scale = float(np.max(np.abs(game.payoff), initial=0.0)) or 1.0
     rows, rhs = [], []
     for a in range(gt.p):
         idx = list(gt.group_indices(a))
@@ -386,7 +404,7 @@ def formal_equilibria(game: PolymatrixGame) -> EquilibriumSet:
     m, rhs = _equilibrium_system(game)
     u, s, vt, rank = _svd(m)
     q = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
-    scale = max(1.0, float(np.linalg.norm(rhs)), float(np.abs(m).max()))
+    scale = max(float(np.linalg.norm(rhs)), float(np.abs(m).max()))  # |rhs| = sqrt(p) >= 1
     if float(np.max(np.abs(m @ q - rhs))) > 1e-9 * scale:
         return EquilibriumSet(None, np.zeros((0, game.gtype.n)))
     return EquilibriumSet(q, vt[rank:])

@@ -41,6 +41,7 @@ from .games import (
     PolymatrixGame,
     _nullspace,
     formal_equilibria,
+    in_unit,
 )
 from .vertices import (
     VertexLabel,
@@ -555,12 +556,16 @@ class Analysis:
     Each field is computed on first use and then kept.  The decision
     runs in order: a formal equilibrium, then a certificate (searched for
     only when an equilibrium exists), then a stably dissipative vertex.
-    Games are immutable, so an analysis never goes stale.  The vertex
-    fields read one vertex_tensor and one zero pattern: tensor and
-    pattern hold every vertex's matrix and graph as arrays, and the
-    reports are decided on the same graph_pattern.  A tolerance that is
+    Games are immutable, so an analysis never goes stale.  The search
+    and the vertex fields read the game in its unit (unit, from
+    games.in_unit), so every verdict is the same for the game times any
+    power of two; tensor holds the unit game's matrices, which times
+    2**unit[1] are the game's own.  The vertex fields read one
+    vertex_tensor and one zero pattern: tensor and pattern hold every
+    vertex's matrix and graph as arrays, and the reports are decided on
+    the same graph_pattern.  A tolerance that is
     not a finite number >= 0 raises ValueError, and so does the first
-    vertex field of a game with more than vertices.MAX_VERTICES vertices.
+    vertex field of a game past vertices.MAX_VERTICES or MAX_ENTRIES.
     """
 
     game: PolymatrixGame
@@ -572,9 +577,14 @@ class Analysis:
             raise ValueError(f"tolerance must be a finite number >= 0, got {self.tol!r}")
 
     @functools.cached_property
+    def unit(self) -> tuple[PolymatrixGame, int]:
+        """in_unit of the game: the game the verdicts are read from, and its exponent."""
+        return in_unit(self.game)
+
+    @functools.cached_property
     def tensor(self) -> tuple[list[VertexLabel], np.ndarray, np.ndarray]:
-        """vertex_tensor: the labels, index sets and stacked vertex matrices."""
-        return vertex_tensor(self.game)
+        """vertex_tensor of the unit game: the labels, index sets and stacked vertex matrices."""
+        return vertex_tensor(self.unit[0])
 
     @functools.cached_property
     def _zero(self) -> np.ndarray:
@@ -606,7 +616,7 @@ class Analysis:
         """The certificate search's record, searched only when a formal equilibrium exists."""
         if not self.equilibria.exists:
             return CertificateSearch(NO_FORMAL_EQUILIBRIUM)
-        return _search(self.game, self.tol)
+        return _search(self.unit[0], self.tol)
 
     @property
     def scaling(self) -> DiagonalScaling | None:
@@ -647,12 +657,12 @@ def admissible(
 
     Returns the verdict together with the full list of stable vertices.
     A caller-provided diagonal is tried as the dissipativity certificate
-    instead of the search.
+    instead of the search, on the game in its unit, as the search is.
     """
     an = analyse(game, tol)
     if d is None:
         return an.admissible, list(an.vstar)
-    ok = check_with_scaling(game, d, tol=tol).kind in (CONSERVATIVE, DISSIPATIVE)
+    ok = check_with_scaling(an.unit[0], d, tol=tol).kind in (CONSERVATIVE, DISSIPATIVE)
     return (ok and bool(an.vstar)), list(an.vstar)
 
 

@@ -12,7 +12,8 @@ matrix as one (V, k, k) stack, k = n - p; vertex_matrix is its stack of
 one.  graph_pattern reads the stack's zero-pattern graphs as edge and
 sign arrays, the one edge and sign rule: the stability test, the
 inference rules, the collapse and vertex_graph all read it.  A game
-with more than MAX_VERTICES vertices is refused before any is built.
+past MAX_VERTICES vertices or MAX_ENTRIES stack entries is refused
+before its stack is built.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ BLOCK = 256
 # Most prism vertices V = prod(n_a) a game may have: the vertex layer keeps
 # about 10 KB per vertex, so V is refused before it can exhaust memory.
 MAX_VERTICES = 2**14
+# Most entries V k^2 the vertex stack may hold (64 MiB of float64), since one
+# large group has few vertices but large ones; (4,)x7 at MAX_VERTICES holds 7.2e6.
+MAX_ENTRIES = 2**23
 
 
 def blocks(count: int) -> list[slice]:
@@ -174,13 +178,19 @@ def vertex_tensor(game: PolymatrixGame) -> tuple[list[VertexLabel], np.ndarray, 
     Returns the labels, the index sets II (V, k) and the read-only
     (V, k, k) tensor whose slice v is vertex_matrix(game, v).entries bit
     for bit.  Built in blocks of BLOCK vertices, so the gathers stay
-    small whatever V is.
+    small whatever V is.  ValueError past MAX_VERTICES vertices, then
+    past MAX_ENTRIES entries, before the stack is allocated.
     """
     gt = game.gtype
     labels = enumerate_vertices(gt)
+    k = gt.n - gt.p
+    if len(labels) * k * k > MAX_ENTRIES:
+        raise ValueError(
+            f"the game's vertex matrices hold {len(labels) * k * k} entries, "
+            f"more than the {MAX_ENTRIES} the vertex layer handles"
+        )
     chosen = np.array([v.chosen for v in labels], dtype=np.intp).reshape(len(labels), gt.p)
     ii, jj = _index_sets(gt, chosen)
-    k = gt.n - gt.p
     t = np.empty((len(labels), k, k))
     for b in blocks(len(labels)):
         _fill(game.payoff, ii[b], jj[b], t[b])

@@ -146,11 +146,14 @@ class TestAnalysis:
 
     def test_diagonal_signs_use_the_stability_tolerance(self):
         # a diagonal entry of 1e-12 is zero to stably_dissipative at tol 1e-9,
-        # and the vertex graph reads the same zero rule
-        a = np.zeros((2, 2))
+        # and the vertex graph reads the same zero rule; the payoff's unit is
+        # set by a column of ones with equal rows, which no vertex matrix reads
+        a = np.zeros((3, 3))
         a[0, 0] = -1e-12
-        an = stability.Analysis(PolymatrixGame(GameType((2,)), a))
-        v = enumerate_vertices(GameType((2,)))[1]
+        a[:2, 2] = 1.0
+        an = stability.Analysis(PolymatrixGame(GameType((2, 1)), a))
+        assert an.unit[1] == 0
+        v = enumerate_vertices(GameType((2, 1)))[1]
         idx, m = ref_layer.vertex_matrix(an.game, v)
         assert ref_layer.vertex_graph(idx, m).diagonal_sign == {0: 0}
         assert an.tensor[1][1].tolist() == list(idx) and an.pattern[1][1].tolist() == [0]

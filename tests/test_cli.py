@@ -21,9 +21,9 @@ from polyrep.cli import (
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.stability import admissible
-from polyrep.vertices import MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
+from polyrep.vertices import MAX_ENTRIES, MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
 
-from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, random_game
+from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, random_game
 
 
 @pytest.fixture()
@@ -135,7 +135,7 @@ class TestPayoffRange:
 
 
 class TestVertexCeiling:
-    """A game with more than vertices.MAX_VERTICES vertices is refused before any is built.
+    """A game past vertices.MAX_VERTICES vertices or MAX_ENTRIES entries is refused before its stack is built.
 
     The commands run in a child process whose address space is capped at
     1 GiB above what it holds after its imports, so a vertex layer built
@@ -157,13 +157,16 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(runs))
 """
 
-    def test_every_vertex_command_exits_1(self, tmp_path):
-        # 20 groups of two: 2**20 vertices, whose stack alone would take 3.4 GB
-        game = random_game(GameType((2,) * 20), np.random.default_rng(0), integer=True)
+    def _refusals(self, sizes, tmp_path) -> list:
+        """[code, stdout, stderr] of every vertex command on a random game of these sizes, in the capped child."""
+        gt = GameType(sizes)
         path = str(tmp_path / "g.txt")
-        write_game(game, path)
+        write_game(random_game(gt, np.random.default_rng(0), integer=True), path)
+        # the barycentre: a random start keeps every coordinate above 0.02, which no group of 50 or more can
+        x0 = ",".join(repr(1.0 / gt.sizes[gt.group_of(i)]) for i in range(gt.n))
         commands = [[c, path] for c in ("check", "vertices", "reduce", "collapse")]
-        commands += [["check", path, "--format", "json"], ["simulate", "--game", path, "--T", "0.01", "--monitors", "ratios"]]
+        commands += [["check", path, "--format", "json"]]
+        commands += [["simulate", "--game", path, "--x0", x0, "--T", "0.01", "--monitors", "ratios"]]
         src = str(Path(polyrep.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -171,8 +174,17 @@ print(json.dumps(runs))
             [sys.executable, "-c", self.SCRIPT, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout)
+
+    def test_every_vertex_command_exits_1(self, tmp_path):
+        # 20 groups of two: 2**20 vertices, whose stack alone would take 3.4 GB
         refusal = f"error: the game has {2**20} vertices, more than the {MAX_VERTICES} the vertex layer handles\n"
-        assert json.loads(proc.stdout) == [[EXIT_IO, "", refusal]] * len(commands)
+        assert self._refusals((2,) * 20, tmp_path) == [[EXIT_IO, "", refusal]] * 6
+
+    def test_one_large_group_is_refused_by_its_entries(self, tmp_path):
+        # one group of 600: only 600 vertices, but a stack of 600 * 599**2 entries, 1.7 GB
+        refusal = f"error: the game's vertex matrices hold {600 * 599**2} entries, more than the {MAX_ENTRIES} the vertex layer handles\n"
+        assert self._refusals((600,), tmp_path) == [[EXIT_IO, "", refusal]] * 6
 
     def test_the_ceiling_itself_is_enumerated(self):
         assert len(enumerate_vertices(GameType((MAX_VERTICES,)))) == MAX_VERTICES
@@ -362,6 +374,54 @@ class TestCollapse:
         code, out, err = run(capsys, "collapse", str(path))
         assert (code, out) == (EXIT_CERTIFICATE, "")
         assert err == "error: certificate transport failed; reduction is inconsistent\n"
+
+
+class TestPayoffUnit:
+    """Every verdict is read from the game in its unit, whatever the payoff's own unit."""
+
+    @pytest.fixture()
+    def tiny_path(self, tmp_path):
+        # below a payoff of 1 the cuts used to turn absolute: this read conservative, 6 stable vertices
+        path = tmp_path / "tiny.txt"
+        write_game(PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF * 1e-12), path)
+        return str(path)
+
+    def test_check_at_1e_minus_12(self, capsys, tiny_path):
+        code, out, _ = run(capsys, "check", tiny_path, "--format", "json")
+        data = json.loads(out)
+        assert (code, data["kind"], len(data["vstar"])) == (EXIT_OK, "dissipative", 4)
+
+    def test_equilibrium_at_1e_minus_12(self, capsys, tiny_path):
+        code, out, _ = run(capsys, "equilibrium", tiny_path, "--format", "json")
+        assert (code, json.loads(out)["dimension"]) == (EXIT_OK, 1)
+
+    def test_collapse_at_1e_minus_12(self, capsys, tiny_path):
+        code, out, err = run(capsys, "collapse", tiny_path, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        data = json.loads(out)
+        assert data["final_type"] == [2, 2]
+        npt.assert_allclose(data["certificate"], [1.5, 1.0], rtol=0, atol=1e-12)
+
+    def test_collapse_at_2_to_the_minus_40(self, capsys, tmp_path):
+        path = tmp_path / "scaled.txt"
+        write_game(PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF * 2.0**-40), path)
+        code, out, _ = run(capsys, "collapse", str(path), "--format", "json")
+        golden = json.loads((FIXTURES / "golden" / "example_collapse.json").read_text())
+        assert code == EXIT_OK
+        assert json.loads(out)["final_payoff"] == np.ldexp(golden["final_payoff"], -40).tolist()
+
+    def test_entries_spanning_past_the_float_range_lose_the_smallest(self, capsys, tmp_path):
+        # 1e300 in a column with equal rows enters no vertex matrix but sets the unit, 2**996;
+        # 1e-300 is 0 in that unit, so at --tol 0 its edge at vertex (0, 2) is gone and 0 is printed
+        a = np.zeros((4, 4))
+        a[0, 0] = a[1, 0] = 1e300
+        a[1, 3] = 1e-300
+        path = tmp_path / "span.txt"
+        write_game(PolymatrixGame(GameType((2, 2)), a), path)
+        code, out, _ = run(capsys, "vertices", str(path), "--tol", "0", "--format", "json")
+        vertex = json.loads(out)["vertices"][0]
+        assert code == EXIT_OK and vertex["label"] == [0, 2]
+        assert (vertex["matrix"], vertex["edges"]) == ([[0.0, 0.0], [0.0, 0.0]], [])
 
 
 class TestEquilibrium:

@@ -384,6 +384,12 @@ class TestHamiltonianCollapse:
         with pytest.raises(ValueError):
             hamiltonian_collapse(example_game, [0.8, 0.1, 0.1, 0.5, 0.5])
 
+    def test_rejects_a_q_off_equilibrium_at_a_small_payoff(self, example_game):
+        # its velocities, about 1e-13, were once below an absolute cut of 1e-8
+        game = PolymatrixGame(example_game.gtype, example_game.payoff * 1e-12)
+        with pytest.raises(ValueError, match="q is not an equilibrium"):
+            hamiltonian_collapse(game, [0.3, 0.3, 0.4, 0.5, 0.5])
+
     def test_rejects_non_admissible(self):
         skew = PolymatrixGame(
             GameType((4,)),

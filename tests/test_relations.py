@@ -15,21 +15,49 @@ every vertex matrix's rows and columns and changes no entry.  So the
 kind, the admissibility, the stable vertices (through the relabelling)
 and every vertex's cycle condition, which reads the zero pattern alone,
 stay as they were.
+
+Multiplying the payoff by 2**j is exact in floating point, and the
+analysis reads the game in its unit, so every verdict, scaling and
+proof, and the formal equilibrium, stay the same bits, and the outputs
+in the game's unit (the vertex matrices, the collapsed payoff) are
+exactly 2**j times the unscaled ones.
+
+Adding a matrix whose blocks have equal rows changes no vertex matrix
+in exact arithmetic.  In floats the vertex matrices then carry its
+rounding, so the kind and the stable vertices are asserted up to
+magnitudes of 1e4 times the payoff's.
 """
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polyrep.cli import main
+from polyrep.collapse import hamiltonian_collapse, rationalize_equilibrium
+from polyrep.gamefile import write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.reduction import run_to_fixpoint
 from polyrep.stability import Analysis
 from polyrep.vertices import VertexLabel
 
-from conftest import make_admissible_game
+from conftest import make_admissible_game, make_dissipative_game, random_equal_rows, random_game
 
 TYPES = [(2, 2), (3, 2), (2, 2, 2), (3, 3)]
 RELABEL_TYPES = [(2, 2), (3, 2), (2, 2, 2), (3, 3), (3, 2, 2)]
+UNIT_TYPES = [(2, 2), (3, 2), (2, 2, 2), (3, 3), (2, 2, 2, 2)]
+
+
+def seeded_game(sizes, kind: str, rng: np.random.Generator) -> PolymatrixGame:
+    """A dissipative-by-construction game, or a random integer one."""
+    if kind == "dissipative":
+        return make_dissipative_game(GameType(sizes), rng)[0]
+    return random_game(GameType(sizes), rng, integer=True)
 
 
 def direct_sum(g1: PolymatrixGame, g2: PolymatrixGame) -> PolymatrixGame:
@@ -96,3 +124,78 @@ def test_relabelling_permutes_the_stable_vertices(sizes, seed):
     assert {image(v): rep.cycle_ok for v, rep in an.reports.items()} == {
         v: rep.cycle_ok for v, rep in am.reports.items()
     }
+
+
+def _bits(an: Analysis) -> tuple:
+    """Every verdict of an analysis, its floats as bytes."""
+    search, eq = an.search, an.equilibria
+    return (
+        search.kind,
+        None if search.scaling is None else np.array(search.scaling.values).tobytes(),
+        None if search.proof is None else search.proof.tobytes(),
+        an.vstar,
+        [(r.stable, r.cycle_ok, r.skew_ok, None if r.scaling is None else r.scaling.tobytes()) for r in an.reports.values()],
+        None if eq.particular is None else eq.particular.tobytes(),
+    )
+
+
+def _vertex_matrices(game: PolymatrixGame, directory: str) -> list[np.ndarray]:
+    """The matrices `polyrep vertices --format json` prints for the game."""
+    path = Path(directory) / "game.txt"
+    write_game(game, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["vertices", str(path), "--format", "json"]) == 0
+    return [np.array(v["matrix"], dtype=float) for v in json.loads(out.getvalue())["vertices"]]
+
+
+def _collapsed(game: PolymatrixGame, q) -> np.ndarray | str:
+    """The collapsed payoff, or the error the collapse raised."""
+    try:
+        return hamiltonian_collapse(game, q).final_game.payoff
+    except (RuntimeError, ValueError) as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=10000, derandomize=True, database=None)
+@given(
+    sizes=st.sampled_from(UNIT_TYPES),
+    kind=st.sampled_from(["dissipative", "integer"]),
+    seed=st.integers(0, 2**32 - 1),
+    j=st.integers(-60, 60),
+)
+@example(sizes=(3, 2), kind="integer", seed=0, j=-30)
+@example(sizes=(2, 2, 2), kind="dissipative", seed=0, j=-40)
+@example(sizes=(2, 2, 2, 2), kind="integer", seed=1, j=-60)
+def test_power_of_two_scaling_changes_no_bit(sizes, kind, seed, j):
+    game = seeded_game(sizes, kind, np.random.default_rng(seed))
+    scaled = PolymatrixGame(game.gtype, np.ldexp(game.payoff, j))
+    an, am = Analysis(game), Analysis(scaled)
+    assert _bits(am) == _bits(an)
+    with tempfile.TemporaryDirectory() as directory:
+        matrices = zip(_vertex_matrices(game, directory), _vertex_matrices(scaled, directory))
+        assert all(np.ldexp(m, j).tobytes() == ms.tobytes() for m, ms in matrices)
+    eq = an.equilibria.with_interior_point()
+    if an.admissible and eq.interior_flag:
+        q = rationalize_equilibrium(game, eq.interior_point) or eq.interior_point
+        final, final_scaled = _collapsed(game, q), _collapsed(scaled, q)
+        if isinstance(final, str):
+            assert final_scaled == final
+        else:
+            assert np.ldexp(final, j).tobytes() == final_scaled.tobytes()
+
+
+@settings(max_examples=60, deadline=10000, derandomize=True, database=None)
+@given(
+    sizes=st.sampled_from(UNIT_TYPES),
+    kind=st.sampled_from(["dissipative", "integer"]),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.sampled_from([1.0, 1e2, 1e4]),
+)
+def test_equal_row_blocks_change_no_verdict(sizes, kind, seed, magnitude):
+    rng = np.random.default_rng(seed)
+    game = seeded_game(sizes, kind, rng)
+    c = random_equal_rows(game.gtype, rng)
+    c *= magnitude * np.abs(game.payoff).max() / np.abs(c).max()
+    an, am = Analysis(game), Analysis(PolymatrixGame(game.gtype, game.payoff + c))
+    assert (am.kind, am.vstar) == (an.kind, an.vstar)

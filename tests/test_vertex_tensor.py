@@ -2,9 +2,10 @@
 
 Analysis builds every vertex matrix, zero pattern, graph (the edge and
 sign arrays of graph_pattern) and stable dissipativity report as one
-stack; vertex_matrix, vertex_graph and stably_dissipative are the stack
-of one.  Each must equal the loop version in reference_vertex_layer in
-every bit, scalings included.
+stack, from the game in its unit (games.in_unit); vertex_matrix,
+vertex_graph and stably_dissipative are the stack of one, on the numbers
+they are given.  Each must equal the loop version in
+reference_vertex_layer in every bit, scalings included.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import reference_vertex_layer as ref
 from polyrep import stability
-from polyrep.games import SEMIDEF_TOL, GameType, PolymatrixGame
+from polyrep.games import SEMIDEF_TOL, GameType, PolymatrixGame, in_unit
 from polyrep.stability import Analysis, almost_skew_symmetric, find_almost_skew_scaling, stably_dissipative
 from polyrep.vertices import (
     BLOCK,
@@ -117,23 +118,24 @@ def _pattern_key(idx, edges, signs):
 @example(sizes=(3, 3, 3, 3), kind="sum", seed=1, tol=SEMIDEF_TOL)
 def test_stack_matches_the_per_vertex_reference(sizes, kind, seed, tol):
     game = PolymatrixGame(GameType(sizes), _payoff(sizes, kind, seed))
+    unit, e = in_unit(game)
     an = Analysis(game, tol)
     labels, rows, t = an.tensor
     edges, signs = an.pattern
     assert list(an.reports) == labels
     for v, row, entries, row_edges, row_signs in zip(labels, rows.tolist(), t, edges, signs):
+        # the analysis reads the game in its unit, whose matrices times 2**e are the game's own
+        idx, m_unit = ref.vertex_matrix(unit, v)
+        assert tuple(row) == idx and entries.tobytes() == m_unit.tobytes()
+        assert _report_key(an.reports[v]) == _report_key(ref.stably_dissipative(m_unit, tol))
+        assert _pattern_key(row, row_edges, row_signs) == _graph_key(ref.vertex_graph(idx, m_unit, tol))
+
         idx, m = ref.vertex_matrix(game, v)
-        assert tuple(row) == idx and entries.tobytes() == m.tobytes()
+        assert np.ldexp(entries, e).tobytes() == m.tobytes()
         one = vertex_matrix(game, v)
         assert one.index_set == idx and one.entries.tobytes() == m.tobytes()
-
-        expected = _report_key(ref.stably_dissipative(m, tol))
-        assert _report_key(an.reports[v]) == expected
-        assert _report_key(stably_dissipative(m, tol)) == expected
-
-        graph = _graph_key(ref.vertex_graph(idx, m, tol))
-        assert _pattern_key(row, row_edges, row_signs) == graph
-        assert _graph_key(vertex_graph(one, tol)) == graph
+        assert _report_key(stably_dissipative(m, tol)) == _report_key(ref.stably_dissipative(m, tol))
+        assert _graph_key(vertex_graph(one, tol)) == _graph_key(ref.vertex_graph(idx, m, tol))
 
         zero = ref.zero_entries(m, tol)
         scaling = ref._almost_skew_scaling(m, zero, tol)
