@@ -21,7 +21,7 @@ import numpy as np
 
 from . import collapse as collapse_mod
 from . import dynamics, gamefile, reduction, stability
-from .games import PolymatrixGame, check_prism_state, interior_equilibria, random_prism_state
+from .games import PolymatrixGame, check_prism_state, clearable_floor, interior_equilibria, random_prism_state
 from .vertices import first_vertex
 
 EXIT_OK = 0
@@ -281,7 +281,7 @@ def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
         elif seed is None:
             seed = _default_seed()
         rng = np.random.default_rng(seed)
-        return random_prism_state(game.gtype, rng, min_coord=0.02)
+        return random_prism_state(game.gtype, rng, clearable_floor(game.gtype, 0.02))
     vals = [float(tok) for tok in spec.replace(",", " ").split()]
     if len(vals) != game.n:
         raise SystemExit(f"error: x0 needs {game.n} coordinates")

@@ -38,6 +38,10 @@ from .stability import (
 )
 from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix, vertex_rows
 
+# What the chain's rounding may leave, relative to its scale: each reduction
+# rounds, so the core's form is zero to this, not exactly, even at tol 0.
+CHAIN_ROUNDING = 1e-9
+
 
 @dataclass(frozen=True)
 class ReductionMap:
@@ -290,9 +294,9 @@ def hamiltonian_collapse(
     since the construction guarantees it.  The chain runs on the game in
     its unit (games.in_unit), as the analysis does: the transport check
     is relative to the largest entry of its first scaled vertex matrix,
-    the final verdict is read there, and final_game is mapped back to the
-    game's unit.  q must be an equilibrium up to 1e-8 relative to the
-    largest payoff.
+    the final verdict is read there, at a tolerance of at least
+    CHAIN_ROUNDING, and final_game is mapped back to the game's unit.
+    q must be an equilibrium up to 1e-8 relative to the largest payoff.
     """
     ok, vstar = admissible(game, d, tol=tol)
     if not ok:
@@ -333,12 +337,12 @@ def hamiltonian_collapse(
         v_now, after_vm = current()
         expect = np.delete(np.delete(scaled_vm.entries, ell_pos, 0), ell_pos, 1)
         err = float(np.max(np.abs(after_vm.entries - expect))) if expect.size else 0.0
-        if err > 1e-9 * scale:
+        if err > CHAIN_ROUNDING * scale:
             raise RuntimeError("certificate transport failed; reduction is inconsistent")
         scaled_vm = after_vm
 
     certificate = DiagonalScaling(tuple(cur.d))
-    verdict = check_with_scaling(cur.game, certificate, tol=tol)
+    verdict = check_with_scaling(cur.game, certificate, tol=max(tol, CHAIN_ROUNDING))
     if verdict.kind != CONSERVATIVE:
         raise RuntimeError(
             f"collapsed game classifies as {verdict.kind}, not conservative; "

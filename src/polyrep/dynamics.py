@@ -25,6 +25,8 @@ LOG_FLOOR = 1e-300
 
 # Most RK4 steps one integration takes: every step keeps a state row per start.
 MAX_STEPS = 10**7
+# Most state entries one integration keeps, (steps + 1) * starts * n doubles: 1 GiB.
+MAX_HISTORY = 2**27
 
 
 @dataclass(eq=False)
@@ -47,18 +49,26 @@ class Trajectory:
         return self.states[-1]
 
 
-def _half_increment(y, half_at, same, ay, avg, g):
+def _half_increment(y, half_at, same, ay, avg, g, dot=np.dot, multiply=np.multiply, subtract=np.subtract):
     """g = (dt/2) f(y) for half_at = (dt/2) A^T, in five calls into the buffers ay, avg, g.
 
     The rule of vector_field, payoffs less group averages through
-    GameType.same_group, with the payoff scaled beforehand.
+    GameType.same_group, with the payoff scaled beforehand.  The
+    dispatchers are bound defaults and out is passed positionally: on a
+    single start the arrays are tiny and numpy's per-call overhead is
+    most of the step, so lookups and keywords are a visible share.
     """
-    np.dot(y, half_at, out=ay)
-    np.multiply(y, ay, out=g)
-    np.dot(g, same, out=avg)
-    np.subtract(ay, avg, out=ay)
-    np.multiply(y, ay, out=g)
+    dot(y, half_at, ay)
+    multiply(y, ay, g)
+    dot(g, same, avg)
+    subtract(ay, avg, ay)
+    multiply(y, ay, g)
 
+
+# x + 2 G3, the fourth stage's input, as one product over x, G1, G2, G3: for
+# finite values the zero weights add exact zeros and 2 G3 is exact, so it is
+# x + (G3 + G3) bit for bit.
+_STAGE4_WEIGHTS = np.array([1.0, 0.0, 0.0, 2.0])
 
 # x_{k+1} = x + (G1 + 2 G2 + 2 G3 + G4) / 3 for the (dt/2)-scaled increments
 _RK4_WEIGHTS = np.array([1.0, 1 / 3, 2 / 3, 2 / 3, 1 / 3])
@@ -76,19 +86,26 @@ def _rk4_paths(
     Also returns the (m, steps+1) drift and, per run, the number of
     samples it kept: the samples before its first non-finite state,
     steps + 1 when it never had one, and at least 1, since the start is
-    always sample 0.
+    always sample 0.  ValueError when the history would hold more than
+    MAX_HISTORY state entries.
 
     Classical RK4 on the increments G = (dt/2) f: a stage is five calls
     into buffers allocated once per call, and x, G1..G4 share one
-    (5, m, n) buffer, so the step is one weighted sum over it.  After it
-    each group is clipped at zero and renormalized.  The history is kept
-    time-major, in (steps+1, m, n) and (steps+1, m) buffers, so a step
-    writes one contiguous block; the returned arrays are their
-    transposed views.  A single start's states are therefore contiguous,
-    and a batch run's states are a strided view of the shared buffer.
-    Each step leaves its group sums in one row of a block buffer of
-    _DRIFT_BLOCK doubles, and the drift, the largest |sum - 1| of each
-    state, is computed for the whole block when it ends.
+    (5, m, n) buffer.  So the fourth stage's input x + 2 G3 is one
+    product of (1, 0, 0, 2) with the first four rows, which never reads
+    the stale G4, and the step is one weighted sum over all five.  After
+    it each group is clipped at zero and renormalized.  The numpy
+    dispatchers are bound once per call and take out positionally
+    (np.maximum by keyword, where a positional out is deprecated), and
+    BLAS gets C-contiguous copies of (dt/2) A^T and ind^T rather than
+    transposed views.  The history is kept time-major, in (steps+1, m, n)
+    and (steps+1, m) buffers, so a step writes one contiguous block; the
+    returned arrays are their transposed views.  A single start's states
+    are therefore contiguous, and a batch run's states are a strided
+    view of the shared buffer.  Each step leaves its group sums in one
+    row of a block buffer of _DRIFT_BLOCK doubles, and the drift, the
+    largest |sum - 1| of each state, is computed for the whole block
+    when it ends.
 
     The loop makes no finiteness check: a non-finite state holds a NaN
     after the renormalization (0/0 or inf/inf), the next payoff product
@@ -101,36 +118,45 @@ def _rk4_paths(
     products sum in an order that depends on the batch shape.
     """
     gt = game.gtype
-    ind, same = gt.indicator(), gt.same_group()
-    half_at = 0.5 * dt * game.payoff.T
     m = x0.shape[0]
+    entries = (steps + 1) * m * gt.n
+    if entries > MAX_HISTORY:
+        raise ValueError(
+            f"the integration would keep {entries} state entries, more than the {MAX_HISTORY} it may hold; "
+            "take fewer steps or starts"
+        )
+    ind, same = gt.indicator(), gt.same_group()
+    half_at = np.ascontiguousarray(0.5 * dt * game.payoff.T)
+    ind_t = np.ascontiguousarray(ind.T)
     out = np.empty((steps + 1, m, gt.n))
     drift = np.zeros((steps + 1, m))
     stack = np.empty((5, m, gt.n))
     x, g1, g2, g3, g4 = stack
     y, ay, avg = np.empty((3, m, gt.n))
     stages, y_flat = stack.reshape(5, -1), y.reshape(-1)
+    head = stages[:4]
     block = np.empty((max(1, min(steps, _DRIFT_BLOCK // max(1, m * gt.p))), m, gt.p))
     x[:] = x0
     out[0] = x
+    half, dot, add, maximum, divide = _half_increment, np.dot, np.add, np.maximum, np.divide
+    w4, w = _STAGE4_WEIGHTS, _RK4_WEIGHTS
     # a run that goes non-finite is reported through kept, not as a warning
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for first in range(1, steps + 1, len(block)):
             sums_block = block[: steps + 1 - first]
             for k, sums in enumerate(sums_block, first):
-                _half_increment(x, half_at, same, ay, avg, g1)
-                np.add(x, g1, out=y)
-                _half_increment(y, half_at, same, ay, avg, g2)
-                np.add(x, g2, out=y)
-                _half_increment(y, half_at, same, ay, avg, g3)
-                np.add(g3, g3, out=y)
-                np.add(x, y, out=y)
-                _half_increment(y, half_at, same, ay, avg, g4)
-                np.dot(_RK4_WEIGHTS, stages, out=y_flat)
-                np.maximum(y, 0.0, out=y)
-                np.dot(y, ind.T, out=sums)
-                np.dot(sums, ind, out=ay)
-                np.divide(y, ay, out=x)
+                half(x, half_at, same, ay, avg, g1)
+                add(x, g1, y)
+                half(y, half_at, same, ay, avg, g2)
+                add(x, g2, y)
+                half(y, half_at, same, ay, avg, g3)
+                dot(w4, head, y_flat)
+                half(y, half_at, same, ay, avg, g4)
+                dot(w, stages, y_flat)
+                maximum(y, 0.0, out=y)
+                dot(y, ind_t, sums)
+                dot(sums, ind, ay)
+                divide(y, ay, x)
                 out[k] = x
             np.subtract(sums_block, 1.0, out=sums_block)
             np.abs(sums_block, out=sums_block)
@@ -297,11 +323,16 @@ def attractor_probe(
     seed: int = 0,
     min_coord: float = 0.05,
 ) -> ProbeReport:
-    """Simulate seeded interior starts and measure the claimed constraints."""
-    from .games import random_prism_state
+    """Simulate seeded interior starts and measure the claimed constraints.
+
+    The starts keep every coordinate above min_coord, lowered to what the
+    largest group can clear (games.clearable_floor).
+    """
+    from .games import clearable_floor, random_prism_state
 
     rng = np.random.default_rng(seed)
-    starts = np.array([random_prism_state(game.gtype, rng, min_coord) for _ in range(runs)])
+    floor = clearable_floor(game.gtype, min_coord)
+    starts = np.array([random_prism_state(game.gtype, rng, floor) for _ in range(runs)])
     trajs = integrate_batch(game, starts, T, dt)
     q = np.asarray(q, dtype=float)
 

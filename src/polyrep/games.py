@@ -246,17 +246,23 @@ def in_tangent_space(gtype: GameType, w: np.ndarray, tol: float = TANGENT_TOL) -
 def random_prism_state(
     gtype: GameType, rng: np.random.Generator, min_coord: float = 0.0
 ) -> np.ndarray:
-    """Random interior prism state, one Dirichlet(1) draw per group.
+    """Random prism state: per group, a Dirichlet(1) draw conditioned on every coordinate exceeding min_coord.
 
-    With min_coord > 0 the draw is resampled until every coordinate
-    clears that floor, keeping log-based monitors well away from the
-    boundary.
+    For a group of k that law is min_coord + (1 - k min_coord) Dirichlet(1),
+    so each group takes one draw, and at min_coord = 0 it is the plain
+    Dirichlet(1) draw.  A floor keeps log-based monitors away from the
+    boundary.  ValueError unless 0 <= min_coord and k min_coord < 1 for
+    every group: no state clears a larger floor.
     """
-    while True:
-        parts = [rng.dirichlet(np.ones(s)) for s in gtype.sizes]
-        x = np.concatenate(parts)
-        if min_coord <= 0.0 or np.min(x) > min_coord:
-            return x
+    k = max(gtype.sizes)
+    if not (min_coord >= 0 and k * min_coord < 1):
+        raise ValueError(f"min_coord = {min_coord} is outside [0, 1/{k}), the floors a group of {k} strategies can clear")
+    return np.concatenate([min_coord + (1.0 - s * min_coord) * rng.dirichlet(np.ones(s)) for s in gtype.sizes])
+
+
+def clearable_floor(gtype: GameType, floor: float) -> float:
+    """floor, or half the barycentre of the largest group where that is lower: a floor random_prism_state can meet."""
+    return min(floor, 0.5 / max(gtype.sizes))
 
 
 def random_tangent_vector(gtype: GameType, rng: np.random.Generator) -> np.ndarray:

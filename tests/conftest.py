@@ -12,7 +12,6 @@ from polyrep.games import (
     DiagonalScaling,
     GameType,
     PolymatrixGame,
-    random_prism_state,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -97,6 +96,20 @@ def random_type_scaling(gtype: GameType, rng: np.random.Generator) -> DiagonalSc
     return DiagonalScaling(tuple(rng.uniform(0.3, 3.0, gtype.p)))
 
 
+def rejection_prism_state(gtype: GameType, rng: np.random.Generator, floor: float) -> np.ndarray:
+    """Dirichlet(1) per group, drawn again until every coordinate exceeds floor.
+
+    The draw the seeded recipes and probes were recorded with:
+    games.random_prism_state samples the same law in one draw, so it
+    gives other numbers from the same generator.  Returns only when every
+    group of k has k * floor < 1.
+    """
+    while True:
+        x = np.concatenate([rng.dirichlet(np.ones(s)) for s in gtype.sizes])
+        if np.min(x) > floor:
+            return x
+
+
 def make_dissipative_game(
     gtype: GameType,
     rng: np.random.Generator,
@@ -121,7 +134,7 @@ def make_dissipative_game(
     core = s - np.diag(damping)
     d = random_type_scaling(gtype, rng)
     base = core / d.expand(gtype)
-    q = random_prism_state(gtype, rng, 0.05)
+    q = rejection_prism_state(gtype, rng, 0.05)
     shift = -(base @ q) / p
     payoff = base + np.outer(shift, np.ones(n))
     return PolymatrixGame(gtype, payoff), q, d

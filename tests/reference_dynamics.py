@@ -9,9 +9,10 @@ any difference in a state, a drift or a kept count is a defect of the
 kernel.
 
 buffered_rk4_paths is the buffered loop as it was before the kernel kept
-its history time-major and computed the drift once per block of steps.
-It makes the same floating-point operations on the same operands, so
-the kernel must match it bit for bit.
+its history time-major and computed the drift once per block of steps,
+with the kernel's C-contiguous BLAS operands.  It makes the same
+floating-point operations on the same operands, so the kernel must match
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def buffered_rk4_paths(game, x0, steps, dt):
     """
     gt = game.gtype
     ind, same = gt.indicator(), gt.same_group()
-    half_at = 0.5 * dt * game.payoff.T
+    # C-contiguous operands, as the kernel's: a transposed view moves the last bits
+    half_at = np.ascontiguousarray(0.5 * dt * game.payoff.T)
+    ind_t = np.ascontiguousarray(ind.T)
     m = x0.shape[0]
     out = np.empty((m, steps + 1, gt.n))
     drift = np.zeros((m, steps + 1))
@@ -111,7 +114,7 @@ def buffered_rk4_paths(game, x0, steps, dt):
             _half_increment(y, half_at, same, ay, avg, g4)
             np.dot(_RK4_WEIGHTS, stages, out=y_flat)
             np.maximum(y, 0.0, out=y)
-            np.dot(y, ind.T, out=sums)
+            np.dot(y, ind_t, out=sums)
             np.subtract(sums, 1.0, out=dev)
             np.abs(dev, out=dev)
             np.maximum.reduce(dev, axis=1, out=drift[:, k])

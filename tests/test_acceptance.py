@@ -48,6 +48,7 @@ from conftest import (
     make_dissipative_game,
     make_stable_matrix,
     random_equal_rows,
+    rejection_prism_state,
     random_game,
 )
 
@@ -118,7 +119,7 @@ def test_criterion_06_dynamics(example_game, example_q):
     start = time.perf_counter()
     rng = np.random.default_rng(2)
     starts = np.array(
-        [random_prism_state(example_game.gtype, rng, min_coord=0.1) for _ in range(10)]
+        [rejection_prism_state(example_game.gtype, rng, 0.1) for _ in range(10)]
     )
     trajs = integrate_batch(example_game, starts, T=500.0, dt=0.01)
     d = DiagonalScaling((1.0, 1.0))
@@ -184,7 +185,7 @@ def test_criterion_07d_lyapunov_derivative_vs_finite_differences():
     for _ in range(1000):
         gt = _pick_type(rng)
         game, q, d = make_dissipative_game(gt, rng)
-        x = random_prism_state(gt, rng, 0.05)
+        x = rejection_prism_state(gt, rng, 0.05)
         f = vector_field(game, x)
         eps = 1e-6
         num = (
@@ -202,7 +203,7 @@ def test_criterion_07e_quotient_rule():
         game, q, _ = make_dissipative_game(gt, rng)
         verts = enumerate_vertices(gt)
         v = verts[rng.integers(len(verts))]
-        x = random_prism_state(gt, rng, 1e-3)
+        x = rejection_prism_state(gt, rng, 1e-3)
         assert quotient_rule_check(game, q, v, x) <= 1e-9
     print("\nACCEPTANCE 7e PASS: ratio quotient rule (1000 trials, 1e-9)")
 

@@ -18,12 +18,13 @@ from polyrep.cli import (
     EXIT_OK,
     main,
 )
+from polyrep.dynamics import MAX_HISTORY
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.stability import admissible
 from polyrep.vertices import MAX_ENTRIES, MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
 
-from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, random_game
+from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, make_dissipative_game, random_game
 
 
 @pytest.fixture()
@@ -134,16 +135,7 @@ class TestPayoffRange:
         assert code in range(5) and "payoff entry" not in err
 
 
-class TestVertexCeiling:
-    """A game past vertices.MAX_VERTICES vertices or MAX_ENTRIES entries is refused before its stack is built.
-
-    The commands run in a child process whose address space is capped at
-    1 GiB above what it holds after its imports, so a vertex layer built
-    past the ceiling ends there in a MemoryError instead of taking the
-    machine's memory.
-    """
-
-    SCRIPT = """
+CAPPED_SCRIPT = """
 import contextlib, io, json, resource, sys
 from polyrep.cli import main
 held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
@@ -157,24 +149,41 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(runs))
 """
 
+
+def capped_runs(commands: list) -> list:
+    """[code, stdout, stderr] of each command, run by main in a child process.
+
+    The child's address space is capped at 1 GiB above what it holds
+    after its imports, so a command that builds past a ceiling ends
+    there in a MemoryError instead of taking the machine's memory.
+    """
+    src = str(Path(polyrep.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_SCRIPT, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def barycentre(gt: GameType) -> str:
+    """The --x0 list of the state with every group uniform."""
+    return ",".join(repr(1.0 / gt.sizes[gt.group_of(i)]) for i in range(gt.n))
+
+
+class TestVertexCeiling:
+    """A game past vertices.MAX_VERTICES vertices or MAX_ENTRIES entries is refused before its stack is built."""
+
     def _refusals(self, sizes, tmp_path) -> list:
-        """[code, stdout, stderr] of every vertex command on a random game of these sizes, in the capped child."""
+        """[code, stdout, stderr] of every vertex command on a random game of these sizes, in a capped child."""
         gt = GameType(sizes)
         path = str(tmp_path / "g.txt")
         write_game(random_game(gt, np.random.default_rng(0), integer=True), path)
-        # the barycentre: a random start keeps every coordinate above 0.02, which no group of 50 or more can
-        x0 = ",".join(repr(1.0 / gt.sizes[gt.group_of(i)]) for i in range(gt.n))
         commands = [[c, path] for c in ("check", "vertices", "reduce", "collapse")]
         commands += [["check", path, "--format", "json"]]
-        commands += [["simulate", "--game", path, "--x0", x0, "--T", "0.01", "--monitors", "ratios"]]
-        src = str(Path(polyrep.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        return json.loads(proc.stdout)
+        commands += [["simulate", "--game", path, "--x0", barycentre(gt), "--T", "0.01", "--monitors", "ratios"]]
+        return capped_runs(commands)
 
     def test_every_vertex_command_exits_1(self, tmp_path):
         # 20 groups of two: 2**20 vertices, whose stack alone would take 3.4 GB
@@ -190,6 +199,28 @@ print(json.dumps(runs))
         assert len(enumerate_vertices(GameType((MAX_VERTICES,)))) == MAX_VERTICES
         with pytest.raises(ValueError, match=f"{MAX_VERTICES + 1} vertices, more than the {MAX_VERTICES}"):
             enumerate_vertices(GameType((MAX_VERTICES + 1,)))
+
+
+class TestIntegrationLimits:
+    """simulate on large groups: random starts come at once, and the history has a ceiling."""
+
+    def test_a_random_start_on_a_large_group(self, tmp_path):
+        # under a floor of 0.02 a group of 30 has 0.4 to spread: rejection kept one draw in 0.4**29, about 3e-12
+        path = str(tmp_path / "g.txt")
+        write_game(random_game(GameType((30,)), np.random.default_rng(0), integer=True), path)
+        [[code, out, _]] = capped_runs([["simulate", "--game", path, "--x0", "random:0", "--T", "0.1"]])
+        assert code == EXIT_OK
+        assert out.startswith("integrated 10 steps, ok=True\n")
+
+    def test_a_history_past_the_ceiling_exits_1(self, tmp_path):
+        # 10**7 steps of 600 coordinates: a 44.7 GiB history, once a MemoryError traceback
+        gt = GameType((600,))
+        path = str(tmp_path / "g.txt")
+        write_game(random_game(gt, np.random.default_rng(0), integer=True), path)
+        argv = ["simulate", "--game", path, "--x0", barycentre(gt), "--T", "100000", "--dt", "0.01"]
+        entries = (10**7 + 1) * 600
+        refusal = f"error: the integration would keep {entries} state entries, more than the {MAX_HISTORY} it may hold; take fewer steps or starts\n"
+        assert capped_runs([argv]) == [[EXIT_IO, "", refusal]]
 
 
 class TestUsageErrors:
@@ -337,6 +368,15 @@ class TestCollapse:
         code, out, err = run(capsys, "collapse", example_path)
         assert (code, out) == (EXIT_CERTIFICATE, "")
         assert err == "error: q is not an equilibrium of the game\n"
+
+    def test_tol_0_collapses_what_check_admits(self, capsys, tmp_path):
+        # the collapsed core's eigenvalues are rounding, about 1e-16: once exit 4, "classifies as indefinite"
+        path = tmp_path / "game.txt"
+        write_game(make_dissipative_game(GameType((2, 2)), np.random.default_rng(0))[0], path)
+        assert run(capsys, "check", str(path), "--tol", "0")[0] == EXIT_OK
+        code, out, err = run(capsys, "collapse", str(path), "--tol", "0")
+        assert (code, err) == (EXIT_OK, "")
+        assert "conservative" in out
 
     @pytest.mark.parametrize("scale", [1e9, 1e12])
     def test_large_payoff_scale(self, capsys, tmp_path, scale):

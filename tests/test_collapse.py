@@ -28,7 +28,7 @@ from polyrep.games import (
 from polyrep.stability import CONSERVATIVE, SEMIDEF_TOL, admissible, analyse, check_with_scaling
 from polyrep.vertices import enumerate_vertices, vertex_matrix, scaled_game
 
-from conftest import EXAMPLE_Q, EXAMPLE_REDUCED, make_admissible_game, random_game
+from conftest import EXAMPLE_Q, EXAMPLE_REDUCED, make_admissible_game, make_dissipative_game, random_game, rejection_prism_state
 
 ZERO32 = PolymatrixGame(GameType((3, 2)), np.zeros((5, 5)))
 
@@ -52,7 +52,7 @@ class TestQEllReduction:
         gt = GameType((3, 2))
         for _ in range(10):
             game = random_game(gt, rng)
-            q = random_prism_state(gt, rng, 0.05)
+            q = rejection_prism_state(gt, rng, 0.05)
             ell = int(rng.integers(0, 3))
             direct = q_ell_reduction(game, q, ell)
             via_zero_row = q_ell_reduction(zero_row_representative(game, ell), q, ell)
@@ -379,6 +379,16 @@ class TestHamiltonianCollapse:
         q = interior_equilibria(game).interior_point
         with pytest.raises(RuntimeError, match="collapsed game classifies as dissipative, not conservative"):
             hamiltonian_collapse(game, q)
+
+    @pytest.mark.parametrize("sizes,seed", [((2, 2), 0), ((3, 3), 19), ((3, 2), 9), ((2, 2, 2), 26)])
+    def test_collapses_at_tol_0(self, sizes, seed):
+        # the reductions round, so the core's eigenvalues come out near 1e-16, not 0:
+        # at tol 0 these games once read indefinite or dissipative after the chain
+        game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
+        an = analyse(game, 0.0)
+        assert an.admissible
+        res = hamiltonian_collapse(game, an.equilibria.particular, tol=0.0)
+        assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
 
     def test_rejects_exterior_q(self, example_game):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from polyrep.games import (
 from polyrep.reduction import run_to_fixpoint
 from polyrep.vertices import VertexLabel, enumerate_vertices
 
-from conftest import make_dissipative_game
+from conftest import make_dissipative_game, rejection_prism_state
 
 RPS = PolymatrixGame(
     GameType((3,)), np.array([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], dtype=float)
@@ -90,7 +90,7 @@ class TestIntegrate:
 class TestLyapunov:
     def test_monotone_on_example(self, example_game, example_q):
         rng = np.random.default_rng(62)
-        x0 = random_prism_state(example_game.gtype, rng, 0.05)
+        x0 = rejection_prism_state(example_game.gtype, rng, 0.05)
         traj = integrate(example_game, x0, T=50.0, dt=0.01)
         h = lyapunov_h(example_game, example_q, ID2, traj.states)
         assert np.max(np.diff(h)) <= 1e-9
@@ -143,7 +143,7 @@ class TestHDerivative:
         for _ in range(30):
             gt = GameType((3, 2)) if rng.random() < 0.5 else GameType((2, 2))
             game, q, d = make_dissipative_game(gt, rng)
-            x = random_prism_state(gt, rng, 0.05)
+            x = rejection_prism_state(gt, rng, 0.05)
             f = vector_field(game, x)
             eps = 1e-6
             num = (
@@ -166,7 +166,7 @@ class TestFirstIntegrals:
         rng = np.random.default_rng(66)
         v0 = enumerate_vertices(example_game.gtype)[0]
         fi = first_integrals(example_game, v0)[0]
-        x0 = random_prism_state(example_game.gtype, rng, 0.05)
+        x0 = rejection_prism_state(example_game.gtype, rng, 0.05)
         traj = integrate(example_game, x0, T=100.0, dt=0.01)
         series = fi(traj.states)
         assert np.max(np.abs(series - series[0])) <= 1e-6
@@ -195,7 +195,7 @@ class TestRatioAndQuotient:
 
     def test_ratio_bounds_example(self, example_game):
         rng = np.random.default_rng(67)
-        x0 = random_prism_state(example_game.gtype, rng, 0.05)
+        x0 = rejection_prism_state(example_game.gtype, rng, 0.05)
         traj = integrate(example_game, x0, T=200.0, dt=0.01)
         for pair, (lo, hi) in ratio_bounds(traj, [(0, 1), (3, 4)]).items():
             assert 0 < lo <= hi < np.inf
@@ -208,7 +208,7 @@ class TestRatioAndQuotient:
         rng = np.random.default_rng(68)
         v0 = enumerate_vertices(example_game.gtype)[0]
         for _ in range(100):
-            x = random_prism_state(example_game.gtype, rng, 1e-3)
+            x = rejection_prism_state(example_game.gtype, rng, 1e-3)
             assert quotient_rule_check(example_game, example_q, v0, x) <= 1e-9
 
 
@@ -320,8 +320,6 @@ class TestReductionSoundnessProbe:
     """
 
     def test_random_admissible_games(self):
-        from polyrep.games import random_prism_state
-
         from conftest import make_admissible_game
 
         rng = np.random.default_rng(71)
@@ -332,7 +330,7 @@ class TestReductionSoundnessProbe:
             black = list(red.black())
             assert black  # the factory damps something at every stable vertex
             srng = np.random.default_rng(k)
-            starts = np.array([random_prism_state(gt, srng, 0.05) for _ in range(3)])
+            starts = np.array([rejection_prism_state(gt, srng, 0.05) for _ in range(3)])
             trajs = integrate_batch(game, starts, T=300.0, dt=0.01)
 
             def residual(frac):

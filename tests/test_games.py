@@ -7,6 +7,7 @@ from polyrep.games import (
     GameType,
     PolymatrixGame,
     check_prism_state,
+    clearable_floor,
     formal_equilibria,
     games_equivalent,
     has_equal_row_blocks,
@@ -52,6 +53,37 @@ class TestValidation:
         # NaN fails every comparison, so the sign and sum checks alone miss it
         problems = check_prism_state(example_game.gtype, np.array([np.nan, 0.5, 0.5, 0.5, np.inf]))
         assert problems[:2] == ["coordinate 0 is nan", "coordinate 4 is inf"]
+
+
+class TestRandomPrismState:
+    """A floor is drawn from the conditioned law at once, not by rejection."""
+
+    @pytest.mark.parametrize("sizes,floor", [((3, 2), 0.02), ((30,), 0.02), ((1, 4, 600), 1e-3), ((2, 2), 0.0)])
+    def test_the_draw_is_the_shifted_dirichlet(self, sizes, floor):
+        gt = GameType(sizes)
+        for seed in range(5):
+            x = random_prism_state(gt, np.random.default_rng(seed), floor)
+            rng = np.random.default_rng(seed)
+            want = [floor + (1 - k * floor) * rng.dirichlet(np.ones(k)) for k in sizes]
+            npt.assert_array_equal(x, np.concatenate(want))
+            assert np.min(x) > floor
+            assert check_prism_state(gt, x) == []
+
+    def test_no_floor_is_the_plain_dirichlet_draw(self):
+        gt = GameType((3, 1, 4))
+        x = random_prism_state(gt, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        npt.assert_array_equal(x, np.concatenate([rng.dirichlet(np.ones(k)) for k in gt.sizes]))
+
+    @pytest.mark.parametrize("sizes,floor", [((50,), 0.02), ((2, 60), 0.02), ((3,), 1 / 3), ((3,), -0.1), ((3,), np.nan)])
+    def test_a_floor_no_group_can_clear_raises(self, sizes, floor):
+        with pytest.raises(ValueError, match="the floors a group of"):
+            random_prism_state(GameType(sizes), np.random.default_rng(0), floor)
+
+    def test_the_clearable_floor(self):
+        assert clearable_floor(GameType((3, 2)), 0.02) == 0.02
+        assert clearable_floor(GameType((3, 600)), 0.02) == 0.5 / 600
+        assert clearable_floor(GameType((50,)), 0.02) * 50 < 1
 
 
 class TestEquivalence:
