@@ -299,6 +299,10 @@ def cmd_simulate(args) -> int:
     if problems:
         print("error: --x0 is not a prism state: " + "; ".join(problems), file=sys.stderr)
         return EXIT_IO
+    an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
+    if "gb" in args.monitors or "ratios" in args.monitors:  # past the vertex ceilings this exits before any step
+        an = _analyse(game, args.tol)
+        monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
     try:
         traj = dynamics.integrate(game, x0, args.T, args.dt)
     except ValueError as exc:
@@ -310,35 +314,29 @@ def cmd_simulate(args) -> int:
         print(f"note: step_scale dt*max|a_ij| = {step_scale:.3g} exceeds 1; "
               "the final state is not to be trusted, take a smaller --dt", file=sys.stderr)
 
-    wanted = [m.strip() for m in args.monitors.split(",") if m.strip()]
     names: list[str] = []
     columns: list[np.ndarray] = []
-    an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
     positive = np.min(traj.states) > 0
-    if "gb" in wanted or "ratios" in wanted:
-        an = _analyse(game, args.tol)
-        monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
-    if "h" in wanted:
+    if "h" in args.monitors:
         if positive and an.scaling is not None:
             names.append("h")
             columns.append(dynamics.lyapunov_h(game, an.equilibria.particular, an.scaling, traj.states))
         else:
             print("note: h monitor skipped (needs equilibrium, certificate, interior orbit)", file=sys.stderr)
-    if "gb" in wanted:
+    if "gb" in args.monitors:
         if positive:
             for k, g in enumerate(dynamics.first_integrals(game, monitor_vertex)):
                 names.append(f"g{k}")
                 columns.append(np.log(traj.states) @ g.coefficients)
         else:
             print("note: gb monitors skipped (orbit touches the boundary)", file=sys.stderr)
-    if "ratios" in wanted:
+    if "ratios" in args.monitors:
         for i in monitor_vertex.support(game.gtype):
             j = monitor_vertex.partner(game.gtype, i)
             names.append(f"r{i}_{j}")
             with np.errstate(divide="ignore", invalid="ignore"):
                 columns.append(traj.states[:, i] / traj.states[:, j])
 
-    traj.monitors = dict(zip(names, columns))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -417,13 +415,25 @@ def _positive(text: str) -> float:
     return x
 
 
-def _add_common(sub, game_positional=True):
+MONITORS = ("h", "gb", "ratios")
+
+
+def _monitors(text: str) -> frozenset[str]:
+    """A --monitors value: a comma list of MONITORS names, possibly empty."""
+    names = [m.strip() for m in text.split(",") if m.strip()]
+    for name in names:
+        if name not in MONITORS:
+            raise argparse.ArgumentTypeError(f"unknown monitor {name!r}; the monitors are {', '.join(MONITORS)}")
+    return frozenset(names)
+
+
+def _add_common(sub, game_positional=True, tol=True):
+    """The options a subcommand shares: its GAME, --tol where it reads one, and --format."""
     if game_positional:
         sub.add_argument("game", help="game file (see README for the format)")
-    sub.add_argument("--tol", type=_nonnegative, default=stability.SEMIDEF_TOL,
-                     help="semidefiniteness tolerance (relative)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="RNG seed (default: POLYREP_SEED, else 0)")
+    if tol:
+        sub.add_argument("--tol", type=_nonnegative, default=stability.SEMIDEF_TOL,
+                         help="semidefiniteness tolerance (relative)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
@@ -452,21 +462,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collapse)
 
     p = subs.add_parser("equilibrium", help="formal and interior equilibria")
-    _add_common(p)
+    _add_common(p, tol=False)
     p.set_defaults(func=cmd_equilibrium)
 
     p = subs.add_parser("simulate", help="integrate the flow with monitors")
     _add_common(p, game_positional=False)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of a random start without its own (default: POLYREP_SEED, else 0)")
     p.add_argument("--game", required=True, help="game file (see README for the format)")
     p.add_argument("--x0", default="random", help="start: comma list or random[:SEED]")
     p.add_argument("--T", type=_nonnegative, default=100.0, help="duration, a finite number >= 0")
     p.add_argument("--dt", type=_positive, default=0.01, help="step, a finite number > 0")
-    p.add_argument("--monitors", default="h,gb,ratios")
+    p.add_argument("--monitors", type=_monitors, default="h,gb,ratios", help="comma list of h, gb, ratios")
     p.add_argument("--csv", metavar="FILE", help="write t, states, monitors as CSV")
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("lv2rep", help="compactify a Lotka-Volterra system")
-    _add_common(p, game_positional=False)
+    _add_common(p, game_positional=False, tol=False)
     p.add_argument("--A", required=True, help="interaction matrix file")
     p.add_argument("--r", required=True, help="intrinsic rates, comma separated")
     p.add_argument("--emit-game", metavar="FILE", help="write the game file here")

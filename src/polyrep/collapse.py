@@ -42,6 +42,9 @@ from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix, ver
 # rounds, so the core's form is zero to this, not exactly, even at tol 0.
 CHAIN_ROUNDING = 1e-9
 
+# Largest denominator rationalize_equilibrium snaps a coordinate to.
+MAX_DENOMINATOR = 10**9
+
 
 @dataclass(frozen=True)
 class ReductionMap:
@@ -97,9 +100,7 @@ def _finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def rationalize_equilibrium(
-    game: PolymatrixGame, q: np.ndarray, max_denominator: int = 10**9
-) -> list[Fraction] | None:
+def rationalize_equilibrium(game: PolymatrixGame, q: np.ndarray) -> list[Fraction] | None:
     """Snap a float equilibrium to exact rationals, verified exactly.
 
     The formal-equilibrium conditions of an integer game have rational
@@ -110,7 +111,7 @@ def rationalize_equilibrium(
     n = game.n
     flat = _to_fractions(game.payoff)
     a = [flat[i * n : (i + 1) * n] for i in range(n)]
-    cand = [Fraction(float(x)).limit_denominator(max_denominator) for x in np.asarray(q)]
+    cand = [Fraction(float(x)).limit_denominator(MAX_DENOMINATOR) for x in np.asarray(q)]
     gt = game.gtype
     for grp in range(gt.p):
         idx = list(gt.group_indices(grp))
@@ -172,7 +173,7 @@ def reduce_equilibrium(gtype: GameType, q, ell: int) -> list[Fraction]:
     return out
 
 
-def cardinal2_cleanup(game: PolymatrixGame, q, alpha: int) -> PolymatrixGame:
+def cardinal2_cleanup(game: PolymatrixGame, alpha: int) -> PolymatrixGame:
     """Drop a group that a reduction shrank to its last, pinned strategy.
 
     The survivor's frequency is identically one, so its column acts as a
@@ -248,7 +249,7 @@ class _Cursor:
 
         if new_game.gtype.sizes[alpha] == 1 and new_game.gtype.p > 1:
             pinned = new_game.gtype.offsets[alpha]
-            cleaned = cardinal2_cleanup(new_game, self.q, alpha)
+            cleaned = cardinal2_cleanup(new_game, alpha)
             self.q = [x for i, x in enumerate(self.q) if i != pinned]
             del self.scale[pinned]
             del self.kept[pinned]

@@ -13,7 +13,7 @@ strategy pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,16 +33,14 @@ MAX_HISTORY = 2**27
 class Trajectory:
     """Time grid, state history, and per-step renormalization drift.
 
-    ``monitors`` is filled by the caller (named scalar series aligned
-    with ``times``).  ``ok`` is False when integration aborted on a
-    non-finite state; the arrays then hold the partial run.
+    ``ok`` is False when integration aborted on a non-finite state; the
+    arrays then hold the partial run.
     """
 
     times: np.ndarray
     states: np.ndarray  # (len(times), n)
     renorm_drift: np.ndarray  # (len(times),), max group-sum correction per step
     ok: bool = True
-    monitors: dict[str, np.ndarray] = field(default_factory=dict)
 
     @property
     def final(self) -> np.ndarray:

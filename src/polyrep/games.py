@@ -44,6 +44,9 @@ MAX_PAYOFF = 1e300
 # so that its verdicts do not depend on the payoff's unit.
 SEMIDEF_TOL = 1e-9
 
+# An interior equilibrium's smallest coordinate must exceed this.
+INTERIOR_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class GameType:
@@ -180,17 +183,20 @@ class EquilibriumSet:
     ``particular`` is None when the defining linear system is inconsistent
     (no formal equilibrium exists).  ``basis`` rows span the direction
     space.  ``interior_point`` is a strictly positive member when one was
-    found; ``interior_flag`` records whether the search succeeded.
+    found; ``interior_flag`` says whether it was.
     """
 
     particular: np.ndarray | None
     basis: np.ndarray
-    interior_flag: bool = False
     interior_point: np.ndarray | None = None
 
     @property
     def exists(self) -> bool:
         return self.particular is not None
+
+    @property
+    def interior_flag(self) -> bool:
+        return self.interior_point is not None
 
     @property
     def dimension(self) -> int:
@@ -206,14 +212,12 @@ class EquilibriumSet:
             d = d - self.basis.T @ coef
         return float(np.max(np.abs(d))) <= tol
 
-    def with_interior_point(self, margin: float = 1e-12) -> "EquilibriumSet":
+    def with_interior_point(self) -> "EquilibriumSet":
         """This set, with the interior-point search run on it."""
         if not self.exists:
             return self
-        point = _maximize_min_coordinate(self.particular, self.basis, margin)
-        return EquilibriumSet(
-            self.particular, self.basis, interior_flag=point is not None, interior_point=point
-        )
+        point = _maximize_min_coordinate(self.particular, self.basis, INTERIOR_MARGIN)
+        return EquilibriumSet(self.particular, self.basis, interior_point=point)
 
 
 def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) -> list[str]:
@@ -443,6 +447,6 @@ def _maximize_min_coordinate(
     return best if np.min(best) > margin else None
 
 
-def interior_equilibria(game: PolymatrixGame, margin: float = 1e-12) -> EquilibriumSet:
+def interior_equilibria(game: PolymatrixGame) -> EquilibriumSet:
     """Formal equilibria restricted to the strictly positive prism interior."""
-    return formal_equilibria(game).with_interior_point(margin)
+    return formal_equilibria(game).with_interior_point()

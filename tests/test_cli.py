@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -217,10 +218,25 @@ class TestIntegrationLimits:
         gt = GameType((600,))
         path = str(tmp_path / "g.txt")
         write_game(random_game(gt, np.random.default_rng(0), integer=True), path)
-        argv = ["simulate", "--game", path, "--x0", barycentre(gt), "--T", "100000", "--dt", "0.01"]
+        # --monitors h: a gb or ratios monitor is refused first, by the vertex ceiling
+        argv = ["simulate", "--game", path, "--x0", barycentre(gt), "--T", "100000", "--dt", "0.01", "--monitors", "h"]
         entries = (10**7 + 1) * 600
         refusal = f"error: the integration would keep {entries} state entries, more than the {MAX_HISTORY} it may hold; take fewer steps or starts\n"
         assert capped_runs([argv]) == [[EXIT_IO, "", refusal]]
+
+    def test_the_vertex_ceiling_refuses_before_any_step(self, capsys, monkeypatch, tmp_path):
+        # the entries ceiling is checked before the stack is allocated, so this runs in process
+        gt = GameType((600,))
+        path = str(tmp_path / "g.txt")
+        write_game(random_game(gt, np.random.default_rng(0), integer=True), path)
+
+        def integrate(*args, **kwargs):
+            raise AssertionError("integrated a game past the vertex ceiling")
+
+        monkeypatch.setattr(cli.dynamics, "integrate", integrate)
+        code, out, err = run(capsys, "simulate", "--game", path, "--x0", barycentre(gt), "--T", "100", "--monitors", "ratios")
+        assert (code, out) == (EXIT_IO, "")
+        assert err == f"error: the game's vertex matrices hold {600 * 599**2} entries, more than the {MAX_ENTRIES} the vertex layer handles\n"
 
 
 class TestUsageErrors:
@@ -240,6 +256,47 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "check", "--help")
         assert code == EXIT_OK
         assert out.startswith("usage:")
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, ["--seed", "1"]) for c in ("check", "vertices", "reduce", "collapse", "equilibrium", "lv2rep")]
+        + [(c, ["--tol", "0"]) for c in ("equilibrium", "lv2rep")],
+        ids=lambda x: x if isinstance(x, str) else x[0],
+    )
+    def test_an_option_the_command_does_not_read_exits_1(self, capsys, example_path, command, option):
+        head = ["lv2rep", "--A", example_path, "--r", "1"] if command == "lv2rep" else [command, example_path]
+        code, out, err = run(capsys, *head, *option)
+        assert (code, out) == (EXIT_IO, "")
+        assert f"unrecognized arguments: {' '.join(option)}" in err and "Traceback" not in err
+
+    def test_an_unknown_monitor_exits_1(self, capsys, example_path):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--T", "1", "--monitors", "h,hh,zz")
+        assert (code, out) == (EXIT_IO, "")
+        assert "unknown monitor 'hh'" in err and "zz" not in err and "Traceback" not in err
+
+    def test_no_monitors(self, capsys, example_path):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--T", "1", "--monitors", "")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("integrated 100 steps, ok=True\n") and "monitor" not in out
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli.build_parser()
+    [subs] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: sorted(s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for name, sub in subs.choices.items()
+    }
+    assert options == {
+        "check": ["--format", "--tol"],
+        "vertices": ["--format", "--tol"],
+        "reduce": ["--format", "--tol"],
+        "collapse": ["--emit-game", "--format", "--tol"],
+        "equilibrium": ["--format"],
+        "simulate": ["--T", "--csv", "--dt", "--format", "--game", "--monitors", "--seed", "--tol", "--x0"],
+        "lv2rep": ["--A", "--emit-game", "--format", "--r"],
+    }
+    assert sum(map(len, options.values())) == 23
 
 
 class TestNoFormalEquilibrium:

@@ -121,19 +121,19 @@ class TestSliceConsistency:
 class TestCardinal2Cleanup:
     def test_structural_type_change(self):
         game = PolymatrixGame(GameType((1, 2)), np.arange(9, dtype=float).reshape(3, 3))
-        out = cardinal2_cleanup(game, [1, 0.5, 0.5], 0)
+        out = cardinal2_cleanup(game, 0)
         assert out.gtype == GameType((2,))
 
     def test_zero_game(self):
         game = PolymatrixGame(GameType((1, 2)), np.zeros((3, 3)))
-        out = cardinal2_cleanup(game, [1, 0.5, 0.5], 0)
+        out = cardinal2_cleanup(game, 0)
         assert np.all(out.payoff == 0)
 
     def test_field_preserved_on_slice(self):
         # folding the pinned column must not change the surviving dynamics
         rng = np.random.default_rng(52)
         game = PolymatrixGame(GameType((1, 3)), rng.integers(-4, 5, (4, 4)).astype(float))
-        out = cardinal2_cleanup(game, [1, 0.2, 0.3, 0.5], 0)
+        out = cardinal2_cleanup(game, 0)
         for _ in range(10):
             y = random_prism_state(out.gtype, rng)
             x = np.concatenate(([1.0], y))
@@ -148,14 +148,14 @@ class TestCardinal2Cleanup:
         q_red = [Fraction(1, 2)] * 4
         smaller = q_ell_reduction(reduced, q_red, 1)
         assert smaller.gtype == GameType((1, 2))
-        final = cardinal2_cleanup(smaller, [1, Fraction(1, 2), Fraction(1, 2)], 0)
+        final = cardinal2_cleanup(smaller, 0)
         assert final.gtype == GameType((2,))
         zero = PolymatrixGame(GameType((2,)), np.zeros((2, 2)))
         assert games_equivalent(final, zero)
 
     def test_rejects_wrong_size(self, example_game):
         with pytest.raises(ValueError):
-            cardinal2_cleanup(example_game, EXAMPLE_Q, 0)
+            cardinal2_cleanup(example_game, 0)
 
 
 def _payoffs(gtype, rng):
@@ -209,7 +209,7 @@ class TestEntriesAreTheRationalsRoundedOnce:
                 [float(_exact(a[i, j]) + _exact(a[i, pinned])) if j in target else float(_exact(a[i, j])) for j in keep]
                 for i in keep
             ])
-            got = cardinal2_cleanup(PolymatrixGame(gt, a), None, alpha)
+            got = cardinal2_cleanup(PolymatrixGame(gt, a), alpha)
             assert got.payoff.tobytes() == want.tobytes()
 
     def test_an_entry_past_the_float_range_raises(self):
@@ -220,7 +220,7 @@ class TestEntriesAreTheRationalsRoundedOnce:
         b = np.zeros((3, 3))
         b[1, 1], b[1, 0] = 1.5e308, 1.5e308  # folds pinned column 0 into column 1
         with pytest.raises(OverflowError):
-            cardinal2_cleanup(PolymatrixGame(GameType((1, 2)), b), None, 0)
+            cardinal2_cleanup(PolymatrixGame(GameType((1, 2)), b), 0)
 
 
 class TestReduceBySet:
