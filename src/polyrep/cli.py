@@ -60,9 +60,9 @@ def _finite_or_null(value):
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
         try:
-            out = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+            out = json.dumps(payload, sort_keys=True, allow_nan=False)
         except ValueError:  # a NaN or an infinity; most payloads have none, so walk only then
-            out = json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False)
+            out = json.dumps(_finite_or_null(payload), sort_keys=True, allow_nan=False)
     else:
         out = "\n".join(text_lines)
     print(out)
@@ -108,7 +108,7 @@ def cmd_check(args) -> int:
             "cycle_ok": rep.cycle_ok,
             "skew_ok": rep.skew_ok,
             "failures": list(rep.failures),
-            "scaling": None if rep.scaling is None else [float(x) for x in rep.scaling],
+            "scaling": None if rep.scaling is None else rep.scaling.tolist(),
         }
         for v, rep in an.reports.items()
     }
@@ -484,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-game", metavar="FILE", help="write the game file here")
     p.set_defaults(func=cmd_lv2rep)
 
+    for sub in subs.choices.values():  # main reports a leftover argument through its command's parser
+        sub.set_defaults(parser=sub)
     return parser
 
 
@@ -495,7 +497,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args, extra = _parser().parse_known_args(argv)
+        if extra:  # so the usage line printed is the subcommand's
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 2 on a usage error, a verdict code here
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:

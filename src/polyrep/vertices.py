@@ -57,7 +57,7 @@ class VertexLabel:
     chosen: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(int(c) for c in self.chosen))
+        object.__setattr__(self, "chosen", tuple(map(int, self.chosen)))
 
     def validate(self, gtype: GameType) -> None:
         if len(self.chosen) != gtype.p:
@@ -76,7 +76,7 @@ class VertexLabel:
         return self.chosen[gtype.group_of(i)]
 
     def __str__(self):
-        return "(" + ",".join(str(c) for c in self.chosen) + ")"
+        return "(" + ",".join(map(str, self.chosen)) + ")"
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,8 @@ def _counting(monkeypatch, name):
 
 
 class TestGoldenOutput:
-    """JSON output recorded before the analysis was shared, byte for byte.
+    """JSON output recorded before the analysis was shared, byte for byte,
+    in the one-line, keys-sorted layout of json's C encoder.
 
     These four commands print no LAPACK-computed float, so the files hold
     across numpy builds.

@@ -1,13 +1,18 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyrep
 from polyrep import cli
@@ -22,7 +27,14 @@ from polyrep.cli import (
 from polyrep.dynamics import MAX_HISTORY
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import GameType, PolymatrixGame
-from polyrep.stability import admissible
+from polyrep.stability import (
+    CONSERVATIVE,
+    DISSIPATIVE,
+    NO_CERTIFICATE,
+    NO_FORMAL_EQUILIBRIUM,
+    NOT_DISSIPATIVE,
+    admissible,
+)
 from polyrep.vertices import MAX_ENTRIES, MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
 
 from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, make_dissipative_game, random_game
@@ -268,6 +280,7 @@ class TestUsageErrors:
         code, out, err = run(capsys, *head, *option)
         assert (code, out) == (EXIT_IO, "")
         assert f"unrecognized arguments: {' '.join(option)}" in err and "Traceback" not in err
+        assert err.startswith(f"usage: polyrep {command} ")  # the subcommand's usage, not the top level's
 
     def test_an_unknown_monitor_exits_1(self, capsys, example_path):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--T", "1", "--monitors", "h,hh,zz")
@@ -823,3 +836,52 @@ print(json.dumps({"codes": codes, "random": random, "scipy": loaded("scipy")}))
         assert got["codes"] == [EXIT_OK] * 6
         assert got["random"] == []
         assert got["scipy"] == []
+
+
+class TestAnyGame:
+    """Every subcommand on random small games: a documented exit, never a traceback.
+
+    Games have up to 6 strategies in up to 3 groups, with integer or
+    uniform payoffs, or dissipative by construction so that reduce and
+    collapse get past the verdict.  Each command runs in text and in JSON.
+    """
+
+    KINDS = {CONSERVATIVE, DISSIPATIVE, NO_FORMAL_EQUILIBRIUM, NO_CERTIFICATE, NOT_DISSIPATIVE}
+    COMMANDS = ("check", "vertices", "reduce", "collapse", "equilibrium", "simulate")
+
+    @staticmethod
+    def call(*argv) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda s: sum(s) <= 6),
+        payoff=st.sampled_from(["integer", "uniform", "dissipative"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_documented_exits_and_one_line_json(self, sizes, payoff, seed):
+        gt, rng = GameType(tuple(sizes)), np.random.default_rng(seed)
+        if payoff == "dissipative":
+            game = make_dissipative_game(gt, rng)[0]
+        else:
+            game = random_game(gt, rng, integer=payoff == "integer")
+        with tempfile.TemporaryDirectory() as directory:
+            path = str(Path(directory) / "game.txt")
+            write_game(game, path)
+            for command in self.COMMANDS:
+                head = [command, path]
+                if command == "simulate":
+                    head = [command, "--game", path, "--T", "1", "--x0", f"random:{seed}"]
+                code, _, err = self.call(*head)
+                assert code in range(5) and "Traceback" not in err, (command, code, err)
+                json_code, out, err = self.call(*head, "--format", "json")
+                assert json_code == code and "Traceback" not in err, (command, json_code, err)
+                if out or command == "check":
+                    assert out.count("\n") == 1 and out.endswith("\n")
+                    data = json.loads(out)
+                if command == "check":
+                    assert data["kind"] in self.KINDS
+                    assert data["admissible"] == admissible(game)[0]
