@@ -91,10 +91,10 @@ def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
 
 
 def _verdict_code(an: stability.Analysis) -> int:
-    """Exit code of the admissibility verdict."""
-    if an.scaling is None:
-        return EXIT_NOT_DISSIPATIVE
-    return EXIT_OK if an.vstar else EXIT_NOT_ADMISSIBLE
+    """Exit code of the admissibility verdict: why the game is not admissible, if it is not."""
+    if an.admissible:
+        return EXIT_OK
+    return EXIT_NOT_DISSIPATIVE if an.scaling is None else EXIT_NOT_ADMISSIBLE
 
 
 def cmd_check(args) -> int:
@@ -112,17 +112,16 @@ def cmd_check(args) -> int:
         }
         for v, rep in an.reports.items()
     }
-    admissible_flag = code == EXIT_OK
     payload = {
         "kind": an.kind,
-        "admissible": admissible_flag,
+        "admissible": an.admissible,
         "scaling": scaling,
         "vstar": vstar,
         "vertex_reports": reports,
     }
     lines = [
         f"kind: {an.kind}",
-        f"admissible: {admissible_flag}",
+        f"admissible: {an.admissible}",
         f"scaling: {scaling}",
         "stable vertices: " + (", ".join(str(tuple(v)) for v in vstar) or "none"),
     ]

@@ -66,11 +66,9 @@ class ReductionMap:
 
 @dataclass(frozen=True)
 class ReductionStep:
-    removed: int  # strategy index in the game the step was applied to
-    removed_original: int  # same strategy as an index into the original game
+    removed_original: int  # the removed strategy as an index into the original game
     group: int
     q_ell: float
-    before: GameType
     after: GameType
     scale_factor: float  # 1 / (1 - q_ell), applied to the group's diagonal entry
     cleanup_group: int | None = None  # set when the group collapsed and was folded away
@@ -169,7 +167,7 @@ def reduce_equilibrium(gtype: GameType, q, ell: int) -> list[Fraction]:
     for i in range(gtype.n):
         if i == ell:
             continue
-        out.append(qf[i] / one_minus if gtype.group_of(i) == alpha else qf[i])
+        out.append(qf[i] / one_minus if gtype.groups[i] == alpha else qf[i])
     return out
 
 
@@ -223,15 +221,12 @@ class _Cursor:
         gt = self.game.gtype
         alpha = gt.group_of(ell)
         q_ell = self.q[ell]
-        before = gt
         new_game = q_ell_reduction(self.game, self.q, ell)
         factor = Fraction(1) / (1 - q_ell)
         step = ReductionStep(
-            removed=ell,
             removed_original=self.kept[ell],
             group=alpha,
             q_ell=float(q_ell),
-            before=before,
             after=new_game.gtype,
             scale_factor=float(factor),
         )

@@ -51,7 +51,7 @@ def _half_increment(y, half_at, same, ay, avg, g, dot=np.dot, multiply=np.multip
     """g = (dt/2) f(y) for half_at = (dt/2) A^T, in five calls into the buffers ay, avg, g.
 
     The rule of vector_field, payoffs less group averages through
-    GameType.same_group, with the payoff scaled beforehand.  The
+    same = ind^T ind, with the payoff scaled beforehand.  The
     dispatchers are bound defaults and out is passed positionally: on a
     single start the arrays are tiny and numpy's per-call overhead is
     most of the step, so lookups and keywords are a visible share.
@@ -123,7 +123,8 @@ def _rk4_paths(
             f"the integration would keep {entries} state entries, more than the {MAX_HISTORY} it may hold; "
             "take fewer steps or starts"
         )
-    ind, same = gt.indicator(), gt.same_group()
+    ind = gt.indicator()
+    same = ind.T @ ind  # 1 where two strategies share a group
     half_at = np.ascontiguousarray(0.5 * dt * game.payoff.T)
     ind_t = np.ascontiguousarray(ind.T)
     out = np.empty((steps + 1, m, gt.n))

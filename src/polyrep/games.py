@@ -15,6 +15,7 @@ objects are immutable after construction.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,23 +70,25 @@ class GameType:
         return len(self.sizes)
 
     @functools.cached_property
+    def groups(self) -> np.ndarray:
+        """(n,) read-only array: entry i is the group of strategy i.
+
+        The one strategy-to-group map; offsets, group_of and indicator
+        read it.  Built once per type and shared.
+        """
+        g = np.repeat(np.arange(self.p), self.sizes)
+        g.setflags(write=False)
+        return g
+
+    @functools.cached_property
     def offsets(self) -> tuple[int, ...]:
         """Start index of each group."""
-        out, acc = [], 0
-        for s in self.sizes:
-            out.append(acc)
-            acc += s
-        return tuple(out)
+        return tuple(itertools.accumulate(self.sizes[:-1], initial=0))
 
     def group_of(self, i: int) -> int:
         if not 0 <= i < self.n:
             raise IndexError(f"strategy {i} out of range for {self}")
-        acc = 0
-        for a, s in enumerate(self.sizes):
-            acc += s
-            if i < acc:
-                return a
-        raise AssertionError
+        return int(self.groups[i])
 
     def group_indices(self, a: int) -> range:
         off = self.offsets[a]
@@ -100,24 +103,7 @@ class GameType:
 
     @functools.cached_property
     def _indicator(self) -> np.ndarray:
-        m = np.zeros((self.p, self.n))
-        for a in range(self.p):
-            m[a, self.group_indices(a)] = 1.0
-        m.setflags(write=False)
-        return m
-
-    def same_group(self) -> np.ndarray:
-        """(n, n) 0/1 matrix ind^T ind: entry (i, j) is 1 when i and j share a group.
-
-        Right-multiplying a batch of per-strategy values by it puts each
-        group's sum on every strategy of the group.  Built once per type
-        and shared, hence read-only.
-        """
-        return self._same_group
-
-    @functools.cached_property
-    def _same_group(self) -> np.ndarray:
-        m = self._indicator.T @ self._indicator
+        m = (self.groups == np.arange(self.p)[:, None]).astype(float)
         m.setflags(write=False)
         return m
 
@@ -169,7 +155,7 @@ class DiagonalScaling:
 
     def expand(self, gtype: GameType) -> np.ndarray:
         """Length-n diagonal, one entry per strategy."""
-        return np.repeat(self.group_values(gtype), gtype.sizes)
+        return self.group_values(gtype)[gtype.groups]
 
     @staticmethod
     def identity(gtype: GameType) -> "DiagonalScaling":
@@ -362,8 +348,9 @@ def vector_field(game: PolymatrixGame, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     ax = x @ game.payoff.T
-    # (x * ax) @ same_group: each strategy's group-average payoff
-    return x * (ax - (x * ax) @ game.gtype.same_group())
+    ind = game.gtype.indicator()
+    # (x * ax) @ ind^T ind: each strategy's group-average payoff
+    return x * (ax - (x * ax) @ (ind.T @ ind))
 
 
 def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
@@ -377,14 +364,11 @@ def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
     gt = game.gtype
     scale = float(np.max(np.abs(game.payoff), initial=0.0)) or 1.0
     rows, rhs = [], []
-    for a in range(gt.p):
-        idx = list(gt.group_indices(a))
-        first = idx[0]
+    for a, one in enumerate(gt.indicator()):
+        idx = gt.group_indices(a)
         for i in idx[1:]:
-            rows.append((game.payoff[i] - game.payoff[first]) / scale)
+            rows.append((game.payoff[i] - game.payoff[idx[0]]) / scale)
             rhs.append(0.0)
-        one = np.zeros(gt.n)
-        one[idx] = 1.0
         rows.append(one)
         rhs.append(1.0)
     return np.array(rows), np.array(rhs)

@@ -139,9 +139,9 @@ class _VertexForm:
         gt = game.gtype
         self.vertex = v
         self.payoff = game.payoff
-        self.strategy_groups = np.repeat(np.arange(gt.p), gt.sizes)
+        self.strategy_groups = gt.groups
         self.ii, self.jj = _index_sets(gt, np.array([v.chosen], dtype=np.intp))
-        self.groups = self.strategy_groups[self.ii[0]]
+        self.groups = gt.groups[self.ii[0]]
 
     @property
     def dim(self) -> int:
@@ -278,11 +278,7 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
 def _tangent_orthobasis(game: PolymatrixGame) -> np.ndarray:
     """Orthonormal basis: group indicators first, tangent space after."""
     gt = game.gtype
-    cols = [
-        np.sqrt(1.0 / gt.sizes[a]) * np.where(np.isin(np.arange(gt.n), list(gt.group_indices(a))), 1.0, 0.0)
-        for a in range(gt.p)
-    ]
-    normal = np.column_stack(cols)
+    normal = gt.indicator().T * np.sqrt(1.0 / np.array(gt.sizes))
     tangent = _nullspace(normal.T).T
     return np.hstack([normal, tangent])
 
@@ -452,14 +448,15 @@ def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np
     exactly when _walk takes every edge as a step, which it cannot on k
     edges or more), the constraint pairs, the one-sided rejection and the
     order of the ratio walk read only those, so they run once per group,
-    on its first row.  The values are read once per stack: the ratios
+    on its first row.  The values are read BLOCK rows at a time, so the
+    per-pair arrays stay small whatever V is: the ratios
     d_j / d_i = -m_ji / m_ij and their range check, the walk's steps applied
-    depth by depth to every row of every group, the check of the
+    depth by depth to every row of the block, the check of the
     constraints off the forest, and the verification of M diag(d) against
-    M's zero diagonal (M diag(d) has the zero pattern of M for d > 0),
-    BLOCK candidates at a time; an M diag(d) whose entries or symmetric
-    part leave the float range fails it.  Each step multiplies as the walk
-    on one matrix would, so every d is the same float it would be there.
+    M's zero diagonal (M diag(d) has the zero pattern of M for d > 0); an
+    M diag(d) whose entries or symmetric part leave the float range fails
+    it.  Each step multiplies as the walk on one matrix would, so every d
+    is the same float it would be there.
     """
     count, k = t.shape[:2]
     idx = np.arange(k)
@@ -482,33 +479,33 @@ def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np
     npairs = np.bincount(pg, minlength=len(first))
     pair_start = npairs.cumsum() - npairs
 
-    # once per stack: every row's pairs, in row order, then its group's pair order
-    row, q = _ragged(npairs[group])
-    at = pair_start[group[row]] + q
-    i, j = pi[at], pj[at]
+    # per block of rows: every row's pairs, in row order, then its group's pair order
     d = np.ones((count, k))  # each component's root pinned to 1
-    with np.errstate(all="ignore"):  # 0, inf or nan only in rows rejected here, whose d is not kept
-        ratio = -t[row, j, i] / t[row, i, j]  # d_j / d_i
-        # m_ij d_j = -m_ji d_i has no d > 0 when the coupling is one-sided or the ratio is not
-        # positive (equal signs), nor any d a float can hold when it under- or overflows
-        skew_ok = np.ones(count, dtype=bool)
-        skew_ok[row[one_sided[at] | ~((ratio > 0) & (ratio < np.inf))]] = False
-        # the walk's steps in every row, shallowest first, so that each parent is set before its children
-        order = np.argsort(step[at, 0], kind="stable")
-        depth, parent, child, forward = step[at[order]].T
-        srow, factor = row[order], np.where(forward == 1, ratio[order], 1.0 / ratio[order])
-        levels = np.searchsorted(depth, np.arange(1, k + 1)).tolist()
-        for lo, hi in zip(levels, levels[1:]):
-            d[srow[lo:hi], child[lo:hi]] = d[srow[lo:hi], parent[lo:hi]] * factor[lo:hi]
-        # the constraints off the forest must agree with it
-        d_i, d_j = d[row, i], d[row, j]
-        off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
-    skew_ok[row[off]] = False
-    skew_ok &= (d > 0).all(axis=1)
+    skew_ok = np.ones(count, dtype=bool)
+    for b in blocks(count):
+        row, q = _ragged(npairs[group[b]])
+        row += b.start
+        at = pair_start[group[row]] + q
+        i, j = pi[at], pj[at]
+        with np.errstate(all="ignore"):  # 0, inf or nan only in rows rejected here, whose d is not kept
+            ratio = -t[row, j, i] / t[row, i, j]  # d_j / d_i
+            # m_ij d_j = -m_ji d_i has no d > 0 when the coupling is one-sided or the ratio is not
+            # positive (equal signs), nor any d a float can hold when it under- or overflows
+            skew_ok[row[one_sided[at] | ~((ratio > 0) & (ratio < np.inf))]] = False
+            # the walk's steps in every row, shallowest first, so that each parent is set before its children
+            order = np.argsort(step[at, 0], kind="stable")
+            depth, parent, child, forward = step[at[order]].T
+            srow, factor = row[order], np.where(forward == 1, ratio[order], 1.0 / ratio[order])
+            levels = np.searchsorted(depth, np.arange(1, k + 1)).tolist()
+            for lo, hi in zip(levels, levels[1:]):
+                d[srow[lo:hi], child[lo:hi]] = d[srow[lo:hi], parent[lo:hi]] * factor[lo:hi]
+            # the constraints off the forest must agree with it
+            d_i, d_j = d[row, i], d[row, j]
+            off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
+        skew_ok[row[off]] = False
+        skew_ok[b] &= (d[b] > 0).all(axis=1)
 
-    cand = np.flatnonzero(skew_ok)
-    for b in blocks(len(cand)):
-        c = cand[b]
+        c = b.start + np.flatnonzero(skew_ok[b])
         # ratios in range can still multiply out of the float range along the forest, in d,
         # in M diag(d) or in its symmetric part, which has no eigenvalues then
         with np.errstate(over="ignore", invalid="ignore"):

@@ -154,7 +154,7 @@ def _index_sets(gtype: GameType, chosen: np.ndarray) -> tuple[np.ndarray, np.nda
     keep = np.ones((len(chosen), gtype.n), dtype=bool)
     keep[np.arange(len(chosen))[:, None], chosen] = False
     ii = np.nonzero(keep)[1].reshape(len(chosen), gtype.n - gtype.p)
-    jj = np.take_along_axis(chosen, np.repeat(np.arange(gtype.p), gtype.sizes)[ii], axis=1)
+    jj = np.take_along_axis(chosen, gtype.groups[ii], axis=1)
     return ii, jj
 
 

@@ -88,7 +88,8 @@ def buffered_rk4_paths(game, x0, steps, dt):
     samples of the runs whose last state is not finite.
     """
     gt = game.gtype
-    ind, same = gt.indicator(), gt.same_group()
+    ind = gt.indicator()
+    same = ind.T @ ind
     # C-contiguous operands, as the kernel's: a transposed view moves the last bits
     half_at = np.ascontiguousarray(0.5 * dt * game.payoff.T)
     ind_t = np.ascontiguousarray(ind.T)

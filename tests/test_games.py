@@ -311,15 +311,25 @@ class TestGameTypeCache:
         with pytest.raises(ValueError):
             ind[0, 0] = 2.0
 
-    def test_same_group_shared_and_read_only(self):
-        gt = GameType((3, 2))
-        same = gt.same_group()
-        assert same is gt.same_group()
-        assert not same.flags.writeable
+    @pytest.mark.parametrize("sizes", [(3, 1, 2), (1,), (1, 1, 1), (600,), (4,) * 7])
+    def test_one_group_map(self, sizes):
+        gt = GameType(sizes)
+        groups = gt.groups
+        assert groups is gt.groups and groups.shape == (gt.n,)
+        assert not groups.flags.writeable
         with pytest.raises(ValueError):
-            same[0, 0] = 2.0
-        npt.assert_array_equal(same, gt.indicator().T @ gt.indicator())
-        npt.assert_array_equal(same[3], [0, 0, 0, 1, 1])
+            groups[0] = 1
+        for a in range(gt.p):
+            idx = gt.group_indices(a)
+            assert idx.start == gt.offsets[a] and len(idx) == sizes[a]
+            npt.assert_array_equal(np.flatnonzero(groups == a), list(idx))
+            npt.assert_array_equal(np.flatnonzero(gt.indicator()[a]), list(idx))
+        npt.assert_array_equal(gt.indicator().sum(axis=0), np.ones(gt.n))
+        assert [gt.group_of(i) for i in range(gt.n)] == groups.tolist()
+        assert all(type(gt.group_of(i)) is int for i in (0, gt.n - 1))
+        for i in (-1, gt.n):
+            with pytest.raises(IndexError):
+                gt.group_of(i)
 
     def test_cached_values(self):
         gt = GameType((3, 1, 2))

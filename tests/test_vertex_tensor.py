@@ -8,6 +8,8 @@ they are given.  Each must equal the loop version in
 reference_vertex_layer in every bit, scalings included.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -182,6 +184,19 @@ def test_blocks_span_more_than_one_block():
     assert sum(rep.stable for rep in reports) == 4**4
 
 
+def test_reports_allocate_less_than_the_stack():
+    # the per-pair arrays of the decision are bounded per block of rows, not per stack
+    an = Analysis(make_dissipative_game(GameType((4,) * 6), np.random.default_rng(0))[0])
+    stack = an.tensor[2].nbytes
+    tracemalloc.start()
+    try:
+        an.reports
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stack
+
+
 def _assert_matches_the_reference(t, tol):
     reports = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
     for m, rep in zip(t, reports):
@@ -196,18 +211,28 @@ def _shared_patterns(t, tol):
     return len({(z.tobytes(), d.tobytes()) for z, d in zip(zero, damped)})
 
 
-def test_scaled_copies_match_the_reference():
-    # three copies of the example scaled by distinct non-dyadic factors, their columns by
-    # non-dyadic group factors: 216 vertices in 8 zero patterns, each holding other values
-    payoff = np.zeros((15, 15))
-    for c, f in enumerate(FACTORS[:3]):
+def _scaled_copies(copies):
+    """Copies of the example scaled by distinct non-dyadic factors, their columns by non-dyadic group factors."""
+    payoff = np.zeros((5 * copies, 5 * copies))
+    for c, f in enumerate(FACTORS[:copies]):
         payoff[5 * c : 5 * c + 5, 5 * c : 5 * c + 5] = f * EXAMPLE_PAYOFF
-    columns = np.repeat([1.0, 5 / 3, 2 / 9, 7 / 11, 13 / 3, 3 / 5], (3, 2) * 3)
-    _, _, t = vertex_tensor(PolymatrixGame(GameType((3, 2) * 3), payoff * columns))
-    assert _shared_patterns(t, SEMIDEF_TOL) == 8
+    columns = np.repeat([1.0, 5 / 3, 2 / 9, 7 / 11, 13 / 3, 3 / 5, 17 / 7, 9 / 13][: 2 * copies], (3, 2) * copies)
+    _, _, t = vertex_tensor(PolymatrixGame(GameType((3, 2) * copies), payoff * columns))
+    assert _shared_patterns(t, SEMIDEF_TOL) == 2**copies
     reports = _assert_matches_the_reference(t, SEMIDEF_TOL)
-    assert sum(rep.stable for rep in reports) == 4**3
+    assert sum(rep.stable for rep in reports) == 4**copies
+    return reports
+
+
+def test_scaled_copies_match_the_reference():
+    # 216 vertices in 8 zero patterns, each holding other values
+    reports = _scaled_copies(3)
     assert len({rep.scaling.tobytes() for rep in reports if rep.scaling is not None}) > 1
+
+
+def test_scaled_copies_across_blocks_match_the_reference():
+    # 1296 vertices in 16 zero patterns, in six blocks of rows: each block reads its own rows
+    assert len(_scaled_copies(4)) > 5 * BLOCK
 
 
 def _hub(a, b, c, e):
@@ -231,6 +256,14 @@ def test_one_pattern_with_passing_and_failing_ratios():
     reports = _assert_matches_the_reference(t, 0.0)
     assert [rep.stable for rep in reports] == [True, True, False, False, True, True]
     assert len({rep.scaling.tobytes() for rep in reports if rep.stable}) == 4
+
+
+def test_a_scaling_that_underflows_along_the_forest_is_refused():
+    # each ratio d_j / d_i = 1e-200 is in range, but their product along the path 0-1-2
+    # underflows to 0, and a d with a zero entry is not positive (the reference accepts it)
+    m = np.array([[0.0, 1.0, 0.0], [-1e-200, 0.0, 1.0], [0.0, -1e-200, 0.0]])
+    rep = stably_dissipative(m, 0.0)
+    assert rep.cycle_ok and not rep.skew_ok and rep.scaling is None
 
 
 @pytest.mark.parametrize("tol", [0.0, SEMIDEF_TOL, 1e-3])
