@@ -64,7 +64,6 @@ from .dynamics import (
     lv_to_replicator,
     lyapunov_h,
     quotient_rule_check,
-    ratio_bounds,
 )
 from .gamefile import GameFileError, emit_game, parse_game, parse_game_text, write_game
 

@@ -21,7 +21,14 @@ import numpy as np
 
 from . import collapse as collapse_mod
 from . import dynamics, gamefile, reduction, stability
-from .games import PolymatrixGame, check_prism_state, clearable_floor, interior_equilibria, random_prism_state
+from .games import (
+    PolymatrixGame,
+    check_prism_state,
+    clearable_floor,
+    has_equal_row_blocks,
+    interior_equilibria,
+    random_prism_state,
+)
 from .vertices import first_vertex
 
 EXIT_OK = 0
@@ -204,12 +211,8 @@ def cmd_collapse(args) -> int:
     except (RuntimeError, ValueError) as exc:  # admissible with an interior q: a refusal now is internal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    from .games import games_equivalent
-
     final = result.final_game
-    trivial = games_equivalent(
-        final, PolymatrixGame(final.gtype, np.zeros((final.n, final.n)))
-    )
+    trivial = has_equal_row_blocks(final.gtype, final.payoff)  # equivalent to the zero game
     payload = {
         "steps": [
             {
@@ -243,9 +246,9 @@ def cmd_collapse(args) -> int:
     lines.append("final game is conservative (Hamiltonian limit dynamics)")
     if trivial:
         lines.append("equivalent to the trivial game")
-    _emit(args, payload, lines)
-    if args.emit_game:
+    if args.emit_game:  # before the report, so a write that fails leaves stdout empty
         gamefile.write_game(result.final_game, args.emit_game)
+    _emit(args, payload, lines)
     return EXIT_OK
 
 

@@ -26,16 +26,9 @@ from .games import (
     GameType,
     PolymatrixGame,
     check_prism_state,
-    in_unit,
     vector_field,
 )
-from .stability import (
-    CONSERVATIVE,
-    SEMIDEF_TOL,
-    admissible,
-    analyse,
-    check_with_scaling,
-)
+from .stability import CONSERVATIVE, SEMIDEF_TOL, analyse, check_with_scaling
 from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix, vertex_rows
 
 # What the chain's rounding may leave, relative to its scale: each reduction
@@ -200,12 +193,12 @@ def cardinal2_cleanup(game: PolymatrixGame, alpha: int) -> PolymatrixGame:
 
 
 class _Cursor:
-    """Mutable bookkeeping for a chain of reductions."""
+    """Mutable bookkeeping for a chain of reductions, transporting the group diagonal d."""
 
-    def __init__(self, game: PolymatrixGame, q, d: DiagonalScaling | None):
+    def __init__(self, game: PolymatrixGame, q, d: DiagonalScaling):
         self.game = game
         self.q = _to_fractions(q)
-        self.d = list(d.values) if d is not None else [1.0] * game.gtype.p
+        self.d = list(d.values)
         self.kept = list(range(game.gtype.n))
         self.scale = [Fraction(1)] * game.gtype.n
         self.steps: list[ReductionStep] = []
@@ -266,7 +259,7 @@ def reduce_by_set(
     removal is already implied).  Returns the reduced game and the
     composed identification map.
     """
-    cur = _Cursor(game, q, None)
+    cur = _Cursor(game, q, DiagonalScaling.identity(game.gtype))
     for orig in sorted(strategies, reverse=True):
         if orig not in cur.kept:
             continue
@@ -274,44 +267,38 @@ def reduce_by_set(
     return cur.game, cur.map()
 
 
-def hamiltonian_collapse(
-    game: PolymatrixGame,
-    q,
-    d: DiagonalScaling | None = None,
-    tol: float = SEMIDEF_TOL,
-) -> CollapseResult:
+def hamiltonian_collapse(game: PolymatrixGame, q, tol: float = SEMIDEF_TOL) -> CollapseResult:
     """Collapse an admissible game to its conservative core.
 
-    At the smallest stable vertex, remove the strategies the analysis
-    found damped (negative diagonal, the set rule 1 blacks) one by one,
-    lowest first, transporting the dissipativity certificate (the
-    removed group's entry picks up a 1/(1-q_l) factor).  The final game
-    must certify conservative; failure of that check is a hard error,
-    since the construction guarantees it.  The chain runs on the game in
-    its unit (games.in_unit), as the analysis does: the transport check
-    is relative to the largest entry of its first scaled vertex matrix,
-    the final verdict is read there, at a tolerance of at least
-    CHAIN_ROUNDING, and final_game is mapped back to the game's unit.
-    q must be an equilibrium up to 1e-8 relative to the largest payoff.
+    The game's analysis decides admissibility and gives the certificate
+    and the stable vertices.  At the smallest stable vertex, remove the
+    strategies the analysis found damped (negative diagonal, the set
+    rule 1 blacks) one by one, lowest first, transporting the analysis's
+    certificate (the removed group's entry picks up a 1/(1-q_l) factor).
+    The final game must certify conservative; failure of that check is a
+    hard error, since the construction guarantees it.  The chain runs on
+    the game in the analysis's unit (Analysis.unit), as its verdicts
+    are read: the transport check is relative to the largest entry of
+    its first scaled vertex matrix, the final verdict is read there, at
+    a tolerance of at least CHAIN_ROUNDING, and final_game is mapped
+    back to the game's unit.  q must be an equilibrium up to 1e-8
+    relative to the largest payoff.
     """
-    ok, vstar = admissible(game, d, tol=tol)
-    if not ok:
+    an = analyse(game, tol)
+    if not an.admissible:
         raise ValueError("hamiltonian collapse requires an admissible game")
-    unit, e = in_unit(game)
+    unit, e = an.unit
     qf = np.array([float(x) for x in _to_fractions(q)])
     if check_prism_state(game.gtype, qf) or np.min(qf) <= 0:
         raise ValueError("q must be a strictly interior prism state")
     if float(np.max(np.abs(vector_field(unit, qf)))) > 1e-8 * float(np.max(np.abs(unit.payoff))):
         raise ValueError("q is not an equilibrium of the game")
-    an = analyse(game, tol)
-    if d is None:
-        d = an.scaling  # admissible, so the search found one
 
-    vertex = vstar[0]  # the smallest: vstar is in enumeration order
+    vertex = an.vstar[0]  # the smallest: vstar is in enumeration order
     row = vertex_rows(game.gtype, [vertex])[0]
     damped = an.tensor[1][row][an.pattern[1][row] < 0].tolist()  # ascending, as index sets are
     chosen = list(vertex.chosen)  # tracked as original-game indices
-    cur = _Cursor(unit, q, d)
+    cur = _Cursor(unit, q, an.scaling)
 
     def current() -> tuple[VertexLabel, VertexMatrix]:
         """The vertex in the current game's indices, and its scaled vertex matrix."""

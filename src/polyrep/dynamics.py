@@ -262,17 +262,6 @@ def first_integrals(game: PolymatrixGame, v: VertexLabel) -> list[FirstIntegral]
     return [FirstIntegral(v, b.copy(), expand_vertex_vector(game.gtype, v, b)) for b in _nullspace(vm.entries.T)]
 
 
-def ratio_bounds(
-    traj: Trajectory, pairs: list[tuple[int, int]]
-) -> dict[tuple[int, int], tuple[float, float]]:
-    """Observed (min, max) of x_i/x_j along the trajectory, per pair."""
-    out = {}
-    for i, j in pairs:
-        r = traj.states[:, i] / traj.states[:, j]
-        out[(i, j)] = (float(np.min(r)), float(np.max(r)))
-    return out
-
-
 def quotient_rule_check(
     game: PolymatrixGame, q: np.ndarray, v: VertexLabel, x: np.ndarray
 ) -> float:

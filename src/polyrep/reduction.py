@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import DiagonalScaling, PolymatrixGame
-from .stability import SEMIDEF_TOL, Analysis, admissible, analyse
+from .games import PolymatrixGame
+from .stability import SEMIDEF_TOL, Analysis, analyse
 from .vertices import VertexLabel, vertex_rows
 
 
@@ -256,22 +256,23 @@ def _verdict(state: InformationSet) -> str:
 
 def run_to_fixpoint(
     game: PolymatrixGame,
-    d: DiagonalScaling | None = None,
     tol: float = SEMIDEF_TOL,
     rng: np.random.Generator | None = None,
 ) -> ReducedInformationSet:
     """Exhaust the inference rules and classify the outcome.
 
-    Requires an admissible game (the rules are sound only then).  With an
-    rng the applicable instance is chosen at random each round instead of
-    by the deterministic scan; final colors should not depend on this
-    (checked as a diagnostic elsewhere, not asserted here).
+    Requires an admissible game (the rules are sound only then), as the
+    game's analysis decides it: its certificate and its V*, from which
+    rule 1 starts.  With an rng the applicable instance is chosen at
+    random each round instead of by the deterministic scan; final colors
+    should not depend on this (checked as a diagnostic elsewhere, not
+    asserted here).
     """
-    ok, vstar = admissible(game, d, tol=tol)
-    if not ok:
-        raise ValueError("reduction requires an admissible game")
-    state = initialize(game, vstar, tol=tol)
     an = analyse(game, tol)
+    if not an.admissible:
+        raise ValueError("reduction requires an admissible game")
+    vstar = list(an.vstar)
+    state = initialize(game, vstar, tol=tol)
     stable = vertex_rows(game.gtype, vstar)[::-1]
     n = game.gtype.n
     for rounds in itertools.count():

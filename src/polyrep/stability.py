@@ -433,22 +433,25 @@ def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndar
     The stack of one of _decide.
     """
     t = np.asarray(m, dtype=float)[None]
-    _, skew_ok, d = _decide(t, zero_entries(t, tol), tol)
+    zero = zero_entries(t, tol)
+    _, skew_ok, d = _decide(t, zero, *graph_pattern(t, zero), tol)
     return d[0] if skew_ok[0] else None
 
 
-def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Both conditions of stable dissipativity on a stack (V, k, k), its zero pattern given.
+def _decide(
+    t: np.ndarray, zero: np.ndarray, edges: np.ndarray, signs: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both conditions of stable dissipativity on a stack (V, k, k), its zero pattern and graph given.
 
     Returns cycle_ok and skew_ok, each (V,), and the candidate scaling d,
     (V, k), which is the scaling wherever skew_ok holds.  The edges and
-    diagonal signs are graph_pattern's: sign 0 is a zero diagonal, -1 a
-    damped one.  The rows are grouped by their zero pattern and damped
-    set; the cycle test (the graph less its strong links is a forest
-    exactly when _walk takes every edge as a step, which it cannot on k
-    edges or more), the constraint pairs, the one-sided rejection and the
-    order of the ratio walk read only those, so they run once per group,
-    on its first row.  The values are read BLOCK rows at a time, so the
+    diagonal signs are graph_pattern(t, zero)'s, built by the caller:
+    sign 0 is a zero diagonal, -1 a damped one.  The rows are grouped by
+    their zero pattern and damped set; the cycle test (the graph less
+    its strong links is a forest exactly when _walk takes every edge as
+    a step, which it cannot on k edges or more), the constraint pairs,
+    the one-sided rejection and the order of the ratio walk read only
+    those, so they run once per group, on its first row.  The values are read BLOCK rows at a time, so the
     per-pair arrays stay small whatever V is: the ratios
     d_j / d_i = -m_ji / m_ij and their range check, the walk's steps applied
     depth by depth to every row of the block, the check of the
@@ -460,7 +463,6 @@ def _decide(t: np.ndarray, zero: np.ndarray, tol: float) -> tuple[np.ndarray, np
     """
     count, k = t.shape[:2]
     idx = np.arange(k)
-    edges, signs = graph_pattern(t, zero)
     zero_diag, damped = signs == 0, signs < 0
     first, group = _groups(np.packbits(np.concatenate([zero.reshape(count, k * k), damped], axis=1), axis=1))
 
@@ -537,9 +539,14 @@ def stably_dissipative_stack(
 
     _decide does the pattern work once per distinct zero pattern and
     damped set, and the value work as array operations over the stack;
-    only the reports are built one vertex at a time.
+    only the reports are built one vertex at a time.  The graph is
+    graph_pattern's, built here; Analysis.reports passes its own.
     """
-    cycle_ok, skew_ok, d = _decide(t, zero, tol)
+    return _reports(*_decide(t, zero, *graph_pattern(t, zero), tol))
+
+
+def _reports(cycle_ok: np.ndarray, skew_ok: np.ndarray, d: np.ndarray) -> list[StableDissipativityReport]:
+    """One report per row of _decide's verdicts."""
     return [
         StableDissipativityReport(cycle and skew, scaling if skew else None, cycle, skew, _FAILURES[cycle, skew])
         for cycle, skew, scaling in zip(cycle_ok.tolist(), skew_ok.tolist(), d)
@@ -560,9 +567,11 @@ class Analysis:
     2**unit[1] are the game's own.  The vertex fields read one
     vertex_tensor and one zero pattern: tensor and pattern hold every
     vertex's matrix and graph as arrays, and the reports are decided on
-    the same graph_pattern.  A tolerance that is
-    not a finite number >= 0 raises ValueError, and so does the first
-    vertex field of a game past vertices.MAX_VERTICES or MAX_ENTRIES.
+    pattern itself, so graph_pattern runs once per analysis.  Every
+    stage reads admissibility, the certificate and V* from here.  A
+    tolerance that is not a finite number >= 0 raises ValueError, and so
+    does the first vertex field of a game past vertices.MAX_VERTICES or
+    MAX_ENTRIES.
     """
 
     game: PolymatrixGame
@@ -597,7 +606,7 @@ class Analysis:
     @functools.cached_property
     def reports(self) -> Mapping[VertexLabel, StableDissipativityReport]:
         labels, _, t = self.tensor
-        return MappingProxyType(dict(zip(labels, stably_dissipative_stack(t, self._zero, self.tol))))
+        return MappingProxyType(dict(zip(labels, _reports(*_decide(t, self._zero, *self.pattern, self.tol)))))
 
     @functools.cached_property
     def vstar(self) -> tuple[VertexLabel, ...]:
@@ -645,22 +654,14 @@ def stable_vertices(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> list[Vert
     return list(analyse(game, tol).vstar)
 
 
-def admissible(
-    game: PolymatrixGame,
-    d: DiagonalScaling | None = None,
-    tol: float = SEMIDEF_TOL,
-) -> tuple[bool, list[VertexLabel]]:
-    """Whether the game is dissipative with a stably dissipative vertex.
+def admissible(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> tuple[bool, list[VertexLabel]]:
+    """Whether the game is dissipative with a stably dissipative vertex, and V*.
 
-    Returns the verdict together with the full list of stable vertices.
-    A caller-provided diagonal is tried as the dissipativity certificate
-    instead of the search, on the game in its unit, as the search is.
+    Both are the analysis's: Analysis.admissible, whose certificate is
+    the search's, and the full list of stable vertices.
     """
     an = analyse(game, tol)
-    if d is None:
-        return an.admissible, list(an.vstar)
-    ok = check_with_scaling(an.unit[0], d, tol=tol).kind in (CONSERVATIVE, DISSIPATIVE)
-    return (ok and bool(an.vstar)), list(an.vstar)
+    return an.admissible, list(an.vstar)
 
 
 def _largest_angle(q1: np.ndarray, k2: np.ndarray) -> float:

@@ -30,7 +30,6 @@ from .games import (
     DiagonalScaling,
     GameType,
     PolymatrixGame,
-    _nullspace,
     in_tangent_space,
 )
 
@@ -310,8 +309,3 @@ def diag_property_check(
     dv = d.expand(game.gtype)[list(vm.index_set)]
     rhs = vm.entries * dv
     return float(np.max(np.abs(lhs - rhs))) <= tol if lhs.size else True
-
-
-def numerical_rank(m: np.ndarray) -> int:
-    """Column count minus nullity, the rank games._nullspace decides."""
-    return m.shape[1] - len(_nullspace(m))

@@ -148,7 +148,7 @@ def make_admissible_game(
 
     for _ in range(max_tries):
         game, q, d = make_dissipative_game(gtype, rng)
-        ok, _ = admissible(game, d)
+        ok, _ = admissible(game)
         if ok:
             return game, q, d
     raise RuntimeError(f"no admissible game found for type {gtype}")

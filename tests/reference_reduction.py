@@ -145,8 +145,8 @@ _RULE_GENERATORS = {
 }
 
 
-def run_to_fixpoint(game, d=None, tol=SEMIDEF_TOL, rng=None) -> ReducedInformationSet:
-    ok, vstar = admissible(game, d, tol=tol)
+def run_to_fixpoint(game, tol=SEMIDEF_TOL, rng=None) -> ReducedInformationSet:
+    ok, vstar = admissible(game, tol=tol)
     if not ok:
         raise ValueError("reduction requires an admissible game")
     an = _Graphs(game, tol)

@@ -695,6 +695,20 @@ class TestUnwritableOutput:
         assert code == EXIT_IO
         assert err.startswith("error: ") and "No such file or directory" in err
 
+    @pytest.mark.parametrize("command", ["collapse", "lv2rep"])
+    def test_a_failed_write_prints_no_report(self, capsys, tmp_path, example_path, command):
+        # the game is written before the report is emitted, so a write that fails leaves stdout empty
+        a_path = tmp_path / "a.txt"
+        a_path.write_text("0 -1\n1 0\n")
+        argv = {
+            "collapse": ["collapse", example_path],
+            "lv2rep": ["lv2rep", "--A", str(a_path), "--r", "1,-1"],
+        }[command]
+        code, out, err = run(capsys, *argv, "--format", "json", "--emit-game", str(tmp_path))
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.startswith("error: ") and "Is a directory" in err
+
 
 class TestDeterminism:
     def test_json_outputs_byte_identical(self, capsys, example_path):

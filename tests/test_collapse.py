@@ -294,7 +294,7 @@ class TestHamiltonianCollapse:
 
     def test_intermediate_games_admissible(self, example_game):
         res = hamiltonian_collapse(example_game, EXAMPLE_Q)
-        ok, _ = admissible(res.final_game, res.certificate)
+        ok, _ = admissible(res.final_game)
         assert ok
 
     def test_certificate_transport_exact(self, example_game):
@@ -313,8 +313,8 @@ class TestHamiltonianCollapse:
     def test_equilibrium_transport(self):
         rng = np.random.default_rng(54)
         for _ in range(5):
-            game, q, d = make_admissible_game(GameType((3, 2)), rng)
-            res = hamiltonian_collapse(game, q, d)
+            game, q, _ = make_admissible_game(GameType((3, 2)), rng)
+            res = hamiltonian_collapse(game, q)
             resid = np.max(np.abs(vector_field(res.final_game, res.final_equilibrium)))
             assert resid <= 1e-10
             verdict = check_with_scaling(res.final_game, res.certificate)
@@ -372,7 +372,10 @@ class TestHamiltonianCollapse:
         def blind(game, tol):
             an = analyse(game, tol)
             edges, signs = an.pattern
-            return SimpleNamespace(scaling=an.scaling, tensor=an.tensor, pattern=(edges, np.zeros_like(signs)))
+            return SimpleNamespace(
+                admissible=an.admissible, unit=an.unit, vstar=an.vstar, scaling=an.scaling, tensor=an.tensor,
+                pattern=(edges, np.zeros_like(signs)),
+            )
 
         monkeypatch.setattr(collapse, "analyse", blind)
         game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)

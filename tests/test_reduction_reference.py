@@ -21,11 +21,11 @@ from conftest import EXAMPLE_PAYOFF, make_admissible_game, random_equal_rows
 SEEDS = (0, 1, 2)
 
 
-def _assert_same_reduction(game, d=None):
-    assert run_to_fixpoint(game, d) == ref.run_to_fixpoint(game, d)
+def _assert_same_reduction(game):
+    assert run_to_fixpoint(game) == ref.run_to_fixpoint(game)
     for seed in SEEDS:
-        got = run_to_fixpoint(game, d, rng=np.random.default_rng(seed))
-        assert got == ref.run_to_fixpoint(game, d, rng=np.random.default_rng(seed))
+        got = run_to_fixpoint(game, rng=np.random.default_rng(seed))
+        assert got == ref.run_to_fixpoint(game, rng=np.random.default_rng(seed))
 
 
 def _example_sum(copies: int, seed: int) -> PolymatrixGame:
@@ -43,8 +43,7 @@ def _example_sum(copies: int, seed: int) -> PolymatrixGame:
 @example(sizes=(1, 2), seed=0)
 @example(sizes=(3, 1, 2), seed=1)
 def test_admissible_games_match_the_reference(sizes, seed):
-    game, _, d = make_admissible_game(GameType(sizes), np.random.default_rng(seed))
-    _assert_same_reduction(game, d)
+    game, _, _ = make_admissible_game(GameType(sizes), np.random.default_rng(seed))
     _assert_same_reduction(game)
 
 
