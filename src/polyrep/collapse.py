@@ -29,7 +29,7 @@ from .games import (
     vector_field,
 )
 from .stability import CONSERVATIVE, SEMIDEF_TOL, analyse, check_with_scaling
-from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix, vertex_rows
+from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix
 
 # What the chain's rounding may leave, relative to its scale: each reduction
 # rounds, so the core's form is zero to this, not exactly, even at tol 0.
@@ -256,12 +256,13 @@ def reduce_by_set(
 
     Groups that shrink to a single pinned survivor are folded away.  A
     requested strategy that disappears in such a fold is skipped (its
-    removal is already implied).  Returns the reduced game and the
-    composed identification map.
+    removal is already implied); one outside range(n) raises IndexError.
+    Returns the reduced game and the composed identification map.
     """
     cur = _Cursor(game, q, DiagonalScaling.identity(game.gtype))
     for orig in sorted(strategies, reverse=True):
         if orig not in cur.kept:
+            game.gtype.group_of(orig)  # IndexError outside range(n); inside it, a fold took orig
             continue
         cur.remove(cur.kept.index(orig))
     return cur.game, cur.map()
@@ -294,8 +295,8 @@ def hamiltonian_collapse(game: PolymatrixGame, q, tol: float = SEMIDEF_TOL) -> C
     if float(np.max(np.abs(vector_field(unit, qf)))) > 1e-8 * float(np.max(np.abs(unit.payoff))):
         raise ValueError("q is not an equilibrium of the game")
 
-    vertex = an.vstar[0]  # the smallest: vstar is in enumeration order
-    row = vertex_rows(game.gtype, [vertex])[0]
+    row = an.stable_rows[0]  # the smallest: rows ascend in enumeration order
+    vertex = an.tensor[0][row]
     damped = an.tensor[1][row][an.pattern[1][row] < 0].tolist()  # ascending, as index sets are
     chosen = list(vertex.chosen)  # tracked as original-game indices
     cur = _Cursor(unit, q, an.scaling)

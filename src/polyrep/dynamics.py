@@ -84,8 +84,8 @@ def _rk4_paths(
     Also returns the (m, steps+1) drift and, per run, the number of
     samples it kept: the samples before its first non-finite state,
     steps + 1 when it never had one, and at least 1, since the start is
-    always sample 0.  ValueError when the history would hold more than
-    MAX_HISTORY state entries.
+    always sample 0.  ValueError when x0 is not (m, n), or when the
+    history would hold more than MAX_HISTORY state entries.
 
     Classical RK4 on the increments G = (dt/2) f: a stage is five calls
     into buffers allocated once per call, and x, G1..G4 share one
@@ -116,6 +116,8 @@ def _rk4_paths(
     products sum in an order that depends on the batch shape.
     """
     gt = game.gtype
+    if x0.ndim != 2 or x0.shape[1] != gt.n:
+        raise ValueError(f"starts must be an array of shape (m, {gt.n}), got {x0.shape}")
     m = x0.shape[0]
     entries = (steps + 1) * m * gt.n
     if entries > MAX_HISTORY:

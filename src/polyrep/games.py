@@ -141,8 +141,8 @@ class DiagonalScaling:
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
-        if any(v <= 0 for v in vals):
-            raise ValueError(f"scaling entries must be positive, got {self.values}")
+        if not all(0 < v < float("inf") for v in vals):  # NaN fails both comparisons
+            raise ValueError(f"scaling entries must be positive and finite, got {self.values}")
         object.__setattr__(self, "values", vals)
 
     def group_values(self, gtype: GameType) -> np.ndarray:

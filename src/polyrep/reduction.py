@@ -14,7 +14,9 @@ fixpoint is reached in at most 2n + n^2 applications.
 
 The rules read the vertex graphs as the analysis's arrays
 (Analysis.pattern): edges (V, k, k) and diagonal signs (V, k), whose
-positions are the vertex index sets.
+positions are the vertex index sets, and V* as the rows of its stable
+vertices (Analysis.stable_rows), which no caller supplies.  The rules
+are sound only on an admissible game: each entry point refuses any other.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .games import PolymatrixGame
 from .stability import SEMIDEF_TOL, Analysis, analyse
-from .vertices import VertexLabel, vertex_rows
+from .vertices import VertexLabel
 
 
 class Color(enum.Enum):
@@ -102,19 +104,21 @@ class AttractorStatement:
     zero_velocity: tuple[int, ...]
 
 
-def initialize(
-    game: PolymatrixGame,
-    vstar: list[VertexLabel],
-    tol: float = SEMIDEF_TOL,
-) -> InformationSet:
-    """Rule 1: black every strategy with a negative diagonal at a stable vertex."""
-    if not vstar:
-        raise ValueError("initialization needs at least one stably dissipative vertex")
+def _admissible(game: PolymatrixGame, tol: float) -> Analysis:
+    """The game's analysis, which the rules read; they are sound only on an admissible game."""
     an = analyse(game, tol)
-    rows = vertex_rows(game.gtype, vstar)
+    if not an.admissible:
+        raise ValueError("reduction requires an admissible game")
+    return an
+
+
+def initialize(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> InformationSet:
+    """Rule 1: black every strategy with a negative diagonal at a vertex of the analysis's V*."""
+    an = _admissible(game, tol)
+    rows = an.stable_rows
     negative = an.pattern[1][rows] < 0
     colored = sorted(set(an.tensor[1][rows][negative].tolist()))
-    witnesses = sorted((v for v, hit in zip(vstar, negative.any(axis=1)) if hit), key=lambda v: v.chosen)
+    witnesses = [an.tensor[0][r] for r in rows[negative.any(axis=1)].tolist()]  # rows ascend: lexicographic
     colors = tuple(Color.BLACK if i in colored else Color.WHITE for i in range(game.gtype.n))
     trace = (TraceStep(1, tuple(witnesses), tuple(colored)),) if colored else ()
     return InformationSet(colors, frozenset(), trace)
@@ -141,16 +145,15 @@ def _scan(mask: np.ndarray, rows: np.ndarray, ii: np.ndarray):
     return zip(rows[s].tolist(), ii[rows[s], mask.shape[1] - 1 - pos].tolist())
 
 
-def _instances_exceptional(
-    rule: int, target: Color, state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray
-):
+def _instances_exceptional(rule: int, target: Color, state: InformationSet, codes: np.ndarray, an: Analysis):
     """Rules 2 and 3: a colored strategy with exactly one neighbor coded below the target's code.
 
     Rule 2 counts the non-black neighbors and blacks the one found; rule 3
     counts the white ones and makes it plus.  One masked neighbor count
-    over the stable vertices' rows finds every such neighbor.
+    over the stable vertices' rows, descending, finds every such neighbor.
     """
     labels, ii, _ = an.tensor
+    stable = an.stable_rows[::-1]
     local = codes[ii[stable]]
     hits = an.pattern[0][stable] & (local < _CODE[target])[:, None, :]
     exceptional = (hits.sum(axis=2) == 1) & (local > 0)
@@ -158,7 +161,7 @@ def _instances_exceptional(
         yield TraceStep(rule, (labels[r],), (j,)), target
 
 
-def _instances_rule4(state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray):
+def _instances_rule4(state: InformationSet, codes: np.ndarray, an: Analysis):
     labels, ii, _ = an.tensor
     edges, signs = an.pattern
     white = codes[ii] == 0
@@ -172,7 +175,7 @@ def _instances_rule4(state: InformationSet, codes: np.ndarray, an: Analysis, sta
             yield TraceStep(4, (labels[r],), pair), None
 
 
-def _instances_rule5(state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray):
+def _instances_rule5(state: InformationSet, codes: np.ndarray, an: Analysis):
     # a singleton group qualifies vacuously: its strategy sits at its
     # equilibrium value (both are one) for all time
     gt = an.game.gtype
@@ -194,7 +197,7 @@ def _link_connected(members: list[int], links: frozenset[tuple[int, int]]) -> bo
     return len(seen) == len(members)
 
 
-def _instances_rule6(state: InformationSet, codes: np.ndarray, an: Analysis, stable: np.ndarray):
+def _instances_rule6(state: InformationSet, codes: np.ndarray, an: Analysis):
     gt = an.game.gtype
     for a in reversed(range(gt.p)):
         members = list(gt.group_indices(a))
@@ -215,10 +218,10 @@ _RULE_GENERATORS = {
 RULE_PRIORITY = (2, 3, 5, 6, 4)
 
 
-def _instances(state: InformationSet, an: Analysis, stable: np.ndarray, rules: tuple[int, ...] = RULE_PRIORITY):
-    """Every applicable instance of the rules, lazily, in scan order; stable is the scan order of vstar's rows."""
+def _instances(state: InformationSet, an: Analysis, rules: tuple[int, ...] = RULE_PRIORITY):
+    """Every applicable instance of the rules, lazily, in scan order."""
     codes = np.array([_CODE[c] for c in state.colors], dtype=np.int8)
-    return itertools.chain.from_iterable(_RULE_GENERATORS[rule](state, codes, an, stable) for rule in rules)
+    return itertools.chain.from_iterable(_RULE_GENERATORS[rule](state, codes, an) for rule in rules)
 
 
 def _apply(state: InformationSet, step: TraceStep, color: Color | None) -> InformationSet:
@@ -229,20 +232,17 @@ def _apply(state: InformationSet, step: TraceStep, color: Color | None) -> Infor
 
 
 def apply_rule(
-    state: InformationSet,
-    rule: int,
-    game: PolymatrixGame,
-    vstar: list[VertexLabel],
-    tol: float = SEMIDEF_TOL,
+    state: InformationSet, rule: int, game: PolymatrixGame, tol: float = SEMIDEF_TOL
 ) -> InformationSet | None:
-    """Apply the first applicable instance of one rule, if any.
+    """Apply the first applicable instance of one rule, if any, over the analysis's V*.
 
     Returns the strengthened information set, or None when the rule has
-    no applicable instance in the current state.
+    no applicable instance; ValueError for an unknown rule or a game
+    that is not admissible.
     """
     if rule not in _RULE_GENERATORS:
         raise ValueError(f"unknown rule {rule}")
-    pick = next(_instances(state, analyse(game, tol), vertex_rows(game.gtype, vstar)[::-1], (rule,)), None)
+    pick = next(_instances(state, _admissible(game, tol), (rule,)), None)
     return None if pick is None else _apply(state, *pick)
 
 
@@ -263,20 +263,16 @@ def run_to_fixpoint(
 
     Requires an admissible game (the rules are sound only then), as the
     game's analysis decides it: its certificate and its V*, from which
-    rule 1 starts.  With an rng the applicable instance is chosen at
-    random each round instead of by the deterministic scan; final colors
-    should not depend on this (checked as a diagnostic elsewhere, not
-    asserted here).
+    rule 1 starts; any other raises ValueError.  With an rng the
+    applicable instance is chosen at random each round instead of by
+    the deterministic scan; final colors should not depend on this
+    (checked as a diagnostic elsewhere, not asserted here).
     """
-    an = analyse(game, tol)
-    if not an.admissible:
-        raise ValueError("reduction requires an admissible game")
-    vstar = list(an.vstar)
-    state = initialize(game, vstar, tol=tol)
-    stable = vertex_rows(game.gtype, vstar)[::-1]
+    an = _admissible(game, tol)
+    state = initialize(game, tol)
     n = game.gtype.n
     for rounds in itertools.count():
-        instances = _instances(state, an, stable)
+        instances = _instances(state, an)
         if rng is None:
             pick = next(instances, None)
         else:
@@ -303,7 +299,7 @@ def collapse_trace(trace: tuple[TraceStep, ...]) -> list[TraceStep]:
     return rows
 
 
-def classify_attractor(reduced: ReducedInformationSet, q: np.ndarray) -> AttractorStatement:
+def classify_attractor(reduced: ReducedInformationSet) -> AttractorStatement:
     """Translate the reduced information set into an attractor statement."""
     black = reduced.black()
     plus = reduced.plus()

@@ -568,10 +568,10 @@ class Analysis:
     vertex_tensor and one zero pattern: tensor and pattern hold every
     vertex's matrix and graph as arrays, and the reports are decided on
     pattern itself, so graph_pattern runs once per analysis.  Every
-    stage reads admissibility, the certificate and V* from here.  A
-    tolerance that is not a finite number >= 0 raises ValueError, and so
-    does the first vertex field of a game past vertices.MAX_VERTICES or
-    MAX_ENTRIES.
+    stage reads admissibility, the certificate and V* from here, V* as
+    stable_rows, rows of the vertex stack.  A tolerance that is not a
+    finite number >= 0 raises ValueError, and so does the first vertex
+    field of a game past vertices.MAX_VERTICES or MAX_ENTRIES.
     """
 
     game: PolymatrixGame
@@ -609,9 +609,16 @@ class Analysis:
         return MappingProxyType(dict(zip(labels, _reports(*_decide(t, self._zero, *self.pattern, self.tol)))))
 
     @functools.cached_property
+    def stable_rows(self) -> np.ndarray:
+        """The rows of tensor whose vertex is stably dissipative, ascending; read-only."""
+        rows = np.flatnonzero([rep.stable for rep in self.reports.values()])
+        rows.flags.writeable = False
+        return rows
+
+    @functools.cached_property
     def vstar(self) -> tuple[VertexLabel, ...]:
-        """The stably dissipative vertices, in enumeration order."""
-        return tuple(v for v, rep in self.reports.items() if rep.stable)
+        """The stably dissipative vertices, the labels at stable_rows: enumeration order."""
+        return tuple(self.tensor[0][r] for r in self.stable_rows.tolist())
 
     @functools.cached_property
     def equilibria(self) -> EquilibriumSet:

@@ -133,12 +133,6 @@ def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
     ]
 
 
-def vertex_rows(gtype: GameType, labels: list[VertexLabel]) -> np.ndarray:
-    """The rows of the vertex stack holding these labels: enumeration is the product's C order."""
-    chosen = np.array([v.chosen for v in labels], dtype=np.intp).reshape(len(labels), gtype.p)
-    return np.ravel_multi_index(tuple((chosen - gtype.offsets).T), gtype.sizes)
-
-
 def first_vertex(gtype: GameType) -> VertexLabel:
     """The first vertex in enumeration order: each group's first strategy."""
     return VertexLabel(gtype.offsets)

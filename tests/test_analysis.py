@@ -1,5 +1,7 @@
 """The shared per-game analysis: one certificate search, one vertex pass."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -219,3 +221,17 @@ class TestLeftovers:
             trajs = integrate_batch(example_game, starts, T=0.1, dt=0.01)
         assert [t.ok for t in trajs] == [False, False]
 
+
+class TestTracedNames:
+    def test_every_traced_function_resolves(self):
+        # perfbench's tracer wraps these by name: a renamed or deleted one breaks the traced run
+        path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        missing = [
+            (module, name)
+            for module, name in tracer.TRACED
+            if not callable(getattr(importlib.import_module(f"polyrep.{module}"), name, None))
+        ]
+        assert missing == []

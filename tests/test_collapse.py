@@ -239,6 +239,11 @@ class TestReduceBySet:
         npt.assert_array_equal(reduced.payoff, example_game.payoff)
         assert ident.kept == (0, 1, 2, 3, 4)
 
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_out_of_range_strategy_refused(self, example_game, bad):
+        with pytest.raises(IndexError, match=f"strategy {bad} out of range"):
+            reduce_by_set(example_game, EXAMPLE_Q, {bad, 2})
+
     def test_removal_order_equivalent(self):
         # one pinned strategy in each group: both orders land on the same
         # dynamics (matrices may differ by an equivalence)
@@ -345,6 +350,8 @@ class TestHamiltonianCollapse:
         reduced, ident = reduce_by_set(game, q, {1})
         assert reduced.gtype == GameType((2,))
         assert ident.kept == (2, 3)
+        # strategy 0 goes in the fold, so asking for it too changes nothing
+        assert reduce_by_set(game, q, {0, 1})[1] == ident
 
     @pytest.mark.parametrize("scale", [1e9, 1e12])
     def test_equilibrium_residual_is_relative_to_the_payoff(self, example_game, scale):
@@ -373,8 +380,8 @@ class TestHamiltonianCollapse:
             an = analyse(game, tol)
             edges, signs = an.pattern
             return SimpleNamespace(
-                admissible=an.admissible, unit=an.unit, vstar=an.vstar, scaling=an.scaling, tensor=an.tensor,
-                pattern=(edges, np.zeros_like(signs)),
+                admissible=an.admissible, unit=an.unit, stable_rows=an.stable_rows, scaling=an.scaling,
+                tensor=an.tensor, pattern=(edges, np.zeros_like(signs)),
             )
 
         monkeypatch.setattr(collapse, "analyse", blind)

@@ -67,6 +67,15 @@ class TestIntegrate:
             single = integrate(example_game, starts[k], T=1.0, dt=0.01)
             npt.assert_allclose(batch[k].states, single.states, atol=1e-12)
 
+    def test_one_flat_start_is_refused_by_the_batch(self, example_game):
+        # a 1-D start would broadcast into n rows: n runs for one start
+        with pytest.raises(ValueError, match=r"shape \(m, 5\)"):
+            integrate_batch(example_game, np.array([0.2, 0.3, 0.5, 0.4, 0.6]), 0.1)
+
+    def test_a_start_of_the_wrong_length_is_refused(self, example_game):
+        with pytest.raises(ValueError, match=r"shape \(m, 5\), got \(1, 4\)"):
+            integrate(example_game, np.array([0.5, 0.5, 0.0, 0.5]), 0.1)
+
     def test_step_count_rounds_the_ratio(self):
         assert step_count(1.0, 0.01) == 100
         assert step_count(0.0, 0.01) == 0

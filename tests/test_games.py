@@ -349,6 +349,11 @@ class TestDiagonalScaling:
         with pytest.raises(ValueError):
             DiagonalScaling((1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_finite_required(self, bad):
+        with pytest.raises(ValueError, match="scaling entries must be positive"):
+            DiagonalScaling((bad, 1.0))
+
     def test_expansion_constant_per_group(self):
         d = DiagonalScaling((2.0, 5.0))
         npt.assert_array_equal(d.expand(GameType((3, 2))), [2, 2, 2, 5, 5])

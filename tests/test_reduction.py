@@ -12,7 +12,7 @@ from polyrep.reduction import (
     initialize,
     run_to_fixpoint,
 )
-from polyrep.stability import admissible
+from polyrep.stability import NOT_DISSIPATIVE, SEMIDEF_TOL, analyse
 
 from conftest import make_admissible_game
 
@@ -32,8 +32,7 @@ def colors_of(state):
 
 class TestInitialize:
     def test_example_blackens_strategy_two(self, example_game):
-        _, vstar = admissible(example_game)
-        state = initialize(example_game, vstar)
+        state = initialize(example_game)
         assert colors_of(state) == {
             0: Color.WHITE,
             1: Color.WHITE,
@@ -46,44 +45,45 @@ class TestInitialize:
         assert [v.chosen for v in step.vertices] == [(0, 3), (0, 4), (1, 3), (1, 4)]
 
     def test_zero_game_all_white(self):
-        _, vstar = admissible(ZERO22)
-        state = initialize(ZERO22, vstar)
+        state = initialize(ZERO22)
         assert all(c is Color.WHITE for c in state.colors)
 
     def test_negative_diagonal_pair(self):
-        _, vstar = admissible(ALL_BLACK)
-        state = initialize(ALL_BLACK, vstar)
+        state = initialize(ALL_BLACK)
         assert all(c is Color.BLACK for c in state.colors)
 
     def test_requires_stable_vertex(self, example_game):
-        with pytest.raises(ValueError):
-            initialize(example_game, [])
+        # no certificate and no stable vertex: the rules are unsound on this game
+        game = PolymatrixGame(GameType((3, 3)), np.random.default_rng(3).integers(-5, 6, (6, 6)).astype(float))
+        assert analyse(game, SEMIDEF_TOL).kind == NOT_DISSIPATIVE
+        state = initialize(example_game)
+        with pytest.raises(ValueError, match="requires an admissible game"):
+            initialize(game)
+        with pytest.raises(ValueError, match="requires an admissible game"):
+            apply_rule(state, 4, game)
 
 
 class TestApplyRule:
     def test_rule4_links_top_group_pair(self, example_game):
-        _, vstar = admissible(example_game)
-        state = initialize(example_game, vstar)
-        nxt = apply_rule(state, 4, example_game, vstar)
+        state = initialize(example_game)
+        nxt = apply_rule(state, 4, example_game)
         assert nxt is not None
         assert nxt.links == frozenset({(3, 4)})
         step = nxt.trace[-1]
         assert step.rule == 4 and [v.chosen for v in step.vertices] == [(1, 4)]
 
     def test_rule6_colors_linked_group(self, example_game):
-        _, vstar = admissible(example_game)
-        state = initialize(example_game, vstar)
-        state = apply_rule(state, 4, example_game, vstar)
-        state = apply_rule(state, 6, example_game, vstar)
+        state = initialize(example_game)
+        state = apply_rule(state, 4, example_game)
+        state = apply_rule(state, 6, example_game)
         assert state.colors[3] is Color.PLUS and state.colors[4] is Color.PLUS
 
     def test_rule3_colors_remaining_pair(self, example_game):
-        _, vstar = admissible(example_game)
-        state = initialize(example_game, vstar)
+        state = initialize(example_game)
         for rule in (4, 6):
-            state = apply_rule(state, rule, example_game, vstar)
-        first = apply_rule(state, 3, example_game, vstar)
-        second = apply_rule(first, 3, example_game, vstar)
+            state = apply_rule(state, rule, example_game)
+        first = apply_rule(state, 3, example_game)
+        second = apply_rule(first, 3, example_game)
         got = {
             i
             for i, (a, b) in enumerate(zip(state.colors, second.colors))
@@ -93,15 +93,13 @@ class TestApplyRule:
         assert second.colors[0] is Color.PLUS and second.colors[1] is Color.PLUS
 
     def test_inapplicable_rule_returns_none(self, example_game):
-        _, vstar = admissible(example_game)
-        state = initialize(example_game, vstar)
-        assert apply_rule(state, 2, example_game, vstar) is None
+        state = initialize(example_game)
+        assert apply_rule(state, 2, example_game) is None
 
     def test_unknown_rule_rejected(self, example_game):
-        _, vstar = admissible(example_game)
-        state = initialize(example_game, vstar)
+        state = initialize(example_game)
         with pytest.raises(ValueError):
-            apply_rule(state, 7, example_game, vstar)
+            apply_rule(state, 7, example_game)
 
 
 class TestRunToFixpoint:
@@ -199,9 +197,9 @@ class TestConfluenceDiagnostic:
 
 
 class TestClassifyAttractor:
-    def test_example_foliation(self, example_game, example_q):
+    def test_example_foliation(self, example_game):
         red = run_to_fixpoint(example_game)
-        stmt = classify_attractor(red, example_q)
+        stmt = classify_attractor(red)
         assert stmt.kind == "black_plus"
         assert "foliation" in stmt.text
         assert stmt.pinned == (2,)
@@ -209,7 +207,7 @@ class TestClassifyAttractor:
 
     def test_all_black_statement(self):
         red = run_to_fixpoint(ALL_BLACK)
-        stmt = classify_attractor(red, np.array([1 / 3, 1 / 3, 1 / 3]))
+        stmt = classify_attractor(red)
         assert stmt.kind == "all_black"
         assert "unique" in stmt.text
 
@@ -219,7 +217,7 @@ class TestClassifyAttractor:
 
         state = InformationSet((Color.BLACK, Color.WHITE), frozenset(), ())
         red = ReducedInformationSet(state, 0, "mixed")
-        stmt = classify_attractor(red, np.array([0.5, 0.5]))
+        stmt = classify_attractor(red)
         assert stmt.kind == "mixed"
         assert stmt.pinned == (0,) and stmt.zero_velocity == ()
 
