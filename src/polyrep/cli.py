@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (admissible where that is the question), 1 usage,
 file or parse errors, 2 dissipative but not admissible, 3 proved not
-dissipative, no certificate found or no formal equilibrium, 4 internal
-failure: a certificate or collapse check that an admissible game should
-pass failed (a bug, not a property of the input).
+dissipative, no certificate found, no formal equilibrium or, for
+collapse, no interior one, 4 internal failure: a certificate or
+collapse check that an admissible game should pass failed (a bug, not a
+property of the input).
 """
 
 from __future__ import annotations
@@ -200,14 +201,11 @@ def cmd_collapse(args) -> int:
     if code != EXIT_OK:
         print("error: game is not admissible; nothing to collapse", file=sys.stderr)
         return code
-    eq = an.equilibria.with_interior_point()
-    if not eq.interior_flag:
+    if not an.equilibria.interior_flag:
         print("error: no interior equilibrium; the collapse is undefined", file=sys.stderr)
         return EXIT_NOT_DISSIPATIVE
-    q = eq.interior_point
-    exact = collapse_mod.rationalize_equilibrium(game, q)
     try:
-        result = collapse_mod.hamiltonian_collapse(game, exact if exact is not None else q, tol=args.tol)
+        result = collapse_mod.hamiltonian_collapse(game, tol=args.tol)
     except (RuntimeError, ValueError) as exc:  # admissible with an interior q: a refusal now is internal
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE

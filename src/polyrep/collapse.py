@@ -21,13 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import (
-    DiagonalScaling,
-    GameType,
-    PolymatrixGame,
-    check_prism_state,
-    vector_field,
-)
+from .games import DiagonalScaling, GameType, PolymatrixGame
 from .stability import CONSERVATIVE, SEMIDEF_TOL, analyse, check_with_scaling
 from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix
 
@@ -268,32 +262,32 @@ def reduce_by_set(
     return cur.game, cur.map()
 
 
-def hamiltonian_collapse(game: PolymatrixGame, q, tol: float = SEMIDEF_TOL) -> CollapseResult:
+def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> CollapseResult:
     """Collapse an admissible game to its conservative core.
 
-    The game's analysis decides admissibility and gives the certificate
-    and the stable vertices.  At the smallest stable vertex, remove the
-    strategies the analysis found damped (negative diagonal, the set
-    rule 1 blacks) one by one, lowest first, transporting the analysis's
-    certificate (the removed group's entry picks up a 1/(1-q_l) factor).
-    The final game must certify conservative; failure of that check is a
-    hard error, since the construction guarantees it.  The chain runs on
-    the game in the analysis's unit (Analysis.unit), as its verdicts
-    are read: the transport check is relative to the largest entry of
-    its first scaled vertex matrix, the final verdict is read there, at
-    a tolerance of at least CHAIN_ROUNDING, and final_game is mapped
-    back to the game's unit.  q must be an equilibrium up to 1e-8
-    relative to the largest payoff.
+    The game's analysis decides admissibility and gives the certificate,
+    the stable vertices and q, its interior equilibrium, exact where
+    rationalize_equilibrium verifies it; a game that is not admissible
+    or has no q raises ValueError.  At the smallest stable vertex,
+    remove the strategies the analysis found damped (negative diagonal,
+    the set rule 1 blacks) one by one, lowest first, transporting the
+    analysis's certificate (the removed group's entry picks up a
+    1/(1-q_l) factor).  The final game must certify conservative;
+    failure of that check is a hard error, since the construction
+    guarantees it.  The chain runs on the game in the analysis's unit
+    (Analysis.unit), as its verdicts are read: the transport check is
+    relative to the largest entry of its first scaled vertex matrix, the
+    final verdict is read there, at a tolerance of at least
+    CHAIN_ROUNDING, and final_game is mapped back to the game's unit.
     """
     an = analyse(game, tol)
     if not an.admissible:
         raise ValueError("hamiltonian collapse requires an admissible game")
+    q = an.equilibria.interior_point
+    if q is None:
+        raise ValueError("no interior equilibrium; the collapse is undefined")
+    q = rationalize_equilibrium(game, q) or q
     unit, e = an.unit
-    qf = np.array([float(x) for x in _to_fractions(q)])
-    if check_prism_state(game.gtype, qf) or np.min(qf) <= 0:
-        raise ValueError("q must be a strictly interior prism state")
-    if float(np.max(np.abs(vector_field(unit, qf)))) > 1e-8 * float(np.max(np.abs(unit.payoff))):
-        raise ValueError("q is not an equilibrium of the game")
 
     row = an.stable_rows[0]  # the smallest: rows ascend in enumeration order
     vertex = an.tensor[0][row]

@@ -168,17 +168,23 @@ class EquilibriumSet:
 
     ``particular`` is None when the defining linear system is inconsistent
     (no formal equilibrium exists).  ``basis`` rows span the direction
-    space.  ``interior_point`` is a strictly positive member when one was
-    found; ``interior_flag`` says whether it was.
+    space.  ``interior_point`` is a strictly positive member, or None
+    when the set has none; ``interior_flag`` says whether it has one.
     """
 
     particular: np.ndarray | None
     basis: np.ndarray
-    interior_point: np.ndarray | None = None
 
     @property
     def exists(self) -> bool:
         return self.particular is not None
+
+    @functools.cached_property
+    def interior_point(self) -> np.ndarray | None:
+        """The member with the largest min coordinate, if above INTERIOR_MARGIN: searched for once, on first read."""
+        if not self.exists:
+            return None
+        return _maximize_min_coordinate(self.particular, self.basis, INTERIOR_MARGIN)
 
     @property
     def interior_flag(self) -> bool:
@@ -197,13 +203,6 @@ class EquilibriumSet:
             coef, *_ = np.linalg.lstsq(self.basis.T, d, rcond=None)
             d = d - self.basis.T @ coef
         return float(np.max(np.abs(d))) <= tol
-
-    def with_interior_point(self) -> "EquilibriumSet":
-        """This set, with the interior-point search run on it."""
-        if not self.exists:
-            return self
-        point = _maximize_min_coordinate(self.particular, self.basis, INTERIOR_MARGIN)
-        return EquilibriumSet(self.particular, self.basis, interior_point=point)
 
 
 def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) -> list[str]:
@@ -432,5 +431,7 @@ def _maximize_min_coordinate(
 
 
 def interior_equilibria(game: PolymatrixGame) -> EquilibriumSet:
-    """Formal equilibria restricted to the strictly positive prism interior."""
-    return formal_equilibria(game).with_interior_point()
+    """Formal equilibria, their interior point searched for within this call."""
+    eq = formal_equilibria(game)
+    eq.interior_point
+    return eq

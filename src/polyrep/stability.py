@@ -167,17 +167,21 @@ def check_with_scaling(
     sign of Sym(A_v D_v) at any single vertex, so one symmetric
     eigenvalue problem decides, by _form_kind, the rule the search
     accepts a certificate by.  An indefinite verdict carries a tangent
-    witness vector with positive form value.
+    witness vector with positive form value.  A form that leaves the
+    float range, in its entries or its symmetric part, raises ValueError.
     """
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
     form = _VertexForm(game, first_vertex(game.gtype))
-    values = d.group_values(game.gtype)
-    eigs = form.eigvals(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = form.sym(d.group_values(game.gtype))
+    if not np.isfinite(sym).all():
+        raise ValueError(f"the form scaled by {d.values} leaves the float range, |x| <= {np.finfo(float).max:.4g}")
+    eigs = np.linalg.eigvalsh(sym)
     kind = _form_kind(eigs, tol)
     if kind != INDEFINITE:
         return Classification(kind, scaling=d, eigenvalues=eigs)
-    top = np.linalg.eigh(form.sym(values))[1][:, -1]
+    top = np.linalg.eigh(sym)[1][:, -1]
     return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, form.vertex, top), eigenvalues=eigs)
 
 
@@ -225,9 +229,7 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
 
     got = certify(np.ones(p))
     if got is not None:
-        return got  # scipy is never imported for games the identity certifies
-    # Loaded here, not at the first cut, so memory does not hinge on which games need an LP.
-    import scipy.optimize
+        return got
 
     parts = np.stack([form.sym(e) for e in np.eye(p)])
     norms = np.array([np.linalg.norm(s, 2) for s in parts])
@@ -249,6 +251,9 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
         if np.abs(forced).max() > tol * norms.max():  # rounding noise alone forces nothing
             face = _nullspace(forced)
         rest = _nullspace(np.array(kernel))
+
+    # Not at the first cut, so memory does not hinge on which games need an LP; the proofs above need none.
+    import scipy.optimize
 
     compressed = rest @ parts @ rest.T / norms.max()
     d, bound, cuts = face.T @ (face @ np.ones(p)), -np.inf, []
@@ -290,7 +295,8 @@ def skew_decomposition(
 
     A0 is skew-symmetric and C has equal-row blocks, exhibiting the game
     as equivalent to (A0 D^-1) D, the skew normal form of a conservative
-    game.  Rejects inputs that do not certify conservative under d.
+    game.  Rejects inputs that do not certify conservative under d, and
+    a d under which check_with_scaling refuses the form.
     """
     verdict = check_with_scaling(game, d, tol=tol)
     if verdict.kind != CONSERVATIVE:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyrep
-from polyrep import cli
+from polyrep import cli, games
 from polyrep.cli import (
     EXIT_CERTIFICATE,
     EXIT_IO,
@@ -432,12 +432,28 @@ class TestCollapse:
 
     def test_library_value_error_is_an_error_line(self, capsys, monkeypatch, example_path):
         def refuse(*args, **kwargs):
-            raise ValueError("q is not an equilibrium of the game")
+            raise ValueError("hamiltonian collapse requires an admissible game")
 
         monkeypatch.setattr(cli.collapse_mod, "hamiltonian_collapse", refuse)
         code, out, err = run(capsys, "collapse", example_path)
         assert (code, out) == (EXIT_CERTIFICATE, "")
-        assert err == "error: q is not an equilibrium of the game\n"
+        assert err == "error: hamiltonian collapse requires an admissible game\n"
+
+    def test_no_interior_equilibrium_exits_3(self, capsys, tmp_path):
+        # admissible, but its only equilibrium is (0, 1), on the boundary
+        path = tmp_path / "game.txt"
+        path.write_text("type: 2\n-1 0\n0 0\n")
+        assert run(capsys, "check", str(path))[0] == EXIT_OK
+        code, out, err = run(capsys, "collapse", str(path))
+        assert (code, out) == (EXIT_NOT_DISSIPATIVE, "")
+        assert err == "error: no interior equilibrium; the collapse is undefined\n"
+
+    def test_the_interior_point_is_searched_once(self, capsys, monkeypatch, example_path):
+        calls = []
+        search = games._maximize_min_coordinate
+        monkeypatch.setattr(games, "_maximize_min_coordinate", lambda *args: calls.append(args) or search(*args))
+        assert run(capsys, "collapse", example_path)[0] == EXIT_OK
+        assert len(calls) == 1
 
     def test_tol_0_collapses_what_check_admits(self, capsys, tmp_path):
         # the collapsed core's eigenvalues are rounding, about 1e-16: once exit 4, "classifies as indefinite"
@@ -821,7 +837,7 @@ class TestColdImports:
     """The subcommands on the bundled example never need scipy.
 
     Nor numpy.random, which numpy loads lazily, until simulate draws its
-    random start.
+    random start.  Nor does a verdict proved before the first Kelley cut.
     """
 
     SCRIPT = """
@@ -839,15 +855,28 @@ codes.append(run("simulate", "--game", path, "--T", "1"))
 print(json.dumps({"codes": codes, "random": random, "scipy": loaded("scipy")}))
 """
 
-    def test_no_scipy_loaded(self, example_path):
+    def cold(self, path) -> dict:
+        """The exit codes and the modules the SCRIPT's fresh interpreter loaded, on the game at path."""
         src = str(Path(polyrep.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, example_path],
+            [sys.executable, "-c", self.SCRIPT, path],
             capture_output=True, text=True, env=env, check=True,
         )
-        got = json.loads(proc.stdout.splitlines()[-1])
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_no_scipy_loaded(self, example_path):
+        got = self.cold(example_path)
         assert got["codes"] == [EXIT_OK] * 6
+        assert got["random"] == []
+        assert got["scipy"] == []
+
+    def test_not_dissipative_before_the_cuts_loads_no_scipy(self, tmp_path):
+        # a one-vector proof decides it: scipy was once loaded before that proof was tried
+        path = tmp_path / "game.txt"
+        write_game(PolymatrixGame(GameType((3, 3)), np.random.default_rng(3).integers(-5, 6, (6, 6))), path)
+        got = self.cold(str(path))
+        assert got["codes"] == [EXIT_NOT_DISSIPATIVE, EXIT_OK, EXIT_NOT_DISSIPATIVE, EXIT_NOT_DISSIPATIVE, EXIT_OK, EXIT_OK]
         assert got["random"] == []
         assert got["scipy"] == []
 

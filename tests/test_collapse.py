@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import reference_vertex_layer as ref_layer
-from polyrep import collapse
+from polyrep import collapse, games
 from polyrep.collapse import (
     cardinal2_cleanup,
     hamiltonian_collapse,
@@ -260,20 +260,37 @@ class TestReduceBySet:
 
 class TestHamiltonianCollapse:
     def test_example(self, example_game):
-        res = hamiltonian_collapse(example_game, EXAMPLE_Q)
+        # at the analysis's q, rationalized to EXAMPLE_Q: every bit as at the exact q
+        res = hamiltonian_collapse(example_game)
         assert len(res.steps) == 1
         step = res.steps[0]
         assert step.removed_original == 2 and step.group == 0
         assert step.scale_factor == pytest.approx(1.5)
         npt.assert_array_equal(res.final_game.payoff, EXAMPLE_REDUCED)
-        npt.assert_allclose(res.final_equilibrium, [0.5, 0.5, 0.5, 0.5])
+        npt.assert_array_equal(res.final_equilibrium, [0.5, 0.5, 0.5, 0.5])
+        assert res.certificate.values == (1.5, 1.0)
         assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
+
+    def test_the_interior_point_is_searched_once(self, monkeypatch, example_game):
+        calls = []
+        search = games._maximize_min_coordinate
+        monkeypatch.setattr(games, "_maximize_min_coordinate", lambda *args: calls.append(args) or search(*args))
+        game = PolymatrixGame(example_game.gtype, example_game.payoff)  # a fresh analysis
+        assert analyse(game, SEMIDEF_TOL).equilibria.interior_flag
+        hamiltonian_collapse(game)
+        assert len(calls) == 1
+
+    def test_no_interior_equilibrium_is_refused(self):
+        # admissible, but its only equilibrium is (0, 1), on the boundary
+        game = PolymatrixGame(GameType((2,)), np.array([[-1.0, 0.0], [0.0, 0.0]]))
+        assert admissible(game)[0]
+        with pytest.raises(ValueError, match="no interior equilibrium"):
+            hamiltonian_collapse(game)
 
     def test_already_conservative_zero_steps(self):
         ok, _ = admissible(ZERO32)
         assert ok
-        q = [Fraction(1, 3)] * 3 + [Fraction(1, 2)] * 2
-        res = hamiltonian_collapse(ZERO32, q)
+        res = hamiltonian_collapse(ZERO32)
         assert res.steps == ()
         npt.assert_array_equal(res.final_game.payoff, ZERO32.payoff)
 
@@ -290,22 +307,21 @@ class TestHamiltonianCollapse:
         game = PolymatrixGame(GameType((3,)), a)
         eq = interior_equilibria(game)
         assert eq.interior_flag
-        exact = rationalize_equilibrium(game, eq.interior_point)
-        assert exact == [Fraction(4, 9), Fraction(3, 9), Fraction(2, 9)]
-        res = hamiltonian_collapse(game, exact)
+        assert rationalize_equilibrium(game, eq.interior_point) == [Fraction(4, 9), Fraction(3, 9), Fraction(2, 9)]
+        res = hamiltonian_collapse(game)
         assert len(res.steps) == 1
         assert res.steps[0].removed_original == 1
         assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
 
     def test_intermediate_games_admissible(self, example_game):
-        res = hamiltonian_collapse(example_game, EXAMPLE_Q)
+        res = hamiltonian_collapse(example_game)
         ok, _ = admissible(res.final_game)
         assert ok
 
     def test_certificate_transport_exact(self, example_game):
         # the scaled vertex matrix of the reduced game is the original one
         # with the removed row and column deleted
-        res = hamiltonian_collapse(example_game, EXAMPLE_Q)
+        res = hamiltonian_collapse(example_game)
         v0 = enumerate_vertices(example_game.gtype)[0]
         before = vertex_matrix(example_game, v0).entries  # identity certificate
         pos = vertex_matrix(example_game, v0).index_set.index(2)
@@ -318,8 +334,8 @@ class TestHamiltonianCollapse:
     def test_equilibrium_transport(self):
         rng = np.random.default_rng(54)
         for _ in range(5):
-            game, q, _ = make_admissible_game(GameType((3, 2)), rng)
-            res = hamiltonian_collapse(game, q)
+            game, _, _ = make_admissible_game(GameType((3, 2)), rng)
+            res = hamiltonian_collapse(game)
             resid = np.max(np.abs(vector_field(res.final_game, res.final_equilibrium)))
             assert resid <= 1e-10
             verdict = check_with_scaling(res.final_game, res.certificate)
@@ -330,10 +346,9 @@ class TestHamiltonianCollapse:
         # each removal empties a group; the first triggers the fold, the
         # second ends in the one-point prism
         a0 = -np.diag([0.0, 1.0, 0.0, 1.0])
-        q = [Fraction(1, 2)] * 4
         shift = -(a0 @ np.full(4, 0.5)) / 2
         game = PolymatrixGame(GameType((2, 2)), a0 + np.outer(shift, np.ones(4)))
-        res = hamiltonian_collapse(game, q)
+        res = hamiltonian_collapse(game)
         assert [s.removed_original for s in res.steps] == [1, 3]
         assert res.steps[0].cleanup_group == 0
         assert res.steps[0].scale_factor == pytest.approx(2.0)
@@ -357,17 +372,17 @@ class TestHamiltonianCollapse:
     def test_equilibrium_residual_is_relative_to_the_payoff(self, example_game, scale):
         # the float q's rounding leaves a residual of about scale * 1e-16, which is no defect
         game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)
-        res = hamiltonian_collapse(game, EXAMPLE_Q)
+        res = hamiltonian_collapse(game)
         npt.assert_array_equal(res.final_game.payoff, EXAMPLE_REDUCED * scale)
         assert res.certificate.values == (1.5, 1.0)
 
     def test_removes_the_damped_strategies_of_the_first_stable_vertex(self, example_game):
         rng = np.random.default_rng(62)
-        games = [(example_game, EXAMPLE_Q)] + [
-            make_admissible_game(GameType(sizes), rng)[:2] for sizes in [(3, 2), (2, 2, 2), (3, 3), (4,)] for _ in range(3)
+        cases = [example_game] + [
+            make_admissible_game(GameType(sizes), rng)[0] for sizes in [(3, 2), (2, 2, 2), (3, 3), (4,)] for _ in range(3)
         ]
-        for game, q in games:
-            res = hamiltonian_collapse(game, q)
+        for game in cases:
+            res = hamiltonian_collapse(game)
             an = analyse(game, SEMIDEF_TOL)
             signs = ref_layer.vertex_graph(*ref_layer.vertex_matrix(game, an.vstar[0])).diagonal_sign
             assert [s.removed_original for s in res.steps] == sorted(i for i, sign in signs.items() if sign < 0)
@@ -381,14 +396,13 @@ class TestHamiltonianCollapse:
             edges, signs = an.pattern
             return SimpleNamespace(
                 admissible=an.admissible, unit=an.unit, stable_rows=an.stable_rows, scaling=an.scaling,
-                tensor=an.tensor, pattern=(edges, np.zeros_like(signs)),
+                tensor=an.tensor, pattern=(edges, np.zeros_like(signs)), equilibria=an.equilibria,
             )
 
         monkeypatch.setattr(collapse, "analyse", blind)
         game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)
-        q = interior_equilibria(game).interior_point
         with pytest.raises(RuntimeError, match="collapsed game classifies as dissipative, not conservative"):
-            hamiltonian_collapse(game, q)
+            hamiltonian_collapse(game)
 
     @pytest.mark.parametrize("sizes,seed", [((2, 2), 0), ((3, 3), 19), ((3, 2), 9), ((2, 2, 2), 26)])
     def test_collapses_at_tol_0(self, sizes, seed):
@@ -397,18 +411,8 @@ class TestHamiltonianCollapse:
         game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
         an = analyse(game, 0.0)
         assert an.admissible
-        res = hamiltonian_collapse(game, an.equilibria.particular, tol=0.0)
+        res = hamiltonian_collapse(game, tol=0.0)
         assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
-
-    def test_rejects_exterior_q(self, example_game):
-        with pytest.raises(ValueError):
-            hamiltonian_collapse(example_game, [0.8, 0.1, 0.1, 0.5, 0.5])
-
-    def test_rejects_a_q_off_equilibrium_at_a_small_payoff(self, example_game):
-        # its velocities, about 1e-13, were once below an absolute cut of 1e-8
-        game = PolymatrixGame(example_game.gtype, example_game.payoff * 1e-12)
-        with pytest.raises(ValueError, match="q is not an equilibrium"):
-            hamiltonian_collapse(game, [0.3, 0.3, 0.4, 0.5, 0.5])
 
     def test_rejects_non_admissible(self):
         skew = PolymatrixGame(
@@ -423,7 +427,7 @@ class TestHamiltonianCollapse:
             ),
         )
         with pytest.raises(ValueError):
-            hamiltonian_collapse(skew, np.full(4, 0.25))
+            hamiltonian_collapse(skew)
 
 
 class TestRationalize:

@@ -253,6 +253,12 @@ class TestEquilibria:
         assert eq.contains(example_q)
         assert np.min(eq.interior_point) > 0
 
+    def test_formal_equilibria_search_their_interior_point(self, example_game, example_q):
+        # on first read, so the analysis's set knows it as interior_equilibria's does
+        eq = formal_equilibria(example_game)
+        assert eq.interior_flag
+        npt.assert_allclose(eq.interior_point, example_q, atol=1e-12)
+
     def test_interior_rps(self):
         eq = interior_equilibria(RPS)
         npt.assert_allclose(eq.interior_point, [1 / 3, 1 / 3, 1 / 3], atol=1e-9)

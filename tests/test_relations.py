@@ -39,7 +39,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrep.cli import main
-from polyrep.collapse import hamiltonian_collapse, rationalize_equilibrium
+from polyrep.collapse import hamiltonian_collapse
 from polyrep.gamefile import write_game
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.reduction import run_to_fixpoint
@@ -149,10 +149,10 @@ def _vertex_matrices(game: PolymatrixGame, directory: str) -> list[np.ndarray]:
     return [np.array(v["matrix"], dtype=float) for v in json.loads(out.getvalue())["vertices"]]
 
 
-def _collapsed(game: PolymatrixGame, q) -> np.ndarray | str:
+def _collapsed(game: PolymatrixGame) -> np.ndarray | str:
     """The collapsed payoff, or the error the collapse raised."""
     try:
-        return hamiltonian_collapse(game, q).final_game.payoff
+        return hamiltonian_collapse(game).final_game.payoff
     except (RuntimeError, ValueError) as exc:
         return str(exc)
 
@@ -175,10 +175,8 @@ def test_power_of_two_scaling_changes_no_bit(sizes, kind, seed, j):
     with tempfile.TemporaryDirectory() as directory:
         matrices = zip(_vertex_matrices(game, directory), _vertex_matrices(scaled, directory))
         assert all(np.ldexp(m, j).tobytes() == ms.tobytes() for m, ms in matrices)
-    eq = an.equilibria.with_interior_point()
-    if an.admissible and eq.interior_flag:
-        q = rationalize_equilibrium(game, eq.interior_point) or eq.interior_point
-        final, final_scaled = _collapsed(game, q), _collapsed(scaled, q)
+    if an.admissible and an.equilibria.interior_flag:
+        final, final_scaled = _collapsed(game), _collapsed(scaled)
         if isinstance(final, str):
             assert final_scaled == final
         else:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -35,6 +37,7 @@ from polyrep.vertices import (
 )
 
 from conftest import (
+    EXAMPLE_PAYOFF,
     EXAMPLE_VERTEX_TABLE,
     make_dissipative_game,
     make_stable_matrix,
@@ -84,6 +87,22 @@ class TestCheckWithScaling:
     def test_scaling_length_checked(self, example_game):
         with pytest.raises(ValueError):
             check_with_scaling(example_game, DiagonalScaling((1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("classify", [check_with_scaling, skew_decomposition])
+    @pytest.mark.parametrize(
+        "game,d",
+        [
+            (PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF), DiagonalScaling((1e308, 1.0))),
+            (PolymatrixGame(GameType((2,)), np.array([[0.0, 0.0], [-1.0, 0.0]])), DiagonalScaling((1e308,))),
+        ],
+        ids=["entries", "symmetric-part"],
+    )
+    def test_a_form_past_the_float_range_is_refused(self, classify, game, d):
+        # once overflow warnings, then LinAlgError from the eigensolver, itself a ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="leaves the float range"):
+                classify(game, d)
 
 
 class TestVertexForm:
