@@ -112,13 +112,13 @@ def cmd_check(args) -> int:
     vstar = [_label(v) for v in an.vstar]
     reports = {
         str(v): {
-            "stable": rep.stable,
-            "cycle_ok": rep.cycle_ok,
-            "skew_ok": rep.skew_ok,
-            "failures": list(rep.failures),
-            "scaling": None if rep.scaling is None else rep.scaling.tolist(),
+            "stable": cycle and skew,
+            "cycle_ok": cycle,
+            "skew_ok": skew,
+            "failures": list(stability.FAILURES[cycle, skew]),
+            "scaling": d if skew else None,
         }
-        for v, rep in an.reports.items()
+        for v, cycle, skew, d in zip(an.tensor[0], *(a.tolist() for a in an.verdicts))
     }
     payload = {
         "kind": an.kind,

@@ -12,7 +12,7 @@ which ratios of the diagonal the constraints tie read only a matrix's
 zero pattern and damped diagonal, so they run once per distinct
 pattern, both by one depth-first walk (_walk); the ratios, the scalings
 they spread to and the definiteness checks run as array operations over
-the stack.
+the stack.  Its verdicts are arrays over the rows, Analysis.verdicts;
 stably_dissipative and its helpers on one matrix are the stack of one.
 
 The certificate search (facial reduction, then Kelley cuts solved as
@@ -29,8 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -74,7 +72,6 @@ class Classification:
     kind: str
     scaling: DiagonalScaling | None = None
     witness: np.ndarray | None = None
-    eigenvalues: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,12 +174,11 @@ def check_with_scaling(
         sym = form.sym(d.group_values(game.gtype))
     if not np.isfinite(sym).all():
         raise ValueError(f"the form scaled by {d.values} leaves the float range, |x| <= {np.finfo(float).max:.4g}")
-    eigs = np.linalg.eigvalsh(sym)
-    kind = _form_kind(eigs, tol)
+    kind = _form_kind(np.linalg.eigvalsh(sym), tol)
     if kind != INDEFINITE:
-        return Classification(kind, scaling=d, eigenvalues=eigs)
+        return Classification(kind, scaling=d)
     top = np.linalg.eigh(sym)[1][:, -1]
-    return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, form.vertex, top), eigenvalues=eigs)
+    return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, form.vertex, top))
 
 
 def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScaling | None:
@@ -316,8 +312,8 @@ def skew_decomposition(
 
 _CYCLE_FAILURE = "a cycle without a strong link remains"
 _SKEW_FAILURE = "no positive diagonal makes the matrix almost skew-symmetric"
-# A report's failures, by (cycle_ok, skew_ok).
-_FAILURES = {
+# A vertex's failures, by (cycle_ok, skew_ok).
+FAILURES = {
     (True, True): (),
     (True, False): (_SKEW_FAILURE,),
     (False, True): (_CYCLE_FAILURE,),
@@ -395,9 +391,9 @@ def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
 
     Requires (checked internally) that the matrix is dissipative in the
     unscaled sense: top eigenvalue of its symmetric part at most the
-    relative tolerance.  Condition two asks for strict negative
-    definiteness of the symmetric part restricted to the coordinates
-    with nonzero diagonal.  Zero entries are those of zero_entries.
+    relative tolerance; a symmetric part past the float range fails.
+    Condition two asks for strict negative definiteness of the symmetric
+    part on the coordinates with nonzero diagonal, by zero_entries.
     """
     t = np.asarray(m, dtype=float)[None]
     return bool(_almost_skew(t, np.diagonal(zero_entries(t, tol), axis1=1, axis2=2), tol)[0])
@@ -405,10 +401,12 @@ def almost_skew_symmetric(m: np.ndarray, tol: float = SEMIDEF_TOL) -> bool:
 
 def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray:
     """almost_skew_symmetric of each matrix of a stack, its zero diagonal entries given."""
-    ok = np.ones(len(t), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _sym(t)
+    ok = np.isfinite(s).all(axis=(1, 2))
     if t.shape[-1] == 0:
         return ok
-    s = _sym(t)
+    s[~ok] = 0.0  # a symmetric part past the float range has no eigenvalues to check: the row fails
     eigs = np.linalg.eigvalsh(s)
     ok &= ~(eigs[:, -1] > tol * _spectral_scale(eigs))
     # the symmetric part vanishes off the diagonal on every zero-diagonal row, by zero_entries
@@ -436,11 +434,10 @@ def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndar
     forest of the constraint graph, non-tree constraints are checked for
     consistency, components free of constraints keep d = 1, and the
     candidate is verified in full (including the definiteness clause).
-    The stack of one of _decide.
+    Row 0 of stably_dissipative_stack on the stack of one.
     """
     t = np.asarray(m, dtype=float)[None]
-    zero = zero_entries(t, tol)
-    _, skew_ok, d = _decide(t, zero, *graph_pattern(t, zero), tol)
+    _, skew_ok, d = stably_dissipative_stack(t, zero_entries(t, tol), tol)
     return d[0] if skew_ok[0] else None
 
 
@@ -457,15 +454,14 @@ def _decide(
     its strong links is a forest exactly when _walk takes every edge as
     a step, which it cannot on k edges or more), the constraint pairs,
     the one-sided rejection and the order of the ratio walk read only
-    those, so they run once per group, on its first row.  The values are read BLOCK rows at a time, so the
-    per-pair arrays stay small whatever V is: the ratios
-    d_j / d_i = -m_ji / m_ij and their range check, the walk's steps applied
-    depth by depth to every row of the block, the check of the
-    constraints off the forest, and the verification of M diag(d) against
-    M's zero diagonal (M diag(d) has the zero pattern of M for d > 0); an
-    M diag(d) whose entries or symmetric part leave the float range fails
-    it.  Each step multiplies as the walk on one matrix would, so every d
-    is the same float it would be there.
+    those, so they run once per group, on its first row.  The values are
+    read BLOCK rows at a time, so the per-pair arrays stay small whatever
+    V is: the ratios d_j / d_i = -m_ji / m_ij and their range check, the
+    walk's steps applied depth by depth to every row of the block, the
+    check of the constraints off the forest, and _almost_skew of M diag(d)
+    on M's zero diagonal (M diag(d) has the zero pattern of M for d > 0).
+    Each step multiplies as the walk on one matrix would, so every d is
+    the same float it would be there.
     """
     count, k = t.shape[:2]
     idx = np.arange(k)
@@ -514,13 +510,10 @@ def _decide(
         skew_ok[b] &= (d[b] > 0).all(axis=1)
 
         c = b.start + np.flatnonzero(skew_ok[b])
-        # ratios in range can still multiply out of the float range along the forest, in d,
-        # in M diag(d) or in its symmetric part, which has no eigenvalues then
+        # ratios in range can still multiply out of the float range, in d or M diag(d): _almost_skew fails those
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = t[c] * d[c, None, :]
-            finite = np.isfinite(scaled + np.swapaxes(scaled, 1, 2)).all(axis=(1, 2))
-        skew_ok[c] = finite
-        skew_ok[c[finite]] = _almost_skew(scaled[finite], zero_diag[c[finite]], tol)
+        skew_ok[c] = _almost_skew(scaled, zero_diag[c], tol)
     return cycle_ok, skew_ok, d
 
 
@@ -531,32 +524,20 @@ def stably_dissipative(m: np.ndarray, tol: float = SEMIDEF_TOL) -> StableDissipa
     link (edge whose two endpoint diagonals are negative) the zero-pattern
     graph must be acyclic, and some positive diagonal rescaling must make
     the matrix almost skew-symmetric.  Both read the zero pattern of
-    zero_entries, the one vertex_graph draws.  The stack of one of
-    stably_dissipative_stack.
+    zero_entries, the one vertex_graph draws.  Row 0 of
+    stably_dissipative_stack on the stack of one.
     """
     t = np.asarray(m, dtype=float)[None]
-    return stably_dissipative_stack(t, zero_entries(t, tol), tol)[0]
+    cycle_ok, skew_ok, d = stably_dissipative_stack(t, zero_entries(t, tol), tol)
+    cycle, skew = bool(cycle_ok[0]), bool(skew_ok[0])
+    return StableDissipativityReport(cycle and skew, d[0] if skew else None, cycle, skew, FAILURES[cycle, skew])
 
 
 def stably_dissipative_stack(
     t: np.ndarray, zero: np.ndarray, tol: float = SEMIDEF_TOL
-) -> list[StableDissipativityReport]:
-    """stably_dissipative of each matrix of a stack (V, k, k), given its zero_entries.
-
-    _decide does the pattern work once per distinct zero pattern and
-    damped set, and the value work as array operations over the stack;
-    only the reports are built one vertex at a time.  The graph is
-    graph_pattern's, built here; Analysis.reports passes its own.
-    """
-    return _reports(*_decide(t, zero, *graph_pattern(t, zero), tol))
-
-
-def _reports(cycle_ok: np.ndarray, skew_ok: np.ndarray, d: np.ndarray) -> list[StableDissipativityReport]:
-    """One report per row of _decide's verdicts."""
-    return [
-        StableDissipativityReport(cycle and skew, scaling if skew else None, cycle, skew, _FAILURES[cycle, skew])
-        for cycle, skew, scaling in zip(cycle_ok.tolist(), skew_ok.tolist(), d)
-    ]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """stably_dissipative of each matrix of a stack (V, k, k), given its zero_entries: _decide's arrays."""
+    return _decide(t, zero, *graph_pattern(t, zero), tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -570,14 +551,13 @@ class Analysis:
     and the vertex fields read the game in its unit (unit, from
     games.in_unit), so every verdict is the same for the game times any
     power of two; tensor holds the unit game's matrices, which times
-    2**unit[1] are the game's own.  The vertex fields read one
-    vertex_tensor and one zero pattern: tensor and pattern hold every
-    vertex's matrix and graph as arrays, and the reports are decided on
-    pattern itself, so graph_pattern runs once per analysis.  Every
-    stage reads admissibility, the certificate and V* from here, V* as
-    stable_rows, rows of the vertex stack.  A tolerance that is not a
-    finite number >= 0 raises ValueError, and so does the first vertex
-    field of a game past vertices.MAX_VERTICES or MAX_ENTRIES.
+    2**unit[1] are the game's own.  The vertex fields are arrays over the
+    rows of one vertex_tensor: tensor, pattern (its graphs) and verdicts,
+    decided on pattern, so graph_pattern runs once per analysis.  Every
+    stage reads admissibility, the certificate and V* (stable_rows) from
+    here.  A tolerance that is not a finite number >= 0 raises
+    ValueError, and so does the first vertex field of a game past
+    vertices.MAX_VERTICES or MAX_ENTRIES.
     """
 
     game: PolymatrixGame
@@ -600,7 +580,7 @@ class Analysis:
 
     @functools.cached_property
     def _zero(self) -> np.ndarray:
-        """The zero pattern of every vertex matrix, shared by reports and pattern."""
+        """The zero pattern of every vertex matrix, shared by verdicts and pattern."""
         t = self.tensor[2]
         return np.concatenate([zero_entries(t[b], self.tol) for b in blocks(len(t))])
 
@@ -610,14 +590,17 @@ class Analysis:
         return graph_pattern(self.tensor[2], self._zero)
 
     @functools.cached_property
-    def reports(self) -> Mapping[VertexLabel, StableDissipativityReport]:
-        labels, _, t = self.tensor
-        return MappingProxyType(dict(zip(labels, _reports(*_decide(t, self._zero, *self.pattern, self.tol)))))
+    def verdicts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """stably_dissipative_stack of tensor, on pattern: cycle_ok, skew_ok (V,) and d (V, k); read-only."""
+        verdicts = _decide(self.tensor[2], self._zero, *self.pattern, self.tol)
+        for a in verdicts:
+            a.setflags(write=False)
+        return verdicts
 
     @functools.cached_property
     def stable_rows(self) -> np.ndarray:
         """The rows of tensor whose vertex is stably dissipative, ascending; read-only."""
-        rows = np.flatnonzero([rep.stable for rep in self.reports.values()])
+        rows = np.flatnonzero(self.verdicts[0] & self.verdicts[1])
         rows.flags.writeable = False
         return rows
 

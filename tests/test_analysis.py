@@ -84,6 +84,14 @@ class TestOnePassPerCommand:
         assert singles == []
         assert [len(t) for t, *_ in stacks] == [len(enumerate_vertices(GameType((3, 2))))]
 
+    @pytest.mark.parametrize("command", ["check", "reduce", "collapse"])
+    def test_no_report_objects(self, capsys, monkeypatch, example_path, command):
+        # the verdicts stay arrays over the vertex stack; check prints them from the rows
+        reports = _counting(monkeypatch, "StableDissipativityReport")
+        assert main([command, example_path, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert reports == []
+
     @pytest.mark.parametrize("command", ["check", "vertices", "reduce", "collapse"])
     def test_one_vertex_graph(self, capsys, monkeypatch, example_path, command):
         # the stability test reads the analysis's graph, so reduce and collapse build it once too

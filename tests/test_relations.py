@@ -76,11 +76,16 @@ def test_direct_sum_multiplies_the_stable_vertices(first, second, seed):
     g2 = make_admissible_game(GameType(second), rng)[0]
     a1, a2, both = Analysis(g1), Analysis(g2), Analysis(direct_sum(g1, g2))
     offset = g1.gtype.n
-    pairs = {VertexLabel(v1.chosen + tuple(c + offset for c in v2.chosen)): (v1, v2) for v1 in a1.vstar for v2 in a2.vstar}
+    labels1, labels2 = a1.tensor[0], a2.tensor[0]
+    pairs = {
+        VertexLabel(labels1[r1].chosen + tuple(c + offset for c in labels2[r2].chosen)): (r1, r2)
+        for r1 in a1.stable_rows.tolist()
+        for r2 in a2.stable_rows.tolist()
+    }
     assert list(both.vstar) == list(pairs)
-    for v, (v1, v2) in pairs.items():
-        joined = np.concatenate([a1.reports[v1].scaling, a2.reports[v2].scaling])
-        assert both.reports[v].scaling.tobytes() == joined.tobytes()
+    for row, (r1, r2) in zip(both.stable_rows.tolist(), pairs.values()):
+        joined = np.concatenate([a1.verdicts[2][r1], a2.verdicts[2][r2]])
+        assert both.verdicts[2][row].tobytes() == joined.tobytes()
 
 
 @settings(max_examples=60, deadline=10000, derandomize=True, database=None)
@@ -121,20 +126,21 @@ def test_relabelling_permutes_the_stable_vertices(sizes, seed):
         return VertexLabel(sorted(new[list(v.chosen)].tolist()))
 
     assert {image(v) for v in an.vstar} == set(am.vstar)
-    assert {image(v): rep.cycle_ok for v, rep in an.reports.items()} == {
-        v: rep.cycle_ok for v, rep in am.reports.items()
-    }
+    assert dict(zip(map(image, an.tensor[0]), an.verdicts[0].tolist())) == dict(
+        zip(am.tensor[0], am.verdicts[0].tolist())
+    )
 
 
 def _bits(an: Analysis) -> tuple:
     """Every verdict of an analysis, its floats as bytes."""
     search, eq = an.search, an.equilibria
+    cycle_ok, skew_ok, d = an.verdicts
     return (
         search.kind,
         None if search.scaling is None else np.array(search.scaling.values).tobytes(),
         None if search.proof is None else search.proof.tobytes(),
         an.vstar,
-        [(r.stable, r.cycle_ok, r.skew_ok, None if r.scaling is None else r.scaling.tobytes()) for r in an.reports.values()],
+        [(c and s, c, s, row.tobytes() if s else None) for c, s, row in zip(cycle_ok.tolist(), skew_ok.tolist(), d)],
         None if eq.particular is None else eq.particular.tobytes(),
     )
 

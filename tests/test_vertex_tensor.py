@@ -1,7 +1,7 @@
 """The stacked vertex layer against the per-vertex reference, bit for bit.
 
 Analysis builds every vertex matrix, zero pattern, graph (the edge and
-sign arrays of graph_pattern) and stable dissipativity report as one
+sign arrays of graph_pattern) and stable dissipativity verdict as one
 stack, from the game in its unit (games.in_unit); vertex_matrix,
 vertex_graph and stably_dissipative are the stack of one, on the numbers
 they are given.  Each must equal the loop version in
@@ -9,6 +9,7 @@ reference_vertex_layer in every bit, scalings included.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,19 @@ def _report_key(rep):
     return rep.stable, rep.cycle_ok, rep.skew_ok, rep.failures, scaling
 
 
+def _row_key(verdicts, r):
+    """_report_key of row r of the arrays (cycle_ok, skew_ok, d) of stably_dissipative_stack."""
+    cycle_ok, skew_ok, d = verdicts
+    cycle, skew = bool(cycle_ok[r]), bool(skew_ok[r])
+    scaling = (d.dtype, d[r].shape, d[r].tobytes()) if skew else None
+    return cycle and skew, cycle, skew, stability.FAILURES[cycle, skew], scaling
+
+
+def _stable(verdicts):
+    """Which rows of stably_dissipative_stack's arrays are stably dissipative."""
+    return verdicts[0] & verdicts[1]
+
+
 def _graph_key(g):
     return g.vertices, g.edges, list(g.diagonal_sign.items())
 
@@ -124,12 +138,12 @@ def test_stack_matches_the_per_vertex_reference(sizes, kind, seed, tol):
     an = Analysis(game, tol)
     labels, rows, t = an.tensor
     edges, signs = an.pattern
-    assert list(an.reports) == labels
-    for v, row, entries, row_edges, row_signs in zip(labels, rows.tolist(), t, edges, signs):
+    assert [len(a) for a in an.verdicts] == [len(labels)] * 3
+    for r, (v, row, entries, row_edges, row_signs) in enumerate(zip(labels, rows.tolist(), t, edges, signs)):
         # the analysis reads the game in its unit, whose matrices times 2**e are the game's own
         idx, m_unit = ref.vertex_matrix(unit, v)
         assert tuple(row) == idx and entries.tobytes() == m_unit.tobytes()
-        assert _report_key(an.reports[v]) == _report_key(ref.stably_dissipative(m_unit, tol))
+        assert _row_key(an.verdicts, r) == _report_key(ref.stably_dissipative(m_unit, tol))
         assert _pattern_key(row, row_edges, row_signs) == _graph_key(ref.vertex_graph(idx, m_unit, tol))
 
         idx, m = ref.vertex_matrix(game, v)
@@ -156,8 +170,7 @@ def test_examples_reach_the_constraint_checks(sizes, kind, tol):
     # where the constraint check is not the one to reject it
     game = PolymatrixGame(GameType(sizes), _payoff(sizes, kind, 0))
     an = Analysis(game, tol)
-    v = next(iter(an.reports))
-    assert not an.reports[v].skew_ok
+    assert not an.verdicts[1][0]
     m = an.tensor[2][0]
     assert ref._almost_skew(m, np.diagonal(ref.zero_entries(m, tol)), tol) == (kind == "cycle")
 
@@ -174,14 +187,14 @@ def test_blocks_span_more_than_one_block():
     game = PolymatrixGame(GameType((3, 2) * 4), np.kron(np.eye(4), EXAMPLE_PAYOFF))
     labels, ii, t = vertex_tensor(game)
     assert len(labels) > 5 * BLOCK
-    reports = stability.stably_dissipative_stack(t, zero_entries(t, SEMIDEF_TOL), SEMIDEF_TOL)
+    verdicts = stability.stably_dissipative_stack(t, zero_entries(t, SEMIDEF_TOL), SEMIDEF_TOL)
     edges, signs = graph_pattern(t, zero_entries(t, SEMIDEF_TOL))
-    for v, rep, row, row_edges, row_signs, m in zip(labels, reports, ii.tolist(), edges, signs, t):
+    for r, (v, row, row_edges, row_signs, m) in enumerate(zip(labels, ii.tolist(), edges, signs, t)):
         idx, expected = ref.vertex_matrix(game, v)
         assert m.tobytes() == expected.tobytes()
-        assert _report_key(rep) == _report_key(ref.stably_dissipative(expected))
+        assert _row_key(verdicts, r) == _report_key(ref.stably_dissipative(expected))
         assert _pattern_key(row, row_edges, row_signs) == _graph_key(ref.vertex_graph(idx, expected))
-    assert sum(rep.stable for rep in reports) == 4**4
+    assert _stable(verdicts).sum() == 4**4
 
 
 def test_reports_allocate_less_than_the_stack():
@@ -190,7 +203,7 @@ def test_reports_allocate_less_than_the_stack():
     stack = an.tensor[2].nbytes
     tracemalloc.start()
     try:
-        an.reports
+        an.verdicts
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,10 +211,10 @@ def test_reports_allocate_less_than_the_stack():
 
 
 def _assert_matches_the_reference(t, tol):
-    reports = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
-    for m, rep in zip(t, reports):
-        assert _report_key(rep) == _report_key(ref.stably_dissipative(m, tol))
-    return reports
+    verdicts = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
+    for r, m in enumerate(t):
+        assert _row_key(verdicts, r) == _report_key(ref.stably_dissipative(m, tol))
+    return verdicts
 
 
 def _shared_patterns(t, tol):
@@ -219,20 +232,20 @@ def _scaled_copies(copies):
     columns = np.repeat([1.0, 5 / 3, 2 / 9, 7 / 11, 13 / 3, 3 / 5, 17 / 7, 9 / 13][: 2 * copies], (3, 2) * copies)
     _, _, t = vertex_tensor(PolymatrixGame(GameType((3, 2) * copies), payoff * columns))
     assert _shared_patterns(t, SEMIDEF_TOL) == 2**copies
-    reports = _assert_matches_the_reference(t, SEMIDEF_TOL)
-    assert sum(rep.stable for rep in reports) == 4**copies
-    return reports
+    verdicts = _assert_matches_the_reference(t, SEMIDEF_TOL)
+    assert _stable(verdicts).sum() == 4**copies
+    return verdicts
 
 
 def test_scaled_copies_match_the_reference():
     # 216 vertices in 8 zero patterns, each holding other values
-    reports = _scaled_copies(3)
-    assert len({rep.scaling.tobytes() for rep in reports if rep.scaling is not None}) > 1
+    _, skew_ok, d = _scaled_copies(3)
+    assert len({row.tobytes() for row in d[skew_ok]}) > 1
 
 
 def test_scaled_copies_across_blocks_match_the_reference():
     # 1296 vertices in 16 zero patterns, in six blocks of rows: each block reads its own rows
-    assert len(_scaled_copies(4)) > 5 * BLOCK
+    assert len(_scaled_copies(4)[0]) > 5 * BLOCK
 
 
 def _hub(a, b, c, e):
@@ -253,9 +266,9 @@ def test_one_pattern_with_passing_and_failing_ratios():
         ]
     )
     assert _shared_patterns(t, 0.0) == 1
-    reports = _assert_matches_the_reference(t, 0.0)
-    assert [rep.stable for rep in reports] == [True, True, False, False, True, True]
-    assert len({rep.scaling.tobytes() for rep in reports if rep.stable}) == 4
+    verdicts = _assert_matches_the_reference(t, 0.0)
+    assert _stable(verdicts).tolist() == [True, True, False, False, True, True]
+    assert len({row.tobytes() for row in verdicts[2][_stable(verdicts)]}) == 4
 
 
 def test_a_scaling_that_underflows_along_the_forest_is_refused():
@@ -279,13 +292,13 @@ def test_non_finite_rows_leave_their_group_alone(tol):
             m[at] = x
             broken.append(m)
     t = np.concatenate([finite, np.array(broken), finite[::-1]])
-    reports = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
-    for m, rep in zip(t, reports):
+    verdicts = stability.stably_dissipative_stack(t, zero_entries(t, tol), tol)
+    for r, m in enumerate(t):
         if np.isfinite(m).all():
-            assert _report_key(rep) == _report_key(ref.stably_dissipative(m, tol))
+            assert _row_key(verdicts, r) == _report_key(ref.stably_dissipative(m, tol))
         else:
-            assert not rep.skew_ok and rep.scaling is None
-            assert _report_key(rep) == _report_key(stably_dissipative(m, tol))
+            assert not verdicts[1][r] and _row_key(verdicts, r)[-1] is None
+            assert _row_key(verdicts, r) == _report_key(stably_dissipative(m, tol))
 
 
 def test_a_nan_diagonal_is_not_damped():
@@ -303,3 +316,19 @@ def test_symmetric_part_past_the_float_range_is_not_almost_skew():
     rep = stably_dissipative(m)
     assert (rep.cycle_ok, rep.skew_ok, rep.scaling) == (True, False, None)
     assert find_almost_skew_scaling(m) is None
+
+
+@pytest.mark.parametrize(
+    "m",
+    [[[np.inf, 1.0], [-1.0, -1.0]], [[-np.inf, 1.0], [-1.0, -1.0]], [[-1.0, 1.5e308], [1.5e308, -1.0]]],
+    ids=["inf", "-inf", "overflow"],
+)
+def test_non_finite_input_is_not_almost_skew(m):
+    # an infinite entry, or a symmetric part past the float range, has no eigenvalues to
+    # check: almost_skew_symmetric fails it without a warning, as the stack does
+    m = np.array(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not almost_skew_symmetric(m)
+        assert not almost_skew_symmetric(m, 0.0)
+        assert not stably_dissipative(m).skew_ok
