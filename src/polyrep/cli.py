@@ -1,11 +1,14 @@
 """Command-line entry point wiring ingestion, analysis, and simulation.
 
-Exit codes: 0 success (admissible where that is the question), 1 usage,
-file or parse errors, 2 dissipative but not admissible, 3 proved not
+Each command returns (payload, text lines, exit code) to main, which
+prints the report; a refusal is one `error:` line on stderr and nothing
+on stdout.  Exit codes: 0 success (admissible where that is the
+question), 1 usage, file or parse errors (a file that is not UTF-8 text
+among them), 2 dissipative but not admissible, 3 proved not
 dissipative, no certificate found, no formal equilibrium or, for
 collapse, no interior one, 4 internal failure: a certificate or
-collapse check that an admissible game should pass failed (a bug, not a
-property of the input).
+collapse check that an admissible game should pass failed (a bug, not
+a property of the input).
 """
 
 from __future__ import annotations
@@ -39,13 +42,24 @@ EXIT_NOT_DISSIPATIVE = 3
 EXIT_CERTIFICATE = 4
 
 
+class _Refused(Exception):
+    """A command's refusal: main prints `error: TEXT` on stderr, nothing on stdout, and returns CODE."""
+
+    def __init__(self, code: int, text: str):
+        super().__init__(text)
+        self.code = code
+
+
 def _default_seed() -> int:
     """The seed when --seed gives none: POLYREP_SEED, read when a command needs it, else 0."""
     text = os.environ.get("POLYREP_SEED", "0")
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise SystemExit(f"error: POLYREP_SEED must be an integer, got {text!r}") from None
+        raise _Refused(EXIT_IO, f"POLYREP_SEED must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise _Refused(EXIT_IO, f"POLYREP_SEED must be >= 0, got {text!r}")
+    return seed
 
 
 def _fmt_matrix(m: np.ndarray) -> list[str]:
@@ -80,12 +94,7 @@ def _load_game(path: str) -> PolymatrixGame:
     try:
         return gamefile.parse_game(path)
     except gamefile.GameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from None
-
-
-def _label(v) -> list[int]:
-    return list(v.chosen)
+        raise _Refused(EXIT_IO, str(exc)) from None
 
 
 def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
@@ -94,7 +103,7 @@ def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
     try:
         an.tensor
     except ValueError as exc:  # the vertex ceilings, checked before the stack is built
-        raise SystemExit(f"error: {exc}") from None
+        raise _Refused(EXIT_IO, str(exc)) from None
     return an
 
 
@@ -105,11 +114,19 @@ def _verdict_code(an: stability.Analysis) -> int:
     return EXIT_NOT_DISSIPATIVE if an.scaling is None else EXIT_NOT_ADMISSIBLE
 
 
-def cmd_check(args) -> int:
+def _admitted(game: PolymatrixGame, tol: float, what: str) -> stability.Analysis:
+    """The analysis of an admissible game; any other is refused with its verdict's code."""
+    an = _analyse(game, tol)
+    if not an.admissible:
+        raise _Refused(_verdict_code(an), f"game is not admissible; {what}")
+    return an
+
+
+def cmd_check(args) -> tuple[dict, list[str], int]:
     an = _analyse(_load_game(args.game), args.tol)
     code = _verdict_code(an)
     scaling = None if an.scaling is None else list(an.scaling.values)
-    vstar = [_label(v) for v in an.vstar]
+    vstar = [list(v.chosen) for v in an.vstar]
     reports = {
         str(v): {
             "stable": cycle and skew,
@@ -136,17 +153,16 @@ def cmd_check(args) -> int:
     for name, rep in reports.items():
         status = "stable" if rep["stable"] else "unstable: " + "; ".join(rep["failures"])
         lines.append(f"  vertex {name}: {status}")
-    _emit(args, payload, lines)
-    return code
+    return payload, lines, code
 
 
-def cmd_vertices(args) -> int:
+def cmd_vertices(args) -> tuple[dict, list[str], int]:
     an = _analyse(_load_game(args.game), args.tol)
     labels, ii, t = an.tensor
     payload, lines = {"vertices": []}, []
     for v, idx, m, edges in zip(labels, ii.tolist(), np.ldexp(t, an.unit[1]), an.pattern[0]):  # in the game's unit
         entry = {
-            "label": _label(v),
+            "label": list(v.chosen),
             "index_set": idx,
             "matrix": m.tolist(),
             "edges": [[idx[a], idx[b]] for a, b in np.argwhere(np.triu(edges)).tolist()],
@@ -156,16 +172,12 @@ def cmd_vertices(args) -> int:
         lines.append(f"  index set: {idx}")
         lines.extend("  " + row for row in _fmt_matrix(m))
         lines.append("  edges: " + (", ".join(str(tuple(e)) for e in entry["edges"]) or "none"))
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, list[str], int]:
     game = _load_game(args.game)
-    code = _verdict_code(_analyse(game, args.tol))
-    if code != EXIT_OK:
-        print("error: game is not admissible; the reduction rules do not apply", file=sys.stderr)
-        return code
+    _admitted(game, args.tol, "the reduction rules do not apply")
     red = reduction.run_to_fixpoint(game, tol=args.tol)
     rows = reduction.collapse_trace(red.final.trace)
     payload = {
@@ -173,7 +185,7 @@ def cmd_reduce(args) -> int:
             {
                 "step": i + 1,
                 "rule": s.rule,
-                "vertices": [_label(v) for v in s.vertices],
+                "vertices": [list(v.chosen) for v in s.vertices],
                 "strategies": list(s.strategies),
             }
             for i, s in enumerate(rows)
@@ -190,25 +202,17 @@ def cmd_reduce(args) -> int:
     lines.append("colors: " + "  ".join(f"{i}:{c.symbol}" for i, c in enumerate(red.final.colors)))
     lines.append("links: " + (", ".join(str(tuple(l)) for l in sorted(red.final.links)) or "none"))
     lines.append(f"verdict: {red.verdict}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_collapse(args) -> int:
+def cmd_collapse(args) -> tuple[dict, list[str], int]:
     game = _load_game(args.game)
-    an = _analyse(game, args.tol)
-    code = _verdict_code(an)
-    if code != EXIT_OK:
-        print("error: game is not admissible; nothing to collapse", file=sys.stderr)
-        return code
-    if not an.equilibria.interior_flag:
-        print("error: no interior equilibrium; the collapse is undefined", file=sys.stderr)
-        return EXIT_NOT_DISSIPATIVE
+    if not _admitted(game, args.tol, "nothing to collapse").equilibria.interior_flag:
+        raise _Refused(EXIT_NOT_DISSIPATIVE, "no interior equilibrium; the collapse is undefined")
     try:
         result = collapse_mod.hamiltonian_collapse(game, tol=args.tol)
     except (RuntimeError, ValueError) as exc:  # admissible with an interior q: a refusal now is internal
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        raise _Refused(EXIT_CERTIFICATE, str(exc)) from None
     final = result.final_game
     trivial = has_equal_row_blocks(final.gtype, final.payoff)  # equivalent to the zero game
     payload = {
@@ -246,11 +250,10 @@ def cmd_collapse(args) -> int:
         lines.append("equivalent to the trivial game")
     if args.emit_game:  # before the report, so a write that fails leaves stdout empty
         gamefile.write_game(result.final_game, args.emit_game)
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def cmd_equilibrium(args) -> int:
+def cmd_equilibrium(args) -> tuple[dict, list[str], int]:
     game = _load_game(args.game)
     eq = interior_equilibria(game)
     payload = {
@@ -270,35 +273,34 @@ def cmd_equilibrium(args) -> int:
         lines.append(f"interior: {eq.interior_flag}")
         if eq.interior_point is not None:
             lines.append(f"interior point: {eq.interior_point}")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
-    if spec.startswith("random"):
-        if ":" in spec:
-            seed = int(spec.split(":", 1)[1])
+    """The start --x0 spells: `random`, `random:SEED` or a list of game.n numbers; ValueError if none."""
+    name, colon, own = spec.partition(":")
+    if name == "random":
+        if colon:
+            seed = int(own)  # default_rng refuses a negative one with a ValueError
         elif seed is None:
             seed = _default_seed()
         rng = np.random.default_rng(seed)
         return random_prism_state(game.gtype, rng, clearable_floor(game.gtype, 0.02))
     vals = [float(tok) for tok in spec.replace(",", " ").split()]
     if len(vals) != game.n:
-        raise SystemExit(f"error: x0 needs {game.n} coordinates")
+        raise _Refused(EXIT_IO, f"x0 needs {game.n} coordinates")
     return np.array(vals)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, list[str], int]:
     game = _load_game(args.game)
     try:
         x0 = _parse_x0(args.x0, game, args.seed)
     except ValueError:
-        print("error: cannot parse --x0", file=sys.stderr)
-        return EXIT_IO
+        raise _Refused(EXIT_IO, "cannot parse --x0") from None
     problems = check_prism_state(game.gtype, x0)
     if problems:
-        print("error: --x0 is not a prism state: " + "; ".join(problems), file=sys.stderr)
-        return EXIT_IO
+        raise _Refused(EXIT_IO, "--x0 is not a prism state: " + "; ".join(problems))
     an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
     if "gb" in args.monitors or "ratios" in args.monitors:  # past the vertex ceilings this exits before any step
         an = _analyse(game, args.tol)
@@ -306,8 +308,7 @@ def cmd_simulate(args) -> int:
     try:
         traj = dynamics.integrate(game, x0, args.T, args.dt)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Refused(EXIT_IO, str(exc)) from None
     # past dt max|a_ij| = 1 the step nears RK4's stability bound and the final state drifts
     step_scale = float(args.dt * np.max(np.abs(game.payoff)))
     if step_scale > 1:
@@ -367,28 +368,22 @@ def cmd_simulate(args) -> int:
     ]
     for name, col in zip(names, columns):
         lines.append(f"monitor {name}: first {col[0]:.9g} last {col[-1]:.9g}")
-    _emit(args, summary, lines)
-    return EXIT_OK
+    return summary, lines, EXIT_OK
 
 
-def cmd_lv2rep(args) -> int:
+def cmd_lv2rep(args) -> tuple[dict, list[str], int]:
     try:  # a GameFileError is a ValueError
         a = gamefile.parse_matrix(args.A)
         r = np.array([float(tok) for tok in args.r.replace(",", " ").split()])
         lv = dynamics.LVSystem(a, r)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Refused(EXIT_IO, str(exc)) from None
     game = dynamics.lv_to_replicator(lv)
     if args.emit_game:
         gamefile.write_game(game, args.emit_game)
-    payload = {
-        "type": list(game.gtype.sizes),
-        "payoff": [[float(x) for x in row] for row in game.payoff],
-    }
+    payload = {"type": list(game.gtype.sizes), "payoff": game.payoff.tolist()}
     lines = [f"compactified game type: {game.gtype}"] + _fmt_matrix(game.payoff)
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
 def _number(text: str) -> float:
@@ -405,6 +400,13 @@ def _nonnegative(text: str) -> float:
     if not 0.0 <= x < float("inf"):
         raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return x
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, in decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _positive(text: str) -> float:
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="integrate the flow with monitors")
     _add_common(p, game_positional=False)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="seed of a random start without its own (default: POLYREP_SEED, else 0)")
     p.add_argument("--game", required=True, help="game file (see README for the format)")
     p.add_argument("--x0", default="random", help="start: comma list or random[:SEED]")
@@ -503,16 +505,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, a verdict code here
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
-        return args.func(args)
-    except OSError as exc:  # a file that cannot be read or written, whichever command
+        payload, lines, code = args.func(args)
+        _emit(args, payload, lines)
+    except (_Refused, OSError) as exc:  # an OSError: a file that cannot be read or written, whichever command
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SystemExit as exc:
-        if isinstance(exc.code, int):
-            return exc.code
-        if exc.code is not None:
-            print(exc.code, file=sys.stderr)
-        return EXIT_IO
+        return exc.code if isinstance(exc, _Refused) else EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

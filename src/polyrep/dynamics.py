@@ -178,7 +178,13 @@ def _trajectory(
 
 
 def step_count(T: float, dt: float) -> int:
-    """The RK4 steps for duration T, round(T / dt); ValueError unless finite and at most MAX_STEPS."""
+    """The RK4 steps for duration T, round(T / dt).
+
+    ValueError unless T is a finite number >= 0, dt a finite number > 0,
+    and T / dt at most MAX_STEPS.
+    """
+    if T < 0 or not 0.0 < dt < np.inf:  # a NaN or infinite T fails the count below
+        raise ValueError(f"expected T >= 0 and a finite dt > 0, got T = {T!r}, dt = {dt!r}")
     steps = T / dt
     if not steps <= MAX_STEPS:
         raise ValueError(f"T / dt = {steps:g} steps is not a finite count of at most {MAX_STEPS:g}")

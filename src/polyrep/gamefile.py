@@ -10,7 +10,7 @@
 
 The first content line declares the group sizes; the following n lines
 hold the payoff matrix row by row.  Numbers may be integers, decimals,
-or simple fractions like 1/3.
+or simple fractions like 1/3.  Files are read as UTF-8 text.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def _parse_number(token: str, line: int) -> float:
         return float(token)
     except (ValueError, ZeroDivisionError):
         raise GameFileError(f"cannot parse number {token!r}", line) from None
+
+
+def _read_text(path: str | Path) -> str:
+    """The file's text, read as UTF-8; GameFileError at the first byte that is not."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GameFileError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
 
 
 def parse_game_text(text: str) -> PolymatrixGame:
@@ -87,7 +97,7 @@ def parse_game_text(text: str) -> PolymatrixGame:
 
 
 def parse_game(path: str | Path) -> PolymatrixGame:
-    return parse_game_text(Path(path).read_text())
+    return parse_game_text(_read_text(path))
 
 
 def _format_number(x: float) -> str:
@@ -116,7 +126,7 @@ def write_game(game: PolymatrixGame, path: str | Path) -> None:
 def parse_matrix(path: str | Path) -> np.ndarray:
     """A bare whitespace matrix file (used for Lotka-Volterra input)."""
     rows = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -726,6 +726,120 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and "Is a directory" in err
 
 
+NO_FILE = "error: [Errno 2] No such file or directory: '{d}/{name}'\n"
+IS_DIR = "error: [Errno 21] Is a directory: '{d}'\n"
+CEILING = f"error: the game has {2**15} vertices, more than the {MAX_VERTICES} the vertex layer handles\n"
+NOT_ADMISSIBLE = "error: game is not admissible; "
+SIMULATE = ["simulate", "--game", "{ex}", "--T", "0.1"]
+# (argv, POLYREP_SEED or None, exit code, stderr); {ex} is the example game, {d} the directory of REFUSAL_FILES
+REFUSALS = [
+    *[pytest.param([*c, "{d}/missing.txt"], None, EXIT_IO, NO_FILE.replace("{name}", "missing.txt"),
+                   id=f"{c[0]}-missing") for c in ANALYSES],
+    *[pytest.param([*c, "{d}"], None, EXIT_IO, IS_DIR, id=f"{c[0]}-directory") for c in ANALYSES],
+    *[pytest.param([*c, "{d}/parse.txt"], None, EXIT_IO, "error: line 2: cannot parse number 'zzz'\n",
+                   id=f"{c[0]}-parse") for c in ANALYSES],
+    *[pytest.param([*c, "{d}/range.txt"], None, EXIT_IO,
+                   "error: payoff entry (0, 2) = 1e+308 exceeds 1e+300 in magnitude\n", id=f"{c[0]}-range")
+      for c in ANALYSES],
+    *[pytest.param([*c, "{d}/ceiling.txt"], None, EXIT_IO, CEILING, id=f"{c[0]}-ceiling")
+      for c in ANALYSES if c != ["equilibrium"]],
+    pytest.param(["reduce", "{d}/dissipative.txt"], None, EXIT_NOT_ADMISSIBLE,
+                 NOT_ADMISSIBLE + "the reduction rules do not apply\n", id="reduce-not-admissible"),
+    pytest.param(["reduce", "{d}/tilted.txt"], None, EXIT_NOT_DISSIPATIVE,
+                 NOT_ADMISSIBLE + "the reduction rules do not apply\n", id="reduce-no-formal-equilibrium"),
+    pytest.param(["collapse", "{d}/dissipative.txt"], None, EXIT_NOT_ADMISSIBLE,
+                 NOT_ADMISSIBLE + "nothing to collapse\n", id="collapse-not-admissible"),
+    pytest.param(["collapse", "{d}/tilted.txt"], None, EXIT_NOT_DISSIPATIVE,
+                 NOT_ADMISSIBLE + "nothing to collapse\n", id="collapse-no-formal-equilibrium"),
+    pytest.param(["collapse", "{d}/boundary.txt"], None, EXIT_NOT_DISSIPATIVE,
+                 "error: no interior equilibrium; the collapse is undefined\n", id="collapse-no-interior"),
+    pytest.param(["collapse", "{ex}", "--emit-game", "{d}"], None, EXIT_IO, IS_DIR, id="collapse-emit-directory"),
+    pytest.param(["collapse", "{ex}", "--emit-game", "{d}/none/g.txt"], None, EXIT_IO,
+                 NO_FILE.replace("{name}", "none/g.txt"), id="collapse-emit-missing-directory"),
+    pytest.param([*SIMULATE, "--x0", "abc"], None, EXIT_IO, "error: cannot parse --x0\n", id="x0-words"),
+    pytest.param([*SIMULATE, "--x0", "random:x"], None, EXIT_IO, "error: cannot parse --x0\n", id="x0-seed-words"),
+    pytest.param([*SIMULATE, "--x0", "random:-3"], None, EXIT_IO, "error: cannot parse --x0\n", id="x0-seed-negative"),
+    pytest.param([*SIMULATE, "--x0", "0.5,0.5"], None, EXIT_IO, "error: x0 needs 5 coordinates\n", id="x0-length"),
+    pytest.param([*SIMULATE, "--x0", "0.5,0.5,0,2,-1"], None, EXIT_IO,
+                 "error: --x0 is not a prism state: negative coordinate -1.0\n", id="x0-off-the-prism"),
+    pytest.param(SIMULATE, "abc", EXIT_IO, "error: POLYREP_SEED must be an integer, got 'abc'\n", id="env-seed"),
+    pytest.param([*SIMULATE, "--T", "1e300"], None, EXIT_IO,
+                 "error: T / dt = 1e+302 steps is not a finite count of at most 1e+07\n", id="step-count"),
+    pytest.param([*SIMULATE, "--csv", "{d}"], None, EXIT_IO, IS_DIR, id="csv-directory"),
+    pytest.param([*SIMULATE, "--csv", "{d}/none/run.csv"], None, EXIT_IO,
+                 NO_FILE.replace("{name}", "none/run.csv"), id="csv-missing-directory"),
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,abc"], None, EXIT_IO,
+                 "error: could not convert string to float: 'abc'\n", id="lv2rep-r"),
+    pytest.param(["lv2rep", "--A", "{d}/a_nan.txt", "--r", "1,-1"], None, EXIT_IO,
+                 "error: A and r must be finite and at most 1e+300 in magnitude\n", id="lv2rep-A"),
+    pytest.param(["lv2rep", "--A", "{d}/missing.txt", "--r", "1,-1"], None, EXIT_IO,
+                 NO_FILE.replace("{name}", "missing.txt"), id="lv2rep-missing"),
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,-1", "--emit-game", "{d}"], None, EXIT_IO, IS_DIR,
+                 id="lv2rep-emit-directory"),
+]
+REFUSAL_FILES = {
+    "parse.txt": "type: 2\n0 zzz\n0 0\n",
+    "range.txt": BEYOND_RANGE,
+    "ceiling.txt": "type:" + " 2" * 15 + "\n" + ("0 " * 30 + "\n") * 30,
+    "dissipative.txt": "type: 3\n-4 5 -4\n3 -4 -4\n-1 -1 -5\n",  # dissipative, but no stable vertex
+    "tilted.txt": "type: 2\n1 1\n0 0\n",  # no formal equilibrium
+    "boundary.txt": "type: 2\n-1 0\n0 0\n",  # admissible, its only equilibrium (0, 1)
+    "a.txt": "0 -1\n1 0\n",
+    "a_nan.txt": "0 nan\n1 0\n",
+}
+
+
+def filled(argv: list, **fill) -> list:
+    """The argv with its {placeholders} filled in."""
+    return [a.format(**fill) for a in argv]
+
+
+class TestRefusals:
+    """Every refusal is one `error:` line on stderr, nothing on stdout, and its exit code.
+
+    Two need more than an input file and are pinned where they are set
+    up: collapse's internal failure (exit 4) in TestCollapse, and the
+    history ceiling in TestIntegrationLimits.
+    """
+
+    @pytest.fixture()
+    def refusal_dir(self, tmp_path):
+        for name, text in REFUSAL_FILES.items():
+            (tmp_path / name).write_text(text)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, env_seed, code, err", REFUSALS)
+    def test_one_error_line(self, capsys, monkeypatch, refusal_dir, example_path, argv, env_seed, code, err):
+        if env_seed is None:
+            monkeypatch.delenv("POLYREP_SEED", raising=False)
+        else:
+            monkeypatch.setenv("POLYREP_SEED", env_seed)
+        fill = {"d": str(refusal_dir), "ex": example_path}
+        assert run(capsys, *filled(argv, **fill)) == (code, "", err.format(**fill))
+
+    @pytest.mark.parametrize("command", [*ANALYSES, ["lv2rep", "--r", "1,-1", "--A"]], ids=lambda c: c[0])
+    def test_a_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"type: 2\n\xff 1\n0 0\n")
+        assert run(capsys, *command, str(path)) == (EXIT_IO, "", "error: line 2: byte 0xff is not UTF-8 text\n")
+
+    @pytest.mark.parametrize("spec", ["randomly", "random-3", "random 3"])
+    def test_x0_is_random_or_random_seed(self, capsys, example_path, spec):
+        argv = filled(SIMULATE, ex=example_path)
+        assert run(capsys, *argv, "--x0", spec) == (EXIT_IO, "", "error: cannot parse --x0\n")
+
+    def test_a_negative_seed_is_a_usage_error(self, capsys, example_path):
+        code, out, err = run(capsys, *filled(SIMULATE, ex=example_path), "--seed", "-3")
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith("usage: polyrep simulate")
+        assert err.endswith("polyrep simulate: error: argument --seed: expected an integer >= 0, got '-3'\n")
+
+    def test_a_negative_environment_seed_is_named(self, capsys, monkeypatch, example_path):
+        monkeypatch.setenv("POLYREP_SEED", "-3")
+        argv = filled(SIMULATE, ex=example_path)
+        assert run(capsys, *argv) == (EXIT_IO, "", "error: POLYREP_SEED must be >= 0, got '-3'\n")
+
+
 class TestDeterminism:
     def test_json_outputs_byte_identical(self, capsys, example_path):
         _, out1, _ = run(capsys, "reduce", example_path, "--format", "json")

@@ -88,6 +88,15 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate_batch(example_game, np.full((1, 5), 0.4), T, dt)
 
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, -0.01), (-1.0, 0.01), (1.0, float("inf"))])
+    def test_a_bad_duration_or_step_raises(self, T, dt, example_game):
+        # an infinite dt would round T / dt to a run of 0 steps
+        x0 = np.full((1, 5), 0.4)
+        with pytest.raises(ValueError, match=r"expected T >= 0 and a finite dt > 0, got T = "):
+            integrate(example_game, x0[0], T, dt)
+        with pytest.raises(ValueError, match=r"expected T >= 0 and a finite dt > 0, got T = "):
+            integrate_batch(example_game, x0, T, dt)
+
     def test_rps_cycles_conserve_h(self):
         q = np.full(3, 1 / 3)
         traj = integrate(RPS, np.array([0.5, 0.3, 0.2]), T=100.0, dt=0.01)

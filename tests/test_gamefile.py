@@ -52,6 +52,14 @@ class TestParse:
             parse_game_text("type: 2\n0\n1 0\n")
         assert "entries" in str(err.value)
 
+    @pytest.mark.parametrize("read", [parse_game, parse_matrix])
+    def test_bytes_that_are_not_utf8(self, tmp_path, read):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"type: 2\n\xff 1\n0 0\n")
+        with pytest.raises(GameFileError, match=r"^line 2: byte 0xff is not UTF-8 text$") as info:
+            read(path)
+        assert info.value.line == 2
+
     def test_empty_file(self):
         with pytest.raises(GameFileError):
             parse_game_text("# nothing here\n")
