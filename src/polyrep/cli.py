@@ -1,14 +1,16 @@
 """Command-line entry point wiring ingestion, analysis, and simulation.
 
-Each command returns (payload, text lines, exit code) to main, which
-prints the report; a refusal is one `error:` line on stderr and nothing
-on stdout.  Exit codes: 0 success (admissible where that is the
-question), 1 usage, file or parse errors (a file that is not UTF-8 text
-among them), 2 dissipative but not admissible, 3 proved not
-dissipative, no certificate found, no formal equilibrium or, for
-collapse, no interior one, 4 internal failure: a certificate or
-collapse check that an admissible game should pass failed (a bug, not
-a property of the input).
+Each command returns (payload, text lines, notes, exit code) to main,
+which writes each note as a `note:` line on stderr, then the report.
+main alone turns a failure into an exit code: a refusal, an OSError, a
+ValueError from the library (a numpy LinAlgError is one) or a
+RuntimeError is one `error:` line on stderr and nothing on stdout.
+Exit codes: 0 success (admissible where that is the question), 1 usage,
+file or parse errors and any other ValueError, 2 dissipative but not
+admissible, 3 proved not dissipative, no certificate found, no formal
+equilibrium or, for collapse, no interior one, 4 internal failure: a
+RuntimeError, or a certificate or collapse check that an admissible
+game should pass failed (a bug, not a property of the input).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .games import (
     check_prism_state,
     clearable_floor,
     has_equal_row_blocks,
+    in_unit,
     interior_equilibria,
     random_prism_state,
 )
@@ -90,20 +93,10 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     print(out)
 
 
-def _load_game(path: str) -> PolymatrixGame:
-    try:
-        return gamefile.parse_game(path)
-    except gamefile.GameFileError as exc:
-        raise _Refused(EXIT_IO, str(exc)) from None
-
-
 def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
     """The game's analysis, its vertex stack built: exit 1 past vertices.MAX_VERTICES or MAX_ENTRIES."""
     an = stability.analyse(game, tol)
-    try:
-        an.tensor
-    except ValueError as exc:  # the vertex ceilings, checked before the stack is built
-        raise _Refused(EXIT_IO, str(exc)) from None
+    an.tensor  # the vertex ceilings' ValueError comes before any verdict
     return an
 
 
@@ -122,9 +115,8 @@ def _admitted(game: PolymatrixGame, tol: float, what: str) -> stability.Analysis
     return an
 
 
-def cmd_check(args) -> tuple[dict, list[str], int]:
-    an = _analyse(_load_game(args.game), args.tol)
-    code = _verdict_code(an)
+def cmd_check(args) -> tuple[dict, list[str], list[str], int]:
+    an = _analyse(gamefile.parse_game(args.game), args.tol)
     scaling = None if an.scaling is None else list(an.scaling.values)
     vstar = [list(v.chosen) for v in an.vstar]
     reports = {
@@ -153,11 +145,11 @@ def cmd_check(args) -> tuple[dict, list[str], int]:
     for name, rep in reports.items():
         status = "stable" if rep["stable"] else "unstable: " + "; ".join(rep["failures"])
         lines.append(f"  vertex {name}: {status}")
-    return payload, lines, code
+    return payload, lines, [], _verdict_code(an)
 
 
-def cmd_vertices(args) -> tuple[dict, list[str], int]:
-    an = _analyse(_load_game(args.game), args.tol)
+def cmd_vertices(args) -> tuple[dict, list[str], list[str], int]:
+    an = _analyse(gamefile.parse_game(args.game), args.tol)
     labels, ii, t = an.tensor
     payload, lines = {"vertices": []}, []
     for v, idx, m, edges in zip(labels, ii.tolist(), np.ldexp(t, an.unit[1]), an.pattern[0]):  # in the game's unit
@@ -172,11 +164,11 @@ def cmd_vertices(args) -> tuple[dict, list[str], int]:
         lines.append(f"  index set: {idx}")
         lines.extend("  " + row for row in _fmt_matrix(m))
         lines.append("  edges: " + (", ".join(str(tuple(e)) for e in entry["edges"]) or "none"))
-    return payload, lines, EXIT_OK
+    return payload, lines, [], EXIT_OK
 
 
-def cmd_reduce(args) -> tuple[dict, list[str], int]:
-    game = _load_game(args.game)
+def cmd_reduce(args) -> tuple[dict, list[str], list[str], int]:
+    game = gamefile.parse_game(args.game)
     _admitted(game, args.tol, "the reduction rules do not apply")
     red = reduction.run_to_fixpoint(game, tol=args.tol)
     rows = reduction.collapse_trace(red.final.trace)
@@ -202,19 +194,19 @@ def cmd_reduce(args) -> tuple[dict, list[str], int]:
     lines.append("colors: " + "  ".join(f"{i}:{c.symbol}" for i, c in enumerate(red.final.colors)))
     lines.append("links: " + (", ".join(str(tuple(l)) for l in sorted(red.final.links)) or "none"))
     lines.append(f"verdict: {red.verdict}")
-    return payload, lines, EXIT_OK
+    return payload, lines, [], EXIT_OK
 
 
-def cmd_collapse(args) -> tuple[dict, list[str], int]:
-    game = _load_game(args.game)
+def cmd_collapse(args) -> tuple[dict, list[str], list[str], int]:
+    game = gamefile.parse_game(args.game)
     if not _admitted(game, args.tol, "nothing to collapse").equilibria.interior_flag:
         raise _Refused(EXIT_NOT_DISSIPATIVE, "no interior equilibrium; the collapse is undefined")
     try:
         result = collapse_mod.hamiltonian_collapse(game, tol=args.tol)
-    except (RuntimeError, ValueError) as exc:  # admissible with an interior q: a refusal now is internal
+    except ValueError as exc:  # admissible with an interior q: a refusal now is internal
         raise _Refused(EXIT_CERTIFICATE, str(exc)) from None
     final = result.final_game
-    trivial = has_equal_row_blocks(final.gtype, final.payoff)  # equivalent to the zero game
+    trivial = has_equal_row_blocks(final.gtype, in_unit(final)[0].payoff)  # equivalent to the zero game
     payload = {
         "steps": [
             {
@@ -250,11 +242,11 @@ def cmd_collapse(args) -> tuple[dict, list[str], int]:
         lines.append("equivalent to the trivial game")
     if args.emit_game:  # before the report, so a write that fails leaves stdout empty
         gamefile.write_game(result.final_game, args.emit_game)
-    return payload, lines, EXIT_OK
+    return payload, lines, [], EXIT_OK
 
 
-def cmd_equilibrium(args) -> tuple[dict, list[str], int]:
-    game = _load_game(args.game)
+def cmd_equilibrium(args) -> tuple[dict, list[str], list[str], int]:
+    game = gamefile.parse_game(args.game)
     eq = interior_equilibria(game)
     payload = {
         "exists": eq.exists,
@@ -273,7 +265,18 @@ def cmd_equilibrium(args) -> tuple[dict, list[str], int]:
         lines.append(f"interior: {eq.interior_flag}")
         if eq.interior_point is not None:
             lines.append(f"interior point: {eq.interior_point}")
-    return payload, lines, EXIT_OK
+    return payload, lines, [], EXIT_OK
+
+
+def _numbers(option: str, text: str) -> list[float]:
+    """The numbers of a comma or space separated list; ValueError naming the option and the first bad token."""
+    vals = []
+    for tok in text.replace(",", " ").split():
+        try:
+            vals.append(float(tok))
+        except ValueError:
+            raise ValueError(f"cannot parse {option}: {tok!r} is not a number") from None
+    return vals
 
 
 def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
@@ -281,39 +284,36 @@ def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
     name, colon, own = spec.partition(":")
     if name == "random":
         if colon:
-            seed = int(own)  # default_rng refuses a negative one with a ValueError
+            try:
+                seed = _seed(own)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"cannot parse --x0: {exc}") from None
         elif seed is None:
             seed = _default_seed()
         rng = np.random.default_rng(seed)
         return random_prism_state(game.gtype, rng, clearable_floor(game.gtype, 0.02))
-    vals = [float(tok) for tok in spec.replace(",", " ").split()]
+    vals = _numbers("--x0", spec)
     if len(vals) != game.n:
         raise _Refused(EXIT_IO, f"x0 needs {game.n} coordinates")
     return np.array(vals)
 
 
-def cmd_simulate(args) -> tuple[dict, list[str], int]:
-    game = _load_game(args.game)
-    try:
-        x0 = _parse_x0(args.x0, game, args.seed)
-    except ValueError:
-        raise _Refused(EXIT_IO, "cannot parse --x0") from None
+def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
+    game = gamefile.parse_game(args.game)
+    x0 = _parse_x0(args.x0, game, args.seed)
     problems = check_prism_state(game.gtype, x0)
     if problems:
         raise _Refused(EXIT_IO, "--x0 is not a prism state: " + "; ".join(problems))
     an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
     if "gb" in args.monitors or "ratios" in args.monitors:  # past the vertex ceilings this exits before any step
-        an = _analyse(game, args.tol)
         monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
-    try:
-        traj = dynamics.integrate(game, x0, args.T, args.dt)
-    except ValueError as exc:
-        raise _Refused(EXIT_IO, str(exc)) from None
+    traj = dynamics.integrate(game, x0, args.T, args.dt)
+    notes = []
     # past dt max|a_ij| = 1 the step nears RK4's stability bound and the final state drifts
     step_scale = float(args.dt * np.max(np.abs(game.payoff)))
     if step_scale > 1:
-        print(f"note: step_scale dt*max|a_ij| = {step_scale:.3g} exceeds 1; "
-              "the final state is not to be trusted, take a smaller --dt", file=sys.stderr)
+        notes.append(f"step_scale dt*max|a_ij| = {step_scale:.3g} exceeds 1; "
+                     "the final state is not to be trusted, take a smaller --dt")
 
     names: list[str] = []
     columns: list[np.ndarray] = []
@@ -323,14 +323,14 @@ def cmd_simulate(args) -> tuple[dict, list[str], int]:
             names.append("h")
             columns.append(dynamics.lyapunov_h(game, an.equilibria.particular, an.scaling, traj.states))
         else:
-            print("note: h monitor skipped (needs equilibrium, certificate, interior orbit)", file=sys.stderr)
+            notes.append("h monitor skipped (needs equilibrium, certificate, interior orbit)")
     if "gb" in args.monitors:
         if positive:
             for k, g in enumerate(dynamics.first_integrals(game, monitor_vertex)):
                 names.append(f"g{k}")
                 columns.append(np.log(traj.states) @ g.coefficients)
         else:
-            print("note: gb monitors skipped (orbit touches the boundary)", file=sys.stderr)
+            notes.append("gb monitors skipped (orbit touches the boundary)")
     if "ratios" in args.monitors:
         for i in monitor_vertex.support(game.gtype):
             j = monitor_vertex.partner(game.gtype, i)
@@ -368,22 +368,17 @@ def cmd_simulate(args) -> tuple[dict, list[str], int]:
     ]
     for name, col in zip(names, columns):
         lines.append(f"monitor {name}: first {col[0]:.9g} last {col[-1]:.9g}")
-    return summary, lines, EXIT_OK
+    return summary, lines, notes, EXIT_OK
 
 
-def cmd_lv2rep(args) -> tuple[dict, list[str], int]:
-    try:  # a GameFileError is a ValueError
-        a = gamefile.parse_matrix(args.A)
-        r = np.array([float(tok) for tok in args.r.replace(",", " ").split()])
-        lv = dynamics.LVSystem(a, r)
-    except ValueError as exc:
-        raise _Refused(EXIT_IO, str(exc)) from None
+def cmd_lv2rep(args) -> tuple[dict, list[str], list[str], int]:
+    lv = dynamics.LVSystem(gamefile.parse_matrix(args.A), np.array(_numbers("--r", args.r)))
     game = dynamics.lv_to_replicator(lv)
     if args.emit_game:
         gamefile.write_game(game, args.emit_game)
     payload = {"type": list(game.gtype.sizes), "payoff": game.payoff.tolist()}
     lines = [f"compactified game type: {game.gtype}"] + _fmt_matrix(game.payoff)
-    return payload, lines, EXIT_OK
+    return payload, lines, [], EXIT_OK
 
 
 def _number(text: str) -> float:
@@ -505,11 +500,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, a verdict code here
         return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
-        payload, lines, code = args.func(args)
+        payload, lines, notes, code = args.func(args)
+        for note in notes:
+            print(f"note: {note}", file=sys.stderr)
         _emit(args, payload, lines)
-    except (_Refused, OSError) as exc:  # an OSError: a file that cannot be read or written, whichever command
+    except (_Refused, OSError, ValueError, RuntimeError) as exc:  # OSError: a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, _Refused) else EXIT_IO
+        if isinstance(exc, _Refused):
+            return exc.code
+        return EXIT_CERTIFICATE if isinstance(exc, RuntimeError) else EXIT_IO
     return code
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -312,6 +313,22 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert sum(map(len, options.values())) == 23
 
 
+def test_only_main_and_emit_write_to_the_terminal():
+    # a command returns its report and its notes; main writes them, so a refusal prints its error line alone
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("main", "_emit")]
+    inside = {id(node) for f in writers for node in ast.walk(f)}
+    writes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in inside
+        and (isinstance(node, ast.Name) and node.id == "print"
+             or isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+             and isinstance(node.value, ast.Name) and node.value.id == "sys")
+    ]
+    assert len(writers) == 2 and writes == []
+
+
 class TestNoFormalEquilibrium:
     """Strategy 0 always earns 1 more than strategy 1: no formal equilibrium."""
 
@@ -549,6 +566,14 @@ class TestPayoffUnit:
         assert code == EXIT_OK and vertex["label"] == [0, 2]
         assert (vertex["matrix"], vertex["edges"]) == ([[0.0, 0.0], [0.0, 0.0]], [])
 
+    @pytest.mark.parametrize("j", [-60, 0, 60])
+    def test_equivalent_to_trivial_in_the_cores_unit(self, capsys, tmp_path, j):
+        # rock-paper-scissors is its own core; at 2**-60 every entry is below PAYOFF_TOL, once read as trivial
+        path = tmp_path / "rps.txt"
+        write_game(PolymatrixGame(GameType((3,)), np.ldexp([[0, -1, 1], [1, 0, -1], [-1, 1, 0]], j)), path)
+        code, out, _ = run(capsys, "collapse", str(path), "--format", "json")
+        assert (code, json.loads(out)["equivalent_to_trivial"]) == (EXIT_OK, False)
+
 
 class TestEquilibrium:
     def test_example(self, capsys, example_path):
@@ -754,11 +779,16 @@ REFUSALS = [
     pytest.param(["collapse", "{d}/boundary.txt"], None, EXIT_NOT_DISSIPATIVE,
                  "error: no interior equilibrium; the collapse is undefined\n", id="collapse-no-interior"),
     pytest.param(["collapse", "{ex}", "--emit-game", "{d}"], None, EXIT_IO, IS_DIR, id="collapse-emit-directory"),
+    pytest.param(["collapse", "{d}/grow.txt", "--emit-game", "{d}/core.txt"], None, EXIT_IO,
+                 "error: payoff entry (0, 0) = -1.6e+300 exceeds 1e+300 in magnitude\n", id="collapse-emit-range"),
     pytest.param(["collapse", "{ex}", "--emit-game", "{d}/none/g.txt"], None, EXIT_IO,
                  NO_FILE.replace("{name}", "none/g.txt"), id="collapse-emit-missing-directory"),
-    pytest.param([*SIMULATE, "--x0", "abc"], None, EXIT_IO, "error: cannot parse --x0\n", id="x0-words"),
-    pytest.param([*SIMULATE, "--x0", "random:x"], None, EXIT_IO, "error: cannot parse --x0\n", id="x0-seed-words"),
-    pytest.param([*SIMULATE, "--x0", "random:-3"], None, EXIT_IO, "error: cannot parse --x0\n", id="x0-seed-negative"),
+    pytest.param([*SIMULATE, "--x0", "0.2,0.3,abc,0.5,0.5"], None, EXIT_IO,
+                 "error: cannot parse --x0: 'abc' is not a number\n", id="x0-words"),
+    pytest.param([*SIMULATE, "--x0", "random:x"], None, EXIT_IO,
+                 "error: cannot parse --x0: expected an integer >= 0, got 'x'\n", id="x0-seed-words"),
+    pytest.param([*SIMULATE, "--x0", "random:-3"], None, EXIT_IO,
+                 "error: cannot parse --x0: expected an integer >= 0, got '-3'\n", id="x0-seed-negative"),
     pytest.param([*SIMULATE, "--x0", "0.5,0.5"], None, EXIT_IO, "error: x0 needs 5 coordinates\n", id="x0-length"),
     pytest.param([*SIMULATE, "--x0", "0.5,0.5,0,2,-1"], None, EXIT_IO,
                  "error: --x0 is not a prism state: negative coordinate -1.0\n", id="x0-off-the-prism"),
@@ -769,7 +799,7 @@ REFUSALS = [
     pytest.param([*SIMULATE, "--csv", "{d}/none/run.csv"], None, EXIT_IO,
                  NO_FILE.replace("{name}", "none/run.csv"), id="csv-missing-directory"),
     pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,abc"], None, EXIT_IO,
-                 "error: could not convert string to float: 'abc'\n", id="lv2rep-r"),
+                 "error: cannot parse --r: 'abc' is not a number\n", id="lv2rep-r"),
     pytest.param(["lv2rep", "--A", "{d}/a_nan.txt", "--r", "1,-1"], None, EXIT_IO,
                  "error: A and r must be finite and at most 1e+300 in magnitude\n", id="lv2rep-A"),
     pytest.param(["lv2rep", "--A", "{d}/missing.txt", "--r", "1,-1"], None, EXIT_IO,
@@ -786,6 +816,9 @@ REFUSAL_FILES = {
     "boundary.txt": "type: 2\n-1 0\n0 0\n",  # admissible, its only equilibrium (0, 1)
     "a.txt": "0 -1\n1 0\n",
     "a_nan.txt": "0 nan\n1 0\n",
+    # an admissible integer game times 3e299: it parses, but its core's largest entry is 16/9 of the game's
+    "grow.txt": "type: 2 2\n9e299 6e299 -9e299 -6e299\n9e299 3e299 6e299 -6e299\n"
+                "-9e299 0 3e299 9e299\n-9e299 9e299 0 6e299\n",
 }
 
 
@@ -795,11 +828,11 @@ def filled(argv: list, **fill) -> list:
 
 
 class TestRefusals:
-    """Every refusal is one `error:` line on stderr, nothing on stdout, and its exit code.
+    """Every refusal is one `error:` line on stderr, nothing on stdout, no file written, and its exit code.
 
-    Two need more than an input file and are pinned where they are set
-    up: collapse's internal failure (exit 4) in TestCollapse, and the
-    history ceiling in TestIntegrationLimits.
+    Three need more than an input file: a RuntimeError from the rule
+    engine (exit 4) below, collapse's internal failure (exit 4) in
+    TestCollapse, and the history ceiling in TestIntegrationLimits.
     """
 
     @pytest.fixture()
@@ -816,6 +849,15 @@ class TestRefusals:
             monkeypatch.setenv("POLYREP_SEED", env_seed)
         fill = {"d": str(refusal_dir), "ex": example_path}
         assert run(capsys, *filled(argv, **fill)) == (code, "", err.format(**fill))
+        assert sorted(p.name for p in refusal_dir.iterdir()) == sorted(REFUSAL_FILES)
+
+    def test_a_runtime_error_is_an_internal_failure(self, capsys, monkeypatch, example_path):
+        def fail(*args, **kwargs):
+            raise RuntimeError("rule applications exceeded the monotonicity budget")
+
+        monkeypatch.setattr(cli.reduction, "run_to_fixpoint", fail)
+        err = "error: rule applications exceeded the monotonicity budget\n"
+        assert run(capsys, "reduce", example_path) == (EXIT_CERTIFICATE, "", err)
 
     @pytest.mark.parametrize("command", [*ANALYSES, ["lv2rep", "--r", "1,-1", "--A"]], ids=lambda c: c[0])
     def test_a_file_that_is_not_utf8(self, capsys, tmp_path, command):
@@ -826,7 +868,8 @@ class TestRefusals:
     @pytest.mark.parametrize("spec", ["randomly", "random-3", "random 3"])
     def test_x0_is_random_or_random_seed(self, capsys, example_path, spec):
         argv = filled(SIMULATE, ex=example_path)
-        assert run(capsys, *argv, "--x0", spec) == (EXIT_IO, "", "error: cannot parse --x0\n")
+        err = f"error: cannot parse --x0: {spec.split()[0]!r} is not a number\n"
+        assert run(capsys, *argv, "--x0", spec) == (EXIT_IO, "", err)
 
     def test_a_negative_seed_is_a_usage_error(self, capsys, example_path):
         code, out, err = run(capsys, *filled(SIMULATE, ex=example_path), "--seed", "-3")

@@ -22,6 +22,12 @@ proof, and the formal equilibrium, stay the same bits, and the outputs
 in the game's unit (the vertex matrices, the collapsed payoff) are
 exactly 2**j times the unscaled ones.
 
+Scaling the payoff's columns by a positive group diagonal C multiplies
+every vertex matrix M by a positive diagonal on the right, and M is
+stably dissipative exactly when M C is, so the stable vertices stay as
+they were.  Whether a certificate exists is left out: the scaled game
+may have no formal equilibrium.
+
 Adding a matrix whose blocks have equal rows changes no vertex matrix
 in exact arithmetic.  In floats the vertex matrices then carry its
 rounding, so the kind and the stable vertices are asserted up to
@@ -35,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -203,3 +210,18 @@ def test_equal_row_blocks_change_no_verdict(sizes, kind, seed, magnitude):
     c *= magnitude * np.abs(game.payoff).max() / np.abs(c).max()
     an, am = Analysis(game), Analysis(PolymatrixGame(game.gtype, game.payoff + c))
     assert (am.kind, am.vstar) == (an.kind, an.vstar)
+
+
+@pytest.mark.xfail(strict=True, reason="defect N: the skew test tries d = 1 only, which the scaling moves")
+def test_column_scaling_keeps_the_stable_vertices():
+    # 40 games each of five types, rng seed 1: V* changes in 24 of them while defect N stands
+    rng = np.random.default_rng(1)
+    moved = []
+    for sizes in [(3, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 5]:
+        for k in range(40):
+            game = make_dissipative_game(GameType(sizes), rng)[0]
+            c = 10.0 ** rng.uniform(-1, 1, game.gtype.p)
+            scaled = PolymatrixGame(game.gtype, game.payoff * c[game.gtype.groups])
+            if Analysis(scaled).vstar != Analysis(game).vstar:
+                moved.append((sizes, k))
+    assert moved == []

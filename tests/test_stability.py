@@ -523,6 +523,36 @@ class TestAdmissible:
         assert not ok
 
 
+def _defect_n_game() -> PolymatrixGame:
+    """With rng seed 5, three dissipative draws at (3,2), three at (3,3), then the third at (2,2,2)."""
+    rng = np.random.default_rng(5)
+    for sizes in [(3, 2)] * 3 + [(3, 3)] * 3 + [(2, 2, 2)] * 3:
+        game = make_dissipative_game(GameType(sizes), rng)[0]
+    return game
+
+
+class TestDefectN:
+    """The skew test fixes each component's free scalar at 1, so it misses vertices another D makes stable.
+
+    The fixture is certified, and each of its 8 vertices passes the cycle
+    test and fails the skew test at d = 1.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="defect N: the skew test tries d = 1 only")
+    def test_the_fixture_is_admissible(self):
+        assert Analysis(_defect_n_game()).admissible
+
+    def test_the_witness_scaling(self):
+        # vertex (0, 2, 4) in the unit game: Sym(M) is not negative definite, Sym(M D) is
+        an = Analysis(_defect_n_game())
+        labels, _, t = an.tensor
+        [m] = [t[r] for r, v in enumerate(labels) if v.chosen == (0, 2, 4)]
+        npt.assert_allclose(np.linalg.eigvalsh(_sym(m)), [-1.287, -0.671, 0.025], atol=1e-3)
+        d = np.diag([1.0, 0.853, 1.231])
+        npt.assert_allclose(np.linalg.eigvalsh(_sym(m @ d)), [-0.980, -0.607, -0.296], atol=1e-3)
+        assert an.kind == DISSIPATIVE
+
+
 class TestKernelDuality:
     def test_skew_identity(self):
         rng = np.random.default_rng(41)
