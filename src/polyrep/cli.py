@@ -358,6 +358,7 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
             name: {"first": float(col[0]), "last": float(col[-1])}
             for name, col in zip(names, columns)
         },
+        "notes": notes,
     }
     lines = [
         f"integrated {summary['steps']} steps, ok={traj.ok}",

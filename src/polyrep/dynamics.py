@@ -47,18 +47,21 @@ class Trajectory:
         return self.states[-1]
 
 
-def _half_increment(y, half_at, same, ay, avg, g, dot=np.dot, multiply=np.multiply, subtract=np.subtract):
-    """g = (dt/2) f(y) for half_at = (dt/2) A^T, in five calls into the buffers ay, avg, g.
+def _half_increment(y, half_a, same, ay, avg, g, dot=np.dot, multiply=np.multiply, subtract=np.subtract):
+    """g = (dt/2) f(y) for half_a = (dt/2) A, in five calls into the buffers ay, avg, g.
 
-    The rule of vector_field, payoffs less group averages through
-    same = ind^T ind, with the payoff scaled beforehand.  The
-    dispatchers are bound defaults and out is passed positionally: on a
-    single start the arrays are tiny and numpy's per-call overhead is
-    most of the step, so lookups and keywords are a visible share.
+    Every array is strategy-major, (n, m): one row per strategy and one
+    column per start, so each product is one (n, n) x (n, m) BLAS call
+    over all the starts.  The rule of vector_field, payoffs less group
+    averages through same = ind^T ind, with the payoff scaled
+    beforehand.  The dispatchers are bound defaults and out is passed
+    positionally: on a single start the arrays are tiny and numpy's
+    per-call overhead is most of the step, so lookups and keywords are a
+    visible share.
     """
-    dot(y, half_at, ay)
+    dot(half_a, y, ay)
     multiply(y, ay, g)
-    dot(g, same, avg)
+    dot(same, g, avg)
     subtract(ay, avg, ay)
     multiply(y, ay, g)
 
@@ -88,32 +91,38 @@ def _rk4_paths(
     history would hold more than MAX_HISTORY state entries.
 
     Classical RK4 on the increments G = (dt/2) f: a stage is five calls
-    into buffers allocated once per call, and x, G1..G4 share one
-    (5, m, n) buffer.  So the fourth stage's input x + 2 G3 is one
-    product of (1, 0, 0, 2) with the first four rows, which never reads
-    the stale G4, and the step is one weighted sum over all five.  After
-    it each group is clipped at zero and renormalized.  The numpy
+    into buffers allocated once per call.  Every stage buffer is
+    strategy-major, (n, m), one row per strategy and one column per
+    start, so each product is one (n, n) x (n, m) BLAS call over all the
+    starts; BLAS is slow on the (m, n) x (n, n) shape with m long rows of
+    a few entries.  x, G1..G4 share one (5, n, m) buffer, so the fourth
+    stage's input x + 2 G3 is one product of (1, 0, 0, 2) with the first
+    four rows, which never reads the stale G4, and the step is one
+    weighted sum over all five.  After it each group is clipped at zero
+    and renormalized through the (p, m) group sums.  The numpy
     dispatchers are bound once per call and take out positionally
-    (np.maximum by keyword, where a positional out is deprecated), and
-    BLAS gets C-contiguous copies of (dt/2) A^T and ind^T rather than
-    transposed views.  The history is kept time-major, in (steps+1, m, n)
-    and (steps+1, m) buffers, so a step writes one contiguous block; the
-    returned arrays are their transposed views.  A single start's states
-    are therefore contiguous, and a batch run's states are a strided
-    view of the shared buffer.  Each step leaves its group sums in one
-    row of a block buffer of _DRIFT_BLOCK doubles, and the drift, the
-    largest |sum - 1| of each state, is computed for the whole block
-    when it ends.
+    (np.maximum by keyword, where a positional out is deprecated).
+    (dt/2) A, same = ind^T ind and ind are held in Fortran order, and
+    ind^T is the transposed view of ind: on a single start each product
+    is then the same gemv call, and gives the same bits, as with the
+    start held as a (1, n) row.  The history is kept time-major, in
+    (steps+1, m, n) and (steps+1, m) buffers, written once per step by
+    one transposing copy of x; the returned arrays are their transposed
+    views.  A single start's states are therefore contiguous, and a
+    batch run's states are a strided view of the shared buffer.  Each
+    step leaves its group sums in one slot of a block buffer of
+    _DRIFT_BLOCK doubles, and the drift, the largest |sum - 1| of each
+    state, is computed for the whole block when it ends.
 
     The loop makes no finiteness check: a non-finite state holds a NaN
     after the renormalization (0/0 or inf/inf), the next payoff product
-    carries it to every coordinate of the row, and it stays there.  So
-    each run aborts on its own, and `kept` is read off the stored
-    samples of the runs whose last state is not finite.  A batch in
-    which every run aborts therefore still runs all its steps.
+    carries it to every coordinate of the run's column, and it stays
+    there.  So each run aborts on its own, and `kept` is read off the
+    stored samples of the runs whose last state is not finite.  A batch
+    in which every run aborts therefore still runs all its steps.
 
-    Batches and single starts agree to rounding, not bitwise: the BLAS
-    products sum in an order that depends on the batch shape.
+    Batches and single starts agree to rounding (1e-12), not bitwise:
+    the BLAS products sum in an order that depends on the batch shape.
     """
     gt = game.gtype
     if x0.ndim != 2 or x0.shape[1] != gt.n:
@@ -126,19 +135,21 @@ def _rk4_paths(
             "take fewer steps or starts"
         )
     ind = gt.indicator()
-    same = ind.T @ ind  # 1 where two strategies share a group
-    half_at = np.ascontiguousarray(0.5 * dt * game.payoff.T)
-    ind_t = np.ascontiguousarray(ind.T)
+    # the memory of (dt/2) A, same and ind is that of the C-contiguous
+    # (dt/2) A^T, same and ind^T that a (1, n) row is multiplied with
+    half_a = np.asfortranarray(0.5 * dt * game.payoff)
+    same = np.asfortranarray(ind.T @ ind)  # 1 where two strategies share a group
+    ind_f = np.asfortranarray(ind)
     out = np.empty((steps + 1, m, gt.n))
     drift = np.zeros((steps + 1, m))
-    stack = np.empty((5, m, gt.n))
+    stack = np.empty((5, gt.n, m))
     x, g1, g2, g3, g4 = stack
-    y, ay, avg = np.empty((3, m, gt.n))
+    y, ay, avg = np.empty((3, gt.n, m))
     stages, y_flat = stack.reshape(5, -1), y.reshape(-1)
     head = stages[:4]
-    block = np.empty((max(1, min(steps, _DRIFT_BLOCK // max(1, m * gt.p))), m, gt.p))
-    x[:] = x0
-    out[0] = x
+    block = np.empty((max(1, min(steps, _DRIFT_BLOCK // max(1, m * gt.p))), gt.p, m))
+    x[:] = x0.T
+    out[0] = x0
     half, dot, add, maximum, divide = _half_increment, np.dot, np.add, np.maximum, np.divide
     w4, w = _STAGE4_WEIGHTS, _RK4_WEIGHTS
     # a run that goes non-finite is reported through kept, not as a warning
@@ -146,25 +157,25 @@ def _rk4_paths(
         for first in range(1, steps + 1, len(block)):
             sums_block = block[: steps + 1 - first]
             for k, sums in enumerate(sums_block, first):
-                half(x, half_at, same, ay, avg, g1)
+                half(x, half_a, same, ay, avg, g1)
                 add(x, g1, y)
-                half(y, half_at, same, ay, avg, g2)
+                half(y, half_a, same, ay, avg, g2)
                 add(x, g2, y)
-                half(y, half_at, same, ay, avg, g3)
+                half(y, half_a, same, ay, avg, g3)
                 dot(w4, head, y_flat)
-                half(y, half_at, same, ay, avg, g4)
+                half(y, half_a, same, ay, avg, g4)
                 dot(w, stages, y_flat)
                 maximum(y, 0.0, out=y)
-                dot(y, ind_t, sums)
-                dot(sums, ind, ay)
+                dot(ind_f, y, sums)
+                dot(ind.T, sums, ay)
                 divide(y, ay, x)
-                out[k] = x
+                out[k] = x.T
             np.subtract(sums_block, 1.0, out=sums_block)
             np.abs(sums_block, out=sums_block)
-            np.maximum.reduce(sums_block, axis=2, out=drift[first : first + len(sums_block)])
+            np.maximum.reduce(sums_block, axis=1, out=drift[first : first + len(sums_block)])
     kept = np.full(m, steps + 1)
     if steps:
-        for i in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+        for i in np.flatnonzero(~np.isfinite(x).all(axis=0)):
             kept[i] = 1 + np.argmin(np.isfinite(out[1:, i]).all(axis=1))
     return out.transpose(1, 0, 2), drift.T, kept
 
@@ -215,15 +226,15 @@ def integrate_batch(
 def lyapunov_h(
     game: PolymatrixGame, q: np.ndarray, d: DiagonalScaling, x: np.ndarray
 ) -> float | np.ndarray:
-    """-sum_i q_i/d_i log x_i; rejects states touching the boundary.
+    """-sum_i q_i/d_i log x_i; rejects states touching the boundary or not finite.
 
     Nonincreasing along trajectories of a certified dissipative pair
     (q, d); constant when the certificate is conservative.  Accepts
     batches shaped (..., n).
     """
     x = np.asarray(x, dtype=float)
-    if np.min(x) <= 0:
-        raise ValueError("the Lyapunov function is undefined off the open interior")
+    if not (np.min(x) > 0 and np.max(x) < np.inf):  # a NaN fails both comparisons
+        raise ValueError("the Lyapunov function is undefined off the open interior and at non-finite states")
     w = np.asarray(q, dtype=float) / d.expand(game.gtype)
     val = -np.log(x) @ w
     return float(val) if val.ndim == 0 else val
@@ -253,8 +264,8 @@ class FirstIntegral:
 
     def __call__(self, x: np.ndarray) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.min(x) < LOG_FLOOR:
-            raise ValueError("state too close to the boundary for log monitors")
+        if not (np.min(x) >= LOG_FLOOR and np.max(x) < np.inf):  # a NaN fails both comparisons
+            raise ValueError("state too close to the boundary, or not finite, for log monitors")
         val = np.log(x) @ self.coefficients
         return float(val) if val.ndim == 0 else val
 

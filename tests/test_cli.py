@@ -669,6 +669,35 @@ class TestSimulate:
         assert data["step_scale"] == pytest.approx(1.1)
         assert err.startswith("note: step_scale dt*max|a_ij| = 1.1 exceeds 1")
 
+    @pytest.mark.parametrize(
+        "extra, notes",
+        [
+            ([], []),
+            (
+                ["--x0", "0,0.5,0.5,0.5,0.5"],
+                [
+                    "h monitor skipped (needs equilibrium, certificate, interior orbit)",
+                    "gb monitors skipped (orbit touches the boundary)",
+                ],
+            ),
+            (
+                ["--dt=0.1"],
+                [
+                    "step_scale dt*max|a_ij| = 1.1 exceeds 1; "
+                    "the final state is not to be trusted, take a smaller --dt"
+                ],
+            ),
+        ],
+        ids=["none", "face", "step-scale"],
+    )
+    def test_json_notes_are_the_stderr_notes(self, capsys, example_path, extra, notes):
+        code, out, err = run(capsys, "simulate", "--game", example_path, "--T=0.5", *extra, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["notes"] == notes
+        assert err == "".join(f"note: {note}\n" for note in notes)
+        _, _, text_err = run(capsys, "simulate", "--game", example_path, "--T=0.5", *extra)
+        assert text_err == err
+
     @pytest.mark.parametrize("extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"]])
     def test_bad_duration_or_step_exits_1(self, capsys, example_path, extra):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random:1", *extra)

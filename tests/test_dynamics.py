@@ -67,6 +67,46 @@ class TestIntegrate:
             single = integrate(example_game, starts[k], T=1.0, dt=0.01)
             npt.assert_allclose(batch[k].states, single.states, atol=1e-12)
 
+    def test_batch_matches_single_at_the_benchmark_shape(self, example_game):
+        # 500 starts on a (3,2)x4 sum (n = 20) over 1000 steps: long BLAS
+        # rows over the starts, which three starts never reach
+        rng = np.random.default_rng(64)
+        gt = GameType((3, 2) * 4)
+        payoff = np.zeros((gt.n, gt.n))
+        for j in range(4):
+            payoff[5 * j : 5 * j + 5, 5 * j : 5 * j + 5] = rng.integers(1, 4) * example_game.payoff
+        for a in range(gt.p):  # equal-row blocks change nothing the flow sees
+            payoff[gt.group_indices(a), :] += rng.integers(-3, 4, gt.n)
+        game = PolymatrixGame(gt, payoff)
+        starts = np.array([rejection_prism_state(gt, rng, 0.02) for _ in range(500)])
+        batch = integrate_batch(game, starts, T=10.0, dt=0.01)
+        assert all(tr.ok for tr in batch)
+        for k in rng.choice(len(starts), 5, replace=False):
+            single = integrate(game, starts[k], T=10.0, dt=0.01)
+            npt.assert_allclose(batch[k].states, single.states, rtol=0, atol=1e-12)
+            npt.assert_allclose(batch[k].renorm_drift, single.renorm_drift, rtol=0, atol=1e-12)
+
+    def test_a_single_start_is_contiguous(self, example_game):
+        traj = integrate(example_game, np.array([0.2, 0.3, 0.5, 0.4, 0.6]), T=0.5, dt=0.01)
+        assert traj.states.shape == (51, 5)
+        assert traj.states.flags.c_contiguous
+        assert traj.states.strides == (8 * 5, 8)
+
+    def test_a_batch_shares_one_time_major_history(self, example_game):
+        rng = np.random.default_rng(65)
+        starts = np.array([random_prism_state(example_game.gtype, rng) for _ in range(3)])
+        trajs = integrate_batch(example_game, starts, T=0.5, dt=0.01)
+        assert len({id(tr.states.base) for tr in trajs}) == 1
+        assert len({id(tr.times.base) for tr in trajs}) == 1
+        for tr, start in zip(trajs, starts):
+            assert tr.states.shape == (51, 5)
+            assert tr.states.strides == (8 * 3 * 5, 8)
+            npt.assert_array_equal(tr.states[0], start)
+            assert not tr.times.flags.writeable and not tr.times.base.flags.writeable
+
+    def test_an_empty_batch_is_empty(self, example_game):
+        assert integrate_batch(example_game, np.empty((0, 5)), T=0.5, dt=0.01) == []
+
     def test_one_flat_start_is_refused_by_the_batch(self, example_game):
         # a 1-D start would broadcast into n rows: n runs for one start
         with pytest.raises(ValueError, match=r"shape \(m, 5\)"):
@@ -138,8 +178,14 @@ class TestLyapunov:
             assert lyapunov_h(example_game, example_q, ID2, x) >= hq - 1e-9
 
     def test_rejects_boundary(self, example_game, example_q):
-        with pytest.raises(ValueError):
-            lyapunov_h(example_game, example_q, ID2, np.array([0.0, 0.5, 0.5, 0.5, 0.5]))
+        # a NaN passes a comparison with the floor, and an inf has a log
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="undefined off the open interior and at non-finite states"):
+                lyapunov_h(example_game, example_q, ID2, np.array([bad, 0.5, 0.5, 0.5, 0.5]))
+            states = np.tile(example_q, (3, 1))
+            states[1, 2] = bad
+            with pytest.raises(ValueError):
+                lyapunov_h(example_game, example_q, ID2, states)
 
 
 class TestHDerivative:
@@ -187,6 +233,16 @@ class TestFirstIntegrals:
         traj = integrate(example_game, x0, T=100.0, dt=0.01)
         series = fi(traj.states)
         assert np.max(np.abs(series - series[0])) <= 1e-6
+
+    def test_rejects_boundary(self, example_game, example_q):
+        fi = first_integrals(example_game, enumerate_vertices(example_game.gtype)[0])[0]
+        for bad in (0.0, np.nan, np.inf):
+            x = example_q.copy()
+            x[1] = bad
+            with pytest.raises(ValueError, match="too close to the boundary, or not finite"):
+                fi(x)
+            with pytest.raises(ValueError):
+                fi(np.array([example_q, x]))
 
     def test_zero_game_conserves_all_ratios(self):
         zero = PolymatrixGame(GameType((2, 2)), np.zeros((4, 4)))

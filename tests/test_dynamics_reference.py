@@ -1,12 +1,22 @@
 """The buffered RK4 kernel against the reference loops.
 
 dynamics._rk4_paths writes (dt/2)-scaled increments into preallocated
-buffers and finds aborted runs after the loop; reference_dynamics keeps
-the whole-vector loop it replaced.  On every batch both must keep the
-same samples per run, and the states and drifts must agree to 1e-12.
-Against reference_dynamics.buffered_rk4_paths, the same arithmetic with
-a run-major history and the drift made every step, they must agree bit
-for bit, and so must a run restarted from one of its own states.
+strategy-major (n, m) buffers, one column per start, so each stage
+product is one (n, n) x (n, m) BLAS call; it keeps a time-major history
+written by one transposing copy per step, and finds aborted runs after
+the loop.  reference_dynamics keeps the whole-vector loop on (m, n)
+rows that it replaced.  On every batch both must keep the same samples
+per run, and the states and drifts must agree to 1e-12, not bitwise,
+since the products sum in an order that depends on the operand layout.
+Against reference_dynamics.buffered_rk4_paths, the same strategy-major
+arithmetic with a run-major history and the drift made every step, they
+must agree bit for bit, and so must a run restarted from one of its own
+states.  A single start must also agree bit for bit with
+reference_dynamics.row_rk4_path, the same loop on a (1, n) row: the
+kernel's Fortran-ordered operands make numpy call the same gemv, so a
+single start's output does not depend on the layout.  Each increment is
+checked against vector_field on the transposed stage, g.T against
+(dt/2) f(y.T).
 
 The payoffs stay within |a_ij| <= 5, so dt * |A| <= 0.5 even at
 dt = 0.1: inside RK4's stability region.  Far outside it (dt * |A| near
@@ -64,9 +74,9 @@ def _checked_increment(game, dt, seen):
     """_half_increment, asserting each increment is (dt/2) vector_field to rounding."""
     half_increment = dynamics._half_increment
 
-    def check(y, half_at, same, ay, avg, g):
-        half_increment(y, half_at, same, ay, avg, g)
-        npt.assert_allclose(g, 0.5 * dt * vector_field(game, y), rtol=0, atol=1e-13 * dt * PAYOFF_BOUND)
+    def check(y, half_a, same, ay, avg, g):
+        half_increment(y, half_a, same, ay, avg, g)
+        npt.assert_allclose(g.T, 0.5 * dt * vector_field(game, y.T), rtol=0, atol=1e-13 * dt * PAYOFF_BOUND)
         seen.append(1)
 
     return check
@@ -144,6 +154,26 @@ def test_kernel_is_the_buffered_loop_bit_for_bit(sizes, integer, faces, bad, dt,
     npt.assert_array_equal(kept, ref_kept)
     npt.assert_array_equal(states, ref_states)
     npt.assert_array_equal(drift, ref_drift)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=1, max_size=5).map(tuple),
+    integer=st.booleans(),
+    face=st.booleans(),
+    bad=st.sampled_from(BAD_ROWS),
+    dt=st.sampled_from([0.001, 0.01, 0.1]),
+    steps=st.integers(0, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=(3, 2), integer=True, face=False, bad="none", dt=0.01, steps=100, seed=0)
+def test_a_single_start_is_the_row_loop_bit_for_bit(sizes, integer, face, bad, dt, steps, seed):
+    # strategy-major on one start makes the gemv calls of a (1, n) row
+    game, x0 = _batch(sizes, integer, [face], bad, seed)
+    states, drift, _ = dynamics._rk4_paths(game, x0[:1], steps, dt)
+    ref_states, ref_drift = ref.row_rk4_path(game, x0[0], steps, dt)
+    npt.assert_array_equal(states[0], ref_states)
+    npt.assert_array_equal(drift[0], ref_drift)
 
 
 RESTART_SIZES = (2,) * 16  # 16 groups keep the block of a single start at 4096 steps
