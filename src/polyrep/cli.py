@@ -20,7 +20,6 @@ import csv
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -51,18 +50,6 @@ class _Refused(Exception):
     def __init__(self, code: int, text: str):
         super().__init__(text)
         self.code = code
-
-
-def _default_seed() -> int:
-    """The seed when --seed gives none: POLYREP_SEED, read when a command needs it, else 0."""
-    text = os.environ.get("POLYREP_SEED", "0")
-    try:
-        seed = int(text)
-    except ValueError:
-        raise _Refused(EXIT_IO, f"POLYREP_SEED must be an integer, got {text!r}") from None
-    if seed < 0:
-        raise _Refused(EXIT_IO, f"POLYREP_SEED must be >= 0, got {text!r}")
-    return seed
 
 
 def _fmt_matrix(m: np.ndarray) -> list[str]:
@@ -279,18 +266,15 @@ def _numbers(option: str, text: str) -> list[float]:
     return vals
 
 
-def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
+def _parse_x0(spec: str, game: PolymatrixGame) -> np.ndarray:
     """The start --x0 spells: `random`, `random:SEED` or a list of game.n numbers; ValueError if none."""
-    name, colon, own = spec.partition(":")
+    name, colon, seed = spec.partition(":")
     if name == "random":
-        if colon:
-            try:
-                seed = _seed(own)
-            except argparse.ArgumentTypeError as exc:
-                raise ValueError(f"cannot parse --x0: {exc}") from None
-        elif seed is None:
-            seed = _default_seed()
-        rng = np.random.default_rng(seed)
+        if not colon:
+            seed = "0"
+        elif not (seed.isascii() and seed.isdigit()):
+            raise ValueError(f"cannot parse --x0: expected an integer >= 0, got {seed!r}")
+        rng = np.random.default_rng(int(seed))
         return random_prism_state(game.gtype, rng, clearable_floor(game.gtype, 0.02))
     vals = _numbers("--x0", spec)
     if len(vals) != game.n:
@@ -300,7 +284,7 @@ def _parse_x0(spec: str, game: PolymatrixGame, seed: int | None) -> np.ndarray:
 
 def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
     game = gamefile.parse_game(args.game)
-    x0 = _parse_x0(args.x0, game, args.seed)
+    x0 = _parse_x0(args.x0, game)
     problems = check_prism_state(game.gtype, x0)
     if problems:
         raise _Refused(EXIT_IO, "--x0 is not a prism state: " + "; ".join(problems))
@@ -398,13 +382,6 @@ def _nonnegative(text: str) -> float:
     return x
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer >= 0, in decimal digits."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
-
-
 def _positive(text: str) -> float:
     """A --dt value: a finite number > 0."""
     x = _number(text)
@@ -465,10 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="integrate the flow with monitors")
     _add_common(p, game_positional=False)
-    p.add_argument("--seed", type=_seed, default=None,
-                   help="seed of a random start without its own (default: POLYREP_SEED, else 0)")
     p.add_argument("--game", required=True, help="game file (see README for the format)")
-    p.add_argument("--x0", default="random", help="start: comma list or random[:SEED]")
+    p.add_argument("--x0", default="random", help="start: comma list or random[:SEED], SEED 0 when omitted")
     p.add_argument("--T", type=_nonnegative, default=100.0, help="duration, a finite number >= 0")
     p.add_argument("--dt", type=_positive, default=0.01, help="step, a finite number > 0")
     p.add_argument("--monitors", type=_monitors, default="h,gb,ratios", help="comma list of h, gb, ratios")

@@ -168,14 +168,15 @@ def cardinal2_cleanup(game: PolymatrixGame, alpha: int) -> PolymatrixGame:
     one IEEE addition, the exact sum rounded once.
     """
     gt = game.gtype
-    if gt.sizes[alpha] != 1:
+    group = gt.group_indices(alpha)  # IndexError for a group the type does not have
+    if len(group) != 1:
         raise ValueError(
-            f"group {alpha} has size {gt.sizes[alpha]}; cleanup applies to the "
+            f"group {alpha} has size {len(group)}; cleanup applies to the "
             "single pinned survivor of a reduced two-strategy group"
         )
     if gt.p == 1:
         raise ValueError("cannot fold away the only group")
-    pinned = gt.offsets[alpha]
+    pinned = group.start
     target = next(g for g in range(gt.p) if g != alpha)
     keep = np.delete(np.arange(gt.n), pinned)
     cols = [j - (j > pinned) for j in gt.group_indices(target)]  # the target's columns after the drop

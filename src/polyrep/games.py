@@ -34,6 +34,10 @@ TANGENT_TOL = 1e-10
 # Relative singular-value cutoff for numerical rank / nullspace decisions.
 RANK_RTOL = 1e-10
 
+# A least-squares formal equilibrium must solve its linear system within
+# this times the system's scale; past it the system is inconsistent.
+EQUILIBRIUM_RTOL = 1e-9
+
 # Largest payoff magnitude a game may hold.  The analysis adds up to eight
 # entries (the symmetric part of a vertex matrix) and subtracts rows; from
 # entries up to this bound those stay far inside the float range.
@@ -91,6 +95,9 @@ class GameType:
         return int(self.groups[i])
 
     def group_indices(self, a: int) -> range:
+        """The strategies of group a; the one place a group's range is decided."""
+        if not 0 <= a < self.p:
+            raise IndexError(f"group {a} out of range for {self}")
         off = self.offsets[a]
         return range(off, off + self.sizes[a])
 
@@ -113,13 +120,16 @@ class GameType:
 
 @dataclass(frozen=True, eq=False)
 class PolymatrixGame:
-    """A game type together with its n x n payoff matrix."""
+    """A game type together with its n x n payoff matrix; ValueError for any other shape."""
 
     gtype: GameType
     payoff: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.payoff, dtype=float)
+        n = self.gtype.n
+        if a.shape != (n, n):
+            raise ValueError(f"payoff has shape {a.shape}, type {self.gtype} needs ({n},{n})")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "payoff", a)
@@ -279,27 +289,19 @@ def in_unit(game: PolymatrixGame) -> tuple[PolymatrixGame, int]:
 
 
 def validate_game(game: PolymatrixGame) -> list[str]:
-    """Consistency violations of a game's dimensions and entries (empty when valid).
+    """Consistency violations of a game's entries (empty when valid).
 
     Every entry must be finite and at most MAX_PAYOFF in magnitude; the
-    first that is not is named by its row and column.
+    first that is not is named by its row and column.  The shape is
+    checked when the game is built.
     """
-    problems = []
-    n = game.gtype.n
-    if game.payoff.ndim != 2:
-        problems.append(f"payoff must be a matrix, got ndim={game.payoff.ndim}")
-    elif game.payoff.shape != (n, n):
-        problems.append(
-            f"payoff has shape {game.payoff.shape}, type {game.gtype} needs ({n},{n})"
-        )
-    else:
-        bad = np.argwhere(~(np.abs(game.payoff) <= MAX_PAYOFF))  # NaN included
-        if len(bad):
-            r, c = bad[0].tolist()
-            x = float(game.payoff[r, c])
-            limit = "is not finite" if not np.isfinite(x) else f"exceeds {MAX_PAYOFF:g} in magnitude"
-            problems.append(f"payoff entry ({r}, {c}) = {x!r} {limit}")
-    return problems
+    bad = np.argwhere(~(np.abs(game.payoff) <= MAX_PAYOFF))  # NaN included
+    if not len(bad):
+        return []
+    r, c = bad[0].tolist()
+    x = float(game.payoff[r, c])
+    limit = "is not finite" if not np.isfinite(x) else f"exceeds {MAX_PAYOFF:g} in magnitude"
+    return [f"payoff entry ({r}, {c}) = {x!r} {limit}"]
 
 
 def games_equivalent(a: PolymatrixGame, b: PolymatrixGame, tol: float = PAYOFF_TOL) -> bool:
@@ -311,7 +313,9 @@ def games_equivalent(a: PolymatrixGame, b: PolymatrixGame, tol: float = PAYOFF_T
     """
     if a.gtype != b.gtype:
         raise ValueError(f"type mismatch: {a.gtype} vs {b.gtype}")
-    return has_equal_row_blocks(a.gtype, a.payoff - b.payoff, tol=tol)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which has_equal_row_blocks refuses
+        diff = a.payoff - b.payoff
+    return has_equal_row_blocks(a.gtype, diff, tol=tol)
 
 
 def has_equal_row_blocks(gtype: GameType, c: np.ndarray, tol: float = PAYOFF_TOL) -> bool:
@@ -320,8 +324,9 @@ def has_equal_row_blocks(gtype: GameType, c: np.ndarray, tol: float = PAYOFF_TOL
     for a in range(gtype.p):
         rows = gtype.group_indices(a)
         block = c[rows.start : rows.stop, :]
-        if block.shape[0] > 1 and np.max(np.abs(block - block[0])) > tol:
-            return False
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and NaN is no row's equal
+            if block.shape[0] > 1 and not np.max(np.abs(block - block[0])) <= tol:
+                return False
     return True
 
 
@@ -398,7 +403,7 @@ def formal_equilibria(game: PolymatrixGame) -> EquilibriumSet:
     u, s, vt, rank = _svd(m)
     q = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
     scale = max(float(np.linalg.norm(rhs)), float(np.abs(m).max()))  # |rhs| = sqrt(p) >= 1
-    if float(np.max(np.abs(m @ q - rhs))) > 1e-9 * scale:
+    if float(np.max(np.abs(m @ q - rhs))) > EQUILIBRIUM_RTOL * scale:
         return EquilibriumSet(None, np.zeros((0, game.gtype.n)))
     return EquilibriumSet(q, vt[rank:])
 

@@ -64,6 +64,11 @@ NOT_DISSIPATIVE = "not_dissipative"
 # Kelley cutting planes the certificate search makes before it gives up.
 _CUTS = 40
 
+# A constraint m_ij d_j = -m_ji d_i off the spanning forest agrees with the
+# forest's d when |d_j - d_i r| is within this times max(|d_j|, |d_i r|); it
+# holds at every --tol, 0 included.
+FOREST_RTOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class Classification:
@@ -505,7 +510,7 @@ def _decide(
                 d[srow[lo:hi], child[lo:hi]] = d[srow[lo:hi], parent[lo:hi]] * factor[lo:hi]
             # the constraints off the forest must agree with it
             d_i, d_j = d[row, i], d[row, j]
-            off = np.abs(d_j - d_i * ratio) > 1e-9 * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
+            off = np.abs(d_j - d_i * ratio) > FOREST_RTOL * np.maximum(np.abs(d_j), np.abs(d_i * ratio))
         skew_ok[row[off]] = False
         skew_ok[b] &= (d[b] > 0).all(axis=1)
 

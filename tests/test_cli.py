@@ -272,12 +272,15 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize(
         "command, option",
-        [(c, ["--seed", "1"]) for c in ("check", "vertices", "reduce", "collapse", "equilibrium", "lv2rep")]
+        [(c, ["--seed", "1"]) for c in ("check", "vertices", "reduce", "collapse", "equilibrium", "simulate", "lv2rep")]
         + [(c, ["--tol", "0"]) for c in ("equilibrium", "lv2rep")],
         ids=lambda x: x if isinstance(x, str) else x[0],
     )
     def test_an_option_the_command_does_not_read_exits_1(self, capsys, example_path, command, option):
-        head = ["lv2rep", "--A", example_path, "--r", "1"] if command == "lv2rep" else [command, example_path]
+        head = {
+            "lv2rep": ["lv2rep", "--A", example_path, "--r", "1"],
+            "simulate": ["simulate", "--game", example_path],
+        }.get(command, [command, example_path])
         code, out, err = run(capsys, *head, *option)
         assert (code, out) == (EXIT_IO, "")
         assert f"unrecognized arguments: {' '.join(option)}" in err and "Traceback" not in err
@@ -307,10 +310,10 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         "reduce": ["--format", "--tol"],
         "collapse": ["--emit-game", "--format", "--tol"],
         "equilibrium": ["--format"],
-        "simulate": ["--T", "--csv", "--dt", "--format", "--game", "--monitors", "--seed", "--tol", "--x0"],
+        "simulate": ["--T", "--csv", "--dt", "--format", "--game", "--monitors", "--tol", "--x0"],
         "lv2rep": ["--A", "--emit-game", "--format", "--r"],
     }
-    assert sum(map(len, options.values())) == 23
+    assert sum(map(len, options.values())) == 22
 
 
 def test_only_main_and_emit_write_to_the_terminal():
@@ -785,55 +788,54 @@ IS_DIR = "error: [Errno 21] Is a directory: '{d}'\n"
 CEILING = f"error: the game has {2**15} vertices, more than the {MAX_VERTICES} the vertex layer handles\n"
 NOT_ADMISSIBLE = "error: game is not admissible; "
 SIMULATE = ["simulate", "--game", "{ex}", "--T", "0.1"]
-# (argv, POLYREP_SEED or None, exit code, stderr); {ex} is the example game, {d} the directory of REFUSAL_FILES
+# (argv, exit code, stderr); {ex} is the example game, {d} the directory of REFUSAL_FILES
 REFUSALS = [
-    *[pytest.param([*c, "{d}/missing.txt"], None, EXIT_IO, NO_FILE.replace("{name}", "missing.txt"),
+    *[pytest.param([*c, "{d}/missing.txt"], EXIT_IO, NO_FILE.replace("{name}", "missing.txt"),
                    id=f"{c[0]}-missing") for c in ANALYSES],
-    *[pytest.param([*c, "{d}"], None, EXIT_IO, IS_DIR, id=f"{c[0]}-directory") for c in ANALYSES],
-    *[pytest.param([*c, "{d}/parse.txt"], None, EXIT_IO, "error: line 2: cannot parse number 'zzz'\n",
+    *[pytest.param([*c, "{d}"], EXIT_IO, IS_DIR, id=f"{c[0]}-directory") for c in ANALYSES],
+    *[pytest.param([*c, "{d}/parse.txt"], EXIT_IO, "error: line 2: cannot parse number 'zzz'\n",
                    id=f"{c[0]}-parse") for c in ANALYSES],
-    *[pytest.param([*c, "{d}/range.txt"], None, EXIT_IO,
+    *[pytest.param([*c, "{d}/range.txt"], EXIT_IO,
                    "error: payoff entry (0, 2) = 1e+308 exceeds 1e+300 in magnitude\n", id=f"{c[0]}-range")
       for c in ANALYSES],
-    *[pytest.param([*c, "{d}/ceiling.txt"], None, EXIT_IO, CEILING, id=f"{c[0]}-ceiling")
+    *[pytest.param([*c, "{d}/ceiling.txt"], EXIT_IO, CEILING, id=f"{c[0]}-ceiling")
       for c in ANALYSES if c != ["equilibrium"]],
-    pytest.param(["reduce", "{d}/dissipative.txt"], None, EXIT_NOT_ADMISSIBLE,
+    pytest.param(["reduce", "{d}/dissipative.txt"], EXIT_NOT_ADMISSIBLE,
                  NOT_ADMISSIBLE + "the reduction rules do not apply\n", id="reduce-not-admissible"),
-    pytest.param(["reduce", "{d}/tilted.txt"], None, EXIT_NOT_DISSIPATIVE,
+    pytest.param(["reduce", "{d}/tilted.txt"], EXIT_NOT_DISSIPATIVE,
                  NOT_ADMISSIBLE + "the reduction rules do not apply\n", id="reduce-no-formal-equilibrium"),
-    pytest.param(["collapse", "{d}/dissipative.txt"], None, EXIT_NOT_ADMISSIBLE,
+    pytest.param(["collapse", "{d}/dissipative.txt"], EXIT_NOT_ADMISSIBLE,
                  NOT_ADMISSIBLE + "nothing to collapse\n", id="collapse-not-admissible"),
-    pytest.param(["collapse", "{d}/tilted.txt"], None, EXIT_NOT_DISSIPATIVE,
+    pytest.param(["collapse", "{d}/tilted.txt"], EXIT_NOT_DISSIPATIVE,
                  NOT_ADMISSIBLE + "nothing to collapse\n", id="collapse-no-formal-equilibrium"),
-    pytest.param(["collapse", "{d}/boundary.txt"], None, EXIT_NOT_DISSIPATIVE,
+    pytest.param(["collapse", "{d}/boundary.txt"], EXIT_NOT_DISSIPATIVE,
                  "error: no interior equilibrium; the collapse is undefined\n", id="collapse-no-interior"),
-    pytest.param(["collapse", "{ex}", "--emit-game", "{d}"], None, EXIT_IO, IS_DIR, id="collapse-emit-directory"),
-    pytest.param(["collapse", "{d}/grow.txt", "--emit-game", "{d}/core.txt"], None, EXIT_IO,
+    pytest.param(["collapse", "{ex}", "--emit-game", "{d}"], EXIT_IO, IS_DIR, id="collapse-emit-directory"),
+    pytest.param(["collapse", "{d}/grow.txt", "--emit-game", "{d}/core.txt"], EXIT_IO,
                  "error: payoff entry (0, 0) = -1.6e+300 exceeds 1e+300 in magnitude\n", id="collapse-emit-range"),
-    pytest.param(["collapse", "{ex}", "--emit-game", "{d}/none/g.txt"], None, EXIT_IO,
+    pytest.param(["collapse", "{ex}", "--emit-game", "{d}/none/g.txt"], EXIT_IO,
                  NO_FILE.replace("{name}", "none/g.txt"), id="collapse-emit-missing-directory"),
-    pytest.param([*SIMULATE, "--x0", "0.2,0.3,abc,0.5,0.5"], None, EXIT_IO,
+    pytest.param([*SIMULATE, "--x0", "0.2,0.3,abc,0.5,0.5"], EXIT_IO,
                  "error: cannot parse --x0: 'abc' is not a number\n", id="x0-words"),
-    pytest.param([*SIMULATE, "--x0", "random:x"], None, EXIT_IO,
+    pytest.param([*SIMULATE, "--x0", "random:x"], EXIT_IO,
                  "error: cannot parse --x0: expected an integer >= 0, got 'x'\n", id="x0-seed-words"),
-    pytest.param([*SIMULATE, "--x0", "random:-3"], None, EXIT_IO,
+    pytest.param([*SIMULATE, "--x0", "random:-3"], EXIT_IO,
                  "error: cannot parse --x0: expected an integer >= 0, got '-3'\n", id="x0-seed-negative"),
-    pytest.param([*SIMULATE, "--x0", "0.5,0.5"], None, EXIT_IO, "error: x0 needs 5 coordinates\n", id="x0-length"),
-    pytest.param([*SIMULATE, "--x0", "0.5,0.5,0,2,-1"], None, EXIT_IO,
+    pytest.param([*SIMULATE, "--x0", "0.5,0.5"], EXIT_IO, "error: x0 needs 5 coordinates\n", id="x0-length"),
+    pytest.param([*SIMULATE, "--x0", "0.5,0.5,0,2,-1"], EXIT_IO,
                  "error: --x0 is not a prism state: negative coordinate -1.0\n", id="x0-off-the-prism"),
-    pytest.param(SIMULATE, "abc", EXIT_IO, "error: POLYREP_SEED must be an integer, got 'abc'\n", id="env-seed"),
-    pytest.param([*SIMULATE, "--T", "1e300"], None, EXIT_IO,
+    pytest.param([*SIMULATE, "--T", "1e300"], EXIT_IO,
                  "error: T / dt = 1e+302 steps is not a finite count of at most 1e+07\n", id="step-count"),
-    pytest.param([*SIMULATE, "--csv", "{d}"], None, EXIT_IO, IS_DIR, id="csv-directory"),
-    pytest.param([*SIMULATE, "--csv", "{d}/none/run.csv"], None, EXIT_IO,
+    pytest.param([*SIMULATE, "--csv", "{d}"], EXIT_IO, IS_DIR, id="csv-directory"),
+    pytest.param([*SIMULATE, "--csv", "{d}/none/run.csv"], EXIT_IO,
                  NO_FILE.replace("{name}", "none/run.csv"), id="csv-missing-directory"),
-    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,abc"], None, EXIT_IO,
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,abc"], EXIT_IO,
                  "error: cannot parse --r: 'abc' is not a number\n", id="lv2rep-r"),
-    pytest.param(["lv2rep", "--A", "{d}/a_nan.txt", "--r", "1,-1"], None, EXIT_IO,
+    pytest.param(["lv2rep", "--A", "{d}/a_nan.txt", "--r", "1,-1"], EXIT_IO,
                  "error: A and r must be finite and at most 1e+300 in magnitude\n", id="lv2rep-A"),
-    pytest.param(["lv2rep", "--A", "{d}/missing.txt", "--r", "1,-1"], None, EXIT_IO,
+    pytest.param(["lv2rep", "--A", "{d}/missing.txt", "--r", "1,-1"], EXIT_IO,
                  NO_FILE.replace("{name}", "missing.txt"), id="lv2rep-missing"),
-    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,-1", "--emit-game", "{d}"], None, EXIT_IO, IS_DIR,
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,-1", "--emit-game", "{d}"], EXIT_IO, IS_DIR,
                  id="lv2rep-emit-directory"),
 ]
 REFUSAL_FILES = {
@@ -870,12 +872,8 @@ class TestRefusals:
             (tmp_path / name).write_text(text)
         return tmp_path
 
-    @pytest.mark.parametrize("argv, env_seed, code, err", REFUSALS)
-    def test_one_error_line(self, capsys, monkeypatch, refusal_dir, example_path, argv, env_seed, code, err):
-        if env_seed is None:
-            monkeypatch.delenv("POLYREP_SEED", raising=False)
-        else:
-            monkeypatch.setenv("POLYREP_SEED", env_seed)
+    @pytest.mark.parametrize("argv, code, err", REFUSALS)
+    def test_one_error_line(self, capsys, refusal_dir, example_path, argv, code, err):
         fill = {"d": str(refusal_dir), "ex": example_path}
         assert run(capsys, *filled(argv, **fill)) == (code, "", err.format(**fill))
         assert sorted(p.name for p in refusal_dir.iterdir()) == sorted(REFUSAL_FILES)
@@ -900,17 +898,6 @@ class TestRefusals:
         err = f"error: cannot parse --x0: {spec.split()[0]!r} is not a number\n"
         assert run(capsys, *argv, "--x0", spec) == (EXIT_IO, "", err)
 
-    def test_a_negative_seed_is_a_usage_error(self, capsys, example_path):
-        code, out, err = run(capsys, *filled(SIMULATE, ex=example_path), "--seed", "-3")
-        assert (code, out) == (EXIT_IO, "")
-        assert err.startswith("usage: polyrep simulate")
-        assert err.endswith("polyrep simulate: error: argument --seed: expected an integer >= 0, got '-3'\n")
-
-    def test_a_negative_environment_seed_is_named(self, capsys, monkeypatch, example_path):
-        monkeypatch.setenv("POLYREP_SEED", "-3")
-        argv = filled(SIMULATE, ex=example_path)
-        assert run(capsys, *argv) == (EXIT_IO, "", "error: POLYREP_SEED must be >= 0, got '-3'\n")
-
 
 class TestDeterminism:
     def test_json_outputs_byte_identical(self, capsys, example_path):
@@ -930,35 +917,15 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
-class TestEnvironmentSeed:
-    def test_env_seed_drives_random_start(self, capsys, monkeypatch, tmp_path, example_path):
-        monkeypatch.setenv("POLYREP_SEED", "11")
-        a = tmp_path / "a.csv"
-        run(capsys, "simulate", "--game", example_path, "--x0", "random", "--T=0.1", "--csv", str(a))
-        monkeypatch.setenv("POLYREP_SEED", "12")
-        b = tmp_path / "b.csv"
-        run(capsys, "simulate", "--game", example_path, "--x0", "random", "--T=0.1", "--csv", str(b))
-        first = a.read_text().splitlines()[1]
-        second = b.read_text().splitlines()[1]
-        assert first != second  # different seeds, different starts
-
-
 class TestMalformedEnvironmentSeed:
-    """A POLYREP_SEED that is no integer fails the command that reads it, and only that one."""
-
-    def test_random_start_exits_1(self, capsys, monkeypatch, example_path):
-        monkeypatch.setenv("POLYREP_SEED", "abc")
-        code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random", "--T=0.1")
-        assert code == EXIT_IO
-        assert out == ""
-        assert err == "error: POLYREP_SEED must be an integer, got 'abc'\n"
+    """No command reads POLYREP_SEED: `--x0 random:SEED` is the one seed, and `random` is `random:0`."""
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("check", "{path}"),
             ("simulate", "--game", "{path}", "--x0", "random:3", "--T=0.1"),
-            ("simulate", "--game", "{path}", "--seed", "4", "--T=0.1"),
+            ("simulate", "--game", "{path}", "--x0", "random", "--T=0.1"),
         ],
     )
     def test_ignored_where_not_read(self, capsys, monkeypatch, example_path, argv):
@@ -966,6 +933,16 @@ class TestMalformedEnvironmentSeed:
         code, _, err = run(capsys, *(a.format(path=example_path) for a in argv))
         assert code == EXIT_OK
         assert "POLYREP_SEED" not in err
+
+    def test_a_bare_random_start_is_seed_0(self, capsys, monkeypatch, tmp_path, example_path):
+        monkeypatch.setenv("POLYREP_SEED", "abc")
+        runs = []
+        for i, spec in enumerate(("random", "random:0")):
+            path = tmp_path / f"{i}.csv"
+            code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", spec, "--T=0.1", "--csv", str(path))
+            runs.append((code, out, err, path.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == EXIT_OK
 
 
 class TestSharedParser:
@@ -992,14 +969,13 @@ class TestSharedParser:
     def test_build_parser_returns_a_new_parser(self):
         assert cli.build_parser() is not cli.build_parser()
 
-    def test_seed_does_not_persist(self, capsys, monkeypatch, tmp_path, example_path):
-        monkeypatch.setenv("POLYREP_SEED", "11")
+    def test_seed_does_not_persist(self, capsys, tmp_path, example_path):
         starts = {}
-        for name, extra in (("five", ["--seed", "5"]), ("env", []), ("eleven", ["--seed", "11"])):
-            path = tmp_path / f"{name}.csv"
-            run(capsys, "simulate", "--game", example_path, "--T=0.1", "--csv", str(path), *extra)
-            starts[name] = path.read_text().splitlines()[1]
-        assert starts["env"] == starts["eleven"] != starts["five"]
+        for i, spec in enumerate(("random:5", "random", "random:11")):
+            path = tmp_path / f"{i}.csv"
+            run(capsys, "simulate", "--game", example_path, "--T=0.1", "--csv", str(path), "--x0", spec)
+            starts[spec] = path.read_text().splitlines()[1]
+        assert len(set(starts.values())) == 3  # a bare random is random:0, not the seed before it
 
     def test_format_does_not_persist(self, capsys, example_path):
         _, out, _ = run(capsys, "check", example_path, "--format", "json")

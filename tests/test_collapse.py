@@ -157,6 +157,13 @@ class TestCardinal2Cleanup:
         with pytest.raises(ValueError):
             cardinal2_cleanup(example_game, 0)
 
+    @pytest.mark.parametrize("alpha", [-1, -2, 2])
+    def test_rejects_a_group_the_type_lacks(self, alpha):
+        # a negative index would read the last group's size and drop nothing
+        game = PolymatrixGame(GameType((2, 1)), np.zeros((3, 3)))
+        with pytest.raises(IndexError, match=f"group {alpha} out of range"):
+            cardinal2_cleanup(game, alpha)
+
 
 def _payoffs(gtype, rng):
     """Float, integer and -0.0-bearing payoffs, the last with +0.0 beside them."""

@@ -32,9 +32,9 @@ class TestValidation:
         assert validate_game(example_game) == []
 
     def test_dimension_mismatch(self):
-        bad = PolymatrixGame(GameType((2,)), np.zeros((3, 3)))
-        problems = validate_game(bad)
-        assert len(problems) == 1 and "shape" in problems[0]
+        for shape in [(3, 3), (2, 3), (4,), (2, 2, 1)]:
+            with pytest.raises(ValueError, match=r"^payoff has shape .*, type \(2\) needs \(2,2\)$"):
+                PolymatrixGame(GameType((2,)), np.zeros(shape))
 
     def test_smallest_legal_game(self):
         assert validate_game(PolymatrixGame(GameType((1,)), np.zeros((1, 1)))) == []
@@ -109,6 +109,15 @@ class TestEquivalence:
         other = PolymatrixGame(GameType((2, 3)), np.zeros((5, 5)))
         with pytest.raises(ValueError):
             games_equivalent(example_game, other)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_difference_is_not_equal(self, bad):
+        # nan - 0 and inf - inf are NaN, which no tolerance admits
+        gt = GameType((2,))
+        game = PolymatrixGame(gt, [[0, bad], [0, 1]])
+        assert not games_equivalent(game, PolymatrixGame(gt, np.zeros((2, 2))))
+        assert not games_equivalent(game, game)
+        assert not has_equal_row_blocks(gt, np.full((2, 2), bad))
 
     def test_generic_games_not_equivalent(self):
         rng = np.random.default_rng(8)
@@ -307,6 +316,11 @@ class TestBlockAccess:
         npt.assert_array_equal(example_game.block(0, 1), example_game.payoff[:3, 3:])
         npt.assert_array_equal(example_game.block(1, 0), example_game.payoff[3:, :3])
 
+    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (2, 0), (0, 2)])
+    def test_a_group_the_type_lacks_is_refused(self, example_game, a, b):
+        with pytest.raises(IndexError, match="out of range for"):
+            example_game.block(a, b)
+
 
 class TestGameTypeCache:
     def test_indicator_shared_and_read_only(self):
@@ -330,6 +344,9 @@ class TestGameTypeCache:
             assert idx.start == gt.offsets[a] and len(idx) == sizes[a]
             npt.assert_array_equal(np.flatnonzero(groups == a), list(idx))
             npt.assert_array_equal(np.flatnonzero(gt.indicator()[a]), list(idx))
+        for a in (-1, -gt.p, gt.p):
+            with pytest.raises(IndexError, match=f"group {a} out of range for"):
+                gt.group_indices(a)
         npt.assert_array_equal(gt.indicator().sum(axis=0), np.ones(gt.n))
         assert [gt.group_of(i) for i in range(gt.n)] == groups.tolist()
         assert all(type(gt.group_of(i)) is int for i in (0, gt.n - 1))
