@@ -34,6 +34,7 @@ from polyrep.vertices import (
     scaled_game,
     vertex_graph,
     vertex_matrix,
+    zero_entries,
 )
 
 from conftest import (
@@ -103,6 +104,37 @@ class TestCheckWithScaling:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="leaves the float range"):
                 classify(game, d)
+
+
+class TestToleranceRule:
+    """Every primitive that takes a tol refuses the values Analysis refuses."""
+
+    # conservative under (1, 2, 5/3), and under (1, 2, 1) too: -1 once read it indefinite
+    TWIN = PolymatrixGame(
+        GameType((2, 2, 2)),
+        np.array(
+            [[0, 0, 1, -1, 0, 0], [0, 0, -1, 1, 0, 0], [-2, 2, 0, 0, 0, 0], [2, -2, 0, 0, 0, 0]] + [[0] * 6] * 2,
+            dtype=float,
+        ),
+    )
+    # the example's vertex (0, 3): -1 once made its zeros nonzero and inf every entry zero
+    M = np.array(EXAMPLE_VERTEX_TABLE[(0, 3)][0], dtype=float)
+    CALLS = {
+        "check_with_scaling": lambda tol: check_with_scaling(TestToleranceRule.TWIN, DiagonalScaling((1, 2, 1)), tol=tol),
+        "stably_dissipative": lambda tol: stably_dissipative(TestToleranceRule.M, tol),
+        "almost_skew_symmetric": lambda tol: almost_skew_symmetric(TestToleranceRule.M, tol),
+        "find_almost_skew_scaling": lambda tol: find_almost_skew_scaling(TestToleranceRule.M, tol),
+        "zero_entries": lambda tol: zero_entries(TestToleranceRule.M, tol),
+    }
+
+    def test_the_twin_is_conservative_under_the_scaling(self):
+        assert check_with_scaling(self.TWIN, DiagonalScaling((1, 2, 1))).kind == CONSERVATIVE
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_refuses_a_tolerance_that_is_not_finite_and_nonnegative(self, name, tol):
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            self.CALLS[name](tol)
 
 
 class TestVertexForm:
