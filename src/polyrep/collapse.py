@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .games import DiagonalScaling, GameType, PolymatrixGame
+from .games import DiagonalScaling, GameType, PolymatrixGame, relative_cut
 from .stability import CONSERVATIVE, SEMIDEF_TOL, analyse, check_with_scaling
 from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix
 
@@ -303,7 +303,7 @@ def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> Coll
 
     v_now, scaled_vm = current()
     # each reduction rounds at this scale, even where the block it leaves is exactly zero
-    scale = max(1.0, float(np.max(np.abs(scaled_vm.entries), initial=0.0)))
+    cut = relative_cut(CHAIN_ROUNDING, np.max(np.abs(scaled_vm.entries), initial=0.0))
     for strategy in damped:  # a fold drops a chosen strategy, never one of these
         ell = cur.kept.index(strategy)
         ell_pos = scaled_vm.index_set.index(ell)
@@ -316,7 +316,7 @@ def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> Coll
         v_now, after_vm = current()
         expect = np.delete(np.delete(scaled_vm.entries, ell_pos, 0), ell_pos, 1)
         err = float(np.max(np.abs(after_vm.entries - expect))) if expect.size else 0.0
-        if err > CHAIN_ROUNDING * scale:
+        if err > cut:
             raise RuntimeError("certificate transport failed; reduction is inconsistent")
         scaled_vm = after_vm
 

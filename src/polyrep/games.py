@@ -43,14 +43,24 @@ EQUILIBRIUM_RTOL = 1e-9
 # entries up to this bound those stay far inside the float range.
 MAX_PAYOFF = 1e300
 
-# Relative semidefiniteness tolerance: eigenvalue cuts scale with
-# max(1, |eigenvalue|), zero-entry cuts with max(1, |entry|).  The analysis
+# An interior equilibrium's smallest coordinate must exceed this.
+INTERIOR_MARGIN = 1e-12
+
+# Relative semidefiniteness tolerance, cut by relative_cut.  The analysis
 # applies it to the game in its unit (in_unit), where max|A| is in [1, 2),
 # so that its verdicts do not depend on the payoff's unit.
 SEMIDEF_TOL = 1e-9
 
-# An interior equilibrium's smallest coordinate must exceed this.
-INTERIOR_MARGIN = 1e-12
+
+def relative_cut(tol: float, scale=0.0):
+    """tol * max(1, scale), elementwise: the one tolerance rule, which every relative cut reads.
+
+    ValueError unless tol is a finite number >= 0.  At tol = 0 only exact
+    zeros count, beside an infinite scale too; a NaN scale counts as 1.
+    """
+    if not 0.0 <= tol < float("inf"):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return np.zeros_like(scale, dtype=float) if tol == 0 else tol * np.fmax(1.0, scale)
 
 
 @dataclass(frozen=True)

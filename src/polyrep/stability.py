@@ -40,12 +40,12 @@ from .games import (
     _nullspace,
     formal_equilibria,
     in_unit,
+    relative_cut,
 )
 from .vertices import (
     VertexLabel,
     _fill,
     _index_sets,
-    _zero_cut,
     blocks,
     expand_vertex_vector,
     first_vertex,
@@ -108,20 +108,15 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def _spectral_scale(eigs: np.ndarray) -> np.ndarray:
-    """max(1, max|eigenvalue|), per row of a stack; a NaN counts as nothing."""
-    return np.fmax(1.0, np.abs(eigs).max(axis=-1, initial=0.0))
-
-
 def _form_kind(eigs: np.ndarray, tol: float) -> str:
-    """The sign of a symmetric form from its eigenvalues, against tol * _spectral_scale.
+    """The sign of a symmetric form from its eigenvalues, against relative_cut(tol, max|eigenvalue|).
 
     Conservative when every eigenvalue is within the cut of 0,
     dissipative when none is above it, indefinite otherwise.  No
     eigenvalue at all (a vertex of dimension 0) is conservative.
     """
-    cut = tol * _spectral_scale(eigs)
-    if np.abs(eigs).max(initial=0.0) <= cut:
+    cut = relative_cut(tol, np.abs(eigs).max(initial=0.0))
+    if (np.abs(eigs) <= cut).all():
         return CONSERVATIVE
     return DISSIPATIVE if eigs.max(initial=0.0) <= cut else INDEFINITE
 
@@ -172,6 +167,7 @@ def check_with_scaling(
     witness vector with positive form value.  A form that leaves the
     float range, in its entries or its symmetric part, raises ValueError.
     """
+    relative_cut(tol)  # ValueError for a tol that is not a finite number >= 0, whatever the game
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
     form = _VertexForm(game, first_vertex(game.gtype))
@@ -200,8 +196,8 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
     """A certificate d > 0 of S(d) = sum_g d_g S_g <= 0, a proof that none exists, or neither.
 
     S_g is the part of Sym(A_v D_v) at the first vertex that d_g scales.
-    A proof is a unit u with every u'S_g u exactly 0 or above tol * |S_g|,
-    one at least above, so u'S(d)u > 0 for all d > 0.  Tried in order:
+    A proof is a unit u with every u'S_g u exactly 0 or above relative_cut(tol,
+    |S_g|), one at least above, so u'S(d)u > 0 for all d > 0.  Tried in order:
     the identity and its top eigenvector; the same-group directions u
     (e_i, e_i - e_j), where u'S(d)u = d_g u'A_v u, so a positive value
     proves and a zero one forces S(d)u = 0, whose nullspace is the face
@@ -225,7 +221,7 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
 
     def proves(u: np.ndarray) -> bool:
         vals = np.einsum("i,gij,j->g", u, parts, u)
-        above = vals > tol * norms
+        above = vals > zero_cut
         return bool(above.any() and (above | (vals == 0)).all())
 
     got = certify(np.ones(p))
@@ -234,6 +230,7 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
 
     parts = np.stack([form.sym(e) for e in np.eye(p)])
     norms = np.array([np.linalg.norm(s, 2) for s in parts])
+    zero_cut = relative_cut(tol, norms)
     u = np.linalg.eigh(form.sym(np.ones(p)))[1][:, -1]
     if proves(u):
         return CertificateSearch(NOT_DISSIPATIVE, proof=u)
@@ -244,12 +241,12 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
             u = basis[i] if i == j else (basis[i] - basis[j]) / np.sqrt(2.0)
             if proves(u):
                 return CertificateSearch(NOT_DISSIPATIVE, proof=u)
-            if abs(u @ parts[g] @ u) <= tol * norms[g]:
+            if abs(u @ parts[g] @ u) <= zero_cut[g]:
                 kernel.append(u)
     face, rest = np.eye(p), basis
     if kernel:
         forced = np.einsum("gij,mj->mig", parts, np.array(kernel)).reshape(-1, p)
-        if np.abs(forced).max() > tol * norms.max():  # rounding noise alone forces nothing
+        if np.abs(forced).max() > zero_cut.max():  # rounding noise alone forces nothing
             face = _nullspace(forced)
         rest = _nullspace(np.array(kernel))
 
@@ -413,10 +410,10 @@ def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray
         return ok
     s[~ok] = 0.0  # a symmetric part past the float range has no eigenvalues to check: the row fails
     eigs = np.linalg.eigvalsh(s)
-    ok &= ~(eigs[:, -1] > tol * _spectral_scale(eigs))
+    ok &= ~(eigs[:, -1] > relative_cut(tol, np.abs(eigs).max(axis=-1)))
     # the symmetric part vanishes off the diagonal on every zero-diagonal row, by zero_entries
     # of s, whose scale is the largest magnitude of all of s; only those rows are read
-    cut = _zero_cut(np.maximum(s.max(axis=(1, 2)), -s.min(axis=(1, 2))), tol)
+    cut = relative_cut(tol, np.maximum(s.max(axis=(1, 2)), -s.min(axis=(1, 2))))
     which, row = np.nonzero(zero_diag)
     zero_row = (np.abs(s[which, row]) <= cut[which, None]) | (np.arange(t.shape[-1]) == row[:, None])
     ok[which[~zero_row.all(axis=1)]] = False
@@ -427,7 +424,7 @@ def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray
         which = np.flatnonzero(ok & (size == r))
         idx = np.nonzero(rest[which])[1].reshape(len(which), r)
         sub_eigs = np.linalg.eigvalsh(s[which[:, None, None], idx[:, :, None], idx[:, None, :]])
-        ok[which] = sub_eigs[:, -1] < -tol * _spectral_scale(sub_eigs)
+        ok[which] = sub_eigs[:, -1] < -relative_cut(tol, np.abs(sub_eigs).max(axis=-1))
     return ok
 
 
@@ -569,9 +566,7 @@ class Analysis:
     tol: float = SEMIDEF_TOL
 
     def __post_init__(self):
-        # a negative tolerance makes every zero nonzero, an infinite one every entry zero
-        if not 0.0 <= self.tol < float("inf"):
-            raise ValueError(f"tolerance must be a finite number >= 0, got {self.tol!r}")
+        relative_cut(self.tol)  # ValueError for a tol that is not a finite number >= 0
 
     @functools.cached_property
     def unit(self) -> tuple[PolymatrixGame, int]:

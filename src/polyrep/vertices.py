@@ -31,6 +31,7 @@ from .games import (
     GameType,
     PolymatrixGame,
     in_tangent_space,
+    relative_cut,
 )
 
 # Vertices per block of the stacked vertex layer: the gathers and the
@@ -238,7 +239,7 @@ def expand_vertex_vector(
 
 
 def zero_entries(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray:
-    """Which entries of a square matrix count as zero: |x| <= tol * max(1, max|m|).
+    """Which entries of a square matrix count as zero: |x| <= relative_cut(tol, max|m|).
 
     The one zero rule of the package: the vertex graphs, the stable
     dissipativity test, the inference rules and the collapse all read
@@ -247,15 +248,7 @@ def zero_entries(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray:
     matrix has its own scale.
     """
     mag = np.abs(np.asarray(m, dtype=float))
-    return mag <= _zero_cut(mag.max(axis=(-2, -1), initial=0.0, keepdims=True), tol)
-
-
-def _zero_cut(top: np.ndarray, tol: float) -> np.ndarray:
-    """The largest magnitude zero_entries counts as zero, given each matrix's largest magnitude."""
-    if tol == 0:  # only exact zeros, beside an infinity too (0 * inf is NaN)
-        return np.zeros_like(top)
-    # fmax, as max(1.0, nan) is 1.0: a NaN entry does not unscale the rest
-    return tol * np.fmax(1.0, top)
+    return mag <= relative_cut(tol, mag.max(axis=(-2, -1), initial=0.0, keepdims=True))
 
 
 def graph_pattern(t: np.ndarray, zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
