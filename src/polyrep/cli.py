@@ -127,7 +127,7 @@ def cmd_check(args) -> tuple[dict, list[str], list[str], int]:
         f"kind: {an.kind}",
         f"admissible: {an.admissible}",
         f"scaling: {scaling}",
-        "stable vertices: " + (", ".join(str(tuple(v)) for v in vstar) or "none"),
+        "stable vertices: " + (", ".join(map(str, an.vstar)) or "none"),
     ]
     for name, rep in reports.items():
         status = "stable" if rep["stable"] else "unstable: " + "; ".join(rep["failures"])
@@ -256,11 +256,14 @@ def cmd_equilibrium(args) -> tuple[dict, list[str], list[str], int]:
 
 
 def _numbers(option: str, text: str) -> list[float]:
-    """The numbers of a comma or space separated list; ValueError naming the option and the first bad token."""
+    """The numbers of a comma or space separated list, spelled as in game files (1/3 too).
+
+    ValueError naming the option and the first token that is no number.
+    """
     vals = []
     for tok in text.replace(",", " ").split():
         try:
-            vals.append(float(tok))
+            vals.append(gamefile._parse_number(tok, None))
         except ValueError:
             raise ValueError(f"cannot parse {option}: {tok!r} is not a number") from None
     return vals

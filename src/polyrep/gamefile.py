@@ -32,7 +32,8 @@ class GameFileError(ValueError):
         super().__init__(where + message)
 
 
-def _parse_number(token: str, line: int) -> float:
+def _parse_number(token: str, line: int | None) -> float:
+    """The float a token spells: an integer, a decimal or a fraction like 1/3; GameFileError if none."""
     try:
         if "/" in token:
             return float(Fraction(token))

@@ -229,10 +229,16 @@ def expand_vertex_vector(
 
     Returns sum_i coeffs_i (e_i - e_{partner(i)}), the tangent-space
     vector represented by those coordinates in the vertex basis.
+    ValueError for a label that is not a vertex of the type, or for
+    coefficients that are not one per index (n - p of them).
     """
+    v.validate(gtype)
+    coeffs = np.asarray(coeffs, dtype=float)
     idx = v.support(gtype)
+    if coeffs.shape != (len(idx),):
+        raise ValueError(f"vertex {v} of type {gtype} takes {len(idx)} coefficients, got shape {coeffs.shape}")
     w = np.zeros(gtype.n)
-    for c, i in zip(np.asarray(coeffs, dtype=float), idx):
+    for c, i in zip(coeffs, idx):
         w[i] += c
         w[v.partner(gtype, i)] -= c
     return w

@@ -58,6 +58,16 @@ class TestCheck:
         assert code == EXIT_OK
         assert "dissipative" in out and "admissible: True" in out
 
+    def test_text_spells_vertices_as_labels(self, capsys, tmp_path, example_path):
+        # as the vertex lines and reduce do: (0) for a one-group vertex, not the tuple (0,)
+        path = tmp_path / "one_group.txt"
+        path.write_text("type: 2\n-1 0\n0 0\n")
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == EXIT_OK
+        assert out.splitlines()[3:6] == ["stable vertices: (0), (1)", "  vertex (0): stable", "  vertex (1): stable"]
+        _, out, _ = run(capsys, "check", example_path)
+        assert "stable vertices: (0,3), (0,4), (1,3), (1,4)" in out.splitlines()
+
     def test_json_lists_vstar(self, capsys, example_path):
         code, out, _ = run(capsys, "check", example_path, "--format", "json")
         data = json.loads(out)
@@ -661,6 +671,13 @@ class TestSimulate:
         assert code == EXIT_OK
         assert "integrated 50 steps" in out
 
+    def test_a_fraction_start_reads_as_game_files_do(self, capsys, example_path):
+        # 1/3 is the float game files read for it, so the run is the decimal one's
+        decimal = ",".join([repr(1 / 3)] * 3 + ["0.5"] * 2)
+        runs = [run(capsys, *filled(SIMULATE, ex=example_path), "--x0", x0, "--format", "json")
+                for x0 in ("1/3,1/3,1/3,1/2,1/2", decimal)]
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
     def test_wrong_length_start(self, capsys, example_path):
         code, _, err = run(capsys, "simulate", "--game", example_path, "--x0", "0.5,0.5")
         assert code == EXIT_IO
@@ -862,6 +879,8 @@ REFUSALS = [
                  NO_FILE.replace("{name}", "none/g.txt"), id="collapse-emit-missing-directory"),
     pytest.param([*SIMULATE, "--x0", "0.2,0.3,abc,0.5,0.5"], EXIT_IO,
                  "error: cannot parse --x0: 'abc' is not a number\n", id="x0-words"),
+    pytest.param([*SIMULATE, "--x0", "1/3,1/3,1/3,1/2,1/0"], EXIT_IO,  # fractions read, as in game files
+                 "error: cannot parse --x0: '1/0' is not a number\n", id="x0-fraction"),
     pytest.param([*SIMULATE, "--x0", "random:x"], EXIT_IO,
                  "error: cannot parse --x0: expected an integer >= 0, got 'x'\n", id="x0-seed-words"),
     pytest.param([*SIMULATE, "--x0", "random:-3"], EXIT_IO,

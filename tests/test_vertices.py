@@ -146,6 +146,16 @@ class TestBasisExpansion:
                     expand_vertex_vector(gt, v, coeffs), x - q, atol=1e-12
                 )
 
+    @pytest.mark.parametrize(
+        "label, coeffs",
+        [((0, 3), np.ones(1)), ((0, 3), np.ones(7)), ((0, 3), np.ones((3, 1))), ((0, 1), np.ones(3)), ((0,), np.ones(4))],
+        ids=["too-few", "too-many", "not-a-vector", "strategy-outside-its-group", "wrong-arity"],
+    )
+    def test_refuses_a_label_or_coefficients_the_type_does_not_fit(self, label, coeffs):
+        # zip once truncated the coefficients, and (0, 1) read strategy 1 as group 1's choice
+        with pytest.raises(ValueError):
+            expand_vertex_vector(GameType((3, 2)), VertexLabel(label), coeffs)
+
 
 class TestGraphs:
     def test_example_path_graph(self, example_game):
