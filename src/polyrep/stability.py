@@ -196,15 +196,16 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
     """A certificate d > 0 of S(d) = sum_g d_g S_g <= 0, a proof that none exists, or neither.
 
     S_g is the part of Sym(A_v D_v) at the first vertex that d_g scales.
-    A proof is a unit u with every u'S_g u exactly 0 or above relative_cut(tol,
-    |S_g|), one at least above, so u'S(d)u > 0 for all d > 0.  Tried in order:
-    the identity and its top eigenvector; the same-group directions u
-    (e_i, e_i - e_j), where u'S(d)u = d_g u'A_v u, so a positive value
-    proves and a zero one forces S(d)u = 0, whose nullspace is the face
-    of all certificates; on that face, with the forced kernel projected
-    out, Kelley cuts u'S(d)u from top eigenvectors, each LP minimizing
-    the largest cut and -d_g over sum d = 1 (a negative optimum is
-    strictly positive), until an LP bound exceeds tol or _CUTS cuts.
+    A proof is a unit u with every u'S_g u exactly 0 or above its cut
+    relative_cut(tol, |S_g|), one at least above, so u'S(d)u > 0 for all
+    d > 0.  Tried in order: the identity and its top eigenvector; the
+    same-group directions u (e_i, e_i - e_j), where u'S(d)u = d_g u'A_v u,
+    so a value above the cut proves and one within it forces S(d)u = 0,
+    whose nullspace is the face of all certificates; on that face, with
+    the forced kernel projected out, Kelley cuts u'S(d)u from top
+    eigenvectors, each LP minimizing the largest cut and -d_g over
+    sum d = 1 (a negative optimum is strictly positive), until an LP
+    bound exceeds tol or _CUTS cuts.
     A d is accepted when _form_kind of its eigenvalues is not indefinite,
     and that verdict is the record's kind.
     """

@@ -592,7 +592,7 @@ class TestEqualRowOffset:
     """A game and its twin up to equal-row blocks share one field, so every verdict."""
 
     # the twin plus decimal equal-row blocks: the rounding leaves dust of 3.5e-18 and 6.9e-18 in
-    # group 2's part of the form, which was once read as a proof that no certificate exists
+    # group 2's part of the form, which a cut without the floor max(1, |S_g|) reads as a proof
     OFFSET = (
         "type: 2 2 2\n"
         "0.1 0.1 1.2 -0.55 0.15 0.05\n0.1 0.1 -0.8 1.45 0.15 0.05\n"

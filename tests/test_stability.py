@@ -109,7 +109,7 @@ class TestCheckWithScaling:
 class TestToleranceRule:
     """Every primitive that takes a tol refuses the values Analysis refuses."""
 
-    # conservative under (1, 2, 5/3), and under (1, 2, 1) too: -1 once read it indefinite
+    # conservative under (1, 2, 1), which a negative tol would read indefinite
     TWIN = PolymatrixGame(
         GameType((2, 2, 2)),
         np.array(
@@ -117,7 +117,7 @@ class TestToleranceRule:
             dtype=float,
         ),
     )
-    # the example's vertex (0, 3): -1 once made its zeros nonzero and inf every entry zero
+    # the example's vertex (0, 3): a negative tol makes its zeros nonzero, an infinite one every entry zero
     M = np.array(EXAMPLE_VERTEX_TABLE[(0, 3)][0], dtype=float)
     CALLS = {
         "check_with_scaling": lambda tol: check_with_scaling(TestToleranceRule.TWIN, DiagonalScaling((1, 2, 1)), tol=tol),

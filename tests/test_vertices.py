@@ -152,7 +152,7 @@ class TestBasisExpansion:
         ids=["too-few", "too-many", "not-a-vector", "strategy-outside-its-group", "wrong-arity"],
     )
     def test_refuses_a_label_or_coefficients_the_type_does_not_fit(self, label, coeffs):
-        # zip once truncated the coefficients, and (0, 1) read strategy 1 as group 1's choice
+        # zip would truncate the coefficients, and (0, 1) would read strategy 1 as group 1's choice
         with pytest.raises(ValueError):
             expand_vertex_vector(GameType((3, 2)), VertexLabel(label), coeffs)
 
