@@ -18,7 +18,6 @@ from .vertices import (
     VertexMatrix,
     enumerate_vertices,
     first_vertex,
-    quadratic_form,
     quadratic_via_vertex,
     vertex_graph,
     vertex_matrix,
@@ -29,7 +28,6 @@ from .stability import (
     admissible,
     almost_skew_symmetric,
     check_with_scaling,
-    find_almost_skew_scaling,
     find_scaling,
     kernel_duality,
     skew_decomposition,

@@ -370,9 +370,9 @@ def cmd_lv2rep(args) -> tuple[dict, list[str], list[str], int]:
 
 
 def _number(text: str) -> float:
-    """The float a command-line value spells, NaN when it spells none."""
+    """The float a command-line value spells as in a game file (1/3 too), NaN when it spells none."""
     try:
-        return float(text)
+        return gamefile._parse_number(text, None)
     except ValueError:
         return float("nan")
 

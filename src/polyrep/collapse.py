@@ -46,10 +46,6 @@ class ReductionMap:
     kept: tuple[int, ...]
     scale: tuple[float, ...]
 
-    def map_state(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x[..., list(self.kept)] * np.array(self.scale)
-
 
 @dataclass(frozen=True)
 class ReductionStep:

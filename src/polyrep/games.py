@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,6 @@ PAYOFF_TOL = 1e-12
 
 # Group sums of a prism state must be 1 within this tolerance.
 STATE_TOL = 1e-9
-
-# Vectors in the tangent space H must have zero group sums within this.
-TANGENT_TOL = 1e-10
 
 # Relative singular-value cutoff for numerical rank / nullspace decisions.
 RANK_RTOL = 1e-10
@@ -63,6 +61,14 @@ def relative_cut(tol: float, scale=0.0):
     return np.zeros_like(scale, dtype=float) if tol == 0 else tol * np.fmax(1.0, scale)
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The entries as Python ints, numpy integers too; ValueError naming the values, not truncating them, otherwise."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values}") from None
+
+
 @dataclass(frozen=True)
 class GameType:
     """Group sizes (n_1, ..., n_p) plus derived index bookkeeping."""
@@ -70,7 +76,7 @@ class GameType:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = _integers(self.sizes, "group sizes")
         if not sizes or any(s < 1 for s in sizes):
             raise ValueError(f"group sizes must be positive, got {self.sizes}")
         object.__setattr__(self, "sizes", sizes)
@@ -215,7 +221,8 @@ class EquilibriumSet:
         return 0 if not self.exists else self.basis.shape[0]
 
     def contains(self, q: np.ndarray, tol: float = 1e-9) -> bool:
-        """Whether q lies in particular + span(basis)."""
+        """Whether q lies in particular + span(basis); ValueError unless tol is a finite number >= 0."""
+        relative_cut(tol)
         if not self.exists:
             return False
         d = np.asarray(q, dtype=float) - self.particular
@@ -229,8 +236,10 @@ def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) ->
     """Violations of the prism-state invariants (empty list when valid).
 
     Every non-finite coordinate is one: NaN fails no comparison, so the
-    sign and sum checks alone would let it through.
+    sign and sum checks alone would let it through.  ValueError unless
+    tol is a finite number >= 0.
     """
+    relative_cut(tol)
     x = np.asarray(x, dtype=float)
     if x.shape != (gtype.n,):
         return [f"state has shape {x.shape}, expected ({gtype.n},)"]
@@ -242,14 +251,6 @@ def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) ->
         if abs(s - 1.0) > tol:
             problems.append(f"group {a} sums to {s}, expected 1")
     return problems
-
-
-def in_tangent_space(gtype: GameType, w: np.ndarray, tol: float = TANGENT_TOL) -> bool:
-    """Whether w has zero group sums (lies in the prism's tangent space)."""
-    w = np.asarray(w, dtype=float)
-    return all(
-        abs(float(np.sum(w[gtype.group_indices(a)]))) <= tol for a in range(gtype.p)
-    )
 
 
 def random_prism_state(
@@ -319,7 +320,8 @@ def games_equivalent(a: PolymatrixGame, b: PolymatrixGame, tol: float = PAYOFF_T
 
     Equivalent means every block of the payoff difference has all rows
     identical, which is exactly the condition for the difference to
-    contribute nothing to the dynamics on the prism.
+    contribute nothing to the dynamics on the prism.  ValueError unless
+    tol is a finite number >= 0, as for has_equal_row_blocks.
     """
     if a.gtype != b.gtype:
         raise ValueError(f"type mismatch: {a.gtype} vs {b.gtype}")
@@ -329,7 +331,8 @@ def games_equivalent(a: PolymatrixGame, b: PolymatrixGame, tol: float = PAYOFF_T
 
 
 def has_equal_row_blocks(gtype: GameType, c: np.ndarray, tol: float = PAYOFF_TOL) -> bool:
-    """Whether every block of c (per the game type) has identical rows."""
+    """Whether every block of c (per the game type) has identical rows; ValueError unless tol is a finite number >= 0."""
+    relative_cut(tol)
     c = np.asarray(c, dtype=float)
     for a in range(gtype.p):
         rows = gtype.group_indices(a)

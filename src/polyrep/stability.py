@@ -429,21 +429,6 @@ def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray
     return ok
 
 
-def find_almost_skew_scaling(m: np.ndarray, tol: float = SEMIDEF_TOL) -> np.ndarray | None:
-    """Positive diagonal d with M diag(d) almost skew-symmetric, if any.
-
-    The antisymmetry constraints m_ij d_j = -m_ji d_i over pairs touching
-    a zero diagonal fix ratios of d; they are propagated along a spanning
-    forest of the constraint graph, non-tree constraints are checked for
-    consistency, components free of constraints keep d = 1, and the
-    candidate is verified in full (including the definiteness clause).
-    Row 0 of stably_dissipative_stack on the stack of one.
-    """
-    t = np.asarray(m, dtype=float)[None]
-    _, skew_ok, d = stably_dissipative_stack(t, zero_entries(t, tol), tol)
-    return d[0] if skew_ok[0] else None
-
-
 def _decide(
     t: np.ndarray, zero: np.ndarray, edges: np.ndarray, signs: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -676,8 +661,10 @@ def kernel_duality(m: np.ndarray, d: np.ndarray, tol: float = 1e-8) -> bool:
     """Whether Ker(M) equals D Ker(M^T) as subspaces.
 
     Holds for every dissipative pair (M, D); tested by dimension match
-    plus the largest principal angle between the two spans.
+    plus the largest principal angle between the two spans.  ValueError
+    unless tol is a finite number >= 0.
     """
+    relative_cut(tol)
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
     k1 = _nullspace(m).T

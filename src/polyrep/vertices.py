@@ -26,11 +26,10 @@ import numpy as np
 
 from .games import (
     SEMIDEF_TOL,
-    TANGENT_TOL,
     DiagonalScaling,
     GameType,
     PolymatrixGame,
-    in_tangent_space,
+    _integers,
     relative_cut,
 )
 
@@ -57,7 +56,7 @@ class VertexLabel:
     chosen: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "chosen", tuple(map(int, self.chosen)))
+        object.__setattr__(self, "chosen", _integers(self.chosen, "vertex label entries"))
 
     def validate(self, gtype: GameType) -> None:
         if len(self.chosen) != gtype.p:
@@ -114,10 +113,6 @@ class StrategyGraph:
     vertices: tuple[int, ...]
     edges: frozenset[tuple[int, int]]
     diagonal_sign: dict[int, int] = field(hash=False)
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Adjacent strategies, ascending, excluding i itself (loops are not neighbors)."""
-        return tuple(sorted({b for a, b in self.edges if a == i} | {a for a, b in self.edges if b == i}))
 
 
 def enumerate_vertices(gtype: GameType) -> list[VertexLabel]:
@@ -201,20 +196,12 @@ def vertex_matrix(game: PolymatrixGame, v: VertexLabel) -> VertexMatrix:
     return VertexMatrix(v, tuple(ii[0].tolist()), out[0])
 
 
-def quadratic_form(game: PolymatrixGame, w: np.ndarray) -> float:
-    """w^T A w for a tangent vector w (zero group sums required)."""
-    w = np.asarray(w, dtype=float)
-    if not in_tangent_space(game.gtype, w, tol=TANGENT_TOL):
-        raise ValueError("vector does not have zero group sums")
-    return float(w @ game.payoff @ w)
-
-
 def quadratic_via_vertex(
     game: PolymatrixGame, v: VertexLabel, x: np.ndarray, q: np.ndarray
 ) -> float:
     """The quadratic form of x - q evaluated through the vertex matrix.
 
-    Equals quadratic_form(game, x - q) for any prism states x, q; only
+    Equals (x - q) A (x - q) for any prism states x, q; only
     the coordinates of the non-chosen strategies enter.
     """
     vm = vertex_matrix(game, v)
@@ -295,8 +282,10 @@ def diag_property_check(
     """Whether (A D)_v equals A_v D_v entrywise.
 
     D_v is the submatrix of the expanded diagonal on the vertex index
-    set; the identity is exact for integer payoffs.
+    set; the identity is exact for integer payoffs.  ValueError unless
+    tol is a finite number >= 0.
     """
+    relative_cut(tol)
     lhs = vertex_matrix(scaled_game(game, d), v).entries
     vm = vertex_matrix(game, v)
     dv = d.expand(game.gtype)[list(vm.index_set)]

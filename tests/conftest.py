@@ -54,6 +54,17 @@ EXAMPLE_REDUCED = np.array(
     dtype=float,
 )
 
+# An integer (2,2,2) game that no direction tried before the Kelley cuts
+# proves not dissipative: the proof is the top eigenvector at a cut's d.
+KELLEY_PROOF_GAME = """type: 2 2 2
+-3 -1 3 4 0 -5
+1 -3 -2 0 -4 5
+-2 3 2 -3 -5 4
+5 -1 5 -5 5 0
+4 3 -4 -4 -2 2
+-1 -4 -3 -5 3 5
+"""
+
 
 @pytest.fixture(scope="session")
 def example_game() -> PolymatrixGame:

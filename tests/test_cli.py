@@ -38,7 +38,7 @@ from polyrep.stability import (
 )
 from polyrep.vertices import MAX_ENTRIES, MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
 
-from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, make_dissipative_game, random_game
+from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, KELLEY_PROOF_GAME, make_dissipative_game, random_game
 
 
 @pytest.fixture()
@@ -103,6 +103,12 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == EXIT_NOT_DISSIPATIVE
         assert "kind: not_dissipative" in out.splitlines()
+
+    def test_a_kelley_cut_proof_exits_3(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(KELLEY_PROOF_GAME)
+        code, out, err = run(capsys, "check", str(path), "--format", "json")
+        assert (code, json.loads(out)["kind"], err) == (EXIT_NOT_DISSIPATIVE, NOT_DISSIPATIVE, "")
 
     @pytest.mark.parametrize(
         "rows",
@@ -642,6 +648,15 @@ class TestEquilibrium:
         npt.assert_allclose(data["particular"], [1 / 3, 1 / 3, 1 / 3, 0.5, 0.5], atol=1e-9)
         assert data["dimension"] == 1
 
+    def test_no_formal_equilibrium_is_a_report(self, capsys, tmp_path):
+        # strategy 1 pays 1 less than strategy 0 at every state: an answer, not a refusal
+        path = tmp_path / "g.txt"
+        path.write_text("type: 2\n0 1\n-1 0\n")
+        code, out, err = run(capsys, "equilibrium", str(path), "--format", "json")
+        data = json.loads(out)
+        assert (code, err) == (EXIT_OK, "")
+        assert (data["exists"], data["interior_point"]) == (False, None)
+
 
 class TestSimulate:
     def test_csv_output(self, capsys, tmp_path, example_path):
@@ -763,12 +778,20 @@ class TestSimulate:
         _, _, text_err = run(capsys, "simulate", "--game", example_path, "--T=0.5", *extra)
         assert text_err == err
 
-    @pytest.mark.parametrize("extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"]])
+    @pytest.mark.parametrize(
+        "extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"], ["--T", "1/0"]]
+    )
     def test_bad_duration_or_step_exits_1(self, capsys, example_path, extra):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random:1", *extra)
         assert code == EXIT_IO
         assert out == ""
         assert "usage:" in err and "Traceback" not in err
+        bound = ">= 0" if extra[0] == "--T" else "> 0"
+        assert err.splitlines()[-1].endswith(f"argument {extra[0]}: expected a finite number {bound}, got {extra[1]!r}")
+
+    def test_duration_and_step_read_as_game_files_do(self, capsys, example_path):
+        code, out, _ = run(capsys, "simulate", "--game", example_path, "--T", "1/2", "--dt", "1/100", "--format", "json")
+        assert (code, json.loads(out)["steps"]) == (EXIT_OK, 50)
 
     @pytest.mark.parametrize("extra", [["--T", "1e300"], ["--T", "1", "--dt", "1e-320"]])
     def test_step_count_beyond_the_ceiling_exits_1(self, capsys, example_path, extra):
@@ -862,6 +885,12 @@ REFUSALS = [
       for c in ANALYSES],
     *[pytest.param([*c, "{d}/ceiling.txt"], EXIT_IO, CEILING, id=f"{c[0]}-ceiling")
       for c in ANALYSES if c != ["equilibrium"]],
+    pytest.param(["check", "{d}/sizes_words.txt"], EXIT_IO, "error: line 1: group sizes must be integers\n",
+                 id="header-words"),
+    pytest.param(["check", "{d}/sizes_none.txt"], EXIT_IO, "error: line 1: no group sizes given\n",
+                 id="header-empty"),
+    pytest.param(["check", "{d}/sizes_zero.txt"], EXIT_IO,
+                 "error: line 1: group sizes must be positive, got (0, 2)\n", id="header-zero"),
     pytest.param(["reduce", "{d}/dissipative.txt"], EXIT_NOT_ADMISSIBLE,
                  NOT_ADMISSIBLE + "the reduction rules do not apply\n", id="reduce-not-admissible"),
     pytest.param(["reduce", "{d}/tilted.txt"], EXIT_NOT_DISSIPATIVE,
@@ -906,6 +935,9 @@ REFUSAL_FILES = {
     "parse.txt": "type: 2\n0 zzz\n0 0\n",
     "range.txt": BEYOND_RANGE,
     "ceiling.txt": "type:" + " 2" * 15 + "\n" + ("0 " * 30 + "\n") * 30,
+    "sizes_words.txt": "type: 2 x\n0 0\n0 0\n",
+    "sizes_none.txt": "type:\n0 0\n0 0\n",
+    "sizes_zero.txt": "type: 0 2\n0 0\n0 0\n",
     "dissipative.txt": "type: 3\n-4 5 -4\n3 -4 -4\n-1 -1 -5\n",  # dissipative, but no stable vertex
     "tilted.txt": "type: 2\n1 1\n0 0\n",  # no formal equilibrium
     "boundary.txt": "type: 2\n-1 0\n0 0\n",  # admissible, its only equilibrium (0, 1)

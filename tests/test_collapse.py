@@ -236,10 +236,6 @@ class TestReduceBySet:
         npt.assert_array_equal(reduced.payoff, EXAMPLE_REDUCED)
         assert ident.kept == (0, 1, 3, 4)
         npt.assert_allclose(ident.scale, [1.5, 1.5, 1.0, 1.0])
-        npt.assert_allclose(
-            ident.map_state(np.array([float(v) for v in EXAMPLE_Q])),
-            [0.5, 0.5, 0.5, 0.5],
-        )
 
     def test_empty_set_is_identity(self, example_game):
         reduced, ident = reduce_by_set(example_game, EXAMPLE_Q, set())

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,6 @@ from polyrep.games import (
     formal_equilibria,
     games_equivalent,
     has_equal_row_blocks,
-    in_tangent_space,
     interior_equilibria,
     random_prism_state,
     validate_game,
@@ -196,7 +197,7 @@ class TestVectorField:
         gt = example_game.gtype
         for _ in range(50):
             f = vector_field(example_game, random_prism_state(gt, rng))
-            assert in_tangent_space(gt, f, tol=1e-10)
+            npt.assert_allclose(gt.indicator() @ f, 0.0, atol=1e-10)
 
     def test_face_invariance_exact(self, example_game):
         x = np.array([0.0, 0.4, 0.6, 0.3, 0.7])
@@ -365,6 +366,16 @@ class TestGameTypeCache:
         a, b = GameType((2, 2)), GameType((2, 2))
         a.indicator()
         assert a == b and hash(a) == hash(b)
+
+    def test_numpy_integer_sizes_are_ints(self):
+        gt = GameType(np.array([3, 2], dtype=np.int64))
+        assert gt == GameType((3, 2)) and all(type(s) is int for s in gt.sizes)
+
+    @pytest.mark.parametrize("sizes", [(2.7, 3), ("3", 2), (np.float64(2.0), 3)])
+    def test_a_size_that_is_no_integer_is_refused(self, sizes):
+        # int() would truncate 2.7 to 2 and read '3' as 3
+        with pytest.raises(ValueError, match=f"^group sizes must be integers, got {re.escape(str(sizes))}$"):
+            GameType(sizes)
 
 
 class TestDiagonalScaling:

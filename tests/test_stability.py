@@ -6,7 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrep.games import DiagonalScaling, GameType, PolymatrixGame, random_tangent_vector
+from polyrep.gamefile import parse_game_text
+from polyrep.games import (
+    DiagonalScaling,
+    GameType,
+    PolymatrixGame,
+    check_prism_state,
+    formal_equilibria,
+    games_equivalent,
+    has_equal_row_blocks,
+    in_unit,
+    random_tangent_vector,
+    relative_cut,
+)
 from polyrep.stability import (
     CONSERVATIVE,
     DISSIPATIVE,
@@ -18,7 +30,6 @@ from polyrep.stability import (
     admissible,
     almost_skew_symmetric,
     check_with_scaling,
-    find_almost_skew_scaling,
     find_scaling,
     kernel_duality,
     skew_decomposition,
@@ -29,6 +40,7 @@ from polyrep.stability import _largest_angle, _sym, _VertexForm
 from polyrep.vertices import (
     VertexLabel,
     VertexMatrix,
+    diag_property_check,
     enumerate_vertices,
     first_vertex,
     scaled_game,
@@ -40,6 +52,7 @@ from polyrep.vertices import (
 from conftest import (
     EXAMPLE_PAYOFF,
     EXAMPLE_VERTEX_TABLE,
+    KELLEY_PROOF_GAME,
     make_dissipative_game,
     make_stable_matrix,
     random_game,
@@ -119,12 +132,26 @@ class TestToleranceRule:
     )
     # the example's vertex (0, 3): a negative tol makes its zeros nonzero, an infinite one every entry zero
     M = np.array(EXAMPLE_VERTEX_TABLE[(0, 3)][0], dtype=float)
+    # the example's interior equilibrium, which a negative tol reads as off the prism and off the equilibria
+    EXAMPLE = PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF)
+    Q = np.array([1 / 3] * 3 + [1 / 2] * 2)
+    # the kernels of a skew block bordered by zeros, e_3 both, which a negative or NaN tol calls apart
+    K = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     CALLS = {
         "check_with_scaling": lambda tol: check_with_scaling(TestToleranceRule.TWIN, DiagonalScaling((1, 2, 1)), tol=tol),
         "stably_dissipative": lambda tol: stably_dissipative(TestToleranceRule.M, tol),
         "almost_skew_symmetric": lambda tol: almost_skew_symmetric(TestToleranceRule.M, tol),
-        "find_almost_skew_scaling": lambda tol: find_almost_skew_scaling(TestToleranceRule.M, tol),
         "zero_entries": lambda tol: zero_entries(TestToleranceRule.M, tol),
+        "games_equivalent": lambda tol: games_equivalent(TestToleranceRule.EXAMPLE, TestToleranceRule.EXAMPLE, tol),
+        "has_equal_row_blocks": lambda tol: has_equal_row_blocks(GameType((3, 2)), np.zeros((5, 5)), tol),
+        "check_prism_state": lambda tol: check_prism_state(GameType((3, 2)), TestToleranceRule.Q, tol),
+        "EquilibriumSet.contains": lambda tol: formal_equilibria(TestToleranceRule.EXAMPLE).contains(
+            TestToleranceRule.Q, tol
+        ),
+        "diag_property_check": lambda tol: diag_property_check(
+            TestToleranceRule.TWIN, DiagonalScaling((1, 2, 1)), first_vertex(TestToleranceRule.TWIN.gtype), tol
+        ),
+        "kernel_duality": lambda tol: kernel_duality(TestToleranceRule.K, np.ones(3), tol),
     }
 
     def test_the_twin_is_conservative_under_the_scaling(self):
@@ -275,6 +302,17 @@ class TestFindScaling:
                 assert u @ _sym(vertex_matrix(scaled_game(game, d), v0).entries) @ u > 0
         assert proved >= 5
 
+    def test_a_kelley_cut_proves_not_dissipative(self):
+        # the identity, its top eigenvector and the same-group directions prove nothing here
+        game = parse_game_text(KELLEY_PROOF_GAME)
+        an = Analysis(game)
+        assert (an.kind, an.scaling) == (NOT_DISSIPATIVE, None)
+        # the search reads the unit game; S_g is its form at the first vertex with only group g's columns kept
+        unit, v0, u = in_unit(game)[0], first_vertex(game.gtype), an.search.proof
+        for g in range(game.gtype.p):
+            s_g = _sym(vertex_matrix(PolymatrixGame(game.gtype, unit.payoff * (game.gtype.groups == g)), v0).entries)
+            assert u @ s_g @ u > relative_cut(SEMIDEF_TOL, np.linalg.norm(s_g, 2))
+
 
 class TestSkewDecomposition:
     def test_zero_game(self):
@@ -327,23 +365,23 @@ class TestAlmostSkew:
 class TestAlmostSkewScaling:
     def test_example_identity_works(self, example_game):
         v0 = enumerate_vertices(example_game.gtype)[0]
-        d = find_almost_skew_scaling(vertex_matrix(example_game, v0).entries)
+        d = stably_dissipative(vertex_matrix(example_game, v0).entries).scaling
         npt.assert_allclose(d, np.ones(3))
 
     def test_skew_matrix_identity(self):
         rng = np.random.default_rng(35)
         s = np.array([[0.0, 1.5], [-1.5, 0.0]])
-        npt.assert_allclose(find_almost_skew_scaling(s), np.ones(2))
+        npt.assert_allclose(stably_dissipative(s).scaling, np.ones(2))
 
     def test_ratio_propagation(self):
         m = np.array([[0.0, 1.0], [-2.0, 0.0]])
-        d = find_almost_skew_scaling(m)
+        d = stably_dissipative(m).scaling
         # constraint 1 * d2 = 2 * d1 with the first index pinned at 1
         npt.assert_allclose(d, [1.0, 2.0])
 
     def test_same_sign_pair_infeasible(self):
         m = np.array([[0.0, 1.0], [2.0, 0.0]])
-        assert find_almost_skew_scaling(m) is None
+        assert stably_dissipative(m).scaling is None
 
     def test_inconsistent_cycle_infeasible(self):
         # triangle of zero-diagonal constraints with an inconsistent loop ratio
@@ -355,12 +393,12 @@ class TestAlmostSkewScaling:
             ]
         )
         # d2/d1 = 1, d3/d2 = 1, but d3/d1 = 1/2
-        assert find_almost_skew_scaling(m) is None
+        assert stably_dissipative(m).scaling is None
 
     def test_same_sign_pair_with_underflowing_product_infeasible(self):
         # m_12 m_21 = 1e-400 rounds to 0, yet the signs agree: d = (1, -1) is no scaling
         m = np.array([[0.0, 1e-200], [1e-200, 0.0]])
-        assert find_almost_skew_scaling(m, tol=0.0) is None
+        assert stably_dissipative(m, tol=0.0).scaling is None
 
     @pytest.mark.parametrize(
         "m",
@@ -376,7 +414,7 @@ class TestAlmostSkewScaling:
     )
     def test_scaling_beyond_float_range_infeasible(self, m):
         # no d > 0 that a float can hold meets these constraints
-        assert find_almost_skew_scaling(np.array(m), tol=0.0) is None
+        assert stably_dissipative(np.array(m), tol=0.0).scaling is None
 
 
 class TestStablyDissipative:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,7 +11,6 @@ from polyrep.vertices import (
     enumerate_vertices,
     expand_vertex_vector,
     first_vertex,
-    quadratic_form,
     quadratic_via_vertex,
     scaled_game,
     vertex_graph,
@@ -46,6 +47,16 @@ class TestEnumeration:
         assert v.support(gt) == (0, 2, 3)
         assert v.partner(gt, 0) == 1
         assert v.partner(gt, 3) == 4
+
+    def test_numpy_integer_labels_are_ints(self):
+        v = VertexLabel(np.array([1, 4], dtype=np.intp))
+        assert v == VertexLabel((1, 4)) and all(type(c) is int for c in v.chosen)
+
+    @pytest.mark.parametrize("chosen", [(0.9, 3.5), (0, "3")])
+    def test_a_label_that_is_no_integer_is_refused(self, chosen):
+        # int() would truncate (0.9, 3.5) to the vertex (0, 3)
+        with pytest.raises(ValueError, match=f"^vertex label entries must be integers, got {re.escape(str(chosen))}$"):
+            VertexLabel(chosen)
 
 
 class TestVertexMatrix:
@@ -87,24 +98,6 @@ class TestVertexMatrix:
 
 
 class TestQuadraticForm:
-    def test_example_is_negative_square(self, example_game):
-        # the form collapses to -9 w2^2 on the tangent space
-        rng = np.random.default_rng(23)
-        from polyrep.games import random_tangent_vector
-
-        for _ in range(100):
-            w = random_tangent_vector(example_game.gtype, rng)
-            expected = -9.0 * w[2] ** 2
-            got = quadratic_form(example_game, w)
-            assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
-
-    def test_zero_vector(self, example_game):
-        assert quadratic_form(example_game, np.zeros(5)) == 0.0
-
-    def test_rejects_off_tangent(self, example_game):
-        with pytest.raises(ValueError):
-            quadratic_form(example_game, np.ones(5))
-
     def test_representation_identity(self):
         # the vertex expansion reproduces the direct (x-q)^T A (x-q)
         rng = np.random.default_rng(24)
@@ -162,7 +155,6 @@ class TestGraphs:
         v = enumerate_vertices(example_game.gtype)[0]  # (0, 3)
         g = vertex_graph(vertex_matrix(example_game, v))
         assert g.edges == frozenset({(1, 2), (2, 4)})
-        assert g.neighbors(2) == (1, 4)
         assert g.diagonal_sign[2] == -1 and g.diagonal_sign[1] == 0
 
     def test_example_triangle(self, example_game):
