@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import MAX_PAYOFF, DiagonalScaling, GameType, PolymatrixGame, _nullspace, vector_field
+from .games import (
+    MAX_PAYOFF, DiagonalScaling, GameType, PolymatrixGame, _nullspace, clearable_floor, random_prism_state, vector_field
+)
 from .vertices import VertexLabel, expand_vertex_vector, vertex_matrix
 
 # Log-based monitors are meaningless this close to the boundary.
@@ -134,7 +136,7 @@ def _rk4_paths(
             f"the integration would keep {entries} state entries, more than the {MAX_HISTORY} it may hold; "
             "take fewer steps or starts"
         )
-    ind = gt.indicator()
+    ind = gt.indicator
     # the memory of (dt/2) A, same and ind is that of the C-contiguous
     # (dt/2) A^T, same and ind^T that a (1, n) row is multiplied with
     half_a = np.asfortranarray(0.5 * dt * game.payoff)
@@ -335,8 +337,6 @@ def attractor_probe(
     The starts keep every coordinate above min_coord, lowered to what the
     largest group can clear (games.clearable_floor).
     """
-    from .games import clearable_floor, random_prism_state
-
     rng = np.random.default_rng(seed)
     floor = clearable_floor(game.gtype, min_coord)
     starts = np.array([random_prism_state(game.gtype, rng, floor) for _ in range(runs)])

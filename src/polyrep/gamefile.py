@@ -52,12 +52,14 @@ def _read_text(path: str | Path) -> str:
         raise GameFileError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
 
 
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, text) of each line left nonblank once its comment is cut: the one line reader of both formats."""
+    lines = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
+    return [(lineno, line) for lineno, line in lines if line]
+
+
 def parse_game_text(text: str) -> PolymatrixGame:
-    content: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            content.append((lineno, stripped))
+    content = _content_lines(text)
     if not content:
         raise GameFileError("empty file")
 
@@ -126,12 +128,7 @@ def write_game(game: PolymatrixGame, path: str | Path) -> None:
 
 def parse_matrix(path: str | Path) -> np.ndarray:
     """A bare whitespace matrix file (used for Lotka-Volterra input)."""
-    rows = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        rows.append([_parse_number(tok, lineno) for tok in stripped.split()])
+    rows = [[_parse_number(tok, lineno) for tok in line.split()] for lineno, line in _content_lines(_read_text(path))]
     if not rows or any(len(r) != len(rows) for r in rows):
         raise GameFileError(f"{path}: expected a square numeric matrix")
     return np.array(rows)

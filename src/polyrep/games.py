@@ -117,15 +117,12 @@ class GameType:
         off = self.offsets[a]
         return range(off, off + self.sizes[a])
 
+    @functools.cached_property
     def indicator(self) -> np.ndarray:
         """(p, n) 0/1 matrix whose row a selects the strategies of group a.
 
         Built once per type and shared, hence read-only.
         """
-        return self._indicator
-
-    @functools.cached_property
-    def _indicator(self) -> np.ndarray:
         m = (self.groups == np.arange(self.p)[:, None]).astype(float)
         m.setflags(write=False)
         return m
@@ -153,10 +150,6 @@ class PolymatrixGame:
     @property
     def n(self) -> int:
         return self.gtype.n
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        ga, gb = self.gtype.group_indices(a), self.gtype.group_indices(b)
-        return self.payoff[ga.start : ga.stop, gb.start : gb.stop]
 
 
 @dataclass(frozen=True)
@@ -193,9 +186,10 @@ class EquilibriumSet:
     """Affine set of formal equilibria: particular point + direction basis.
 
     ``particular`` is None when the defining linear system is inconsistent
-    (no formal equilibrium exists).  ``basis`` rows span the direction
-    space.  ``interior_point`` is a strictly positive member, or None
-    when the set has none; ``interior_flag`` says whether it has one.
+    (no formal equilibrium exists).  ``basis`` rows are an orthonormal
+    basis of the direction space.  ``interior_point`` is a strictly
+    positive member, or None when the set has none; ``interior_flag``
+    says whether it has one.
     """
 
     particular: np.ndarray | None
@@ -219,17 +213,6 @@ class EquilibriumSet:
     @property
     def dimension(self) -> int:
         return 0 if not self.exists else self.basis.shape[0]
-
-    def contains(self, q: np.ndarray, tol: float = 1e-9) -> bool:
-        """Whether q lies in particular + span(basis); ValueError unless tol is a finite number >= 0."""
-        relative_cut(tol)
-        if not self.exists:
-            return False
-        d = np.asarray(q, dtype=float) - self.particular
-        if self.basis.shape[0]:
-            coef, *_ = np.linalg.lstsq(self.basis.T, d, rcond=None)
-            d = d - self.basis.T @ coef
-        return float(np.max(np.abs(d))) <= tol
 
 
 def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) -> list[str]:
@@ -365,7 +348,7 @@ def vector_field(game: PolymatrixGame, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     ax = x @ game.payoff.T
-    ind = game.gtype.indicator()
+    ind = game.gtype.indicator
     # (x * ax) @ ind^T ind: each strategy's group-average payoff
     return x * (ax - (x * ax) @ (ind.T @ ind))
 
@@ -381,7 +364,7 @@ def _equilibrium_system(game: PolymatrixGame) -> tuple[np.ndarray, np.ndarray]:
     gt = game.gtype
     scale = float(np.max(np.abs(game.payoff), initial=0.0)) or 1.0
     rows, rhs = [], []
-    for a, one in enumerate(gt.indicator()):
+    for a, one in enumerate(gt.indicator):
         idx = gt.group_indices(a)
         for i in idx[1:]:
             rows.append((game.payoff[i] - game.payoff[idx[0]]) / scale)

@@ -66,10 +66,6 @@ class InformationSet:
     links: frozenset[tuple[int, int]]
     trace: tuple[TraceStep, ...]
 
-    def colored(self, i: int) -> bool:
-        """Black or plus."""
-        return self.colors[i] is not Color.WHITE
-
     def with_colors(self, updates: dict[int, Color], step: TraceStep) -> "InformationSet":
         colors = list(self.colors)
         for i, c in updates.items():

@@ -72,10 +72,9 @@ FOREST_RTOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class Classification:
-    """Outcome of testing one scaling: kind plus certificate or witness."""
+    """Outcome of testing one scaling: the kind, plus a witness when the form is indefinite."""
 
     kind: str
-    scaling: DiagonalScaling | None = None
     witness: np.ndarray | None = None
 
 
@@ -177,7 +176,7 @@ def check_with_scaling(
         raise ValueError(f"the form scaled by {d.values} leaves the float range, |x| <= {np.finfo(float).max:.4g}")
     kind = _form_kind(np.linalg.eigvalsh(sym), tol)
     if kind != INDEFINITE:
-        return Classification(kind, scaling=d)
+        return Classification(kind)
     top = np.linalg.eigh(sym)[1][:, -1]
     return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, form.vertex, top))
 
@@ -282,7 +281,7 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
 def _tangent_orthobasis(game: PolymatrixGame) -> np.ndarray:
     """Orthonormal basis: group indicators first, tangent space after."""
     gt = game.gtype
-    normal = gt.indicator().T * np.sqrt(1.0 / np.array(gt.sizes))
+    normal = gt.indicator.T * np.sqrt(1.0 / np.array(gt.sizes))
     tangent = _nullspace(normal.T).T
     return np.hstack([normal, tangent])
 

@@ -31,7 +31,7 @@ def vector_field(game, x):
     """The replicator field through the (p, n) indicator, twice."""
     x = np.asarray(x, dtype=float)
     ax = x @ game.payoff.T
-    ind = game.gtype.indicator()
+    ind = game.gtype.indicator
     group_avg = (x * ax) @ ind.T  # (..., p): average payoff per group
     return x * (ax - group_avg @ ind)
 
@@ -44,7 +44,7 @@ def rk4_paths(game, x0, steps, dt):
     without it; steps + 1 when it never had one.
     """
     gt = game.gtype
-    ind = gt.indicator()
+    ind = gt.indicator
     x = np.array(x0, dtype=float)
     out = np.empty((x.shape[0], steps + 1, gt.n))
     drift = np.zeros((x.shape[0], steps + 1))
@@ -99,7 +99,7 @@ def buffered_rk4_paths(game, x0, steps, dt):
     buffers are strategy-major, (n, m), as the kernel's.
     """
     gt = game.gtype
-    ind = gt.indicator()
+    ind = gt.indicator
     # Fortran-ordered operands, as the kernel's: another memory order moves the last bits
     half_a = np.asfortranarray(0.5 * dt * game.payoff)
     same = np.asfortranarray(ind.T @ ind)
@@ -143,7 +143,7 @@ def buffered_rk4_paths(game, x0, steps, dt):
 def row_rk4_path(game, x0, steps, dt):
     """Integrate one start (n,) held as a (1, n) row; returns (steps+1, n) states and the drift."""
     gt = game.gtype
-    ind = gt.indicator()
+    ind = gt.indicator
     same = ind.T @ ind
     half_at = np.ascontiguousarray(0.5 * dt * game.payoff.T)
     ind_t = np.ascontiguousarray(ind.T)

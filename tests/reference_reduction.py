@@ -55,7 +55,7 @@ def _instances_exceptional(rule, counted, target):
             g = an.graphs[v]
             targets: set[int] = set()
             for i in g.vertices:
-                if not state.colored(i):
+                if state.colors[i] is Color.WHITE:
                     continue
                 hits = [k for k in an.adjacency[v][i] if state.colors[k] in counted]
                 if len(hits) == 1:
@@ -74,7 +74,7 @@ def _instances_rule4(state, an, vstar):
                 continue
             if g.diagonal_sign[j] != 0:
                 continue
-            if not all(state.colored(k) for k in an.adjacency[v][j]):
+            if any(state.colors[k] is Color.WHITE for k in an.adjacency[v][j]):
                 continue
             partner = v.partner(an.game.gtype, j)
             pair = (min(j, partner), max(j, partner))

@@ -919,6 +919,9 @@ REFUSALS = [
                  "error: --x0 is not a prism state: negative coordinate -1.0\n", id="x0-off-the-prism"),
     pytest.param([*SIMULATE, "--T", "1e300"], EXIT_IO,
                  "error: T / dt = 1e+302 steps is not a finite count of at most 1e+07\n", id="step-count"),
+    pytest.param(["simulate", "--game", "{d}/zero14.txt", "--T", "100000", "--dt", "0.01", "--monitors", ""], EXIT_IO,
+                 "error: the integration would keep 140000014 state entries, more than the 134217728 it may hold; "
+                 "take fewer steps or starts\n", id="history-ceiling"),  # (10**7 + 1) steps x 14 strategies
     pytest.param([*SIMULATE, "--csv", "{d}"], EXIT_IO, IS_DIR, id="csv-directory"),
     pytest.param([*SIMULATE, "--csv", "{d}/none/run.csv"], EXIT_IO,
                  NO_FILE.replace("{name}", "none/run.csv"), id="csv-missing-directory"),
@@ -941,6 +944,7 @@ REFUSAL_FILES = {
     "dissipative.txt": "type: 3\n-4 5 -4\n3 -4 -4\n-1 -1 -5\n",  # dissipative, but no stable vertex
     "tilted.txt": "type: 2\n1 1\n0 0\n",  # no formal equilibrium
     "boundary.txt": "type: 2\n-1 0\n0 0\n",  # admissible, its only equilibrium (0, 1)
+    "zero14.txt": "type: 14\n" + ("0 " * 14 + "\n") * 14,
     "a.txt": "0 -1\n1 0\n",
     "a_nan.txt": "0 nan\n1 0\n",
     # an admissible integer game times 3e299: it parses, but its core's largest entry is 16/9 of the game's
@@ -959,7 +963,8 @@ class TestRefusals:
 
     Three need more than an input file: a RuntimeError from the rule
     engine (exit 4) below, collapse's internal failure (exit 4) in
-    TestCollapse, and the history ceiling in TestIntegrationLimits.
+    TestCollapse, and the history ceiling of a 600-strategy game, run
+    under a memory cap in TestIntegrationLimits.
     """
 
     @pytest.fixture()

@@ -157,6 +157,12 @@ class TestCardinal2Cleanup:
         with pytest.raises(ValueError):
             cardinal2_cleanup(example_game, 0)
 
+    def test_rejects_the_only_group(self):
+        # a one-group game has no other group to fold the survivor's column into
+        game = PolymatrixGame(GameType((1,)), np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="cannot fold away the only group"):
+            cardinal2_cleanup(game, 0)
+
     @pytest.mark.parametrize("alpha", [-1, -2, 2])
     def test_rejects_a_group_the_type_lacks(self, alpha):
         # a negative index would read the last group's size and drop nothing

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -53,7 +55,7 @@ class TestIntegrate:
         rng = np.random.default_rng(60)
         x0 = random_prism_state(example_game.gtype, rng)
         traj = integrate(example_game, x0, T=10.0, dt=0.01)
-        sums = traj.states @ example_game.gtype.indicator().T
+        sums = traj.states @ example_game.gtype.indicator.T
         npt.assert_allclose(sums, 1.0, atol=1e-12)
         assert np.max(traj.renorm_drift) < 1e-9
 
@@ -115,6 +117,18 @@ class TestIntegrate:
     def test_a_start_of_the_wrong_length_is_refused(self, example_game):
         with pytest.raises(ValueError, match=r"shape \(m, 5\), got \(1, 4\)"):
             integrate(example_game, np.array([0.5, 0.5, 0.0, 0.5]), 0.1)
+
+    def test_a_history_past_max_history_is_refused_before_any_allocation(self, example_game):
+        # 13501 samples of 2000 starts of 5 strategies: 135010000 entries, past the 2**27 a run may keep
+        starts = np.tile([1 / 3, 1 / 3, 1 / 3, 1 / 2, 1 / 2], (2000, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="would keep 135010000 state entries, more than the 134217728 it"):
+                integrate_batch(example_game, starts, T=135, dt=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_step_count_rounds_the_ratio(self):
         assert step_count(1.0, 0.01) == 100

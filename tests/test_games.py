@@ -55,6 +55,11 @@ class TestValidation:
         problems = check_prism_state(example_game.gtype, np.array([np.nan, 0.5, 0.5, 0.5, np.inf]))
         assert problems[:2] == ["coordinate 0 is nan", "coordinate 4 is inf"]
 
+    @pytest.mark.parametrize("shape", [(4,), (6,), (1, 5), (5, 1)])
+    def test_prism_state_check_names_a_state_of_the_wrong_shape(self, example_game, shape):
+        # the one problem reported, before any coordinate is read
+        assert check_prism_state(example_game.gtype, np.full(shape, 0.2)) == [f"state has shape {shape}, expected (5,)"]
+
 
 class TestRandomPrismState:
     """A floor is drawn from the conditioned law at once, not by rejection."""
@@ -197,7 +202,7 @@ class TestVectorField:
         gt = example_game.gtype
         for _ in range(50):
             f = vector_field(example_game, random_prism_state(gt, rng))
-            npt.assert_allclose(gt.indicator() @ f, 0.0, atol=1e-10)
+            npt.assert_allclose(gt.indicator @ f, 0.0, atol=1e-10)
 
     def test_face_invariance_exact(self, example_game):
         x = np.array([0.0, 0.4, 0.6, 0.3, 0.7])
@@ -237,11 +242,20 @@ class TestVectorField:
             npt.assert_allclose(batch[k], vector_field(example_game, xs[k]), atol=1e-14)
 
 
+def in_equilibrium_set(eq, q, tol=1e-9) -> bool:
+    """Whether q lies in particular + span(basis), by projection on the set's orthonormal basis rows."""
+    if not eq.exists:
+        return False
+    d = q - eq.particular
+    return float(np.max(np.abs(d - eq.basis.T @ (eq.basis @ d)))) <= tol
+
+
 class TestEquilibria:
     def test_example_contains_q(self, example_game, example_q):
         eq = formal_equilibria(example_game)
         assert eq.exists
-        assert eq.contains(example_q)
+        npt.assert_allclose(eq.basis @ eq.basis.T, np.eye(eq.dimension), atol=1e-12)
+        assert in_equilibrium_set(eq, example_q)
 
     def test_zero_game_barycenter(self):
         zero = PolymatrixGame(GameType((2, 2)), np.zeros((4, 4)))
@@ -260,7 +274,7 @@ class TestEquilibria:
     def test_interior_example(self, example_game, example_q):
         eq = interior_equilibria(example_game)
         assert eq.interior_flag
-        assert eq.contains(example_q)
+        assert in_equilibrium_set(eq, example_q)
         assert np.min(eq.interior_point) > 0
 
     def test_formal_equilibria_search_their_interior_point(self, example_game, example_q):
@@ -296,7 +310,7 @@ class TestEquilibria:
         # payoff rows of size 1e10 and more beside the unit group-sum rows: the sums must still bind
         eq = formal_equilibria(PolymatrixGame(example_game.gtype, example_game.payoff * scale))
         assert eq.exists and eq.dimension == 1
-        assert eq.contains(example_q)
+        assert in_equilibrium_set(eq, example_q)
 
     def test_basis_members_are_formal(self, example_game):
         eq = formal_equilibria(example_game)
@@ -312,22 +326,11 @@ class TestEquilibria:
                 assert abs(np.sum(q[idx]) - 1) < 1e-9
 
 
-class TestBlockAccess:
-    def test_block_slices(self, example_game):
-        npt.assert_array_equal(example_game.block(0, 1), example_game.payoff[:3, 3:])
-        npt.assert_array_equal(example_game.block(1, 0), example_game.payoff[3:, :3])
-
-    @pytest.mark.parametrize("a, b", [(-1, 0), (0, -1), (2, 0), (0, 2)])
-    def test_a_group_the_type_lacks_is_refused(self, example_game, a, b):
-        with pytest.raises(IndexError, match="out of range for"):
-            example_game.block(a, b)
-
-
 class TestGameTypeCache:
     def test_indicator_shared_and_read_only(self):
         gt = GameType((3, 2))
-        ind = gt.indicator()
-        assert ind is gt.indicator()
+        ind = gt.indicator
+        assert ind is gt.indicator
         assert not ind.flags.writeable
         with pytest.raises(ValueError):
             ind[0, 0] = 2.0
@@ -344,11 +347,11 @@ class TestGameTypeCache:
             idx = gt.group_indices(a)
             assert idx.start == gt.offsets[a] and len(idx) == sizes[a]
             npt.assert_array_equal(np.flatnonzero(groups == a), list(idx))
-            npt.assert_array_equal(np.flatnonzero(gt.indicator()[a]), list(idx))
+            npt.assert_array_equal(np.flatnonzero(gt.indicator[a]), list(idx))
         for a in (-1, -gt.p, gt.p):
             with pytest.raises(IndexError, match=f"group {a} out of range for"):
                 gt.group_indices(a)
-        npt.assert_array_equal(gt.indicator().sum(axis=0), np.ones(gt.n))
+        npt.assert_array_equal(gt.indicator.sum(axis=0), np.ones(gt.n))
         assert [gt.group_of(i) for i in range(gt.n)] == groups.tolist()
         assert all(type(gt.group_of(i)) is int for i in (0, gt.n - 1))
         for i in (-1, gt.n):
@@ -359,12 +362,12 @@ class TestGameTypeCache:
         gt = GameType((3, 1, 2))
         assert gt.offsets == (0, 3, 4)
         npt.assert_array_equal(
-            gt.indicator(), [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
+            gt.indicator, [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
         )
 
     def test_equality_ignores_cache(self):
         a, b = GameType((2, 2)), GameType((2, 2))
-        a.indicator()
+        a.indicator
         assert a == b and hash(a) == hash(b)
 
     def test_numpy_integer_sizes_are_ints(self):

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.reduction import (
     Color,
+    InformationSet,
+    TraceStep,
     apply_rule,
     classify_attractor,
     collapse_trace,
@@ -61,6 +64,15 @@ class TestInitialize:
             initialize(game)
         with pytest.raises(ValueError, match="requires an admissible game"):
             apply_rule(state, 4, game)
+
+
+class TestInformationSet:
+    @pytest.mark.parametrize("start", [Color.BLACK, Color.PLUS])
+    def test_no_colour_returns_to_white(self, start):
+        # colours only strengthen, so the attractor constraint a colour records is never withdrawn
+        state = InformationSet((Color.WHITE, start), frozenset(), ())
+        with pytest.raises(ValueError, match=re.escape(f"illegal transition {start} -> {Color.WHITE} at strategy 1")):
+            state.with_colors({1: Color.WHITE}, TraceStep(2, (), (1,)))
 
 
 class TestApplyRule:

@@ -231,3 +231,25 @@ def test_column_scaling_keeps_the_stable_vertices():
             if Analysis(scaled).vstar != Analysis(game).vstar:
                 moved.append((sizes, k))
     assert moved == []
+
+
+@pytest.mark.xfail(
+    strict=True, reason="defect N: the skew test tries d = 1 only, so it rejects a restriction the full d makes almost skew"
+)
+def test_a_stable_vertex_restricts_to_a_stable_vertex_of_each_prefix():
+    # The sub-game on the first k groups, payoff[:m, :m] with m their strategies, has at the
+    # vertex's first k choices the principal submatrix of the vertex matrix on those groups,
+    # and a principal submatrix of a stably dissipative matrix is stably dissipative.  Over 40
+    # games each of five types, rng seed 1, 296 (vertex, prefix) pairs in 10 games fail while
+    # defect N stands.
+    rng = np.random.default_rng(1)
+    broken = []
+    for sizes in [(3, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2,) * 5]:
+        for k in range(40):
+            game = make_dissipative_game(GameType(sizes), rng)[0]
+            vstar = Analysis(game).vstar
+            for cut in range(1, len(sizes)):
+                m = sum(sizes[:cut])
+                sub = set(Analysis(PolymatrixGame(GameType(sizes[:cut]), game.payoff[:m, :m])).vstar)
+                broken += [(sizes, k, cut, v) for v in vstar if VertexLabel(v.chosen[:cut]) not in sub]
+    assert broken == []

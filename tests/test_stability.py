@@ -12,7 +12,6 @@ from polyrep.games import (
     GameType,
     PolymatrixGame,
     check_prism_state,
-    formal_equilibria,
     games_equivalent,
     has_equal_row_blocks,
     in_unit,
@@ -132,7 +131,7 @@ class TestToleranceRule:
     )
     # the example's vertex (0, 3): a negative tol makes its zeros nonzero, an infinite one every entry zero
     M = np.array(EXAMPLE_VERTEX_TABLE[(0, 3)][0], dtype=float)
-    # the example's interior equilibrium, which a negative tol reads as off the prism and off the equilibria
+    # the example's interior equilibrium, which a negative tol reads as off the prism
     EXAMPLE = PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF)
     Q = np.array([1 / 3] * 3 + [1 / 2] * 2)
     # the kernels of a skew block bordered by zeros, e_3 both, which a negative or NaN tol calls apart
@@ -145,9 +144,6 @@ class TestToleranceRule:
         "games_equivalent": lambda tol: games_equivalent(TestToleranceRule.EXAMPLE, TestToleranceRule.EXAMPLE, tol),
         "has_equal_row_blocks": lambda tol: has_equal_row_blocks(GameType((3, 2)), np.zeros((5, 5)), tol),
         "check_prism_state": lambda tol: check_prism_state(GameType((3, 2)), TestToleranceRule.Q, tol),
-        "EquilibriumSet.contains": lambda tol: formal_equilibria(TestToleranceRule.EXAMPLE).contains(
-            TestToleranceRule.Q, tol
-        ),
         "diag_property_check": lambda tol: diag_property_check(
             TestToleranceRule.TWIN, DiagonalScaling((1, 2, 1)), first_vertex(TestToleranceRule.TWIN.gtype), tol
         ),
