@@ -127,8 +127,10 @@ def write_game(game: PolymatrixGame, path: str | Path) -> None:
 
 
 def parse_matrix(path: str | Path) -> np.ndarray:
-    """A bare whitespace matrix file (used for Lotka-Volterra input)."""
-    rows = [[_parse_number(tok, lineno) for tok in line.split()] for lineno, line in _content_lines(_read_text(path))]
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise GameFileError(f"{path}: expected a square numeric matrix")
+    """A bare whitespace matrix file (used for Lotka-Volterra input); an error names the first ragged row."""
+    content = _content_lines(_read_text(path))
+    rows = [[_parse_number(tok, lineno) for tok in line.split()] for lineno, line in content]
+    bad = [f"line {at}: row has {len(r)} entries" for (at, _), r in zip(content, rows) if len(r) != len(rows)]
+    if not rows or bad:
+        raise GameFileError(f"{path}: " + (f"{bad[0]}, expected {len(rows)}" if bad else "empty file"))
     return np.array(rows)

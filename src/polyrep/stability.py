@@ -19,9 +19,10 @@ The certificate search (facial reduction, then Kelley cuts solved as
 linear programs) ends in a certificate, in a checked one-vector proof
 that none exists, or in neither: "no certificate found".  It returns one
 record, which Analysis keeps; the kind of a certificate is read from the
-eigenvalues it was accepted on.  One rule, _form_kind, turns the
-eigenvalues of Sym(A_v D_v) into conservative, dissipative or
-indefinite, for the search and for check_with_scaling alike.
+eigenvalues it was accepted on.  Both it and check_with_scaling read
+Sym(A_v D_v) at the first vertex as vertex_matrix of the column-scaled
+game, and one rule, _form_kind, turns its eigenvalues into
+conservative, dissipative or indefinite.
 """
 
 from __future__ import annotations
@@ -44,12 +45,11 @@ from .games import (
 )
 from .vertices import (
     VertexLabel,
-    _fill,
-    _index_sets,
     blocks,
     expand_vertex_vector,
     first_vertex,
     graph_pattern,
+    vertex_matrix,
     vertex_tensor,
     zero_entries,
 )
@@ -120,38 +120,13 @@ def _form_kind(eigs: np.ndarray, tol: float) -> str:
     return DISSIPATIVE if eigs.max(initial=0.0) <= cut else INDEFINITE
 
 
-class _VertexForm:
-    """Sym(A_v D_v) at one vertex as a function of the group diagonal.
+def _first_form(game: PolymatrixGame, d: np.ndarray) -> np.ndarray:
+    """Sym(A_v D_v) at the first vertex for group values d >= 0, zeros allowed: vertex_matrix of the payoff A D.
 
-    The index set and partners are built once; each evaluation scales
-    the payoff's columns by the diagonal and sums the vertex blocks as
-    vertex_matrix does.  A partner lies in its index's group, so both
-    carry the same diagonal entry, A_v D_v = (A D)_v, and the result
-    equals _sym(vertex_matrix(scaled_game(game, d), v).entries) bit for
-    bit.
+    A partner lies in its index's group, so both carry one diagonal entry and A_v D_v = (A D)_v.
     """
-
-    def __init__(self, game: PolymatrixGame, v: VertexLabel):
-        gt = game.gtype
-        self.vertex = v
-        self.payoff = game.payoff
-        self.strategy_groups = gt.groups
-        self.ii, self.jj = _index_sets(gt, np.array([v.chosen], dtype=np.intp))
-        self.groups = gt.groups[self.ii[0]]
-
-    @property
-    def dim(self) -> int:
-        return len(self.groups)
-
-    def sym(self, d: np.ndarray) -> np.ndarray:
-        """The symmetrized scaled vertex matrix for group values d."""
-        out = np.empty((1, self.dim, self.dim))
-        _fill(self.payoff * d[self.strategy_groups], self.ii, self.jj, out)
-        return _sym(out[0])
-
-    def eigvals(self, d: np.ndarray) -> np.ndarray:
-        """Eigenvalues of the form at d, ascending."""
-        return np.linalg.eigvalsh(self.sym(d))
+    gt = game.gtype
+    return _sym(vertex_matrix(PolymatrixGame(gt, game.payoff * d[gt.groups]), first_vertex(gt)).entries)
 
 
 def check_with_scaling(
@@ -169,16 +144,15 @@ def check_with_scaling(
     relative_cut(tol)  # ValueError for a tol that is not a finite number >= 0, whatever the game
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
-    form = _VertexForm(game, first_vertex(game.gtype))
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = form.sym(d.group_values(game.gtype))
+        sym = _first_form(game, d.group_values(game.gtype))
     if not np.isfinite(sym).all():
         raise ValueError(f"the form scaled by {d.values} leaves the float range, |x| <= {np.finfo(float).max:.4g}")
     kind = _form_kind(np.linalg.eigvalsh(sym), tol)
     if kind != INDEFINITE:
         return Classification(kind)
     top = np.linalg.eigh(sym)[1][:, -1]
-    return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, form.vertex, top))
+    return Classification(INDEFINITE, witness=expand_vertex_vector(game.gtype, first_vertex(game.gtype), top))
 
 
 def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScaling | None:
@@ -208,15 +182,15 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
     A d is accepted when _form_kind of its eigenvalues is not indefinite,
     and that verdict is the record's kind.
     """
-    p = game.gtype.p
-    form = _VertexForm(game, first_vertex(game.gtype))
+    p, vm = game.gtype.p, vertex_matrix(game, first_vertex(game.gtype))
+    groups, at_ones = game.gtype.groups[list(vm.index_set)], _sym(vm.entries)
     nothing = CertificateSearch(NO_CERTIFICATE)
 
-    def certify(d: np.ndarray) -> CertificateSearch | None:
+    def certify(d: np.ndarray, sym: np.ndarray | None = None) -> CertificateSearch | None:
         values = d / d[0] if d[0] > 0 else d
         if not (values > 0).all():
             return None
-        kind = _form_kind(form.eigvals(values), tol)
+        kind = _form_kind(np.linalg.eigvalsh(_first_form(game, values) if sym is None else sym), tol)
         return None if kind == INDEFINITE else CertificateSearch(kind, scaling=DiagonalScaling(tuple(values)))
 
     def proves(u: np.ndarray) -> bool:
@@ -224,20 +198,20 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
         above = vals > zero_cut
         return bool(above.any() and (above | (vals == 0)).all())
 
-    got = certify(np.ones(p))
+    got = certify(np.ones(p), at_ones)
     if got is not None:
         return got
 
-    parts = np.stack([form.sym(e) for e in np.eye(p)])
-    norms = np.array([np.linalg.norm(s, 2) for s in parts])
+    parts = np.stack([_first_form(game, e) for e in np.eye(p)])
+    norms = np.linalg.svd(parts, compute_uv=False)[:, 0]
     zero_cut = relative_cut(tol, norms)
-    u = np.linalg.eigh(form.sym(np.ones(p)))[1][:, -1]
+    u = np.linalg.eigh(at_ones)[1][:, -1]
     if proves(u):
         return CertificateSearch(NOT_DISSIPATIVE, proof=u)
 
-    basis, kernel = np.eye(form.dim), []
+    basis, kernel = np.eye(len(groups)), []
     for g in range(p):
-        for i, j in itertools.combinations_with_replacement(np.flatnonzero(form.groups == g), 2):
+        for i, j in itertools.combinations_with_replacement(np.flatnonzero(groups == g), 2):
             u = basis[i] if i == j else (basis[i] - basis[j]) / np.sqrt(2.0)
             if proves(u):
                 return CertificateSearch(NOT_DISSIPATIVE, proof=u)

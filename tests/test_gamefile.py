@@ -108,8 +108,18 @@ class TestMatrixFile:
         path.write_text("# interaction\n0 -1\n1 0\n")
         npt.assert_array_equal(parse_matrix(path), [[0, -1], [1, 0]])
 
-    def test_ragged_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1\n1\n", "line 2: row has 1 entries, expected 2"),
+            ("0 -1\n1 0 2\n", "line 2: row has 3 entries, expected 2"),
+            ("0 1\n1 0\n2 2\n", "line 1: row has 2 entries, expected 3"),
+            ("", "empty file"),
+        ],
+    )
+    def test_ragged_rejected(self, tmp_path, text, message):
+        # the first row whose entry count is not the number of rows, by its line, after the path
         path = tmp_path / "m.txt"
-        path.write_text("0 1\n1\n")
-        with pytest.raises(GameFileError):
+        path.write_text(text)
+        with pytest.raises(GameFileError, match=f"^{re.escape(str(path))}: {message}$"):
             parse_matrix(path)

@@ -35,7 +35,7 @@ from polyrep.stability import (
     stable_vertices,
     stably_dissipative,
 )
-from polyrep.stability import _largest_angle, _sym, _VertexForm
+from polyrep.stability import _first_form, _largest_angle, _sym
 from polyrep.vertices import (
     VertexLabel,
     VertexMatrix,
@@ -160,8 +160,8 @@ class TestToleranceRule:
             self.CALLS[name](tol)
 
 
-class TestVertexForm:
-    """The certificate objective, built once per game, against the scaled game."""
+class TestFirstForm:
+    """The certificate search's form at the first vertex, against the scaled game."""
 
     @pytest.mark.parametrize("sizes", [(3, 3), (2, 2, 2), (3, 2, 1), (2,) * 4, (1, 1), (4,)])
     def test_bitwise_equal_to_scaled_vertex_matrix(self, sizes):
@@ -170,20 +170,11 @@ class TestVertexForm:
         v0 = first_vertex(gt)
         games = [random_game(gt, rng, integer=True), make_dissipative_game(gt, rng)[0]]
         for game in games:
-            form = _VertexForm(game, v0)
             scalings = [random_type_scaling(gt, rng) for _ in range(5)]
             scalings.append(DiagonalScaling(tuple(np.exp(rng.uniform(-30.0, 30.0, gt.p)))))
             for d in scalings:
                 expected = _sym(vertex_matrix(scaled_game(game, d), v0).entries)
-                got = form.sym(np.array(d.values))
-                assert np.array_equal(got, expected)
-
-    def test_zero_dimensional_vertex(self):
-        game = PolymatrixGame(GameType((1, 1)), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        form = _VertexForm(game, first_vertex(game.gtype))
-        assert form.dim == 0
-        assert form.eigvals(np.array([1.0, 2.0])).size == 0
-        assert find_scaling(game).values == (1.0, 1.0)
+                assert np.array_equal(_first_form(game, np.array(d.values)), expected)
 
 
 # Certificates that an earlier multistart Nelder-Mead search found on
@@ -208,6 +199,11 @@ class TestFindScaling:
     def test_zero_game_identity(self):
         zero = PolymatrixGame(GameType((2, 2)), np.zeros((4, 4)))
         assert find_scaling(zero).values == (1.0, 1.0)
+
+    def test_zero_dimensional_vertex(self):
+        # a (1,1) game's vertex matrices are 0 x 0, a form with no eigenvalue, which is conservative
+        game = PolymatrixGame(GameType((1, 1)), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert find_scaling(game).values == (1.0, 1.0)
 
     def test_recovers_hidden_scaling(self):
         # a skew core times diag(1,1,3,3) needs the inverse group weights
