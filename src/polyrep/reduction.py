@@ -9,8 +9,8 @@ final coloring is the reduced information set.
 
 Colors are global: a conclusion drawn at one vertex graph immediately
 holds at every other graph containing the same strategy.  Color changes
-are monotone (white -> black, white -> plus, plus -> black), so the
-fixpoint is reached in at most 2n + n^2 applications.
+are monotone: each raises the color's code (white 0, plus 1, black 2),
+so the fixpoint is reached in at most 2n + n^2 applications.
 
 The rules read the vertex graphs as the analysis's arrays
 (Analysis.pattern): edges (V, k, k) and diagonal signs (V, k), whose
@@ -43,12 +43,8 @@ class Color(enum.Enum):
         return {"white": "o", "black": "*", "plus": "+"}[self.value]
 
 
-# Legal color transitions: strengthening only, black is terminal.
-_UPGRADES = {
-    (Color.WHITE, Color.BLACK),
-    (Color.WHITE, Color.PLUS),
-    (Color.PLUS, Color.BLACK),
-}
+# The strength of each color: a legal change raises it, so black is terminal.
+_CODE = {Color.WHITE: 0, Color.PLUS: 1, Color.BLACK: 2}
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,7 @@ class InformationSet:
     def with_colors(self, updates: dict[int, Color], step: TraceStep) -> "InformationSet":
         colors = list(self.colors)
         for i, c in updates.items():
-            if (colors[i], c) not in _UPGRADES:
+            if _CODE[c] <= _CODE[colors[i]]:
                 raise ValueError(f"illegal transition {colors[i]} -> {c} at strategy {i}")
             colors[i] = c
         return InformationSet(tuple(colors), self.links, self.trace + (step,))
@@ -90,14 +86,6 @@ class ReducedInformationSet:
 
     def plus(self) -> tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.final.colors) if c is Color.PLUS)
-
-
-@dataclass(frozen=True)
-class AttractorStatement:
-    kind: str
-    text: str
-    pinned: tuple[int, ...]
-    zero_velocity: tuple[int, ...]
 
 
 def _admissible(game: PolymatrixGame, tol: float) -> Analysis:
@@ -132,7 +120,6 @@ def initialize(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> InformationSet
 # An instance is plain data: its trace step, and the color it gives the
 # step's strategies, or None for a link.  Each round the colors become
 # one code vector; a strategy is colored when its code is positive.
-_CODE = {Color.WHITE: 0, Color.PLUS: 1, Color.BLACK: 2}
 
 
 def _scan(mask: np.ndarray, rows: np.ndarray, ii: np.ndarray):
@@ -197,7 +184,7 @@ def _instances_rule6(state: InformationSet, codes: np.ndarray, an: Analysis):
     gt = an.game.gtype
     for a in reversed(range(gt.p)):
         members = list(gt.group_indices(a))
-        white = [i for i in members if state.colors[i] is Color.WHITE]
+        white = [i for i in members if codes[i] == 0]
         if white and _link_connected(white, state.links):
             yield TraceStep(6, (), tuple(sorted(white))), Color.PLUS
 
@@ -295,17 +282,13 @@ def collapse_trace(trace: tuple[TraceStep, ...]) -> list[TraceStep]:
     return rows
 
 
-def classify_attractor(reduced: ReducedInformationSet) -> AttractorStatement:
-    """Translate the reduced information set into an attractor statement."""
-    black = reduced.black()
-    plus = reduced.plus()
+def classify_attractor(reduced: ReducedInformationSet) -> str:
+    """The attractor statement of the reduced information set's verdict; its black() and plus() name the sets."""
     if reduced.verdict == "all_black":
-        text = "unique globally attractive equilibrium at q"
-    elif reduced.verdict == "black_plus":
-        text = "invariant foliation with one globally attractive equilibrium per leaf"
-    else:
-        text = (
-            "attractor contained in the set fixing the black coordinates at q "
-            "and zeroing the velocity of the plus coordinates"
-        )
-    return AttractorStatement(reduced.verdict, text, black, plus)
+        return "unique globally attractive equilibrium at q"
+    if reduced.verdict == "black_plus":
+        return "invariant foliation with one globally attractive equilibrium per leaf"
+    return (
+        "attractor contained in the set fixing the black coordinates at q "
+        "and zeroing the velocity of the plus coordinates"
+    )

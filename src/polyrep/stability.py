@@ -19,10 +19,10 @@ The certificate search (facial reduction, then Kelley cuts solved as
 linear programs) ends in a certificate, in a checked one-vector proof
 that none exists, or in neither: "no certificate found".  It returns one
 record, which Analysis keeps; the kind of a certificate is read from the
-eigenvalues it was accepted on.  Both it and check_with_scaling read
-Sym(A_v D_v) at the first vertex as vertex_matrix of the column-scaled
-game, and one rule, _form_kind, turns its eigenvalues into
-conservative, dissipative or indefinite.
+eigenvalues it was accepted on.  Its parts are the group column blocks
+of the first vertex matrix A_v, zeros unsigned; a candidate d, like
+check_with_scaling, reads Sym(A_v D_v) from the column-scaled game, and
+_form_kind turns its eigenvalues into conservative, dissipative or indefinite.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .vertices import (
     expand_vertex_vector,
     first_vertex,
     graph_pattern,
+    scaled_game,
     vertex_matrix,
     vertex_tensor,
     zero_entries,
@@ -120,13 +121,12 @@ def _form_kind(eigs: np.ndarray, tol: float) -> str:
     return DISSIPATIVE if eigs.max(initial=0.0) <= cut else INDEFINITE
 
 
-def _first_form(game: PolymatrixGame, d: np.ndarray) -> np.ndarray:
-    """Sym(A_v D_v) at the first vertex for group values d >= 0, zeros allowed: vertex_matrix of the payoff A D.
+def _first_form(game: PolymatrixGame, d: DiagonalScaling) -> np.ndarray:
+    """Sym(A_v D_v) at the first vertex: vertex_matrix of the column-scaled game A D.
 
     A partner lies in its index's group, so both carry one diagonal entry and A_v D_v = (A D)_v.
     """
-    gt = game.gtype
-    return _sym(vertex_matrix(PolymatrixGame(gt, game.payoff * d[gt.groups]), first_vertex(gt)).entries)
+    return _sym(vertex_matrix(scaled_game(game, d), first_vertex(game.gtype)).entries)
 
 
 def check_with_scaling(
@@ -145,7 +145,7 @@ def check_with_scaling(
     if not formal_equilibria(game).exists:
         return Classification(NO_FORMAL_EQUILIBRIUM)
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = _first_form(game, d.group_values(game.gtype))
+        sym = _first_form(game, d)
     if not np.isfinite(sym).all():
         raise ValueError(f"the form scaled by {d.values} leaves the float range, |x| <= {np.finfo(float).max:.4g}")
     kind = _form_kind(np.linalg.eigvalsh(sym), tol)
@@ -188,10 +188,11 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
 
     def certify(d: np.ndarray, sym: np.ndarray | None = None) -> CertificateSearch | None:
         values = d / d[0] if d[0] > 0 else d
-        if not (values > 0).all():
+        if not ((values > 0) & (values < np.inf)).all():
             return None
-        kind = _form_kind(np.linalg.eigvalsh(_first_form(game, values) if sym is None else sym), tol)
-        return None if kind == INDEFINITE else CertificateSearch(kind, scaling=DiagonalScaling(tuple(values)))
+        scaling = DiagonalScaling(tuple(values))
+        kind = _form_kind(np.linalg.eigvalsh(_first_form(game, scaling) if sym is None else sym), tol)
+        return None if kind == INDEFINITE else CertificateSearch(kind, scaling=scaling)
 
     def proves(u: np.ndarray) -> bool:
         vals = np.einsum("i,gij,j->g", u, parts, u)
@@ -202,7 +203,8 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
     if got is not None:
         return got
 
-    parts = np.stack([_first_form(game, e) for e in np.eye(p)])
+    # A_v's group column blocks; + 0.0 unsigns the zeros, so the parts read only A_v's values
+    parts = _sym(vm.entries * (groups == np.arange(p)[:, None])[:, None, :]) + 0.0
     norms = np.linalg.svd(parts, compute_uv=False)[:, 0]
     zero_cut = relative_cut(tol, norms)
     u = np.linalg.eigh(at_ones)[1][:, -1]
@@ -217,7 +219,7 @@ def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
                 return CertificateSearch(NOT_DISSIPATIVE, proof=u)
             if abs(u @ parts[g] @ u) <= zero_cut[g]:
                 kernel.append(u)
-    face, rest = np.eye(p), basis
+    face, rest = np.identity(p), basis
     if kernel:
         forced = np.einsum("gij,mj->mig", parts, np.array(kernel)).reshape(-1, p)
         if np.abs(forced).max() > zero_cut.max():  # rounding noise alone forces nothing
@@ -385,11 +387,9 @@ def _almost_skew(t: np.ndarray, zero_diag: np.ndarray, tol: float) -> np.ndarray
     s[~ok] = 0.0  # a symmetric part past the float range has no eigenvalues to check: the row fails
     eigs = np.linalg.eigvalsh(s)
     ok &= ~(eigs[:, -1] > relative_cut(tol, np.abs(eigs).max(axis=-1)))
-    # the symmetric part vanishes off the diagonal on every zero-diagonal row, by zero_entries
-    # of s, whose scale is the largest magnitude of all of s; only those rows are read
-    cut = relative_cut(tol, np.maximum(s.max(axis=(1, 2)), -s.min(axis=(1, 2))))
+    # the symmetric part vanishes off the diagonal on every zero-diagonal row, by zero_entries of s
     which, row = np.nonzero(zero_diag)
-    zero_row = (np.abs(s[which, row]) <= cut[which, None]) | (np.arange(t.shape[-1]) == row[:, None])
+    zero_row = zero_entries(s, tol)[which, row] | (np.arange(t.shape[-1]) == row[:, None])
     ok[which[~zero_row.all(axis=1)]] = False
     # strictly negative definite on the rest, one stacked eigenproblem per size
     rest = ~zero_diag

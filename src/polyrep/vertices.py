@@ -221,13 +221,12 @@ def expand_vertex_vector(
     """
     v.validate(gtype)
     coeffs = np.asarray(coeffs, dtype=float)
-    idx = v.support(gtype)
-    if coeffs.shape != (len(idx),):
-        raise ValueError(f"vertex {v} of type {gtype} takes {len(idx)} coefficients, got shape {coeffs.shape}")
+    (ii,), (jj,) = _index_sets(gtype, np.array([v.chosen], dtype=np.intp))
+    if coeffs.shape != ii.shape:
+        raise ValueError(f"vertex {v} of type {gtype} takes {len(ii)} coefficients, got shape {coeffs.shape}")
     w = np.zeros(gtype.n)
-    for c, i in zip(coeffs, idx):
-        w[i] += c
-        w[v.partner(gtype, i)] -= c
+    w[ii] += coeffs  # += so that a -0.0 coefficient lands as +0.0
+    np.subtract.at(w, jj, coeffs)  # in index order, each partner once per index of its group
     return w
 
 

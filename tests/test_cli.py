@@ -638,6 +638,21 @@ class TestEqualRowOffset:
         got.pop("final_payoff"), want.pop("final_payoff")  # the core keeps each game's own equal-row blocks
         assert got == want
 
+    # np.round(4 * make_dissipative_game(GameType((3, 3)), default_rng(1556))[0].payoff); the
+    # same matrix plus 1 in every entry has the same unit and byte-identical vertex matrices
+    ROWS = ("-2 5 -1 -9 12 18", "4 -1 6 -11 17 7", "2 -7 -4 20 -31 -31",
+            "7 7 -9 1 29 -22", "11 8 25 -14 0 -17", "-12 -8 4 17 24 -20")
+
+    def test_a_certificate_reads_only_the_vertex_matrices(self, capsys, tmp_path):
+        # the search's parts are A_v's column blocks with unsigned zeros: no sign of a raw-payoff zero reaches its bits
+        outs = []
+        for name, shift in (("game", 0), ("plus_one", 1)):
+            rows = (" ".join(str(int(x) + shift) for x in row.split()) for row in self.ROWS)
+            (tmp_path / f"{name}.txt").write_text("type: 3 3\n" + "\n".join(rows) + "\n")
+            outs.append(run(capsys, "check", str(tmp_path / f"{name}.txt"), "--format", "json"))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == EXIT_NOT_ADMISSIBLE and json.loads(outs[0][1])["kind"] == DISSIPATIVE
+
 
 class TestEquilibrium:
     def test_example(self, capsys, example_path):

@@ -115,10 +115,11 @@ class TestMatrixFile:
             ("0 -1\n1 0 2\n", "line 2: row has 3 entries, expected 2"),
             ("0 1\n1 0\n2 2\n", "line 1: row has 2 entries, expected 3"),
             ("", "empty file"),
+            ("0 x\n1 0\n", "line 1: cannot parse number 'x'"),
         ],
     )
     def test_ragged_rejected(self, tmp_path, text, message):
-        # the first row whose entry count is not the number of rows, by its line, after the path
+        # the first bad row, an entry that is no number or a count that is not the number of rows, after the path
         path = tmp_path / "m.txt"
         path.write_text(text)
         with pytest.raises(GameFileError, match=f"^{re.escape(str(path))}: {message}$"):

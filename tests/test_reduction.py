@@ -67,12 +67,18 @@ class TestInitialize:
 
 
 class TestInformationSet:
-    @pytest.mark.parametrize("start", [Color.BLACK, Color.PLUS])
-    def test_no_colour_returns_to_white(self, start):
-        # colours only strengthen, so the attractor constraint a colour records is never withdrawn
+    @pytest.mark.parametrize("new", list(Color))
+    @pytest.mark.parametrize("start", list(Color))
+    def test_a_colour_change_strengthens(self, start, new):
+        # colours only strengthen, white -> plus -> black, so the attractor constraint a colour
+        # records is never withdrawn; setting a colour again is refused too
         state = InformationSet((Color.WHITE, start), frozenset(), ())
-        with pytest.raises(ValueError, match=re.escape(f"illegal transition {start} -> {Color.WHITE} at strategy 1")):
-            state.with_colors({1: Color.WHITE}, TraceStep(2, (), (1,)))
+        step = TraceStep(2, (), (1,))
+        if (start, new) in {(Color.WHITE, Color.PLUS), (Color.WHITE, Color.BLACK), (Color.PLUS, Color.BLACK)}:
+            assert state.with_colors({1: new}, step).colors == (Color.WHITE, new)
+            return
+        with pytest.raises(ValueError, match=re.escape(f"illegal transition {start} -> {new} at strategy 1")):
+            state.with_colors({1: new}, step)
 
 
 class TestApplyRule:
@@ -211,27 +217,24 @@ class TestConfluenceDiagnostic:
 class TestClassifyAttractor:
     def test_example_foliation(self, example_game):
         red = run_to_fixpoint(example_game)
-        stmt = classify_attractor(red)
-        assert stmt.kind == "black_plus"
-        assert "foliation" in stmt.text
-        assert stmt.pinned == (2,)
-        assert stmt.zero_velocity == (0, 1, 3, 4)
+        assert red.verdict == "black_plus"
+        assert "foliation" in classify_attractor(red)
+        assert red.black() == (2,)
+        assert red.plus() == (0, 1, 3, 4)
 
     def test_all_black_statement(self):
         red = run_to_fixpoint(ALL_BLACK)
-        stmt = classify_attractor(red)
-        assert stmt.kind == "all_black"
-        assert "unique" in stmt.text
+        assert red.verdict == "all_black"
+        assert "unique" in classify_attractor(red)
 
     def test_mixed_statement(self):
-        # fabricate a mixed verdict directly: the statement is a restatement
-        from polyrep.reduction import InformationSet, ReducedInformationSet
+        # fabricate a mixed verdict directly: the statement is the verdict's text
+        from polyrep.reduction import ReducedInformationSet
 
         state = InformationSet((Color.BLACK, Color.WHITE), frozenset(), ())
         red = ReducedInformationSet(state, 0, "mixed")
-        stmt = classify_attractor(red)
-        assert stmt.kind == "mixed"
-        assert stmt.pinned == (0,) and stmt.zero_velocity == ()
+        assert "black coordinates" in classify_attractor(red)
+        assert red.black() == (0,) and red.plus() == ()
 
 
 class TestSingletonGroups:

@@ -174,7 +174,7 @@ class TestFirstForm:
             scalings.append(DiagonalScaling(tuple(np.exp(rng.uniform(-30.0, 30.0, gt.p)))))
             for d in scalings:
                 expected = _sym(vertex_matrix(scaled_game(game, d), v0).entries)
-                assert np.array_equal(_first_form(game, np.array(d.values)), expected)
+                assert np.array_equal(_first_form(game, d), expected)
 
 
 # Certificates that an earlier multistart Nelder-Mead search found on

@@ -139,6 +139,22 @@ class TestBasisExpansion:
                     expand_vertex_vector(gt, v, coeffs), x - q, atol=1e-12
                 )
 
+    @pytest.mark.parametrize("sizes", [(3, 2), (4,), (2, 2, 2), (1, 3), (3, 3, 3), (5, 1, 2)])
+    def test_bitwise_equal_to_a_loop_over_the_index_set(self, sizes):
+        # each index adds its coefficient, and its partner subtracts them in index order; signed
+        # zeros and magnitudes 1e+-300 make the order and the sign of a zero show
+        gt = GameType(sizes)
+        rng = np.random.default_rng(sum(sizes))
+        pool = np.array([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.0, -2.5])
+        for v in enumerate_vertices(gt):
+            for _ in range(20):
+                coeffs = np.where(rng.random(gt.n - gt.p) < 0.8, rng.choice(pool, gt.n - gt.p), rng.normal(size=gt.n - gt.p))
+                expected = np.zeros(gt.n)
+                for c, i in zip(coeffs, v.support(gt)):
+                    expected[i] += c
+                    expected[v.partner(gt, i)] -= c
+                assert expand_vertex_vector(gt, v, coeffs).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize(
         "label, coeffs",
         [((0, 3), np.ones(1)), ((0, 3), np.ones(7)), ((0, 3), np.ones((3, 1))), ((0, 1), np.ones(3)), ((0,), np.ones(4))],
