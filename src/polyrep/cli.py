@@ -2,9 +2,9 @@
 
 Each command returns (payload, text lines, notes, exit code) to main,
 which writes each note as a `note:` line on stderr, then the report.
-main alone turns a failure into an exit code: a refusal, an OSError, a
-ValueError from the library (a numpy LinAlgError is one) or a
-RuntimeError is one `error:` line on stderr and nothing on stdout.
+main alone turns a failure into an exit code: a refusal (its verdict
+code, 2 or 3), an OSError or ValueError (1; a numpy LinAlgError is one)
+or a RuntimeError (4) is one `error:` line on stderr, nothing on stdout.
 Exit codes: 0 success (admissible where that is the question), 1 usage,
 file or parse errors and any other ValueError, 2 dissipative but not
 admissible, 3 proved not dissipative, no certificate found, no formal
@@ -45,7 +45,7 @@ EXIT_CERTIFICATE = 4
 
 
 class _Refused(Exception):
-    """A command's refusal: main prints `error: TEXT` on stderr, nothing on stdout, and returns CODE."""
+    """A verdict's refusal, CODE 2 or 3: main prints `error: TEXT` on stderr, nothing on stdout, and returns CODE."""
 
     def __init__(self, code: int, text: str):
         super().__init__(text)
@@ -191,7 +191,7 @@ def cmd_collapse(args) -> tuple[dict, list[str], list[str], int]:
     try:
         result = collapse_mod.hamiltonian_collapse(game, tol=args.tol)
     except ValueError as exc:  # admissible with an interior q: a refusal now is internal
-        raise _Refused(EXIT_CERTIFICATE, str(exc)) from None
+        raise RuntimeError(str(exc)) from None
     final = result.final_game
     trivial = has_equal_row_blocks(final.gtype, in_unit(final)[0].payoff)  # equivalent to the zero game
     payload = {
@@ -281,7 +281,7 @@ def _parse_x0(spec: str, game: PolymatrixGame) -> np.ndarray:
         return random_prism_state(game.gtype, rng, clearable_floor(game.gtype, 0.02))
     vals = _numbers("--x0", spec)
     if len(vals) != game.n:
-        raise _Refused(EXIT_IO, f"x0 needs {game.n} coordinates")
+        raise ValueError(f"x0 needs {game.n} coordinates")
     return np.array(vals)
 
 
@@ -290,7 +290,7 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
     x0 = _parse_x0(args.x0, game)
     problems = check_prism_state(game.gtype, x0)
     if problems:
-        raise _Refused(EXIT_IO, "--x0 is not a prism state: " + "; ".join(problems))
+        raise ValueError("--x0 is not a prism state: " + "; ".join(problems))
     an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
     if "gb" in args.monitors or "ratios" in args.monitors:  # past the vertex ceilings this exits before any step
         monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
@@ -315,7 +315,7 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
         if positive:
             for k, g in enumerate(dynamics.first_integrals(game, monitor_vertex)):
                 names.append(f"g{k}")
-                columns.append(np.log(traj.states) @ g.coefficients)
+                columns.append(g(traj.states))
         else:
             notes.append("gb monitors skipped (orbit touches the boundary)")
     if "ratios" in args.monitors:

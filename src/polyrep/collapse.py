@@ -200,8 +200,8 @@ class _Cursor:
     def map(self) -> ReductionMap:
         return ReductionMap(tuple(self.kept), tuple(float(s) for s in self.scale))
 
-    def remove(self, ell: int) -> int:
-        """Apply one reduction at local index ell; returns its group."""
+    def remove(self, ell: int) -> None:
+        """Apply one reduction at local index ell."""
         gt = self.game.gtype
         alpha = gt.group_of(ell)
         q_ell = self.q[ell]
@@ -237,7 +237,6 @@ class _Cursor:
             self.steps[-1] = dataclasses.replace(
                 step, after=cleaned.gtype, cleanup_group=alpha
             )
-        return alpha
 
 
 def reduce_by_set(
@@ -289,12 +288,11 @@ def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> Coll
     row = an.stable_rows[0]  # the smallest: rows ascend in enumeration order
     vertex = an.tensor[0][row]
     damped = an.tensor[1][row][an.pattern[1][row] < 0].tolist()  # ascending, as index sets are
-    chosen = list(vertex.chosen)  # tracked as original-game indices
     cur = _Cursor(unit, q, an.scaling)
 
     def current() -> tuple[VertexLabel, VertexMatrix]:
         """The vertex in the current game's indices, and its scaled vertex matrix."""
-        v = VertexLabel(tuple(cur.kept.index(c) for c in chosen))
+        v = VertexLabel(tuple(cur.kept.index(c) for c in vertex.chosen if c in cur.kept))
         return v, vertex_matrix(scaled_game(cur.game, DiagonalScaling(tuple(cur.d))), v)
 
     v_now, scaled_vm = current()
@@ -303,9 +301,7 @@ def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> Coll
     for strategy in damped:  # a fold drops a chosen strategy, never one of these
         ell = cur.kept.index(strategy)
         ell_pos = scaled_vm.index_set.index(ell)
-        alpha = cur.remove(ell)
-        if cur.steps[-1].cleanup_group is not None:
-            del chosen[alpha]
+        cur.remove(ell)
 
         # certificate transport: the scaled vertex matrix of the reduced game
         # is the old one with the removed row and column deleted

@@ -8,7 +8,8 @@ exactly: a coordinate that starts at zero stays at zero.
 Monitored quantities: the Lyapunov function -sum q_i/d_i log x_i of a
 dissipative certificate, the log-ratio first integrals coming from the
 kernel of a transposed vertex matrix, and frequency ratios of same-group
-strategy pairs.
+strategy pairs.  The first two are one log form sum_i w_i log x_i, read
+by one evaluator and defined on the open prism only.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from .games import (
     MAX_PAYOFF, DiagonalScaling, GameType, PolymatrixGame, _nullspace, clearable_floor, random_prism_state, vector_field
 )
 from .vertices import VertexLabel, expand_vertex_vector, vertex_matrix
-
-# Log-based monitors are meaningless this close to the boundary.
-LOG_FLOOR = 1e-300
 
 # Most RK4 steps one integration takes: every step keeps a state row per start.
 MAX_STEPS = 10**7
@@ -225,6 +223,15 @@ def integrate_batch(
     return [_trajectory(states[i], drift[i], kept[i], dt, times) for i in range(len(kept))]
 
 
+def _log_form(x: np.ndarray, w: np.ndarray) -> float | np.ndarray:
+    """sum_i w_i log x_i, a float for one state; ValueError for a coordinate <= 0 or not finite."""
+    x = np.asarray(x, dtype=float)
+    if not (np.min(x) > 0 and np.max(x) < np.inf):  # a NaN fails both comparisons
+        raise ValueError("the log monitors are undefined off the open interior and at non-finite states")
+    val = np.log(x) @ w
+    return float(val) if val.ndim == 0 else val
+
+
 def lyapunov_h(
     game: PolymatrixGame, q: np.ndarray, d: DiagonalScaling, x: np.ndarray
 ) -> float | np.ndarray:
@@ -234,12 +241,7 @@ def lyapunov_h(
     (q, d); constant when the certificate is conservative.  Accepts
     batches shaped (..., n).
     """
-    x = np.asarray(x, dtype=float)
-    if not (np.min(x) > 0 and np.max(x) < np.inf):  # a NaN fails both comparisons
-        raise ValueError("the Lyapunov function is undefined off the open interior and at non-finite states")
-    w = np.asarray(q, dtype=float) / d.expand(game.gtype)
-    val = -np.log(x) @ w
-    return float(val) if val.ndim == 0 else val
+    return _log_form(x, -(np.asarray(q, dtype=float) / d.expand(game.gtype)))  # negation is exact
 
 
 def h_derivative(
@@ -258,6 +260,7 @@ class FirstIntegral:
     Built from a kernel vector b of the transposed vertex matrix:
     evaluates sum_i b_i log(x_i / x_partner(i)) over the vertex index
     set, stored in expanded form as coefficients on all n coordinates.
+    Like lyapunov_h, it refuses states off the open interior.
     """
 
     vertex: VertexLabel
@@ -265,11 +268,7 @@ class FirstIntegral:
     coefficients: np.ndarray  # length n; group sums are zero
 
     def __call__(self, x: np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if not (np.min(x) >= LOG_FLOOR and np.max(x) < np.inf):  # a NaN fails both comparisons
-            raise ValueError("state too close to the boundary, or not finite, for log monitors")
-        val = np.log(x) @ self.coefficients
-        return float(val) if val.ndim == 0 else val
+        return _log_form(x, self.coefficients)
 
 
 def first_integrals(game: PolymatrixGame, v: VertexLabel) -> list[FirstIntegral]:

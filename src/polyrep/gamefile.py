@@ -128,11 +128,13 @@ def write_game(game: PolymatrixGame, path: str | Path) -> None:
 
 def parse_matrix(path: str | Path) -> np.ndarray:
     """A bare whitespace matrix file (used for Lotka-Volterra input); an error names the path, then the first bad row."""
-    content = _content_lines(_read_text(path))
     try:
+        content = _content_lines(_read_text(path))
         rows = [[_parse_number(tok, lineno) for tok in line.split()] for lineno, line in content]
     except GameFileError as exc:
-        raise GameFileError(f"{path}: {exc}") from None
+        named = GameFileError(f"{path}: {exc}")
+        named.line = exc.line
+        raise named from None
     bad = [f"line {at}: row has {len(r)} entries" for (at, _), r in zip(content, rows) if len(r) != len(rows)]
     if not rows or bad:
         raise GameFileError(f"{path}: " + (f"{bad[0]}, expected {len(rows)}" if bad else "empty file"))

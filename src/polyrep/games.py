@@ -215,23 +215,21 @@ class EquilibriumSet:
         return 0 if not self.exists else self.basis.shape[0]
 
 
-def check_prism_state(gtype: GameType, x: np.ndarray, tol: float = STATE_TOL) -> list[str]:
-    """Violations of the prism-state invariants (empty list when valid).
+def check_prism_state(gtype: GameType, x: np.ndarray) -> list[str]:
+    """Violations of the prism-state invariants within STATE_TOL (empty list when valid).
 
     Every non-finite coordinate is one: NaN fails no comparison, so the
-    sign and sum checks alone would let it through.  ValueError unless
-    tol is a finite number >= 0.
+    sign and sum checks alone would let it through.
     """
-    relative_cut(tol)
     x = np.asarray(x, dtype=float)
     if x.shape != (gtype.n,):
         return [f"state has shape {x.shape}, expected ({gtype.n},)"]
     problems = [f"coordinate {i} is {x[i]}" for i in np.flatnonzero(~np.isfinite(x))]
-    if np.min(x) < -tol:
+    if np.min(x) < -STATE_TOL:
         problems.append(f"negative coordinate {np.min(x)}")
     for a in range(gtype.p):
         s = float(np.sum(x[gtype.group_indices(a)]))
-        if abs(s - 1.0) > tol:
+        if abs(s - 1.0) > STATE_TOL:
             problems.append(f"group {a} sums to {s}, expected 1")
     return problems
 
@@ -314,9 +312,14 @@ def games_equivalent(a: PolymatrixGame, b: PolymatrixGame, tol: float = PAYOFF_T
 
 
 def has_equal_row_blocks(gtype: GameType, c: np.ndarray, tol: float = PAYOFF_TOL) -> bool:
-    """Whether every block of c (per the game type) has identical rows; ValueError unless tol is a finite number >= 0."""
+    """Whether every block of c (per the game type) has identical rows.
+
+    ValueError unless c is (n, n) and tol is a finite number >= 0.
+    """
     relative_cut(tol)
     c = np.asarray(c, dtype=float)
+    if c.shape != (gtype.n, gtype.n):
+        raise ValueError(f"c has shape {c.shape}, type {gtype} needs ({gtype.n},{gtype.n})")
     for a in range(gtype.p):
         rows = gtype.group_indices(a)
         block = c[rows.start : rows.stop, :]

@@ -275,7 +275,7 @@ def skew_decomposition(
     verdict = check_with_scaling(game, d, tol=tol)
     if verdict.kind != CONSERVATIVE:
         raise ValueError(f"game is {verdict.kind} under this scaling, not conservative")
-    b = game.payoff * d.expand(game.gtype)
+    b = scaled_game(game, d).payoff
     p, n = game.gtype.p, game.gtype.n
     basis = _tangent_orthobasis(game)
     m = basis.T @ b @ basis
@@ -635,11 +635,14 @@ def kernel_duality(m: np.ndarray, d: np.ndarray, tol: float = 1e-8) -> bool:
 
     Holds for every dissipative pair (M, D); tested by dimension match
     plus the largest principal angle between the two spans.  ValueError
-    unless tol is a finite number >= 0.
+    unless m is square, d holds one positive finite entry per row of m,
+    and tol is a finite number >= 0.
     """
     relative_cut(tol)
     m = np.asarray(m, dtype=float)
     d = np.asarray(d, dtype=float)
+    if not (m.ndim == 2 and m.shape[0] == m.shape[1] and d.shape == m.shape[:1] and ((0 < d) & (d < np.inf)).all()):
+        raise ValueError(f"expected a square M and one positive finite d per row, got M {m.shape} and d {d.shape}")
     k1 = _nullspace(m).T
     k2 = d[:, None] * _nullspace(m.T).T
     if k1.shape[1] != k2.shape[1]:

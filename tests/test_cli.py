@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyrep
-from polyrep import cli, games
+from polyrep import cli, dynamics, games, stability
 from polyrep.cli import (
     EXIT_CERTIFICATE,
     EXIT_IO,
@@ -750,6 +750,20 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--game", example_path, "--x0", x0, "--T=0.5")
         assert f"min coordinate: {data['min_coordinate']:.3e}" in out
 
+    def test_monitors_are_the_library_forms_at_the_run_states(self, capsys, example_path, example_game):
+        # h and each g_k read the run through lyapunov_h and the FirstIntegral, bit for bit
+        code, out, _ = run(capsys, "simulate", "--game", example_path, "--T=2", "--format", "json")
+        assert code == EXIT_OK
+        an = stability.analyse(example_game, stability.SEMIDEF_TOL)
+        states = dynamics.integrate(example_game, cli._parse_x0("random", example_game), 2.0, 0.01).states
+        expect = {"h": dynamics.lyapunov_h(example_game, an.equilibria.particular, an.scaling, states)}
+        for k, g in enumerate(dynamics.first_integrals(example_game, an.vstar[0])):
+            expect[f"g{k}"] = g(states)
+        monitors = json.loads(out)["monitors"]
+        assert set(expect) <= set(monitors) and "g0" in expect
+        for name, col in expect.items():
+            assert monitors[name] == {"first": col[0], "last": col[-1]}
+
     def test_step_scale_reported(self, capsys, example_path, example_game):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--T=0.5", "--format", "json")
         assert code == EXIT_OK and err == ""
@@ -1006,7 +1020,8 @@ class TestRefusals:
     def test_a_file_that_is_not_utf8(self, capsys, tmp_path, command):
         path = tmp_path / "g.txt"
         path.write_bytes(b"type: 2\n\xff 1\n0 0\n")
-        assert run(capsys, *command, str(path)) == (EXIT_IO, "", "error: line 2: byte 0xff is not UTF-8 text\n")
+        named = f"{path}: " if command[0] == "lv2rep" else ""  # a matrix file's errors name it
+        assert run(capsys, *command, str(path)) == (EXIT_IO, "", f"error: {named}line 2: byte 0xff is not UTF-8 text\n")
 
     @pytest.mark.parametrize("spec", ["randomly", "random-3", "random 3"])
     def test_x0_is_random_or_random_seed(self, capsys, example_path, spec):

@@ -26,7 +26,7 @@ from polyrep.games import (
     zero_row_representative,
 )
 from polyrep.stability import CONSERVATIVE, SEMIDEF_TOL, admissible, analyse, check_with_scaling
-from polyrep.vertices import enumerate_vertices, vertex_matrix, scaled_game
+from polyrep.vertices import VertexLabel, enumerate_vertices, vertex_matrix, scaled_game
 
 from conftest import EXAMPLE_Q, EXAMPLE_REDUCED, make_admissible_game, make_dissipative_game, random_game, rejection_prism_state
 
@@ -363,6 +363,7 @@ class TestHamiltonianCollapse:
         assert res.steps[0].scale_factor == pytest.approx(2.0)
         assert res.final_game.gtype == GameType((1,))
         assert res.identification.kept == (2,)
+        assert res.vertex == VertexLabel((0,))  # the fold took group 0's chosen strategy
         npt.assert_allclose(res.final_equilibrium, [1.0])
         assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
 

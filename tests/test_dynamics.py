@@ -253,10 +253,17 @@ class TestFirstIntegrals:
         for bad in (0.0, np.nan, np.inf):
             x = example_q.copy()
             x[1] = bad
-            with pytest.raises(ValueError, match="too close to the boundary, or not finite"):
+            with pytest.raises(ValueError, match="undefined off the open interior and at non-finite states"):
                 fi(x)
             with pytest.raises(ValueError):
                 fi(np.array([example_q, x]))
+
+    def test_defined_on_the_whole_open_interior(self, example_game, example_q):
+        # a subnormal coordinate is inside the open prism, for g as for h
+        fi = first_integrals(example_game, enumerate_vertices(example_game.gtype)[0])[0]
+        x = np.array([1 / 3, 1e-310, 2 / 3 - 1e-310, 1 / 2, 1 / 2])
+        assert fi(x) == np.log(x) @ fi.coefficients
+        assert np.isfinite(lyapunov_h(example_game, example_q, ID2, x))
 
     def test_zero_game_conserves_all_ratios(self):
         zero = PolymatrixGame(GameType((2, 2)), np.zeros((4, 4)))

@@ -56,7 +56,8 @@ class TestParse:
     def test_bytes_that_are_not_utf8(self, tmp_path, read):
         path = tmp_path / "g.txt"
         path.write_bytes(b"type: 2\n\xff 1\n0 0\n")
-        with pytest.raises(GameFileError, match=r"^line 2: byte 0xff is not UTF-8 text$") as info:
+        named = "" if read is parse_game else re.escape(f"{path}: ")  # a matrix file's errors name it
+        with pytest.raises(GameFileError, match=rf"^{named}line 2: byte 0xff is not UTF-8 text$") as info:
             read(path)
         assert info.value.line == 2
 
@@ -109,18 +110,20 @@ class TestMatrixFile:
         npt.assert_array_equal(parse_matrix(path), [[0, -1], [1, 0]])
 
     @pytest.mark.parametrize(
-        "text, message",
+        "data, message",
         [
-            ("0 1\n1\n", "line 2: row has 1 entries, expected 2"),
-            ("0 -1\n1 0 2\n", "line 2: row has 3 entries, expected 2"),
-            ("0 1\n1 0\n2 2\n", "line 1: row has 2 entries, expected 3"),
-            ("", "empty file"),
-            ("0 x\n1 0\n", "line 1: cannot parse number 'x'"),
+            (b"0 1\n1\n", "line 2: row has 1 entries, expected 2"),
+            (b"0 -1\n1 0 2\n", "line 2: row has 3 entries, expected 2"),
+            (b"0 1\n1 0\n2 2\n", "line 1: row has 2 entries, expected 3"),
+            (b"", "empty file"),
+            (b"0 x\n1 0\n", "line 1: cannot parse number 'x'"),
+            (b"0 \xff\n1 0\n", "line 1: byte 0xff is not UTF-8 text"),
         ],
     )
-    def test_ragged_rejected(self, tmp_path, text, message):
-        # the first bad row, an entry that is no number or a count that is not the number of rows, after the path
+    def test_ragged_rejected(self, tmp_path, data, message):
+        # the first bad row, an entry that is no number or no text, or a count that is not the number of rows,
+        # after the path
         path = tmp_path / "m.txt"
-        path.write_text(text)
+        path.write_bytes(data)
         with pytest.raises(GameFileError, match=f"^{re.escape(str(path))}: {message}$"):
             parse_matrix(path)

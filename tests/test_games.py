@@ -125,6 +125,11 @@ class TestEquivalence:
         assert not games_equivalent(game, game)
         assert not has_equal_row_blocks(gt, np.full((2, 2), bad))
 
+    @pytest.mark.parametrize("shape", [(1, 4), (3, 4), (4,)])
+    def test_equal_row_blocks_refuse_a_matrix_that_is_not_n_by_n(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"c has shape {shape}, type (2,2) needs (4,4)")):
+            has_equal_row_blocks(GameType((2, 2)), np.arange(float(np.prod(shape))).reshape(shape))
+
     def test_generic_games_not_equivalent(self):
         rng = np.random.default_rng(8)
         gt = GameType((2, 2))

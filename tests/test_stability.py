@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,6 @@ from polyrep.games import (
     DiagonalScaling,
     GameType,
     PolymatrixGame,
-    check_prism_state,
     games_equivalent,
     has_equal_row_blocks,
     in_unit,
@@ -131,9 +131,8 @@ class TestToleranceRule:
     )
     # the example's vertex (0, 3): a negative tol makes its zeros nonzero, an infinite one every entry zero
     M = np.array(EXAMPLE_VERTEX_TABLE[(0, 3)][0], dtype=float)
-    # the example's interior equilibrium, which a negative tol reads as off the prism
+    # the example game, equivalent to itself at every admissible tol
     EXAMPLE = PolymatrixGame(GameType((3, 2)), EXAMPLE_PAYOFF)
-    Q = np.array([1 / 3] * 3 + [1 / 2] * 2)
     # the kernels of a skew block bordered by zeros, e_3 both, which a negative or NaN tol calls apart
     K = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     CALLS = {
@@ -143,7 +142,6 @@ class TestToleranceRule:
         "zero_entries": lambda tol: zero_entries(TestToleranceRule.M, tol),
         "games_equivalent": lambda tol: games_equivalent(TestToleranceRule.EXAMPLE, TestToleranceRule.EXAMPLE, tol),
         "has_equal_row_blocks": lambda tol: has_equal_row_blocks(GameType((3, 2)), np.zeros((5, 5)), tol),
-        "check_prism_state": lambda tol: check_prism_state(GameType((3, 2)), TestToleranceRule.Q, tol),
         "diag_property_check": lambda tol: diag_property_check(
             TestToleranceRule.TWIN, DiagonalScaling((1, 2, 1)), first_vertex(TestToleranceRule.TWIN.gtype), tol
         ),
@@ -627,6 +625,22 @@ class TestKernelDuality:
         m = vertex_matrix(example_game, v0).entries
         npt.assert_allclose(m @ np.array([2.0, 0.0, 3.0]), 0, atol=1e-12)
         assert kernel_duality(m, np.ones(3))
+
+    @pytest.mark.parametrize(
+        "m, d",
+        [
+            (np.zeros((2, 2)), np.ones(1)),
+            (np.zeros((2, 2)), -np.ones(2)),
+            (np.zeros((2, 2)), np.array([1.0, np.inf])),
+            (np.zeros((2, 2)), np.array([1.0, np.nan])),
+            (np.array([[1.0, 0, 0], [0, 1, 0]]), np.ones(2)),
+            (np.zeros(2), np.ones(2)),
+        ],
+        ids=["short-d", "negative-d", "infinite-d", "nan-d", "wide-m", "flat-m"],
+    )
+    def test_refuses_malformed_input(self, m, d):
+        with pytest.raises(ValueError, match=re.escape(f"got M {m.shape} and d {d.shape}")):
+            kernel_duality(m, d)
 
     def test_constructed_singular_pairs(self):
         # bordered skew-damped core: (u, -1) spans the kernel by construction
