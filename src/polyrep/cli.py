@@ -186,7 +186,7 @@ def cmd_reduce(args) -> tuple[dict, list[str], list[str], int]:
 
 def cmd_collapse(args) -> tuple[dict, list[str], list[str], int]:
     game = gamefile.parse_game(args.game)
-    if not _admitted(game, args.tol, "nothing to collapse").equilibria.interior_flag:
+    if _admitted(game, args.tol, "nothing to collapse").equilibria.interior_point is None:
         raise _Refused(EXIT_NOT_DISSIPATIVE, "no interior equilibrium; the collapse is undefined")
     try:
         result = collapse_mod.hamiltonian_collapse(game, tol=args.tol)
@@ -207,8 +207,8 @@ def cmd_collapse(args) -> tuple[dict, list[str], list[str], int]:
             for s in result.steps
         ],
         "final_type": list(result.final_game.gtype.sizes),
-        "final_payoff": [[float(x) for x in row] for row in result.final_game.payoff],
-        "final_equilibrium": [float(x) for x in result.final_equilibrium],
+        "final_payoff": result.final_game.payoff.tolist(),
+        "final_equilibrium": result.final_equilibrium.tolist(),
         "certificate": list(result.certificate.values),
         "equivalent_to_trivial": trivial,
     }
@@ -237,19 +237,17 @@ def cmd_equilibrium(args) -> tuple[dict, list[str], list[str], int]:
     eq = interior_equilibria(game)
     payload = {
         "exists": eq.exists,
-        "particular": None if not eq.exists else [float(x) for x in eq.particular],
-        "basis": [[float(x) for x in b] for b in eq.basis] if eq.exists else [],
+        "particular": None if not eq.exists else eq.particular.tolist(),
+        "basis": eq.basis.tolist(),
         "dimension": eq.dimension,
-        "interior": eq.interior_flag,
-        "interior_point": None
-        if eq.interior_point is None
-        else [float(x) for x in eq.interior_point],
+        "interior": eq.interior_point is not None,
+        "interior_point": None if eq.interior_point is None else eq.interior_point.tolist(),
     }
     lines = [f"formal equilibria exist: {eq.exists}"]
     if eq.exists:
         lines.append(f"particular: {eq.particular}")
         lines.append(f"direction space dimension: {eq.dimension}")
-        lines.append(f"interior: {eq.interior_flag}")
+        lines.append(f"interior: {eq.interior_point is not None}")
         if eq.interior_point is not None:
             lines.append(f"interior point: {eq.interior_point}")
     return payload, lines, [], EXIT_OK
@@ -337,7 +335,7 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
     summary = {
         "steps": len(traj.times) - 1,
         "ok": traj.ok,
-        "final_state": [float(v) for v in traj.final],
+        "final_state": traj.final.tolist(),
         "max_renorm_drift": float(np.max(traj.renorm_drift)),
         "min_coordinate": float(np.min(traj.states)),
         "step_scale": step_scale,

@@ -104,12 +104,6 @@ def rationalize_equilibrium(game: PolymatrixGame, q: np.ndarray) -> list[Fractio
     return cand
 
 
-def _reduced_type(gtype: GameType, group: int) -> GameType:
-    sizes = list(gtype.sizes)
-    sizes[group] -= 1
-    return GameType(tuple(sizes))
-
-
 def q_ell_reduction(game: PolymatrixGame, q, ell: int) -> PolymatrixGame:
     """Remove strategy ``ell``, producing the slice dynamics one size down.
 
@@ -138,7 +132,8 @@ def q_ell_reduction(game: PolymatrixGame, q, ell: int) -> PolymatrixGame:
         pull = (Fraction(a[i][ell]) - Fraction(a[ell][ell])) * q_ell
         for j in mates:
             out[r, j - (j > ell)] = float((Fraction(a[i][j]) - Fraction(a[ell][j])) * one_minus + pull)
-    return PolymatrixGame(_reduced_type(gt, alpha), _finite(out))
+    sizes = gt.sizes[:alpha] + (gt.sizes[alpha] - 1,) + gt.sizes[alpha + 1 :]
+    return PolymatrixGame(GameType(sizes), _finite(out))
 
 
 def reduce_equilibrium(gtype: GameType, q, ell: int) -> list[Fraction]:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import (
-    MAX_PAYOFF, DiagonalScaling, GameType, PolymatrixGame, _nullspace, clearable_floor, random_prism_state, vector_field
+    DiagonalScaling, GameType, PolymatrixGame, _nullspace, _out_of_range, clearable_floor, random_prism_state,
+    vector_field,
 )
 from .vertices import VertexLabel, expand_vertex_vector, vertex_matrix
 
@@ -180,14 +181,6 @@ def _rk4_paths(
     return out.transpose(1, 0, 2), drift.T, kept
 
 
-def _trajectory(
-    states: np.ndarray, drift: np.ndarray, kept: int, dt: float, times: np.ndarray | None = None
-) -> Trajectory:
-    """The first `kept` samples of one run; `times` is a grid of at least that many, else dt * arange(kept)."""
-    times = dt * np.arange(kept) if times is None else times[:kept]
-    return Trajectory(times, states[:kept], drift[:kept], bool(kept == len(states)))
-
-
 def step_count(T: float, dt: float) -> int:
     """The RK4 steps for duration T, round(T / dt).
 
@@ -204,8 +197,10 @@ def step_count(T: float, dt: float) -> int:
 
 def integrate(game: PolymatrixGame, x0: np.ndarray, T: float, dt: float = 0.01) -> Trajectory:
     """Integrate the replicator flow from one start for duration T."""
-    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float)[None, :], step_count(T, dt), dt)
-    return _trajectory(states[0], drift[0], kept[0], dt)
+    steps = step_count(T, dt)
+    states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float)[None, :], steps, dt)
+    k = kept[0]
+    return Trajectory(dt * np.arange(k), states[0, :k], drift[0, :k], bool(k == steps + 1))
 
 
 def integrate_batch(
@@ -220,7 +215,7 @@ def integrate_batch(
     states, drift, kept = _rk4_paths(game, np.asarray(x0, dtype=float), steps, dt)
     times = dt * np.arange(steps + 1)
     times.flags.writeable = False
-    return [_trajectory(states[i], drift[i], kept[i], dt, times) for i in range(len(kept))]
+    return [Trajectory(times[:k], states[i, :k], drift[i, :k], bool(k == steps + 1)) for i, k in enumerate(kept)]
 
 
 def _log_form(x: np.ndarray, w: np.ndarray) -> float | np.ndarray:
@@ -372,8 +367,8 @@ class LVSystem:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or r.shape != (a.shape[0],):
             raise ValueError(f"inconsistent dimensions: A {a.shape}, r {r.shape}")
         # the compactified game holds A and r as they are, so they share its range
-        if not ((np.abs(a) <= MAX_PAYOFF).all() and (np.abs(r) <= MAX_PAYOFF).all()):
-            raise ValueError(f"A and r must be finite and at most {MAX_PAYOFF:g} in magnitude")
+        if problem := _out_of_range("A", a) or _out_of_range("r", r):
+            raise ValueError(problem)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r", r)
 

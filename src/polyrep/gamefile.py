@@ -9,12 +9,16 @@
     3    3  -6   0   0
 
 The first content line declares the group sizes; the following n lines
-hold the payoff matrix row by row.  Numbers may be integers, decimals,
-or simple fractions like 1/3.  Files are read as UTF-8 text.
+hold the payoff matrix row by row.  A bare matrix file (Lotka-Volterra
+input) is n such rows alone; one row reader serves both formats, so a
+refusal names the first bad row of either.  Numbers may be integers,
+decimals, or simple fractions like 1/3.  Files are read as UTF-8 text;
+a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
 
+import codecs
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,8 +47,8 @@ def _parse_number(token: str, line: int | None) -> float:
 
 
 def _read_text(path: str | Path) -> str:
-    """The file's text, read as UTF-8; GameFileError at the first byte that is not."""
-    data = Path(path).read_bytes()
+    """The file's text, read as UTF-8 past a leading byte-order mark; GameFileError at the first byte that is not."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -56,6 +60,16 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     """(line number, text) of each line left nonblank once its comment is cut: the one line reader of both formats."""
     lines = ((lineno, raw.split("#", 1)[0].strip()) for lineno, raw in enumerate(text.splitlines(), start=1))
     return [(lineno, line) for lineno, line in lines if line]
+
+
+def _square(rows: list[tuple[int, str]], n: int) -> np.ndarray:
+    """The (n, n) array of n content lines, read in turn; GameFileError at the first without n entries or numbers."""
+    out = np.zeros((n, n))
+    for r, (lineno, line) in enumerate(rows):
+        if len(tokens := line.split()) != n:
+            raise GameFileError(f"row has {len(tokens)} entries, expected {n}", lineno)
+        out[r] = [_parse_number(tok, lineno) for tok in tokens]
+    return out
 
 
 def parse_game_text(text: str) -> PolymatrixGame:
@@ -83,16 +97,7 @@ def parse_game_text(text: str) -> PolymatrixGame:
             f"expected {gtype.n} matrix rows for type {gtype}, found {len(rows)}",
             rows[-1][0] if rows else lineno,
         )
-    payoff = np.zeros((gtype.n, gtype.n))
-    for r, (rline, rtext) in enumerate(rows):
-        tokens = rtext.split()
-        if len(tokens) != gtype.n:
-            raise GameFileError(
-                f"row has {len(tokens)} entries, expected {gtype.n}", rline
-            )
-        payoff[r] = [_parse_number(tok, rline) for tok in tokens]
-
-    game = PolymatrixGame(gtype, payoff)
+    game = PolymatrixGame(gtype, _square(rows, gtype.n))
     problems = validate_game(game)
     if problems:
         raise GameFileError("; ".join(problems))
@@ -130,12 +135,10 @@ def parse_matrix(path: str | Path) -> np.ndarray:
     """A bare whitespace matrix file (used for Lotka-Volterra input); an error names the path, then the first bad row."""
     try:
         content = _content_lines(_read_text(path))
-        rows = [[_parse_number(tok, lineno) for tok in line.split()] for lineno, line in content]
+        if not content:
+            raise GameFileError("empty file")
+        return _square(content, len(content))
     except GameFileError as exc:
         named = GameFileError(f"{path}: {exc}")
         named.line = exc.line
         raise named from None
-    bad = [f"line {at}: row has {len(r)} entries" for (at, _), r in zip(content, rows) if len(r) != len(rows)]
-    if not rows or bad:
-        raise GameFileError(f"{path}: " + (f"{bad[0]}, expected {len(rows)}" if bad else "empty file"))
-    return np.array(rows)

@@ -188,8 +188,7 @@ class EquilibriumSet:
     ``particular`` is None when the defining linear system is inconsistent
     (no formal equilibrium exists).  ``basis`` rows are an orthonormal
     basis of the direction space.  ``interior_point`` is a strictly
-    positive member, or None when the set has none; ``interior_flag``
-    says whether it has one.
+    positive member, or None when the set has none.
     """
 
     particular: np.ndarray | None
@@ -205,10 +204,6 @@ class EquilibriumSet:
         if not self.exists:
             return None
         return _maximize_min_coordinate(self.particular, self.basis, INTERIOR_MARGIN)
-
-    @property
-    def interior_flag(self) -> bool:
-        return self.interior_point is not None
 
     @property
     def dimension(self) -> int:
@@ -287,13 +282,18 @@ def validate_game(game: PolymatrixGame) -> list[str]:
     first that is not is named by its row and column.  The shape is
     checked when the game is built.
     """
-    bad = np.argwhere(~(np.abs(game.payoff) <= MAX_PAYOFF))  # NaN included
+    problem = _out_of_range("payoff", game.payoff)
+    return [problem] if problem else []
+
+
+def _out_of_range(name: str, values: np.ndarray) -> str | None:
+    """`NAME entry (i, ...) = x ...` for the first entry not finite or beyond MAX_PAYOFF in magnitude; None if none."""
+    bad = np.argwhere(~(np.abs(values) <= MAX_PAYOFF))  # NaN included
     if not len(bad):
-        return []
-    r, c = bad[0].tolist()
-    x = float(game.payoff[r, c])
+        return None
+    x = float(values[tuple(bad[0])])
     limit = "is not finite" if not np.isfinite(x) else f"exceeds {MAX_PAYOFF:g} in magnitude"
-    return [f"payoff entry ({r}, {c}) = {x!r} {limit}"]
+    return f"{name} entry ({', '.join(map(str, bad[0].tolist()))}) = {x!r} {limit}"
 
 
 def games_equivalent(a: PolymatrixGame, b: PolymatrixGame, tol: float = PAYOFF_TOL) -> bool:

@@ -957,7 +957,9 @@ REFUSALS = [
     pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,abc"], EXIT_IO,
                  "error: cannot parse --r: 'abc' is not a number\n", id="lv2rep-r"),
     pytest.param(["lv2rep", "--A", "{d}/a_nan.txt", "--r", "1,-1"], EXIT_IO,
-                 "error: A and r must be finite and at most 1e+300 in magnitude\n", id="lv2rep-A"),
+                 "error: A entry (0, 1) = nan is not finite\n", id="lv2rep-A"),
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,inf"], EXIT_IO,
+                 "error: r entry (1) = inf is not finite\n", id="lv2rep-r-range"),
     pytest.param(["lv2rep", "--A", "{d}/missing.txt", "--r", "1,-1"], EXIT_IO,
                  NO_FILE.replace("{name}", "missing.txt"), id="lv2rep-missing"),
     pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,-1", "--emit-game", "{d}"], EXIT_IO, IS_DIR,

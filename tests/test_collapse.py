@@ -285,7 +285,7 @@ class TestHamiltonianCollapse:
         search = games._maximize_min_coordinate
         monkeypatch.setattr(games, "_maximize_min_coordinate", lambda *args: calls.append(args) or search(*args))
         game = PolymatrixGame(example_game.gtype, example_game.payoff)  # a fresh analysis
-        assert analyse(game, SEMIDEF_TOL).equilibria.interior_flag
+        assert analyse(game, SEMIDEF_TOL).equilibria.interior_point is not None
         hamiltonian_collapse(game)
         assert len(calls) == 1
 
@@ -315,7 +315,7 @@ class TestHamiltonianCollapse:
         )
         game = PolymatrixGame(GameType((3,)), a)
         eq = interior_equilibria(game)
-        assert eq.interior_flag
+        assert eq.interior_point is not None
         assert rationalize_equilibrium(game, eq.interior_point) == [Fraction(4, 9), Fraction(3, 9), Fraction(2, 9)]
         res = hamiltonian_collapse(game)
         assert len(res.steps) == 1

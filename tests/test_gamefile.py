@@ -1,3 +1,4 @@
+import codecs
 import re
 
 import numpy as np
@@ -65,6 +66,25 @@ class TestParse:
         with pytest.raises(GameFileError):
             parse_game_text("# nothing here\n")
 
+    @pytest.mark.parametrize(
+        "read, data",
+        [(lambda path: parse_game(path).payoff, b"type: 2\n0 -1\n1 0\n"), (parse_matrix, b"0 -1\n1 0\n")],
+        ids=["parse_game", "parse_matrix"],
+    )
+    def test_a_leading_byte_order_mark_is_ignored(self, tmp_path, read, data):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(data)
+        marked.write_bytes(codecs.BOM_UTF8 + data)
+        npt.assert_array_equal(read(marked), read(plain))
+
+    @pytest.mark.parametrize("read", [parse_game, parse_matrix])
+    def test_a_byte_after_the_mark_is_named_by_its_own_value(self, tmp_path, read):
+        path = tmp_path / "g.txt"
+        path.write_bytes(codecs.BOM_UTF8 + b"0 \xff\n1 0\n")
+        named = "" if read is parse_game else re.escape(f"{path}: ")
+        with pytest.raises(GameFileError, match=rf"^{named}line 1: byte 0xff is not UTF-8 text$"):
+            read(path)
+
 
 class TestRoundTrip:
     def test_integer_exact(self, example_game):
@@ -127,3 +147,32 @@ class TestMatrixFile:
         path.write_bytes(data)
         with pytest.raises(GameFileError, match=f"^{re.escape(str(path))}: {message}$"):
             parse_matrix(path)
+
+
+# (matrix file, its first bad line, the message there): a game file of the same rows under a
+# `type: n` header, n the number of rows, is refused with the same message one line further down
+GRIDS = [
+    (b"0 1\n1\n", 2, "row has 1 entries, expected 2"),
+    (b"0 -1\n1 0 2\n", 2, "row has 3 entries, expected 2"),
+    (b"0 1\n1 0\n2 2\n", 1, "row has 2 entries, expected 3"),
+    (b"0 1 2\n1 x\n", 1, "row has 3 entries, expected 2"),
+    (b"0 1\nx 1 2\n", 2, "row has 3 entries, expected 2"),
+    (b"0 x\n1 0\n", 1, "cannot parse number 'x'"),
+    (b"0 1\n1/0 0\n", 2, "cannot parse number '1/0'"),
+    (b"# A\n0 1 2\n\n1 0 2 # row\n2\n", 5, "row has 1 entries, expected 3"),
+    (b"0 \xff\n1 0\n", 1, "byte 0xff is not UTF-8 text"),
+]
+
+
+@pytest.mark.parametrize("data, line, message", GRIDS)
+def test_both_readers_refuse_a_grid_at_its_first_bad_row(tmp_path, data, line, message):
+    matrix, game = tmp_path / "m.txt", tmp_path / "g.txt"
+    matrix.write_bytes(data)
+    rows = sum(1 for raw in data.splitlines() if raw.split(b"#")[0].strip())
+    game.write_bytes(b"type: %d\n" % rows + data)
+    with pytest.raises(GameFileError, match=f"^{re.escape(f'{matrix}: line {line}: {message}')}$") as info:
+        parse_matrix(matrix)
+    assert info.value.line == line
+    with pytest.raises(GameFileError, match=f"^{re.escape(f'line {line + 1}: {message}')}$") as info:
+        parse_game(game)
+    assert info.value.line == line + 1

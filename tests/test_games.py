@@ -278,14 +278,14 @@ class TestEquilibria:
 
     def test_interior_example(self, example_game, example_q):
         eq = interior_equilibria(example_game)
-        assert eq.interior_flag
+        assert eq.interior_point is not None
         assert in_equilibrium_set(eq, example_q)
         assert np.min(eq.interior_point) > 0
 
     def test_formal_equilibria_search_their_interior_point(self, example_game, example_q):
         # on first read, so the analysis's set knows it as interior_equilibria's does
         eq = formal_equilibria(example_game)
-        assert eq.interior_flag
+        assert eq.interior_point is not None
         npt.assert_allclose(eq.interior_point, example_q, atol=1e-12)
 
     def test_interior_rps(self):
@@ -299,7 +299,7 @@ class TestEquilibria:
         eq = interior_equilibria(game)
         assert eq.exists and eq.dimension == 0
         npt.assert_allclose(eq.particular, [4 / 3, -2 / 3, 1 / 3], atol=1e-9)
-        assert not eq.interior_flag
+        assert eq.interior_point is None
 
     def test_max_min_coordinate_is_a_linear_program(self):
         # the min coordinate is concave and nonsmooth in c, where a

@@ -193,7 +193,7 @@ def test_power_of_two_scaling_changes_no_bit(sizes, kind, seed, j):
     with tempfile.TemporaryDirectory() as directory:
         matrices = zip(_vertex_matrices(game, directory), _vertex_matrices(scaled, directory))
         assert all(np.ldexp(m, j).tobytes() == ms.tobytes() for m, ms in matrices)
-    if an.admissible and an.equilibria.interior_flag:
+    if an.admissible and an.equilibria.interior_point is not None:
         final, final_scaled = _collapsed(game), _collapsed(scaled)
         if isinstance(final, str):
             assert final_scaled == final
