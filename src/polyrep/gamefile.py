@@ -11,15 +11,16 @@
 The first content line declares the group sizes; the following n lines
 hold the payoff matrix row by row.  A bare matrix file (Lotka-Volterra
 input) is n such rows alone; one row reader serves both formats, so a
-refusal names the first bad row of either.  Numbers may be integers,
-decimals, or simple fractions like 1/3.  Files are read as UTF-8 text;
+refusal names the first bad row of either.  Every number polyrep reads
+matches `_NUMBER`: ASCII digits with an optional sign, decimal point and
+exponent, or a fraction of two integers like 1/3.  Files are UTF-8 text;
 a leading byte-order mark is ignored.
 """
 
 from __future__ import annotations
 
 import codecs
-from fractions import Fraction
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,22 @@ class GameFileError(ValueError):
         super().__init__(where + message)
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits: a backslash-d in a str pattern matches every Unicode digit
+_NUMBER = re.compile(rf"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|({_INTEGER.pattern})/([0-9]+)")
+
+
 def _parse_number(token: str, line: int | None) -> float:
-    """The float a token spells: an integer, a decimal or a fraction like 1/3; GameFileError if none."""
+    """The float a `_NUMBER` token spells, a fraction past the float range its signed infinity; else GameFileError."""
+    match = _NUMBER.fullmatch(token)
     try:
-        if "/" in token:
-            return float(Fraction(token))
-        return float(token)
-    except (ValueError, ZeroDivisionError):
+        if match is None:
+            raise ValueError
+        if match[3] is None:
+            return float(token)
+        return int(match[3]) / int(match[4])  # int / int is correctly rounded
+    except OverflowError:
+        return -np.inf if token[0] == "-" else np.inf
+    except (ValueError, ZeroDivisionError):  # int() refuses a fraction past its digit limit too
         raise GameFileError(f"cannot parse number {token!r}", line) from None
 
 
@@ -80,15 +90,14 @@ def parse_game_text(text: str) -> PolymatrixGame:
     lineno, header = content[0]
     if not header.lower().startswith("type:"):
         raise GameFileError("first line must be 'type: n_1 n_2 ...'", lineno)
-    try:
-        sizes = tuple(int(tok) for tok in header.split(":", 1)[1].split())
-    except ValueError:
-        raise GameFileError("group sizes must be integers", lineno) from None
-    if not sizes:
+    tokens = header.split(":", 1)[1].split()
+    if not all(_INTEGER.fullmatch(tok) for tok in tokens):
+        raise GameFileError("group sizes must be integers", lineno)
+    if not tokens:
         raise GameFileError("no group sizes given", lineno)
     try:
-        gtype = GameType(sizes)
-    except ValueError as exc:
+        gtype = GameType(tuple(map(int, tokens)))
+    except ValueError as exc:  # int() refuses a size past its digit limit too
         raise GameFileError(str(exc), lineno) from None
 
     rows = content[1:]

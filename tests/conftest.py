@@ -65,6 +65,11 @@ KELLEY_PROOF_GAME = """type: 2 2 2
 -1 -4 -3 -5 3 5
 """
 
+# Tokens outside the one number grammar (`gamefile._NUMBER`): a digit separator, an
+# Arabic-Indic and a full-width one, words for non-finite values, hex, a bare exponent
+# or point, and fractions of anything but two integers; every reader refuses each.
+NOT_NUMBERS = ["1_0", "\u0661", "\uff11", "nan", "inf", "Infinity", "0x10", "1e", ".", "1.5/2", "3/-4", "1e3/7", "1/0"]
+
 
 @pytest.fixture(scope="session")
 def example_game() -> PolymatrixGame:

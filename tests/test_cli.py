@@ -38,7 +38,15 @@ from polyrep.stability import (
 )
 from polyrep.vertices import MAX_ENTRIES, MAX_VERTICES, enumerate_vertices, first_vertex, vertex_matrix
 
-from conftest import EXAMPLE_PAYOFF, EXAMPLE_REDUCED, FIXTURES, KELLEY_PROOF_GAME, make_dissipative_game, random_game
+from conftest import (
+    EXAMPLE_PAYOFF,
+    EXAMPLE_REDUCED,
+    FIXTURES,
+    KELLEY_PROOF_GAME,
+    NOT_NUMBERS,
+    make_dissipative_game,
+    random_game,
+)
 
 
 @pytest.fixture()
@@ -720,12 +728,13 @@ class TestSimulate:
         assert "negative coordinate -1.0" in err and "Traceback" not in err
 
     def test_nan_start_exits_1(self, capsys, example_path):
+        # `nan` is no number (REFUSALS, x0-nan); 1e400 reads as the infinity the prism check refuses
         code, out, err = run(
-            capsys, "simulate", "--game", example_path, "--x0", "nan,0.5,0.5,0.5,0.5", "--format", "json"
+            capsys, "simulate", "--game", example_path, "--x0", "1e400,0.5,0.5,0.5,0.5", "--format", "json"
         )
         assert code == EXIT_IO
         assert out == ""
-        assert "coordinate 0 is nan" in err and "Traceback" not in err
+        assert "coordinate 0 is inf" in err and "Traceback" not in err
 
     def test_face_start_writes_strict_json(self, capsys, example_path):
         # x0 = 0 on the face, so the ratio monitor r1_0 = x1 / x0 is infinite
@@ -808,7 +817,7 @@ class TestSimulate:
         assert text_err == err
 
     @pytest.mark.parametrize(
-        "extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"], ["--T", "1/0"]]
+        "extra", [["--dt", "0"], ["--dt", "nan"], ["--T", "-1"], ["--T", "inf"], ["--T", "1/0"], ["--T", "1_0"]]
     )
     def test_bad_duration_or_step_exits_1(self, capsys, example_path, extra):
         code, out, err = run(capsys, "simulate", "--game", example_path, "--x0", "random:1", *extra)
@@ -902,6 +911,7 @@ IS_DIR = "error: [Errno 21] Is a directory: '{d}'\n"
 CEILING = f"error: the game has {2**15} vertices, more than the {MAX_VERTICES} the vertex layer handles\n"
 NOT_ADMISSIBLE = "error: game is not admissible; "
 SIMULATE = ["simulate", "--game", "{ex}", "--T", "0.1"]
+HUGE = "1" + "0" * 400 + "/7"  # a fraction past the float range
 # (argv, exit code, stderr); {ex} is the example game, {d} the directory of REFUSAL_FILES
 REFUSALS = [
     *[pytest.param([*c, "{d}/missing.txt"], EXIT_IO, NO_FILE.replace("{name}", "missing.txt"),
@@ -939,6 +949,10 @@ REFUSALS = [
                  "error: cannot parse --x0: 'abc' is not a number\n", id="x0-words"),
     pytest.param([*SIMULATE, "--x0", "1/3,1/3,1/3,1/2,1/0"], EXIT_IO,  # fractions read, as in game files
                  "error: cannot parse --x0: '1/0' is not a number\n", id="x0-fraction"),
+    pytest.param([*SIMULATE, "--x0", "\u0661,0.5,0.5,0.5,0.5"], EXIT_IO,  # an Arabic-Indic one is no ASCII digit
+                 "error: cannot parse --x0: '\u0661' is not a number\n", id="x0-non-ascii-digit"),
+    pytest.param([*SIMULATE, "--x0", "nan,0.5,0.5,0.5,0.5"], EXIT_IO,
+                 "error: cannot parse --x0: 'nan' is not a number\n", id="x0-nan"),
     pytest.param([*SIMULATE, "--x0", "random:x"], EXIT_IO,
                  "error: cannot parse --x0: expected an integer >= 0, got 'x'\n", id="x0-seed-words"),
     pytest.param([*SIMULATE, "--x0", "random:-3"], EXIT_IO,
@@ -956,9 +970,11 @@ REFUSALS = [
                  NO_FILE.replace("{name}", "none/run.csv"), id="csv-missing-directory"),
     pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,abc"], EXIT_IO,
                  "error: cannot parse --r: 'abc' is not a number\n", id="lv2rep-r"),
-    pytest.param(["lv2rep", "--A", "{d}/a_nan.txt", "--r", "1,-1"], EXIT_IO,
-                 "error: A entry (0, 1) = nan is not finite\n", id="lv2rep-A"),
-    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,inf"], EXIT_IO,
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,nan"], EXIT_IO,
+                 "error: cannot parse --r: 'nan' is not a number\n", id="lv2rep-r-nan"),
+    pytest.param(["lv2rep", "--A", "{d}/a_inf.txt", "--r", "1,-1"], EXIT_IO,
+                 "error: A entry (0, 1) = inf is not finite\n", id="lv2rep-A"),
+    pytest.param(["lv2rep", "--A", "{d}/a.txt", "--r", "1,1e400"], EXIT_IO,
                  "error: r entry (1) = inf is not finite\n", id="lv2rep-r-range"),
     pytest.param(["lv2rep", "--A", "{d}/missing.txt", "--r", "1,-1"], EXIT_IO,
                  NO_FILE.replace("{name}", "missing.txt"), id="lv2rep-missing"),
@@ -977,7 +993,9 @@ REFUSAL_FILES = {
     "boundary.txt": "type: 2\n-1 0\n0 0\n",  # admissible, its only equilibrium (0, 1)
     "zero14.txt": "type: 14\n" + ("0 " * 14 + "\n") * 14,
     "a.txt": "0 -1\n1 0\n",
-    "a_nan.txt": "0 nan\n1 0\n",
+    "a_inf.txt": "0 1e400\n1 0\n",
+    "huge.txt": f"type: 2\n0 {HUGE}\n0 0\n",
+    "a_huge.txt": f"0 {HUGE}\n1 0\n",
     # an admissible integer game times 3e299: it parses, but its core's largest entry is 16/9 of the game's
     "grow.txt": "type: 2 2\n9e299 6e299 -9e299 -6e299\n9e299 3e299 6e299 -6e299\n"
                 "-9e299 0 3e299 9e299\n-9e299 9e299 0 6e299\n",
@@ -1030,6 +1048,58 @@ class TestRefusals:
         argv = filled(SIMULATE, ex=example_path)
         err = f"error: cannot parse --x0: {spec.split()[0]!r} is not a number\n"
         assert run(capsys, *argv, "--x0", spec) == (EXIT_IO, "", err)
+
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["check", "{d}/huge.txt"], "error: payoff entry (0, 1) = inf is not finite"),
+            (["lv2rep", "--A", "{d}/a_huge.txt", "--r", "1,-1"], "error: A entry (0, 1) = inf is not finite"),
+            (["check", "{ex}", "--tol", HUGE], f"argument --tol: expected a finite number >= 0, got {HUGE!r}"),
+            (["simulate", "--game", "{ex}", "--T", HUGE], f"argument --T: expected a finite number >= 0, got {HUGE!r}"),
+            (["simulate", "--game", "{ex}", "--dt", HUGE], f"argument --dt: expected a finite number > 0, got {HUGE!r}"),
+            ([*SIMULATE, "--x0", f"{HUGE},0.5,0.5,0.5,0.5"],
+             "error: --x0 is not a prism state: coordinate 0 is inf; group 0 sums to inf, expected 1"),
+            (["lv2rep", "--A", "{d}/a.txt", "--r", f"1,{HUGE}"], "error: r entry (1) = inf is not finite"),
+        ],
+        ids=["game-file", "matrix-file", "tol", "T", "dt", "x0", "r"],
+    )
+    def test_a_fraction_past_the_float_range(self, capsys, refusal_dir, example_path, argv, last):
+        # it reads as the infinity 1e400 reads as, so the range check that refuses 1e400 names it
+        code, out, err = run(capsys, *filled(argv, d=str(refusal_dir), ex=example_path))
+        assert (code, out) == (EXIT_IO, "")
+        lines = err.splitlines()
+        assert [line for line in lines if "error:" in line] == [lines[-1]] and lines[-1].endswith(last)
+        assert "Traceback" not in err
+
+
+class TestNumberGrammar:
+    """Every reader of a number gives a token the same verdict: read, or refused as no number."""
+
+    @pytest.mark.parametrize("token", ["0", "-0", "+1", "1.", ".5", "2.5e-1", "1E2", "1/3", "+3/4", *NOT_NUMBERS])
+    def test_one_verdict_from_every_reader(self, capsys, tmp_path, example_path, token):
+        game, matrix, rates = tmp_path / "g.txt", tmp_path / "m.txt", tmp_path / "a.txt"
+        game.write_text(f"type: 2\n0 {token}\n0 0\n")
+        matrix.write_text(f"0 {token}\n0 0\n")
+        rates.write_text("0 -1\n1 0\n")
+        no_number = f"cannot parse number {token!r}"
+        err = {
+            "game file": run(capsys, "check", str(game))[2],
+            "matrix file": run(capsys, "lv2rep", "--A", str(matrix), "--r", "1,1")[2],
+            "--tol": run(capsys, "check", example_path, "--tol", token)[2],
+            "--T": run(capsys, "simulate", "--game", example_path, "--T", token, "--dt", "1")[2],
+            "--x0": run(capsys, "simulate", "--game", example_path, "--T", "0", "--x0", f"{token},0.5,0.5,0.5,0.5")[2],
+            "--r": run(capsys, "lv2rep", "--A", str(rates), "--r", f"1,{token}")[2],
+        }
+        refused = {
+            "game file": err["game file"] == f"error: line 2: {no_number}\n",
+            "matrix file": err["matrix file"] == f"error: {matrix}: line 1: {no_number}\n",
+            # every accepted token here is finite and >= 0, so a usage error is a refused token
+            "--tol": f"argument --tol: expected a finite number >= 0, got {token!r}" in err["--tol"],
+            "--T": f"argument --T: expected a finite number >= 0, got {token!r}" in err["--T"],
+            "--x0": err["--x0"] == f"error: cannot parse --x0: {token!r} is not a number\n",
+            "--r": err["--r"] == f"error: cannot parse --r: {token!r} is not a number\n",
+        }
+        assert refused == dict.fromkeys(refused, token in NOT_NUMBERS)
 
 
 class TestDeterminism:

@@ -4,16 +4,20 @@ import re
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyrep.gamefile import (
     GameFileError,
+    _format_number,
+    _parse_number,
     emit_game,
     parse_game,
     parse_game_text,
     parse_matrix,
     write_game,
 )
-from polyrep.games import GameType, PolymatrixGame
+from polyrep.games import MAX_PAYOFF, GameType, PolymatrixGame
 
 from conftest import EXAMPLE_PAYOFF, random_game
 
@@ -43,6 +47,16 @@ class TestParse:
         with pytest.raises(GameFileError) as err:
             parse_game_text("type: 2\n0 x\n1 0\n")
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("sizes", ["\u0662", "1_0", "\uff12", "2.0", "2/1"])
+    def test_group_sizes_are_ascii_integers(self, sizes):
+        # an Arabic-Indic or full-width two, a digit separator, a decimal or a fraction is no group size
+        with pytest.raises(GameFileError, match="^line 1: group sizes must be integers$"):
+            parse_game_text(f"type: {sizes}\n0 0\n0 0\n")
+
+    def test_a_negative_size_is_an_integer_but_not_positive(self):
+        with pytest.raises(GameFileError, match=r"^line 1: group sizes must be positive, got \(-1,\)$"):
+            parse_game_text("type: -1\n0\n")
 
     def test_missing_header(self):
         with pytest.raises(GameFileError):
@@ -105,6 +119,31 @@ class TestRoundTrip:
         npt.assert_array_equal(parse_game(path).payoff, example_game.payoff)
 
 
+class TestNumberGrammar:
+    """`_parse_number`'s values; test_cli.TestNumberGrammar has every reader refuse NOT_NUMBERS."""
+
+    @pytest.mark.parametrize(
+        "token, value",
+        [("7", 7.0), ("+1.", 1.0), (".5", 0.5), ("-2.5E-1", -0.25), ("1e-05", 1e-05), ("9e299", 9e299),
+         ("-0", -0.0), ("-1/3", -1 / 3), ("+3/4", 0.75), ("1e400", np.inf), ("-1e400", -np.inf)],
+    )
+    def test_a_token_in_the_grammar_reads_as_float_does(self, token, value):
+        assert np.float64(_parse_number(token, None)).tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_fraction_past_the_float_range_is_the_signed_infinity(self, sign):
+        # the value 1e400 reads as, so the range checks that refuse 1e400 refuse it too
+        assert _parse_number(sign + "1" + "0" * 400 + "/7", None) == float(sign + "inf")
+
+    def test_a_fraction_is_the_correctly_rounded_quotient(self):
+        # 10**17 + 2 is no float: rounding it first, then dividing, gives 3.3333333333333332e+16
+        assert _parse_number("100000000000000002/3", None) == 3.3333333333333336e16
+
+    @given(st.floats(min_value=-MAX_PAYOFF, max_value=MAX_PAYOFF))
+    def test_the_reader_reads_what_the_writer_writes(self, x):
+        assert np.float64(_parse_number(_format_number(x), None)).tobytes() == np.float64(x + 0.0).tobytes()
+
+
 class TestPayoffRange:
     def test_parser_names_the_entry_beyond_the_range(self):
         with pytest.raises(GameFileError, match=r"payoff entry \(1, 0\) = -2e\+300 exceeds 1e\+300"):
@@ -159,6 +198,11 @@ GRIDS = [
     (b"0 1\nx 1 2\n", 2, "row has 3 entries, expected 2"),
     (b"0 x\n1 0\n", 1, "cannot parse number 'x'"),
     (b"0 1\n1/0 0\n", 2, "cannot parse number '1/0'"),
+    (b"0 1_0\n1 0\n", 1, "cannot parse number '1_0'"),
+    (b"0 nan\n1 0\n", 1, "cannot parse number 'nan'"),
+    (b"0 inf\n1 0\n", 1, "cannot parse number 'inf'"),
+    (b"0 \xd9\xa1\n1 0\n", 1, "cannot parse number '\u0661'"),
+    (b"0 3/-4\n1 0\n", 1, "cannot parse number '3/-4'"),
     (b"# A\n0 1 2\n\n1 0 2 # row\n2\n", 5, "row has 1 entries, expected 3"),
     (b"0 \xff\n1 0\n", 1, "byte 0xff is not UTF-8 text"),
 ]
