@@ -368,9 +368,9 @@ def cmd_lv2rep(args) -> tuple[dict, list[str], list[str], int]:
 
 
 def _number(text: str) -> float:
-    """The float a command-line value spells as in a game file (1/3 too), NaN when it spells none."""
+    """The float a command-line value spells as in a game file (1/3 too), padding aside; NaN when it spells none."""
     try:
-        return gamefile._parse_number(text, None)
+        return gamefile._parse_number(text.strip(), None)
     except ValueError:
         return float("nan")
 

@@ -1101,6 +1101,13 @@ class TestNumberGrammar:
         }
         assert refused == dict.fromkeys(refused, token in NOT_NUMBERS)
 
+    def test_spaces_around_an_option_value_are_no_part_of_it(self, capsys, example_path):
+        # as around a token of a game file, --x0 or --r
+        assert run(capsys, "check", example_path, "--tol", " 1e-9 ") == run(capsys, "check", example_path)
+        padded = run(capsys, "simulate", "--game", example_path, "--T", " 1/2", "--dt", "1/100 ")
+        assert padded == run(capsys, "simulate", "--game", example_path, "--T", "1/2", "--dt", "1/100")
+        assert padded[0] == 0
+
 
 class TestDeterminism:
     def test_json_outputs_byte_identical(self, capsys, example_path):

@@ -1,5 +1,6 @@
 import codecs
 import re
+import sys
 
 import numpy as np
 import numpy.testing as npt
@@ -134,6 +135,14 @@ class TestNumberGrammar:
     def test_a_fraction_past_the_float_range_is_the_signed_infinity(self, sign):
         # the value 1e400 reads as, so the range checks that refuse 1e400 refuse it too
         assert _parse_number(sign + "1" + "0" * 400 + "/7", None) == float(sign + "inf")
+
+    def test_a_fraction_past_the_integer_digit_limit_is_no_number(self):
+        # int() converts at most sys.get_int_max_str_digits() digits; float() reads an integer of any length
+        limit = sys.get_int_max_str_digits()
+        assert _parse_number("1" * limit + "/3", None) == np.inf
+        assert _parse_number("1" * (limit + 1), None) == np.inf
+        with pytest.raises(GameFileError, match=r"cannot parse number '1111"):
+            _parse_number("1" * (limit + 1) + "/3", None)
 
     def test_a_fraction_is_the_correctly_rounded_quotient(self):
         # 10**17 + 2 is no float: rounding it first, then dividing, gives 3.3333333333333332e+16

@@ -16,7 +16,7 @@ def test_a_tree_matches_itself_and_not_a_copy_with_one_output_changed(tmp_path, 
     kelley = tmp_path / "kelley.txt"
     kelley.write_text(KELLEY_PROOF_GAME)
     games = [FIXTURES / "example_game.txt", FIXTURES / "example_sum2.txt", kelley]
-    assert identity.main(["--against", str(ROOT), "--games", *map(str, games)]) == 0
+    assert identity.compare(ROOT, ROOT, games) == []
     assert capsys.readouterr().out.startswith("0 of 60 runs differ on 3 game files\n")
 
     changed = tmp_path / "changed"
@@ -24,8 +24,8 @@ def test_a_tree_matches_itself_and_not_a_copy_with_one_output_changed(tmp_path, 
     cli = changed / "src" / "polyrep" / "cli.py"
     assert cli.read_text().count('f"interior: ') == 1  # equilibrium's text output, and only it
     cli.write_text(cli.read_text().replace('f"interior: ', 'f"interior found: '))
-    assert identity.main(["--against", str(changed), "--games", *map(str, games)]) == 1
-    out = capsys.readouterr().out
     keys = [f"equilibrium {{corpus}}/{game.name}" for game in sorted(games, key=lambda g: g.name)]
+    assert identity.compare(ROOT, changed, games) == keys
+    out = capsys.readouterr().out
     assert out.startswith("3 of 60 runs differ on 3 game files\n" + "".join(f"differs: {k}\n" for k in keys))
     assert "-stdout: interior found: True" in out and "+stdout: interior: True" in out

@@ -1,6 +1,6 @@
 """Compare every CLI output of this tree with another tree's: the identity gate of a refactor.
 
-    python tools/identity.py --against PARENT_DIR [--games FILE ...]
+    python tools/identity.py --against PARENT_DIR
 
 PARENT_DIR is a checkout with its own src/ (a `git worktree` or a `git
 archive` of the parent commit).  The runner writes the benchmark's cli,
@@ -14,8 +14,7 @@ directory written {corpus}; its record is the sha256 of its exit code,
 stdout, stderr and CSV bytes.  Both trees read the same corpus directory
 and write the same CSV path, so a path in an output is the same in both.
 The runner prints the keys whose records differ, a diff of the first few,
-and exits 1 if any differ.  --games runs the given files in place of the
-corpus.
+and exits 1 if any differ.
 """
 
 from __future__ import annotations
@@ -103,8 +102,10 @@ def records(tree: Path, directory: Path, keys: list[str] = ()) -> dict:
 def compare(tree: Path, other: Path, games: list[Path] | None = None) -> list[str]:
     """The keys whose records differ between the two trees, printed with a diff of the first SHOWN.
 
-    The runs read `games` if given, else the corpus `write_corpus` writes.
+    The runs read `games` if given, else the corpus `write_corpus` writes; two games may not share a name.
     """
+    if games is not None and len({game.name for game in games}) < len(games):
+        raise ValueError("two game files share a name")
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         if games is None:
@@ -130,9 +131,8 @@ def compare(tree: Path, other: Path, games: list[Path] | None = None) -> list[st
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--against", type=Path, required=True, help="the other tree, with its own src/")
-    p.add_argument("--games", type=Path, nargs="+", help="run these game files in place of the corpus")
     args = p.parse_args(argv)
-    return 1 if compare(ROOT, args.against.resolve(), args.games) else 0
+    return 1 if compare(ROOT, args.against.resolve()) else 0
 
 
 if __name__ == "__main__":
