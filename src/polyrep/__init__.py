@@ -23,6 +23,7 @@ from .vertices import (
     vertex_matrix,
 )
 from .stability import (
+    Analysis,
     Classification,
     StableDissipativityReport,
     admissible,

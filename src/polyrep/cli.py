@@ -80,9 +80,9 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
     print(out)
 
 
-def _analyse(game: PolymatrixGame, tol: float) -> stability.Analysis:
+def _analysis(game: PolymatrixGame, tol: float) -> stability.Analysis:
     """The game's analysis, its vertex stack built: exit 1 past vertices.MAX_VERTICES or MAX_ENTRIES."""
-    an = stability.analyse(game, tol)
+    an = stability.Analysis(game, tol)
     an.tensor  # the vertex ceilings' ValueError comes before any verdict
     return an
 
@@ -96,14 +96,14 @@ def _verdict_code(an: stability.Analysis) -> int:
 
 def _admitted(game: PolymatrixGame, tol: float, what: str) -> stability.Analysis:
     """The analysis of an admissible game; any other is refused with its verdict's code."""
-    an = _analyse(game, tol)
+    an = _analysis(game, tol)
     if not an.admissible:
         raise _Refused(_verdict_code(an), f"game is not admissible; {what}")
     return an
 
 
 def cmd_check(args) -> tuple[dict, list[str], list[str], int]:
-    an = _analyse(gamefile.parse_game(args.game), args.tol)
+    an = _analysis(gamefile.parse_game(args.game), args.tol)
     scaling = None if an.scaling is None else list(an.scaling.values)
     vstar = [list(v.chosen) for v in an.vstar]
     reports = {
@@ -136,7 +136,7 @@ def cmd_check(args) -> tuple[dict, list[str], list[str], int]:
 
 
 def cmd_vertices(args) -> tuple[dict, list[str], list[str], int]:
-    an = _analyse(gamefile.parse_game(args.game), args.tol)
+    an = _analysis(gamefile.parse_game(args.game), args.tol)
     labels, ii, t = an.tensor
     payload, lines = {"vertices": []}, []
     for v, idx, m, edges in zip(labels, ii.tolist(), np.ldexp(t, an.unit[1]), an.pattern[0]):  # in the game's unit
@@ -155,9 +155,8 @@ def cmd_vertices(args) -> tuple[dict, list[str], list[str], int]:
 
 
 def cmd_reduce(args) -> tuple[dict, list[str], list[str], int]:
-    game = gamefile.parse_game(args.game)
-    _admitted(game, args.tol, "the reduction rules do not apply")
-    red = reduction.run_to_fixpoint(game, tol=args.tol)
+    an = _admitted(gamefile.parse_game(args.game), args.tol, "the reduction rules do not apply")
+    red = reduction.run_to_fixpoint(an)
     rows = reduction.collapse_trace(red.final.trace)
     payload = {
         "trace": [
@@ -185,11 +184,11 @@ def cmd_reduce(args) -> tuple[dict, list[str], list[str], int]:
 
 
 def cmd_collapse(args) -> tuple[dict, list[str], list[str], int]:
-    game = gamefile.parse_game(args.game)
-    if _admitted(game, args.tol, "nothing to collapse").equilibria.interior_point is None:
+    an = _admitted(gamefile.parse_game(args.game), args.tol, "nothing to collapse")
+    if an.equilibria.interior_point is None:
         raise _Refused(EXIT_NOT_DISSIPATIVE, "no interior equilibrium; the collapse is undefined")
     try:
-        result = collapse_mod.hamiltonian_collapse(game, tol=args.tol)
+        result = collapse_mod.hamiltonian_collapse(an)
     except ValueError as exc:  # admissible with an interior q: a refusal now is internal
         raise RuntimeError(str(exc)) from None
     final = result.final_game
@@ -275,7 +274,7 @@ def _parse_x0(spec: str, game: PolymatrixGame) -> np.ndarray:
             seed = "0"
         elif not (seed.isascii() and seed.isdigit()):
             raise ValueError(f"cannot parse --x0: expected an integer >= 0, got {seed!r}")
-        rng = np.random.default_rng(int(seed))
+        rng = np.random.default_rng(gamefile._read_int(seed))
         return random_prism_state(game.gtype, rng, clearable_floor(game.gtype, 0.02))
     vals = _numbers("--x0", spec)
     if len(vals) != game.n:
@@ -289,7 +288,7 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
     problems = check_prism_state(game.gtype, x0)
     if problems:
         raise ValueError("--x0 is not a prism state: " + "; ".join(problems))
-    an = stability.analyse(game, args.tol)  # fields computed only for the monitors asked for
+    an = stability.Analysis(game, args.tol)  # fields computed only for the monitors asked for
     if "gb" in args.monitors or "ratios" in args.monitors:  # past the vertex ceilings this exits before any step
         monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
     traj = dynamics.integrate(game, x0, args.T, args.dt)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .games import DiagonalScaling, GameType, PolymatrixGame, relative_cut
-from .stability import CONSERVATIVE, SEMIDEF_TOL, analyse, check_with_scaling
+from .stability import CONSERVATIVE, Analysis, check_with_scaling
 from .vertices import VertexLabel, VertexMatrix, scaled_game, vertex_matrix
 
 # What the chain's rounding may leave, relative to its scale: each reduction
@@ -253,17 +253,17 @@ def reduce_by_set(
     return cur.game, cur.map()
 
 
-def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> CollapseResult:
-    """Collapse an admissible game to its conservative core.
+def hamiltonian_collapse(an: Analysis) -> CollapseResult:
+    """Collapse the analysis's game, an admissible one, to its conservative core.
 
-    The game's analysis decides admissibility and gives the certificate,
-    the stable vertices and q, its interior equilibrium, exact where
-    rationalize_equilibrium verifies it; a game that is not admissible
-    or has no q raises ValueError.  At the smallest stable vertex,
-    remove the strategies the analysis found damped (negative diagonal,
-    the set rule 1 blacks) one by one, lowest first, transporting the
-    analysis's certificate (the removed group's entry picks up a
-    1/(1-q_l) factor).  The final game must certify conservative;
+    The analysis decides admissibility and gives the certificate, the
+    stable vertices and q, its interior equilibrium, exact where
+    rationalize_equilibrium verifies it; the analysis of a game that is
+    not admissible or has no q raises ValueError.  At the smallest
+    stable vertex, remove the strategies the analysis found damped
+    (negative diagonal, the set rule 1 blacks) one by one, lowest first,
+    transporting the analysis's certificate (the removed group's entry
+    picks up a 1/(1-q_l) factor).  The final game must certify conservative;
     failure of that check is a hard error, since the construction
     guarantees it.  The chain runs on the game in the analysis's unit
     (Analysis.unit), as its verdicts are read: the transport check is
@@ -271,7 +271,7 @@ def hamiltonian_collapse(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> Coll
     final verdict is read there, at a tolerance of at least
     CHAIN_ROUNDING, and final_game is mapped back to the game's unit.
     """
-    an = analyse(game, tol)
+    game, tol = an.game, an.tol
     if not an.admissible:
         raise ValueError("hamiltonian collapse requires an admissible game")
     q = an.equilibria.interior_point

@@ -38,7 +38,21 @@ class GameFileError(ValueError):
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # ASCII digits: a backslash-d in a str pattern matches every Unicode digit
-_NUMBER = re.compile(rf"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?|({_INTEGER.pattern})/([0-9]+)")
+# One way to match each token, so a refused run of n digits costs n steps, not n**2 of backtracking.
+_NUMBER = re.compile(rf"[+-]?([0-9]+(?:\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?|({_INTEGER.pattern})/([0-9]+)")
+
+# The smallest limit sys.set_int_max_str_digits accepts: int() reads this many digits under any setting.
+_CHUNK = 640
+
+
+def _read_int(text: str) -> int:
+    """int(text) of an `_INTEGER` token of any length, read _CHUNK digits at a time, so no digit limit refuses it."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    if text[0] in "+-":
+        return -_read_int(text[1:]) if text[0] == "-" else _read_int(text[1:])
+    low = len(text) // 2  # halves, so a long token costs a few large products, not one per chunk
+    return _read_int(text[:-low]) * 10**low + _read_int(text[-low:])
 
 
 def _parse_number(token: str, line: int | None) -> float:
@@ -49,10 +63,10 @@ def _parse_number(token: str, line: int | None) -> float:
             raise ValueError
         if match[3] is None:
             return float(token)
-        return int(match[3]) / int(match[4])  # int / int is correctly rounded
+        return _read_int(match[3]) / _read_int(match[4])  # int / int is correctly rounded
     except OverflowError:
         return -np.inf if token[0] == "-" else np.inf
-    except (ValueError, ZeroDivisionError):  # int() refuses a fraction past its digit limit too
+    except (ValueError, ZeroDivisionError):
         raise GameFileError(f"cannot parse number {token!r}", line) from None
 
 

@@ -15,8 +15,10 @@ so the fixpoint is reached in at most 2n + n^2 applications.
 The rules read the vertex graphs as the analysis's arrays
 (Analysis.pattern): edges (V, k, k) and diagonal signs (V, k), whose
 positions are the vertex index sets, and V* as the rows of its stable
-vertices (Analysis.stable_rows), which no caller supplies.  The rules
-are sound only on an admissible game: each entry point refuses any other.
+vertices (Analysis.stable_rows), which no caller supplies.  Each entry
+point takes the game's analysis, Analysis(game, tol), in place of a game
+and a tolerance.  The rules are sound only on an admissible game: each
+entry point refuses the analysis of any other.
 """
 
 from __future__ import annotations
@@ -28,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import PolymatrixGame
-from .stability import SEMIDEF_TOL, Analysis, analyse
+from .stability import Analysis
 from .vertices import VertexLabel
 
 
@@ -88,22 +89,20 @@ class ReducedInformationSet:
         return tuple(i for i, c in enumerate(self.final.colors) if c is Color.PLUS)
 
 
-def _admissible(game: PolymatrixGame, tol: float) -> Analysis:
-    """The game's analysis, which the rules read; they are sound only on an admissible game."""
-    an = analyse(game, tol)
+def _admissible(an: Analysis) -> None:
+    """ValueError unless the analysis finds its game admissible: only then are the rules sound."""
     if not an.admissible:
         raise ValueError("reduction requires an admissible game")
-    return an
 
 
-def initialize(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> InformationSet:
-    """Rule 1: black every strategy with a negative diagonal at a vertex of the analysis's V*."""
-    an = _admissible(game, tol)
+def initialize(an: Analysis) -> InformationSet:
+    """Rule 1: black every strategy with a negative diagonal at a vertex of V*; ValueError unless admissible."""
+    _admissible(an)
     rows = an.stable_rows
     negative = an.pattern[1][rows] < 0
     colored = sorted(set(an.tensor[1][rows][negative].tolist()))
     witnesses = [an.tensor[0][r] for r in rows[negative.any(axis=1)].tolist()]  # rows ascend: lexicographic
-    colors = tuple(Color.BLACK if i in colored else Color.WHITE for i in range(game.gtype.n))
+    colors = tuple(Color.BLACK if i in colored else Color.WHITE for i in range(an.game.gtype.n))
     trace = (TraceStep(1, tuple(witnesses), tuple(colored)),) if colored else ()
     return InformationSet(colors, frozenset(), trace)
 
@@ -214,18 +213,17 @@ def _apply(state: InformationSet, step: TraceStep, color: Color | None) -> Infor
     return state.with_colors(dict.fromkeys(step.strategies, color), step)
 
 
-def apply_rule(
-    state: InformationSet, rule: int, game: PolymatrixGame, tol: float = SEMIDEF_TOL
-) -> InformationSet | None:
+def apply_rule(state: InformationSet, rule: int, an: Analysis) -> InformationSet | None:
     """Apply the first applicable instance of one rule, if any, over the analysis's V*.
 
     Returns the strengthened information set, or None when the rule has
-    no applicable instance; ValueError for an unknown rule or a game
-    that is not admissible.
+    no applicable instance; ValueError for an unknown rule or the
+    analysis of a game that is not admissible.
     """
     if rule not in _RULE_GENERATORS:
         raise ValueError(f"unknown rule {rule}")
-    pick = next(_instances(state, _admissible(game, tol), (rule,)), None)
+    _admissible(an)
+    pick = next(_instances(state, an, (rule,)), None)
     return None if pick is None else _apply(state, *pick)
 
 
@@ -237,23 +235,18 @@ def _verdict(state: InformationSet) -> str:
     return "mixed"
 
 
-def run_to_fixpoint(
-    game: PolymatrixGame,
-    tol: float = SEMIDEF_TOL,
-    rng: np.random.Generator | None = None,
-) -> ReducedInformationSet:
-    """Exhaust the inference rules and classify the outcome.
+def run_to_fixpoint(an: Analysis, rng: np.random.Generator | None = None) -> ReducedInformationSet:
+    """Exhaust the inference rules over the analysis's game and classify the outcome.
 
-    Requires an admissible game (the rules are sound only then), as the
-    game's analysis decides it: its certificate and its V*, from which
-    rule 1 starts; any other raises ValueError.  With an rng the
-    applicable instance is chosen at random each round instead of by
-    the deterministic scan; final colors should not depend on this
-    (checked as a diagnostic elsewhere, not asserted here).
+    Requires the analysis of an admissible game (the rules are sound
+    only then): its certificate and its V*, from which rule 1 starts;
+    any other raises ValueError.  With an rng the applicable instance is
+    chosen at random each round instead of by the deterministic scan;
+    final colors should not depend on this (checked as a diagnostic
+    elsewhere, not asserted here).
     """
-    an = _admissible(game, tol)
-    state = initialize(game, tol)
-    n = game.gtype.n
+    state = initialize(an)
+    n = an.game.gtype.n
     for rounds in itertools.count():
         instances = _instances(state, an)
         if rng is None:

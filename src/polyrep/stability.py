@@ -162,7 +162,7 @@ def find_scaling(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> DiagonalScal
     check_with_scaling and Analysis.  A tol that is not a finite number
     >= 0 raises ValueError.
     """
-    return analyse(game, tol).scaling
+    return Analysis(game, tol).scaling
 
 
 def _search(game: PolymatrixGame, tol: float) -> CertificateSearch:
@@ -515,10 +515,12 @@ class Analysis:
     2**unit[1] are the game's own.  The vertex fields are arrays over the
     rows of one vertex_tensor: tensor, pattern (its graphs) and verdicts,
     decided on pattern, so graph_pattern runs once per analysis.  Every
-    stage reads admissibility, the certificate and V* (stable_rows) from
-    here.  A tolerance that is not a finite number >= 0 raises
-    ValueError, and so does the first vertex field of a game past
-    vertices.MAX_VERTICES or MAX_ENTRIES.
+    stage (reduction's entry points, collapse.hamiltonian_collapse) is
+    handed an analysis and reads admissibility, the certificate and V*
+    (stable_rows) from it; none is shared behind the caller's back.  A
+    tolerance that is not a finite number >= 0 raises ValueError, and so
+    does the first vertex field of a game past vertices.MAX_VERTICES or
+    MAX_ENTRIES.
     """
 
     game: PolymatrixGame
@@ -593,20 +595,9 @@ class Analysis:
         return self.scaling is not None and bool(self.vstar)
 
 
-@functools.lru_cache(maxsize=1)
-def analyse(game: PolymatrixGame, tol: float, /) -> Analysis:
-    """The analysis of a game, shared with the next call for the same game.
-
-    One entry: the most recent (game, tol).  Games hash by identity and
-    cannot change, so the entry is never stale, and the lazy fields mean
-    it never holds two games' matrices at once.
-    """
-    return Analysis(game, tol)
-
-
 def stable_vertices(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> list[VertexLabel]:
     """Vertices whose coefficient matrix is stably dissipative."""
-    return list(analyse(game, tol).vstar)
+    return list(Analysis(game, tol).vstar)
 
 
 def admissible(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> tuple[bool, list[VertexLabel]]:
@@ -615,7 +606,7 @@ def admissible(game: PolymatrixGame, tol: float = SEMIDEF_TOL) -> tuple[bool, li
     Both are the analysis's: Analysis.admissible, whose certificate is
     the search's, and the full list of stable vertices.
     """
-    an = analyse(game, tol)
+    an = Analysis(game, tol)
     return an.admissible, list(an.vstar)
 
 

@@ -33,7 +33,7 @@ from polyrep.games import (
     vector_field,
 )
 from polyrep.reduction import Color, collapse_trace, run_to_fixpoint
-from polyrep.stability import kernel_duality, stably_dissipative
+from polyrep.stability import Analysis, kernel_duality, stably_dissipative
 from polyrep.vertices import (
     diag_property_check,
     enumerate_vertices,
@@ -92,7 +92,7 @@ def test_criterion_03_quadratic_form_closed_form(example_game):
 
 
 def test_criterion_04_reduction_trace(example_game):
-    red = run_to_fixpoint(example_game)
+    red = run_to_fixpoint(Analysis(example_game))
     rules = [s.rule for s in collapse_trace(red.final.trace)]
     assert rules == [1, 4, 6, 3]
     assert tuple(red.final.colors) == (

@@ -16,12 +16,14 @@ import polyrep
 import reference_vertex_layer as ref_layer
 from polyrep import games, stability, vertices
 from polyrep.cli import main
+from polyrep.collapse import hamiltonian_collapse
 from polyrep.dynamics import integrate_batch
 from polyrep.gamefile import parse_game, write_game
 from polyrep.games import DiagonalScaling, GameType, PolymatrixGame
+from polyrep.reduction import run_to_fixpoint
 from polyrep.vertices import enumerate_vertices
 
-from conftest import FIXTURES, make_dissipative_game
+from conftest import FIXTURES, make_admissible_game, make_dissipative_game
 
 GOLDEN = FIXTURES / "golden"
 
@@ -101,6 +103,18 @@ class TestOnePassPerCommand:
         capsys.readouterr()
         assert [len(t) for t, _ in graphs] == [len(enumerate_vertices(GameType((3, 2))))]
 
+    @pytest.mark.parametrize(
+        "argv", [["check"], ["vertices"], ["reduce"], ["collapse"], ["simulate", "--T", "1", "--game"]], ids=lambda a: a[0]
+    )
+    def test_one_analysis(self, capsys, monkeypatch, example_path, argv):
+        # each command builds its game's analysis once and hands it to every stage
+        built = []
+        post_init = stability.Analysis.__post_init__
+        monkeypatch.setattr(stability.Analysis, "__post_init__", lambda an: built.append(an) or post_init(an))
+        assert main([*argv, example_path, "--format", "json"]) == 0
+        capsys.readouterr()
+        assert len(built) == 1
+
     def test_collapse_solves_for_the_equilibria_once(self, capsys, monkeypatch, example_path):
         solved = _counting(monkeypatch, "formal_equilibria")
         monkeypatch.setattr(games, "formal_equilibria", stability.formal_equilibria)
@@ -127,12 +141,15 @@ class TestOneCertificateVerdict:
 
 
 class TestAnalysis:
-    def test_memo_keeps_the_last_game(self, example_game):
-        first = stability.analyse(example_game, stability.SEMIDEF_TOL)
-        assert stability.analyse(example_game, stability.SEMIDEF_TOL) is first
-        other = PolymatrixGame(example_game.gtype, example_game.payoff)
-        assert stability.analyse(other, stability.SEMIDEF_TOL) is not first
-        assert stability.analyse.cache_info().currsize == 1
+    def test_each_stage_reads_the_analysis_it_is_handed(self, example_game, monkeypatch):
+        # one search per game, whatever order the stages run in
+        a1 = stability.Analysis(example_game)
+        a2 = stability.Analysis(make_admissible_game(GameType((2, 2, 2)), np.random.default_rng(3))[0])
+        searches = _counting(monkeypatch, "_search")
+        run_to_fixpoint(a1)
+        run_to_fixpoint(a2)
+        hamiltonian_collapse(a1)
+        assert [game.gtype.sizes for game, _ in searches] == [(3, 2), (2, 2, 2)]
 
     def test_fields_are_lazy(self, example_game, monkeypatch):
         searches = _counting(monkeypatch, "_search")
@@ -162,8 +179,6 @@ class TestAnalysis:
         # -1 used to prove the admissible example not_dissipative, inf to call it conservative
         with pytest.raises(ValueError, match="finite number >= 0"):
             stability.Analysis(example_game, tol)
-        with pytest.raises(ValueError, match="finite number >= 0"):
-            stability.analyse(example_game, tol)
         with pytest.raises(ValueError, match="finite number >= 0"):
             stability.admissible(example_game, tol=tol)
         with pytest.raises(ValueError, match="finite number >= 0"):

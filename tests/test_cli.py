@@ -763,7 +763,7 @@ class TestSimulate:
         # h and each g_k read the run through lyapunov_h and the FirstIntegral, bit for bit
         code, out, _ = run(capsys, "simulate", "--game", example_path, "--T=2", "--format", "json")
         assert code == EXIT_OK
-        an = stability.analyse(example_game, stability.SEMIDEF_TOL)
+        an = stability.Analysis(example_game, stability.SEMIDEF_TOL)
         states = dynamics.integrate(example_game, cli._parse_x0("random", example_game), 2.0, 0.01).states
         expect = {"h": dynamics.lyapunov_h(example_game, an.equilibria.particular, an.scaling, states)}
         for k, g in enumerate(dynamics.first_integrals(example_game, an.vstar[0])):
@@ -1100,6 +1100,25 @@ class TestNumberGrammar:
             "--r": err["--r"] == f"error: cannot parse --r: {token!r} is not a number\n",
         }
         assert refused == dict.fromkeys(refused, token in NOT_NUMBERS)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "{game}"], ["simulate", "--game", "{example}", "--T", "0.1", "--x0", "random:" + "7" * 700]],
+        ids=["fraction", "seed"],
+    )
+    def test_no_verdict_depends_on_the_int_digit_limit(self, tmp_path, example_path, argv):
+        # 700 digits are within int()'s default limit, 4300, and past 640, the smallest Python accepts
+        game = tmp_path / "g.txt"
+        game.write_text(f"type: 2\n-1 {'1' * 700}/3{'0' * 699}\n0 0\n")
+        argv = [a.format(game=game, example=example_path) for a in argv]
+        src = str(Path(polyrep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        runs = [
+            subprocess.run([sys.executable, "-m", "polyrep.cli", *argv], capture_output=True, text=True, env=e)
+            for e in (env, dict(env, PYTHONINTMAXSTRDIGITS="640"))
+        ]
+        assert [(r.returncode, r.stdout) for r in runs] == [(EXIT_OK, runs[0].stdout)] * 2
 
     def test_spaces_around_an_option_value_are_no_part_of_it(self, capsys, example_path):
         # as around a token of a game file, --x0 or --r

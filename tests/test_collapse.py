@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import reference_vertex_layer as ref_layer
-from polyrep import collapse, games
+from polyrep import games
 from polyrep.collapse import (
     cardinal2_cleanup,
     hamiltonian_collapse,
@@ -25,7 +25,7 @@ from polyrep.games import (
     vector_field,
     zero_row_representative,
 )
-from polyrep.stability import CONSERVATIVE, SEMIDEF_TOL, admissible, analyse, check_with_scaling
+from polyrep.stability import CONSERVATIVE, SEMIDEF_TOL, Analysis, admissible, check_with_scaling
 from polyrep.vertices import VertexLabel, enumerate_vertices, vertex_matrix, scaled_game
 
 from conftest import EXAMPLE_Q, EXAMPLE_REDUCED, make_admissible_game, make_dissipative_game, random_game, rejection_prism_state
@@ -270,7 +270,7 @@ class TestReduceBySet:
 class TestHamiltonianCollapse:
     def test_example(self, example_game):
         # at the analysis's q, rationalized to EXAMPLE_Q: every bit as at the exact q
-        res = hamiltonian_collapse(example_game)
+        res = hamiltonian_collapse(Analysis(example_game))
         assert len(res.steps) == 1
         step = res.steps[0]
         assert step.removed_original == 2 and step.group == 0
@@ -284,9 +284,9 @@ class TestHamiltonianCollapse:
         calls = []
         search = games._maximize_min_coordinate
         monkeypatch.setattr(games, "_maximize_min_coordinate", lambda *args: calls.append(args) or search(*args))
-        game = PolymatrixGame(example_game.gtype, example_game.payoff)  # a fresh analysis
-        assert analyse(game, SEMIDEF_TOL).equilibria.interior_point is not None
-        hamiltonian_collapse(game)
+        an = Analysis(example_game, SEMIDEF_TOL)
+        assert an.equilibria.interior_point is not None
+        hamiltonian_collapse(an)
         assert len(calls) == 1
 
     def test_no_interior_equilibrium_is_refused(self):
@@ -294,12 +294,12 @@ class TestHamiltonianCollapse:
         game = PolymatrixGame(GameType((2,)), np.array([[-1.0, 0.0], [0.0, 0.0]]))
         assert admissible(game)[0]
         with pytest.raises(ValueError, match="no interior equilibrium"):
-            hamiltonian_collapse(game)
+            hamiltonian_collapse(Analysis(game))
 
     def test_already_conservative_zero_steps(self):
         ok, _ = admissible(ZERO32)
         assert ok
-        res = hamiltonian_collapse(ZERO32)
+        res = hamiltonian_collapse(Analysis(ZERO32))
         assert res.steps == ()
         npt.assert_array_equal(res.final_game.payoff, ZERO32.payoff)
 
@@ -317,20 +317,20 @@ class TestHamiltonianCollapse:
         eq = interior_equilibria(game)
         assert eq.interior_point is not None
         assert rationalize_equilibrium(game, eq.interior_point) == [Fraction(4, 9), Fraction(3, 9), Fraction(2, 9)]
-        res = hamiltonian_collapse(game)
+        res = hamiltonian_collapse(Analysis(game))
         assert len(res.steps) == 1
         assert res.steps[0].removed_original == 1
         assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
 
     def test_intermediate_games_admissible(self, example_game):
-        res = hamiltonian_collapse(example_game)
+        res = hamiltonian_collapse(Analysis(example_game))
         ok, _ = admissible(res.final_game)
         assert ok
 
     def test_certificate_transport_exact(self, example_game):
         # the scaled vertex matrix of the reduced game is the original one
         # with the removed row and column deleted
-        res = hamiltonian_collapse(example_game)
+        res = hamiltonian_collapse(Analysis(example_game))
         v0 = enumerate_vertices(example_game.gtype)[0]
         before = vertex_matrix(example_game, v0).entries  # identity certificate
         pos = vertex_matrix(example_game, v0).index_set.index(2)
@@ -344,7 +344,7 @@ class TestHamiltonianCollapse:
         rng = np.random.default_rng(54)
         for _ in range(5):
             game, _, _ = make_admissible_game(GameType((3, 2)), rng)
-            res = hamiltonian_collapse(game)
+            res = hamiltonian_collapse(Analysis(game))
             resid = np.max(np.abs(vector_field(res.final_game, res.final_equilibrium)))
             assert resid <= 1e-10
             verdict = check_with_scaling(res.final_game, res.certificate)
@@ -357,7 +357,7 @@ class TestHamiltonianCollapse:
         a0 = -np.diag([0.0, 1.0, 0.0, 1.0])
         shift = -(a0 @ np.full(4, 0.5)) / 2
         game = PolymatrixGame(GameType((2, 2)), a0 + np.outer(shift, np.ones(4)))
-        res = hamiltonian_collapse(game)
+        res = hamiltonian_collapse(Analysis(game))
         assert [s.removed_original for s in res.steps] == [1, 3]
         assert res.steps[0].cleanup_group == 0
         assert res.steps[0].scale_factor == pytest.approx(2.0)
@@ -382,7 +382,7 @@ class TestHamiltonianCollapse:
     def test_equilibrium_residual_is_relative_to_the_payoff(self, example_game, scale):
         # the float q's rounding leaves a residual of about scale * 1e-16, which is no defect
         game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)
-        res = hamiltonian_collapse(game)
+        res = hamiltonian_collapse(Analysis(game))
         npt.assert_array_equal(res.final_game.payoff, EXAMPLE_REDUCED * scale)
         assert res.certificate.values == (1.5, 1.0)
 
@@ -392,36 +392,32 @@ class TestHamiltonianCollapse:
             make_admissible_game(GameType(sizes), rng)[0] for sizes in [(3, 2), (2, 2, 2), (3, 3), (4,)] for _ in range(3)
         ]
         for game in cases:
-            res = hamiltonian_collapse(game)
-            an = analyse(game, SEMIDEF_TOL)
+            an = Analysis(game, SEMIDEF_TOL)
+            res = hamiltonian_collapse(an)
             signs = ref_layer.vertex_graph(*ref_layer.vertex_matrix(game, an.vstar[0])).diagonal_sign
             assert [s.removed_original for s in res.steps] == sorted(i for i, sign in signs.items() if sign < 0)
 
     @pytest.mark.parametrize("scale", [1.0, 1e200])
-    def test_a_core_left_dissipative_is_refused(self, monkeypatch, example_game, scale):
+    def test_a_core_left_dissipative_is_refused(self, example_game, scale):
         # an analysis that sees no damped strategy removes nothing, so the
         # final game is the dissipative input, at any payoff scale
-        def blind(game, tol):
-            an = analyse(game, tol)
-            edges, signs = an.pattern
-            return SimpleNamespace(
-                admissible=an.admissible, unit=an.unit, stable_rows=an.stable_rows, scaling=an.scaling,
-                tensor=an.tensor, pattern=(edges, np.zeros_like(signs)), equilibria=an.equilibria,
-            )
-
-        monkeypatch.setattr(collapse, "analyse", blind)
-        game = PolymatrixGame(example_game.gtype, example_game.payoff * scale)
+        an = Analysis(PolymatrixGame(example_game.gtype, example_game.payoff * scale), SEMIDEF_TOL)
+        edges, signs = an.pattern
+        blind = SimpleNamespace(
+            game=an.game, tol=an.tol, admissible=an.admissible, unit=an.unit, stable_rows=an.stable_rows,
+            scaling=an.scaling, tensor=an.tensor, pattern=(edges, np.zeros_like(signs)), equilibria=an.equilibria,
+        )
         with pytest.raises(RuntimeError, match="collapsed game classifies as dissipative, not conservative"):
-            hamiltonian_collapse(game)
+            hamiltonian_collapse(blind)
 
     @pytest.mark.parametrize("sizes,seed", [((2, 2), 0), ((3, 3), 19), ((3, 2), 9), ((2, 2, 2), 26)])
     def test_collapses_at_tol_0(self, sizes, seed):
         # the reductions round, so the core's eigenvalues come out near 1e-16, not 0:
         # at tol 0 these games once read indefinite or dissipative after the chain
         game, _, _ = make_dissipative_game(GameType(sizes), np.random.default_rng(seed))
-        an = analyse(game, 0.0)
+        an = Analysis(game, 0.0)
         assert an.admissible
-        res = hamiltonian_collapse(game, tol=0.0)
+        res = hamiltonian_collapse(an)
         assert check_with_scaling(res.final_game, res.certificate).kind == CONSERVATIVE
 
     def test_rejects_non_admissible(self):
@@ -437,7 +433,7 @@ class TestHamiltonianCollapse:
             ),
         )
         with pytest.raises(ValueError):
-            hamiltonian_collapse(skew)
+            hamiltonian_collapse(Analysis(skew))
 
 
 class TestRationalize:

@@ -27,6 +27,7 @@ from polyrep.games import (
     vector_field,
 )
 from polyrep.reduction import run_to_fixpoint
+from polyrep.stability import Analysis
 from polyrep.vertices import VertexLabel, enumerate_vertices
 
 from conftest import make_dissipative_game, rejection_prism_state
@@ -295,7 +296,7 @@ class TestRatioAndQuotient:
 
 class TestAttractorProbe:
     def test_example_probe(self, example_game, example_q):
-        red = run_to_fixpoint(example_game)
+        red = run_to_fixpoint(Analysis(example_game))
         report = attractor_probe(example_game, example_q, red, runs=3, T=200.0)
         assert report.pinned_residual[2] <= 1e-4
         for i in (0, 1, 3, 4):
@@ -307,7 +308,7 @@ class TestAttractorProbe:
             GameType((3,)),
             np.array([[-1.0, -1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0]]),
         )
-        red = run_to_fixpoint(game)
+        red = run_to_fixpoint(Analysis(game))
         assert red.verdict == "all_black"
         q = np.full(3, 1 / 3)
         report = attractor_probe(game, q, red, runs=3, T=100.0)
@@ -407,7 +408,7 @@ class TestReductionSoundnessProbe:
         for k in range(6):
             gt = GameType((2, 2)) if k % 2 else GameType((3, 2))
             game, q, _ = make_admissible_game(gt, rng)
-            red = run_to_fixpoint(game)
+            red = run_to_fixpoint(Analysis(game))
             black = list(red.black())
             assert black  # the factory damps something at every stable vertex
             srng = np.random.default_rng(k)

@@ -136,13 +136,19 @@ class TestNumberGrammar:
         # the value 1e400 reads as, so the range checks that refuse 1e400 refuse it too
         assert _parse_number(sign + "1" + "0" * 400 + "/7", None) == float(sign + "inf")
 
-    def test_a_fraction_past_the_integer_digit_limit_is_no_number(self):
-        # int() converts at most sys.get_int_max_str_digits() digits; float() reads an integer of any length
+    def test_a_fraction_past_the_integer_digit_limit_is_its_quotient(self):
+        # int() converts at most sys.get_int_max_str_digits() digits; a fraction, like an integer, reads whatever the limit
         limit = sys.get_int_max_str_digits()
         assert _parse_number("1" * limit + "/3", None) == np.inf
         assert _parse_number("1" * (limit + 1), None) == np.inf
+        assert _parse_number("1" * (limit + 1) + "/3", None) == np.inf
+
+    def test_a_long_token_is_read_in_one_pass(self):
+        # once each split of a digit run was tried against the decimal pattern: 8000 digits took 1.7 s, these hours
+        digits = "1" * 100_000
+        assert _parse_number(f"{digits}/{digits.replace('1', '3')}", None) == 1 / 3
         with pytest.raises(GameFileError, match=r"cannot parse number '1111"):
-            _parse_number("1" * (limit + 1) + "/3", None)
+            _parse_number(digits + "x", None)
 
     def test_a_fraction_is_the_correctly_rounded_quotient(self):
         # 10**17 + 2 is no float: rounding it first, then dividing, gives 3.3333333333333332e+16

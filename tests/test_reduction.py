@@ -15,7 +15,7 @@ from polyrep.reduction import (
     initialize,
     run_to_fixpoint,
 )
-from polyrep.stability import NOT_DISSIPATIVE, SEMIDEF_TOL, analyse
+from polyrep.stability import NOT_DISSIPATIVE, SEMIDEF_TOL, Analysis
 
 from conftest import make_admissible_game
 
@@ -35,7 +35,7 @@ def colors_of(state):
 
 class TestInitialize:
     def test_example_blackens_strategy_two(self, example_game):
-        state = initialize(example_game)
+        state = initialize(Analysis(example_game))
         assert colors_of(state) == {
             0: Color.WHITE,
             1: Color.WHITE,
@@ -48,22 +48,22 @@ class TestInitialize:
         assert [v.chosen for v in step.vertices] == [(0, 3), (0, 4), (1, 3), (1, 4)]
 
     def test_zero_game_all_white(self):
-        state = initialize(ZERO22)
+        state = initialize(Analysis(ZERO22))
         assert all(c is Color.WHITE for c in state.colors)
 
     def test_negative_diagonal_pair(self):
-        state = initialize(ALL_BLACK)
+        state = initialize(Analysis(ALL_BLACK))
         assert all(c is Color.BLACK for c in state.colors)
 
     def test_requires_stable_vertex(self, example_game):
         # no certificate and no stable vertex: the rules are unsound on this game
         game = PolymatrixGame(GameType((3, 3)), np.random.default_rng(3).integers(-5, 6, (6, 6)).astype(float))
-        assert analyse(game, SEMIDEF_TOL).kind == NOT_DISSIPATIVE
-        state = initialize(example_game)
+        assert Analysis(game, SEMIDEF_TOL).kind == NOT_DISSIPATIVE
+        state = initialize(Analysis(example_game))
         with pytest.raises(ValueError, match="requires an admissible game"):
-            initialize(game)
+            initialize(Analysis(game))
         with pytest.raises(ValueError, match="requires an admissible game"):
-            apply_rule(state, 4, game)
+            apply_rule(state, 4, Analysis(game))
 
 
 class TestInformationSet:
@@ -83,25 +83,28 @@ class TestInformationSet:
 
 class TestApplyRule:
     def test_rule4_links_top_group_pair(self, example_game):
-        state = initialize(example_game)
-        nxt = apply_rule(state, 4, example_game)
+        an = Analysis(example_game)
+        state = initialize(an)
+        nxt = apply_rule(state, 4, an)
         assert nxt is not None
         assert nxt.links == frozenset({(3, 4)})
         step = nxt.trace[-1]
         assert step.rule == 4 and [v.chosen for v in step.vertices] == [(1, 4)]
 
     def test_rule6_colors_linked_group(self, example_game):
-        state = initialize(example_game)
-        state = apply_rule(state, 4, example_game)
-        state = apply_rule(state, 6, example_game)
+        an = Analysis(example_game)
+        state = initialize(an)
+        state = apply_rule(state, 4, an)
+        state = apply_rule(state, 6, an)
         assert state.colors[3] is Color.PLUS and state.colors[4] is Color.PLUS
 
     def test_rule3_colors_remaining_pair(self, example_game):
-        state = initialize(example_game)
+        an = Analysis(example_game)
+        state = initialize(an)
         for rule in (4, 6):
-            state = apply_rule(state, rule, example_game)
-        first = apply_rule(state, 3, example_game)
-        second = apply_rule(first, 3, example_game)
+            state = apply_rule(state, rule, an)
+        first = apply_rule(state, 3, an)
+        second = apply_rule(first, 3, an)
         got = {
             i
             for i, (a, b) in enumerate(zip(state.colors, second.colors))
@@ -111,18 +114,20 @@ class TestApplyRule:
         assert second.colors[0] is Color.PLUS and second.colors[1] is Color.PLUS
 
     def test_inapplicable_rule_returns_none(self, example_game):
-        state = initialize(example_game)
-        assert apply_rule(state, 2, example_game) is None
+        an = Analysis(example_game)
+        state = initialize(an)
+        assert apply_rule(state, 2, an) is None
 
     def test_unknown_rule_rejected(self, example_game):
-        state = initialize(example_game)
+        an = Analysis(example_game)
+        state = initialize(an)
         with pytest.raises(ValueError):
-            apply_rule(state, 7, example_game)
+            apply_rule(state, 7, an)
 
 
 class TestRunToFixpoint:
     def test_example_matches_worked_run(self, example_game):
-        red = run_to_fixpoint(example_game)
+        red = run_to_fixpoint(Analysis(example_game))
         assert red.verdict == "black_plus"
         assert colors_of(red.final) == {
             0: Color.PLUS,
@@ -136,12 +141,12 @@ class TestRunToFixpoint:
         assert rules == [1, 4, 6, 3]
 
     def test_all_black_game(self):
-        red = run_to_fixpoint(ALL_BLACK)
+        red = run_to_fixpoint(Analysis(ALL_BLACK))
         assert red.verdict == "all_black"
         assert red.fixpoint_rounds == 0  # rule 1 alone finishes the job
 
     def test_zero_game_black_plus(self):
-        red = run_to_fixpoint(ZERO22)
+        red = run_to_fixpoint(Analysis(ZERO22))
         assert red.verdict == "black_plus"
         assert all(c is Color.PLUS for c in red.final.colors)
         rules = {s.rule for s in red.final.trace}
@@ -160,16 +165,16 @@ class TestRunToFixpoint:
             ),
         )
         with pytest.raises(ValueError):
-            run_to_fixpoint(skew)
+            run_to_fixpoint(Analysis(skew))
 
     def test_deterministic(self, example_game):
-        a = run_to_fixpoint(example_game)
-        b = run_to_fixpoint(example_game)
+        a = run_to_fixpoint(Analysis(example_game))
+        b = run_to_fixpoint(Analysis(example_game))
         assert a.final.trace == b.final.trace
         assert a.final.colors == b.final.colors
 
     def test_monotone_and_bounded(self, example_game):
-        red = run_to_fixpoint(example_game)
+        red = run_to_fixpoint(Analysis(example_game))
         n = example_game.gtype.n
         assert red.fixpoint_rounds <= 2 * n + n * n
         # replay the trace: colored sets only grow
@@ -191,7 +196,7 @@ class TestConfluenceDiagnostic:
     """
 
     def _final_colors(self, game, rng=None):
-        return run_to_fixpoint(game, rng=rng).final.colors
+        return run_to_fixpoint(Analysis(game), rng=rng).final.colors
 
     def test_example_game_orders_agree(self, example_game):
         baseline = self._final_colors(example_game)
@@ -206,8 +211,8 @@ class TestConfluenceDiagnostic:
         for k in range(50):
             gt = GameType((2, 2)) if k % 2 else GameType((3, 2))
             game, _, _ = make_admissible_game(gt, rng)
-            baseline = run_to_fixpoint(game).final.colors
-            shuffled = run_to_fixpoint(game, rng=np.random.default_rng(k)).final.colors
+            baseline = run_to_fixpoint(Analysis(game)).final.colors
+            shuffled = run_to_fixpoint(Analysis(game), rng=np.random.default_rng(k)).final.colors
             if shuffled != baseline:
                 findings += 1
         if findings:
@@ -216,14 +221,14 @@ class TestConfluenceDiagnostic:
 
 class TestClassifyAttractor:
     def test_example_foliation(self, example_game):
-        red = run_to_fixpoint(example_game)
+        red = run_to_fixpoint(Analysis(example_game))
         assert red.verdict == "black_plus"
         assert "foliation" in classify_attractor(red)
         assert red.black() == (2,)
         assert red.plus() == (0, 1, 3, 4)
 
     def test_all_black_statement(self):
-        red = run_to_fixpoint(ALL_BLACK)
+        red = run_to_fixpoint(Analysis(ALL_BLACK))
         assert red.verdict == "all_black"
         assert "unique" in classify_attractor(red)
 
@@ -242,6 +247,6 @@ class TestSingletonGroups:
         # a one-strategy group is frozen at frequency one, which is its
         # equilibrium value, so rule 5 colors it black vacuously
         game = PolymatrixGame(GameType((1, 2)), np.zeros((3, 3)))
-        red = run_to_fixpoint(game)
+        red = run_to_fixpoint(Analysis(game))
         assert red.final.colors[0] is Color.BLACK
         assert red.verdict == "black_plus"

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_reduction as ref
-from polyrep import cli, stability, vertices
+from polyrep import cli, vertices
 from polyrep.games import GameType, PolymatrixGame
 from polyrep.reduction import run_to_fixpoint
+from polyrep.stability import Analysis
 
 from conftest import EXAMPLE_PAYOFF, make_admissible_game, random_equal_rows
 
@@ -22,9 +23,10 @@ SEEDS = (0, 1, 2)
 
 
 def _assert_same_reduction(game):
-    assert run_to_fixpoint(game) == ref.run_to_fixpoint(game)
+    an = Analysis(game)
+    assert run_to_fixpoint(an) == ref.run_to_fixpoint(game)
     for seed in SEEDS:
-        got = run_to_fixpoint(game, rng=np.random.default_rng(seed))
+        got = run_to_fixpoint(an, rng=np.random.default_rng(seed))
         assert got == ref.run_to_fixpoint(game, rng=np.random.default_rng(seed))
 
 
@@ -64,7 +66,6 @@ def test_reduce_and_collapse_never_build_the_graphs(monkeypatch, capsys, example
     build = vertices.StrategyGraph.__init__
     monkeypatch.setattr(vertices.StrategyGraph, "__init__", lambda *a: calls.append(1) or build(*a))
     for command in ("reduce", "collapse", "vertices"):
-        stability.analyse.cache_clear()
         assert cli.main([command, str(example_game_file)]) == cli.EXIT_OK
         assert calls == [], command
     capsys.readouterr()

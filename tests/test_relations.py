@@ -111,7 +111,7 @@ def test_direct_sum_lays_the_colours_end_to_end(first, second, seed):
     rng = np.random.default_rng(seed)
     g1 = make_admissible_game(GameType(first), rng)[0]
     g2 = make_admissible_game(GameType(second), rng)[0]
-    r1, r2, both = run_to_fixpoint(g1), run_to_fixpoint(g2), run_to_fixpoint(direct_sum(g1, g2))
+    r1, r2, both = (run_to_fixpoint(Analysis(g)) for g in (g1, g2, direct_sum(g1, g2)))
     offset = g1.gtype.n
     assert both.final.colors == r1.final.colors + r2.final.colors
     assert both.final.links == r1.final.links | {(a + offset, b + offset) for a, b in r2.final.links}
@@ -175,7 +175,7 @@ def _vertex_matrices(game: PolymatrixGame, directory: str) -> list[np.ndarray]:
 def _collapsed(game: PolymatrixGame) -> np.ndarray | str:
     """The collapsed payoff, or the error the collapse raised."""
     try:
-        return hamiltonian_collapse(game).final_game.payoff
+        return hamiltonian_collapse(Analysis(game)).final_game.payoff
     except (RuntimeError, ValueError) as exc:
         return str(exc)
 

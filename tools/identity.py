@@ -3,13 +3,19 @@
     python tools/identity.py --against PARENT_DIR
 
 PARENT_DIR is a checkout with its own src/ (a `git worktree` or a `git
-archive` of the parent commit).  The runner writes the benchmark's cli,
-certify and pipeline corpora (perfbench/corpus.py, seeds 0-2) and both
-fixtures to one directory, 107 game files.  Each tree then runs in its own
-interpreter, its src/ first on sys.path, and calls `cli.main` on every
-file: check, vertices, reduce and collapse at the default --tol and at
---tol 0, equilibrium, and simulate --T 2 --csv FILE, each in text and
-JSON, 20 runs a file.  A run is keyed by its command line with the corpus
+archive` of the parent commit).  The runner writes one directory:
+- the benchmark's cli, certify and pipeline corpora (perfbench/corpus.py,
+  seeds 0-2), both example fixtures and EDGE_GAMES seeded games of the
+  EDGE_TYPES, whose entries are EDGE_VALUES or small integers, half and
+  half (game_text writes -0 as 0): 131 game files;
+- the five tests/fixtures/tol_ladder games;
+- LV_SIZES seeded Lotka-Volterra matrix files.
+Each tree then runs in its own interpreter, its src/ first on sys.path,
+and calls `cli.main`, each run in text and JSON: on every game file,
+check, vertices, reduce and collapse at the default --tol and at --tol 0,
+equilibrium, and simulate --T 2 --csv FILE, 20 runs a file; on each
+tol-ladder game, check at each of TOLS, 10 runs; on each matrix file,
+lv2rep with --r 1,-2,3,..., 2 runs.  2676 runs in all.  A run is keyed by its command line with the corpus
 directory written {corpus}; its record is the sha256 of its exit code,
 stdout, stderr and CSV bytes.  Both trees read the same corpus directory
 and write the same CSV path, so a path in an output is the same in both.
@@ -32,15 +38,22 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1, 2)
 COMMANDS = [[c, *tol] for c in ("check", "vertices", "reduce", "collapse") for tol in ([], ["--tol", "0"])]
 COMMANDS += [["equilibrium"]]
+TOLS = ("0", "1e-12", "1e-9", "1e-6", "1e-3")  # check's --tol on the tol-ladder games
+EDGE_TYPES = ((2,), (1, 1), (2, 2), (3, 2), (2, 2, 2), (1, 2))
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, 1 / 3, 0.1, 1e-17)
+EDGE_GAMES = 4  # of each type
+LV_SIZES = (2, 3, 4)
 SHOWN = 3  # differing runs shown as a diff
 
 
 def write_corpus(directory: Path) -> None:
-    """The benchmark's cli, certify and pipeline corpora at SEEDS, and both fixtures, as game files."""
+    """The game files, the tol-ladder games in tol_ladder/ and the matrix files in lv2rep/, seeded."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import corpus
 
@@ -50,17 +63,38 @@ def write_corpus(directory: Path) -> None:
             corpus.write_corpus(games(seed), directory / f"seed{seed}" / name)
     for fixture in ("example_game.txt", "example_sum2.txt"):
         shutil.copy(ROOT / "tests" / "fixtures" / fixture, directory / fixture)
+    shutil.copytree(ROOT / "tests" / "fixtures" / "tol_ladder", directory / "tol_ladder")
+    rng = np.random.default_rng(0)
+    edges = []
+    for sizes in EDGE_TYPES:
+        n = sum(sizes)
+        for k in range(EDGE_GAMES):
+            payoff = np.where(rng.random((n, n)) < 0.5, rng.choice(EDGE_VALUES, (n, n)), rng.integers(-3, 4, (n, n)))
+            edges.append(corpus.Game(f"{'x'.join(map(str, sizes))}_{k}", sizes, payoff, "random"))
+    corpus.write_corpus(edges, directory / "edge")
+    (directory / "lv2rep").mkdir()
+    for n in LV_SIZES:  # a bare matrix file is a game file's rows
+        matrix = corpus.Game("", (n,), rng.integers(-5, 6, (n, n)), "random")
+        (directory / "lv2rep" / f"{n}x{n}.txt").write_text(corpus.game_text(matrix).split("\n", 1)[1])
 
 
 def runs(directory: Path) -> dict[str, list[str]]:
-    """{key: argv} of every run on the game files under the directory."""
+    """{key: argv} of every run on the files under the directory, as the module docstring lists them."""
+    commands = []
+    for path in sorted(directory.rglob("*.txt")):
+        if path.parent.name == "tol_ladder":
+            commands += [["check", str(path), "--tol", tol] for tol in TOLS]
+        elif path.parent.name == "lv2rep":
+            n = len(path.read_text().splitlines())
+            commands.append(["lv2rep", "--A", str(path), "--r", ",".join(str((-1) ** i * (i + 1)) for i in range(n))])
+        else:
+            commands += [[c[0], str(path), *c[1:]] for c in COMMANDS]
+            commands.append(["simulate", "--game", str(path), "--T", "2", "--csv", str(directory / "run.csv")])
     out = {}
-    for game in sorted(directory.rglob("*.txt")):
+    for command in commands:
         for fmt in ([], ["--format", "json"]):
-            for command in [*([c[0], str(game), *c[1:]] for c in COMMANDS),
-                            ["simulate", "--game", str(game), "--T", "2", "--csv", str(directory / "run.csv")]]:
-                argv = command + fmt
-                out[" ".join(argv).replace(str(directory), "{corpus}")] = argv
+            argv = command + fmt
+            out[" ".join(argv).replace(str(directory), "{corpus}")] = argv
     return out
 
 
