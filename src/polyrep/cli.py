@@ -16,7 +16,6 @@ game should pass failed (a bug, not a property of the input).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -25,8 +24,9 @@ import sys
 import numpy as np
 
 from . import collapse as collapse_mod
-from . import dynamics, gamefile, reduction, stability
+from . import dynamics, gamefile, reduction, stability, vertices
 from .games import (
+    SEMIDEF_TOL,
     PolymatrixGame,
     check_prism_state,
     clearable_floor,
@@ -35,7 +35,6 @@ from .games import (
     interior_equilibria,
     random_prism_state,
 )
-from .vertices import first_vertex
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -290,7 +289,7 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
         raise ValueError("--x0 is not a prism state: " + "; ".join(problems))
     an = stability.Analysis(game, args.tol)  # fields computed only for the monitors asked for
     if "gb" in args.monitors or "ratios" in args.monitors:  # past the vertex ceilings this exits before any step
-        monitor_vertex = an.vstar[0] if an.vstar else first_vertex(game.gtype)
+        monitor_vertex = an.vstar[0] if an.vstar else vertices.first_vertex(game.gtype)
     traj = dynamics.integrate(game, x0, args.T, args.dt)
     notes = []
     # past dt max|a_ij| = 1 the step nears RK4's stability bound and the final state drifts
@@ -323,6 +322,8 @@ def cmd_simulate(args) -> tuple[dict, list[str], list[str], int]:
                 columns.append(traj.states[:, i] / traj.states[:, j])
 
     if args.csv:
+        import csv
+
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t"] + [f"x{i}" for i in range(game.n)] + names)
@@ -407,7 +408,7 @@ def _add_common(sub, game_positional=True, tol=True):
     if game_positional:
         sub.add_argument("game", help="game file (see README for the format)")
     if tol:
-        sub.add_argument("--tol", type=_nonnegative, default=stability.SEMIDEF_TOL,
+        sub.add_argument("--tol", type=_nonnegative, default=SEMIDEF_TOL,
                          help="semidefiniteness tolerance (relative)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 

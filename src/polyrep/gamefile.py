@@ -109,9 +109,12 @@ def parse_game_text(text: str) -> PolymatrixGame:
         raise GameFileError("group sizes must be integers", lineno)
     if not tokens:
         raise GameFileError("no group sizes given", lineno)
+    sizes = tuple(map(_read_int, tokens))
+    if sum(map(abs, sizes)) >= 10**_CHUNK:  # no file holds the rows, and the refusals below would print the number
+        raise GameFileError(f"group sizes of 10**{_CHUNK} strategies or more; no file holds their rows", lineno)
     try:
-        gtype = GameType(tuple(map(int, tokens)))
-    except ValueError as exc:  # int() refuses a size past its digit limit too
+        gtype = GameType(sizes)
+    except ValueError as exc:
         raise GameFileError(str(exc), lineno) from None
 
     rows = content[1:]

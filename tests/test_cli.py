@@ -1120,6 +1120,22 @@ class TestNumberGrammar:
         ]
         assert [(r.returncode, r.stdout) for r in runs] == [(EXIT_OK, runs[0].stdout)] * 2
 
+    @pytest.mark.parametrize("size", ["1" + "0" * 700, "-1" + "0" * 700, " ".join(["9" * 640] * 10)],
+                             ids=["past", "negative", "sum"])
+    def test_a_group_size_past_the_int_digit_limit_has_one_refusal(self, tmp_path, size):
+        # a group size of 640 digits or more is refused before any refusal would print it
+        game = tmp_path / "g.txt"
+        game.write_text(f"type: {size}\n0\n")
+        src = str(Path(polyrep.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        runs = [
+            subprocess.run([sys.executable, "-m", "polyrep.cli", "check", str(game)], capture_output=True, text=True, env=e)
+            for e in (env, dict(env, PYTHONINTMAXSTRDIGITS="640"))
+        ]
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs] == [(EXIT_IO, "", runs[0].stderr)] * 2
+        assert runs[0].stderr == "error: line 1: group sizes of 10**640 strategies or more; no file holds their rows\n"
+
     def test_spaces_around_an_option_value_are_no_part_of_it(self, capsys, example_path):
         # as around a token of a game file, --x0 or --r
         assert run(capsys, "check", example_path, "--tol", " 1e-9 ") == run(capsys, "check", example_path)
@@ -1246,15 +1262,63 @@ codes.append(run("simulate", "--game", path, "--T", "1"))
 print(json.dumps({"codes": codes, "random": random, "scipy": loaded("scipy")}))
 """
 
-    def cold(self, path) -> dict:
-        """The exit codes and the modules the SCRIPT's fresh interpreter loaded, on the game at path."""
+    # one subcommand, then the polyrep modules whose code ran (a module the
+    # package's LazyLoader has not executed yet has a type of its own) and
+    # which of csv, fractions and numpy.random it loaded
+    EXECUTED = """
+import contextlib, io, json, sys, types
+from polyrep.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main([*sys.argv[1:], "--format", "json"])
+ran = sorted(m for m, mod in sys.modules.items() if m.startswith("polyrep") and type(mod) is types.ModuleType)
+loaded = [m for m in ("csv", "fractions", "numpy.random") if m in sys.modules]
+print(json.dumps({"code": code, "ran": ran, "loaded": loaded}))
+"""
+    # after `from polyrep import cli` perfbench's tracer reads sys.modules["polyrep.X"]
+    # for every module its TRACED names, then wraps each function
+    TRACER = """
+import json, sys
+from polyrep import cli
+sys.path.insert(0, sys.argv[1])
+import tracer
+missing = sorted({m for m, _ in tracer.TRACED if f"polyrep.{m}" not in sys.modules})
+tracer.install(tracer.Tracer())
+print(json.dumps(missing))
+"""
+    CHECK = ["polyrep", "polyrep.cli", "polyrep.gamefile", "polyrep.games", "polyrep.stability", "polyrep.vertices"]
+
+    @staticmethod
+    def fresh(script: str, *args: str):
+        """The JSON of the last line the script prints, run by a fresh interpreter on args."""
         src = str(Path(polyrep.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-c", self.SCRIPT, path],
+            [sys.executable, "-c", script, *args],
             capture_output=True, text=True, env=env, check=True,
         )
         return json.loads(proc.stdout.splitlines()[-1])
+
+    def cold(self, path) -> dict:
+        """The exit codes and the modules the SCRIPT's fresh interpreter loaded, on the game at path."""
+        return self.fresh(self.SCRIPT, path)
+
+    @pytest.mark.parametrize(("argv", "ran", "loaded"), [
+        (["check", "{game}"], CHECK, []),
+        (["vertices", "{game}"], CHECK, []),
+        (["equilibrium", "{game}"], CHECK[:4], []),
+        (["reduce", "{game}"], sorted(CHECK + ["polyrep.reduction"]), []),
+        (["collapse", "{game}"], sorted(CHECK + ["polyrep.collapse"]), ["fractions"]),
+        (["simulate", "--game", "{game}", "--T", "1"], sorted(CHECK + ["polyrep.dynamics"]), ["numpy.random"]),
+        (["lv2rep", "--A", "{matrix}", "--r", "1,2"], [*CHECK[:4], "polyrep.dynamics", "polyrep.vertices"], []),
+    ], ids=["check", "vertices", "equilibrium", "reduce", "collapse", "simulate", "lv2rep"])
+    def test_each_subcommand_runs_only_the_modules_it_needs(self, tmp_path, example_path, argv, ran, loaded):
+        matrix = tmp_path / "lv.txt"
+        matrix.write_text("0 -1\n1 0\n")
+        got = self.fresh(self.EXECUTED, *(a.format(game=example_path, matrix=matrix) for a in argv))
+        assert got == {"code": EXIT_OK, "ran": sorted(ran), "loaded": loaded}
+
+    def test_the_cli_import_registers_every_traced_module(self):
+        assert self.fresh(self.TRACER, str(Path(__file__).parents[1] / "perfbench")) == []
 
     def test_no_scipy_loaded(self, example_path):
         got = self.cold(example_path)

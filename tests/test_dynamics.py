@@ -7,6 +7,7 @@ import pytest
 from polyrep.dynamics import (
     MAX_STEPS,
     LVSystem,
+    _aligned,
     attractor_probe,
     first_integrals,
     h_derivative,
@@ -157,6 +158,14 @@ class TestIntegrate:
         traj = integrate(RPS, np.array([0.5, 0.3, 0.2]), T=100.0, dt=0.01)
         h = lyapunov_h(RPS, q, ID1, traj.states)
         assert np.max(np.abs(h - h[0])) <= 1e-6 * max(1.0, abs(h[0]))
+
+
+class TestStageBuffers:
+    @pytest.mark.parametrize("shape", [(5, 5, 1000), (3, 20, 1000), (5, 5, 1)])
+    def test_a_stage_buffer_starts_on_a_cache_line(self, shape):
+        buf = _aligned(shape)
+        assert buf.shape == shape and buf.dtype == np.float64 and buf.flags.c_contiguous
+        assert buf.ctypes.data % 64 == 0
 
 
 class TestLyapunov:

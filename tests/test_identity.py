@@ -17,7 +17,7 @@ def test_a_tree_matches_itself_and_not_a_copy_with_one_output_changed(tmp_path, 
     kelley.write_text(KELLEY_PROOF_GAME)
     games = [FIXTURES / "example_game.txt", FIXTURES / "example_sum2.txt", kelley]
     assert identity.compare(ROOT, ROOT, games) == []
-    assert capsys.readouterr().out.startswith("0 of 60 runs differ on 3 game files\n")
+    assert capsys.readouterr().out.startswith("0 of 60 runs differ on 3 game files and 0 matrix files\n")
 
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src", changed / "src", ignore=shutil.ignore_patterns("__pycache__"))
@@ -27,5 +27,6 @@ def test_a_tree_matches_itself_and_not_a_copy_with_one_output_changed(tmp_path, 
     keys = [f"equilibrium {{corpus}}/{game.name}" for game in sorted(games, key=lambda g: g.name)]
     assert identity.compare(ROOT, changed, games) == keys
     out = capsys.readouterr().out
-    assert out.startswith("3 of 60 runs differ on 3 game files\n" + "".join(f"differs: {k}\n" for k in keys))
+    summary = "3 of 60 runs differ on 3 game files and 0 matrix files\n"
+    assert out.startswith(summary + "".join(f"differs: {k}\n" for k in keys))
     assert "-stdout: interior found: True" in out and "+stdout: interior: True" in out

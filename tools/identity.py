@@ -148,7 +148,9 @@ def compare(tree: Path, other: Path, games: list[Path] | None = None) -> list[st
             shutil.copy(game, directory / game.name)
         ours, theirs = records(tree, directory), records(other, directory)
         differ = sorted(key for key in ours if ours[key] != theirs.get(key))
-        print(f"{len(differ)} of {len(ours)} runs differ on {len(list(directory.rglob('*.txt')))} game files")
+        is_matrix = [path.parent.name == "lv2rep" for path in directory.rglob("*.txt")]
+        print(f"{len(differ)} of {len(ours)} runs differ on {is_matrix.count(False)} game files "
+              f"and {sum(is_matrix)} matrix files")
         if differ:
             ours, theirs = records(tree, directory, differ[:SHOWN]), records(other, directory, differ[:SHOWN])
         for key in differ:
